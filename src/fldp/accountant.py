@@ -143,12 +143,12 @@ def rdp_single_step(noise_multiplier: float, sampling_rate: float, alpha: float)
     if noise_multiplier <= 0:
         raise ConfigError("noise multiplier must be positive")
     if sampling_rate == 1.0:
-        return alpha / (2.0 * noise_multiplier**2)
+        return float(alpha / (2.0 * noise_multiplier**2))
     if float(alpha).is_integer():
         log_a = _log_a_int(sampling_rate, noise_multiplier, int(alpha))
     else:
         log_a = _log_a_frac(sampling_rate, noise_multiplier, float(alpha))
-    return max(0.0, log_a / (alpha - 1.0))
+    return float(max(0.0, log_a / (alpha - 1.0)))
 
 
 @dataclass(frozen=True)
@@ -213,7 +213,7 @@ def epsilon_at_delta(curve: RdpCurve, delta: float) -> tuple[float, float]:
         if eps < best_eps:
             best_eps = eps
             best_order = alpha
-    return max(0.0, best_eps), best_order
+    return float(max(0.0, best_eps)), float(best_order)
 
 
 def epsilon_for(

@@ -42,8 +42,7 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     population = generate_population(rc.population)
-    result = run_simulation(rc.federation, population, rc.model,
-                            workers=args.workers)
+    result = run_simulation(rc.federation, population, rc.model)
     telemetry.write_metrics(result.metrics, out_dir / "metrics.jsonl")
     (out_dir / "privacy_report.json").write_text(
         dump_json(result.privacy_report) + "\n"
@@ -52,7 +51,7 @@ def _cmd_simulate(args) -> int:
         result.final_params.to_json() + "\n"
     )
     (out_dir / "run_manifest.json").write_text(
-        dump_json(build_manifest(rc, workers=args.workers)) + "\n"
+        dump_json(build_manifest(rc)) + "\n"
     )
     print(f"wrote {out_dir}/metrics.jsonl ({len(result.metrics)} rounds)")
     eps = result.privacy_report["epsilon"]
@@ -174,8 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a federated training simulation")
     p.add_argument("--config", required=True, help="YAML/JSON config file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallel client workers (results are identical)")
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("accountant", help="compute (epsilon, delta) guarantees")

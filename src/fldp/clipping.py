@@ -24,7 +24,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .errors import ConfigError
-from .param_tree import ParamTree, global_norm
+from .param_tree import ParamTree, global_norm, vector_norm
 
 
 class ClipVariant(str, Enum):
@@ -91,7 +91,7 @@ _NORM_SLACK = 1e-12
 
 
 def _clip_array(arr: np.ndarray, bound: float) -> np.ndarray:
-    norm = float(np.sqrt(np.dot(arr, arr)))
+    norm = vector_norm(arr)
     if norm <= bound * (1.0 + _NORM_SLACK) or norm == 0.0:
         return arr
     return arr * (bound / norm)

@@ -12,9 +12,10 @@ re-parses to an identical resolution (round-trip stable).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 import yaml
@@ -377,100 +378,33 @@ def parse_config(path: str | Path) -> ResolvedConfig:
     return parse_config_mapping(raw, root_dir=path.parent)
 
 
+def _plain(obj):
+    """Dataclass -> dict, Enum -> value, tuple -> list, Mapping -> dict."""
+    if is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, tuple):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, Mapping):
+        return {key: _plain(v) for key, v in obj.items()}
+    return obj
+
+
 def resolved_dict(rc: ResolvedConfig) -> dict:
     """Fully expanded config; re-parsing it resolves identically."""
-    model, pop, fed = rc.model, rc.population, rc.federation
-    out: dict[str, Any] = {
-        "model": {
-            "kind": model.kind.value,
-            "input_dim": model.input_dim,
-            "num_classes": model.num_classes,
-            "hidden_dim": model.hidden_dim,
-            "seq_len": model.seq_len,
-            "layernorm_epsilon": model.layernorm_epsilon,
-        },
-        "population": {
-            "num_clients": pop.num_clients,
-            "num_classes": pop.num_classes,
-            "input_dim": pop.input_dim,
-            "examples_per_client": {
-                "kind": pop.examples_per_client.kind.value,
-                "count": pop.examples_per_client.count,
-                "log_mean": pop.examples_per_client.log_mean,
-                "log_sigma": pop.examples_per_client.log_sigma,
-                "exponent": pop.examples_per_client.exponent,
-                "scale": pop.examples_per_client.scale,
-                "cap": pop.examples_per_client.cap,
-            },
-            "label_skew_alpha": pop.label_skew_alpha,
-            "noise_level": (
-                list(pop.noise_level)
-                if isinstance(pop.noise_level, tuple)
-                else pop.noise_level
-            ),
-            "mean_separation": pop.mean_separation,
-            "input_scale": pop.input_scale,
-            "class_priors": list(pop.class_priors) if pop.class_priors else None,
-            "seq_len": pop.seq_len,
-            "probe_size": pop.probe_size,
-            "seed": pop.seed,
-        },
-        "federation": {
-            "rounds": fed.num_rounds,
-            "seed": fed.seed,
-            "fedprox_mu": fed.fedprox_mu,
-            "cohort": {
-                "mode": fed.cohort.mode.value,
-                "size": fed.cohort.size,
-                "rate": fed.cohort.rate,
-            },
-            "local": {
-                "mode": fed.local.mode.value,
-                "count": fed.local.count,
-                "batch_size": fed.local.batch_size,
-                "lr": fed.local.lr,
-                "clip_bound": fed.local.clip_bound,
-            },
-            "clip": {
-                "variant": fed.clip.variant.value,
-                "bound": fed.clip.bound,
-                "weights": dict(fed.clip.weights) if fed.clip.weights else None,
-            },
-            "privacy": {
-                "sigma": fed.privacy.sigma,
-                "sigma_kind": fed.privacy.sigma_kind.value,
-                "delta": fed.privacy.delta,
-                "clip_bound": fed.privacy.clip_bound,
-                "population": fed.privacy.population,
-                "cohort_size": fed.privacy.cohort_size,
-                "sampling_rate": fed.privacy.sampling_rate,
-                "num_steps": fed.privacy.num_steps,
-            },
-            "central": {
-                "optimizer": fed.central.optimizer.value,
-                "schedule": {
-                    "kind": fed.central.schedule.kind.value,
-                    "base_lr": fed.central.schedule.base_lr,
-                    "decay_start": fed.central.schedule.decay_start,
-                    "decay_rate": fed.central.schedule.decay_rate,
-                    "transition_steps": fed.central.schedule.transition_steps,
-                },
-                "hyper": {
-                    "beta1": fed.central.hyper.beta1,
-                    "beta2": fed.central.hyper.beta2,
-                    "epsilon": fed.central.hyper.epsilon,
-                    "momentum": fed.central.hyper.momentum,
-                    "weight_decay": fed.central.hyper.weight_decay,
-                    "trust_clip": fed.central.hyper.trust_clip,
-                },
-            },
-            "noise_mask": (
-                sorted(fed.noise_mask.included)
-                if fed.noise_mask.included is not None
-                else None
-            ),
-            "seed_model_path": rc.seed_model_path,
-        },
+    fed = rc.federation
+    federation = _plain(fed)
+    # Where the config keys differ from the dataclass fields.
+    federation["rounds"] = federation.pop("num_rounds")
+    included = fed.noise_mask.included
+    federation["noise_mask"] = sorted(included) if included is not None else None
+    del federation["seed_model"]
+    federation["seed_model_path"] = rc.seed_model_path
+    out = {
+        "model": _plain(rc.model),
+        "population": _plain(rc.population),
+        "federation": federation,
     }
     _drop_nones(out)
     return out

@@ -4,9 +4,10 @@ Each round: sample a cohort, run local SGD on every sampled client from the
 round-start parameters, clip each client's delta (global or per-layer),
 add per-client Gaussian noise, average the processed deltas in ascending
 client-id order, and hand the negated average to the central optimizer as
-its gradient estimate. All randomness is drawn from per-purpose Philox
-streams keyed by (run seed, stream tag, round, client), so results are
-bitwise identical no matter how many workers execute clients in parallel.
+its gradient estimate. Clients train one after another in ascending id
+order, and all randomness is drawn from per-purpose Philox streams keyed by
+(run seed, stream tag, round, client), so a run is bitwise reproducible
+from its seed.
 
 Local training runs either a fixed number of epochs (full shuffled passes)
 or a fixed number of steps (independently sampled minibatches). Every
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -224,22 +224,6 @@ def local_train(
     return sub(params, global_params)
 
 
-def dp_process(
-    delta: ParamTree,
-    clip: ClipSpec,
-    sigma_client: float,
-    mask: NoiseMask,
-    seed: np.random.SeedSequence | int,
-) -> ParamTree:
-    """Clip then noise, in exactly that order."""
-    return add_noise(clip_tree(delta, clip), sigma_client, mask, seed)
-
-
-def aggregate(deltas: list[ParamTree]) -> ParamTree:
-    """Unweighted mean of the processed client deltas."""
-    return tree_mean(deltas)
-
-
 def _build_privacy_report(privacy: PrivacyParams, mask: NoiseMask,
                           layer_names) -> dict:
     dp_valid = mask.covers(layer_names)
@@ -346,7 +330,6 @@ def run_simulation(
     cfg: FederationConfig,
     population: ClientPartition,
     model_spec: ModelSpec,
-    workers: int = 1,
     archive_deltas: bool = False,
 ) -> SimulationResult:
     """Run the configured number of rounds; fully deterministic in cfg.seed."""
@@ -372,8 +355,8 @@ def run_simulation(
             metrics.append(_probe_only_metrics(t, lr, model_spec, params, population))
             continue
 
-        def train_one(cid: int) -> tuple[int, ParamTree]:
-            return cid, local_train(
+        deltas = [
+            local_train(
                 params,
                 population.clients[cid].data,
                 model_spec,
@@ -383,15 +366,8 @@ def run_simulation(
                 cid,
                 cfg.seed,
             )
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = dict(pool.map(train_one, cohort))
-        else:
-            results = dict(map(train_one, cohort))
-        # Reduce in ascending client-id order regardless of completion order.
-        deltas = [results[cid] for cid in cohort]
-
+            for cid in cohort
+        ]
         clipped = [clip_tree(d, cfg.clip) for d in deltas]
         noised = [
             add_noise(
@@ -402,13 +378,15 @@ def run_simulation(
             )
             for cid, d in zip(cohort, clipped)
         ]
-        mean_clipped = aggregate(clipped)
-        pseudo_grad = aggregate(noised)
+        mean_clipped = tree_mean(clipped)
+        pseudo_grad = tree_mean(noised)
 
         # The optimizer descends, so it receives the negated mean delta.
         params, opt_state = opt_apply(opt_state, params, scale(-1.0, pseudo_grad), lr)
 
-        probe_loss = models.loss(model_spec, params, population.probe)
+        probe_loss, probe_accuracy = models.evaluate(
+            model_spec, params, population.probe
+        )
         if not math.isfinite(probe_loss):
             raise NumericsError(f"round {t}: non-finite probe loss")
         metrics.append(
@@ -416,7 +394,7 @@ def run_simulation(
                 round_index=t,
                 cohort_ids=list(cohort),
                 loss=probe_loss,
-                accuracy=models.accuracy(model_spec, params, population.probe),
+                accuracy=probe_accuracy,
                 lr=lr,
                 delta_norm_preclip_mean=float(
                     np.mean([global_norm(d) for d in deltas])
@@ -436,11 +414,12 @@ def run_simulation(
 
 
 def _probe_only_metrics(t, lr, model_spec, params, population) -> RoundMetrics:
+    probe_loss, probe_accuracy = models.evaluate(model_spec, params, population.probe)
     return RoundMetrics(
         round_index=t,
         cohort_ids=[],
-        loss=models.loss(model_spec, params, population.probe),
-        accuracy=models.accuracy(model_spec, params, population.probe),
+        loss=probe_loss,
+        accuracy=probe_accuracy,
         lr=lr,
         delta_norm_preclip_mean=0.0,
         per_layer={name: {"mean": 0.0, "std": 0.0} for name in params.names},

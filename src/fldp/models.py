@@ -176,35 +176,42 @@ def _layernorm_backward(dy, gain, cache):
     return dz, dgain, dbias
 
 
-def _ce_from_logits(logits, labels):
-    """Mean cross-entropy and its gradient w.r.t. logits."""
+def _cross_entropy(logits, labels) -> float:
+    """Mean cross-entropy of the labels under softmax(logits)."""
     n = labels.shape[0]
     shifted = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(np.mean(lse - shifted[np.arange(n), labels]))
+    return float(np.mean(lse - shifted[np.arange(n), labels]))
+
+
+def _cross_entropy_grad(logits, labels):
+    """Gradient of `_cross_entropy` w.r.t. the logits."""
+    n = labels.shape[0]
     p = _softmax(logits)
     p[np.arange(n), labels] -= 1.0
-    return loss, p / n
+    return p / n
 
 
 # -- per-kind forward/backward ----------------------------------------------
+# Each returns the logits and a closure mapping dL/dlogits to the per-layer
+# gradients in tree order.
 
 
-def _linear_softmax(spec, params, batch, want_grad):
+def _linear_softmax(spec, params, x):
     f, k = spec.input_dim, spec.num_classes
     w = params["w"].reshape(k, f)
     b = params["b"]
-    x = batch.inputs
     logits = x @ w.T + b
-    loss, dlogits = _ce_from_logits(logits, batch.labels)
-    if not want_grad:
-        return loss, None
-    dw = dlogits.T @ x
-    db = dlogits.sum(axis=0)
-    return loss, params.replace([dw.reshape(-1), db])
+
+    def backward(dlogits):
+        dw = dlogits.T @ x
+        db = dlogits.sum(axis=0)
+        return [dw.reshape(-1), db]
+
+    return logits, backward
 
 
-def _mlp_layernorm(spec, params, batch, want_grad):
+def _mlp_layernorm(spec, params, x):
     f, k, d = spec.input_dim, spec.num_classes, spec.hidden_dim
     eps = spec.layernorm_epsilon
     w1 = params["w1"].reshape(d, f)
@@ -214,33 +221,31 @@ def _mlp_layernorm(spec, params, batch, want_grad):
     w2 = params["w2"].reshape(k, d)
     b2 = params["b2"]
 
-    x = batch.inputs
     z1 = x @ w1.T + b1
     h, ln_cache = _layernorm_forward(z1, gain, bias, eps)
     a = np.tanh(h)
     logits = a @ w2.T + b2
-    loss, dlogits = _ce_from_logits(logits, batch.labels)
-    if not want_grad:
-        return loss, None
 
-    dw2 = dlogits.T @ a
-    db2 = dlogits.sum(axis=0)
-    da = dlogits @ w2
-    dh = (1.0 - a * a) * da
-    dz1, dgain, dbias = _layernorm_backward(dh, gain, ln_cache)
-    dw1 = dz1.T @ x
-    db1 = dz1.sum(axis=0)
-    grads = [
-        dw1.reshape(-1),
-        db1,
-        np.concatenate([dgain, dbias]),
-        dw2.reshape(-1),
-        db2,
-    ]
-    return loss, params.replace(grads)
+    def backward(dlogits):
+        dw2 = dlogits.T @ a
+        db2 = dlogits.sum(axis=0)
+        da = dlogits @ w2
+        dh = (1.0 - a * a) * da
+        dz1, dgain, dbias = _layernorm_backward(dh, gain, ln_cache)
+        dw1 = dz1.T @ x
+        db1 = dz1.sum(axis=0)
+        return [
+            dw1.reshape(-1),
+            db1,
+            np.concatenate([dgain, dbias]),
+            dw2.reshape(-1),
+            db2,
+        ]
+
+    return logits, backward
 
 
-def _tiny_attention(spec, params, batch, want_grad):
+def _tiny_attention(spec, params, x):
     f, k, d = spec.input_dim, spec.num_classes, spec.hidden_dim
     s = spec.seq_len
     eps = spec.layernorm_epsilon
@@ -256,8 +261,7 @@ def _tiny_attention(spec, params, batch, want_grad):
     wout = params["wout"].reshape(k, d)
     bout = params["bout"]
 
-    x = batch.inputs  # (B, S, F)
-    n = batch.size
+    # x is (B, S, F)
     h0 = x @ win.T  # (B, S, d)
 
     # pre-LN attention sub-block
@@ -277,51 +281,50 @@ def _tiny_attention(spec, params, batch, want_grad):
 
     pool = h2.mean(axis=1)  # (B, d)
     logits = pool @ wout.T + bout
-    loss, dlogits = _ce_from_logits(logits, batch.labels)
-    if not want_grad:
-        return loss, None
 
-    dwout = dlogits.T @ pool
-    dbout = dlogits.sum(axis=0)
-    dpool = dlogits @ wout  # (B, d)
-    dh2 = np.repeat(dpool[:, None, :], s, axis=1) / s
+    def backward(dlogits):
+        dwout = dlogits.T @ pool
+        dbout = dlogits.sum(axis=0)
+        dpool = dlogits @ wout  # (B, d)
+        dh2 = np.repeat(dpool[:, None, :], s, axis=1) / s
 
-    # MLP sub-block backward
-    dt = dh2 @ w2
-    dw2 = np.einsum("bsd,bse->de", dh2, t)
-    da1 = (1.0 - t * t) * dt
-    dw1 = np.einsum("bsd,bse->de", da1, m)
-    dm = da1 @ w1
-    dh1, dg2, dbe2 = _layernorm_backward(dm, g2, ln2_cache)
-    dh1 = dh1 + dh2  # residual
+        # MLP sub-block backward
+        dt = dh2 @ w2
+        dw2 = np.einsum("bsd,bse->de", dh2, t)
+        da1 = (1.0 - t * t) * dt
+        dw1 = np.einsum("bsd,bse->de", da1, m)
+        dm = da1 @ w1
+        dh1, dg2, dbe2 = _layernorm_backward(dm, g2, ln2_cache)
+        dh1 = dh1 + dh2  # residual
 
-    # attention sub-block backward
-    dao = dh1 @ wf
-    dwf = np.einsum("bsd,bse->de", dh1, ao)
-    datt = dao @ v.transpose(0, 2, 1)  # (B, S, S)
-    dv = att.transpose(0, 2, 1) @ dao
-    dscores = att * (datt - (datt * att).sum(axis=-1, keepdims=True))
-    dq = dscores @ kk / np.sqrt(d)
-    dk = dscores.transpose(0, 2, 1) @ q / np.sqrt(d)
-    dqkv = np.concatenate([dq, dk, dv], axis=-1)  # (B, S, 3d)
-    dwqkv = np.einsum("bsd,bse->de", u, dqkv)
-    du = dqkv @ wqkv.T
-    dh0, dg1, dbe1 = _layernorm_backward(du, g1, ln1_cache)
-    dh0 = dh0 + dh1  # residual
-    dwin = np.einsum("bsd,bsf->df", dh0, x)
+        # attention sub-block backward
+        dao = dh1 @ wf
+        dwf = np.einsum("bsd,bse->de", dh1, ao)
+        datt = dao @ v.transpose(0, 2, 1)  # (B, S, S)
+        dv = att.transpose(0, 2, 1) @ dao
+        dscores = att * (datt - (datt * att).sum(axis=-1, keepdims=True))
+        dq = dscores @ kk / np.sqrt(d)
+        dk = dscores.transpose(0, 2, 1) @ q / np.sqrt(d)
+        dqkv = np.concatenate([dq, dk, dv], axis=-1)  # (B, S, 3d)
+        dwqkv = np.einsum("bsd,bse->de", u, dqkv)
+        du = dqkv @ wqkv.T
+        dh0, dg1, dbe1 = _layernorm_backward(du, g1, ln1_cache)
+        dh0 = dh0 + dh1  # residual
+        dwin = np.einsum("bsd,bsf->df", dh0, x)
 
-    grads = [
-        dwin.reshape(-1),
-        np.concatenate([dg1, dbe1]),
-        dwqkv.reshape(-1),
-        dwf.reshape(-1),
-        np.concatenate([dg2, dbe2]),
-        dw1.reshape(-1),
-        dw2.reshape(-1),
-        dwout.reshape(-1),
-        dbout,
-    ]
-    return loss, params.replace(grads)
+        return [
+            dwin.reshape(-1),
+            np.concatenate([dg1, dbe1]),
+            dwqkv.reshape(-1),
+            dwf.reshape(-1),
+            np.concatenate([dg2, dbe2]),
+            dw1.reshape(-1),
+            dw2.reshape(-1),
+            dwout.reshape(-1),
+            dbout,
+        ]
+
+    return logits, backward
 
 
 _FORWARD = {
@@ -331,68 +334,37 @@ _FORWARD = {
 }
 
 
-def _run(spec: ModelSpec, params: ParamTree, batch: Batch, want_grad: bool):
+def _forward(spec: ModelSpec, params: ParamTree, inputs: np.ndarray, labels=None):
+    """Validated forward pass: (logits, backward closure)."""
     _check_layout(spec, params)
-    _check_inputs(spec, batch.inputs)
-    if np.any(batch.labels >= spec.num_classes):
+    _check_inputs(spec, inputs)
+    if labels is not None and np.any(labels >= spec.num_classes):
         raise StructureError("label out of range for num_classes")
-    return _FORWARD[spec.kind](spec, params, batch, want_grad)
+    return _FORWARD[spec.kind](spec, params, inputs)
 
 
 def loss(spec: ModelSpec, params: ParamTree, batch: Batch) -> float:
     """Mean cross-entropy over the batch."""
-    return _run(spec, params, batch, want_grad=False)[0]
-
-
-def loss_and_grad(spec: ModelSpec, params: ParamTree, batch: Batch):
-    return _run(spec, params, batch, want_grad=True)
+    out, _ = _forward(spec, params, batch.inputs, batch.labels)
+    return _cross_entropy(out, batch.labels)
 
 
 def grad(spec: ModelSpec, params: ParamTree, batch: Batch) -> ParamTree:
     """Analytic gradient of `loss` w.r.t. every parameter."""
-    return _run(spec, params, batch, want_grad=True)[1]
+    out, backward = _forward(spec, params, batch.inputs, batch.labels)
+    return params.replace(backward(_cross_entropy_grad(out, batch.labels)))
 
 
 def logits(spec: ModelSpec, params: ParamTree, inputs: np.ndarray) -> np.ndarray:
-    _check_layout(spec, params)
     inputs = np.asarray(inputs, dtype=np.float64)
-    _check_inputs(spec, inputs)
-    return _logits_only(spec, params, inputs)
+    return _forward(spec, params, inputs)[0]
 
 
-def _logits_only(spec, params, inputs):
-    f, k, d = spec.input_dim, spec.num_classes, spec.hidden_dim
-    eps = spec.layernorm_epsilon
-    if spec.kind == ModelKind.LINEAR_SOFTMAX:
-        w = params["w"].reshape(k, f)
-        return inputs @ w.T + params["b"]
-    if spec.kind == ModelKind.MLP_LAYERNORM:
-        w1 = params["w1"].reshape(d, f)
-        ln = params["ln"]
-        h, _ = _layernorm_forward(inputs @ w1.T + params["b1"], ln[:d], ln[d:], eps)
-        w2 = params["w2"].reshape(k, d)
-        return np.tanh(h) @ w2.T + params["b2"]
-    win = params["win"].reshape(d, f)
-    ln1, ln2 = params["ln1"], params["ln2"]
-    wqkv = params["wqkv"].reshape(d, 3 * d)
-    wf = params["wf"].reshape(d, d)
-    w1 = params["w1"].reshape(d, d)
-    w2 = params["w2"].reshape(d, d)
-    wout = params["wout"].reshape(k, d)
-    h0 = inputs @ win.T
-    u, _ = _layernorm_forward(h0, ln1[:d], ln1[d:], eps)
-    qkv = u @ wqkv
-    q, kk, v = qkv[..., :d], qkv[..., d : 2 * d], qkv[..., 2 * d :]
-    att = _softmax(q @ kk.transpose(0, 2, 1) / np.sqrt(d))
-    h1 = h0 + (att @ v) @ wf.T
-    m, _ = _layernorm_forward(h1, ln2[:d], ln2[d:], eps)
-    h2 = h1 + np.tanh(m @ w1.T) @ w2.T
-    return h2.mean(axis=1) @ wout.T + params["bout"]
-
-
-def accuracy(spec: ModelSpec, params: ParamTree, batch: Batch) -> float:
-    pred = np.argmax(logits(spec, params, batch.inputs), axis=1)
-    return float(np.mean(pred == batch.labels))
+def evaluate(spec: ModelSpec, params: ParamTree, batch: Batch) -> tuple[float, float]:
+    """Mean cross-entropy and accuracy from one forward pass."""
+    out, _ = _forward(spec, params, batch.inputs, batch.labels)
+    pred = np.argmax(out, axis=1)
+    return _cross_entropy(out, batch.labels), float(np.mean(pred == batch.labels))
 
 
 def finite_diff_grad(

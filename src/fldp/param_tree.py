@@ -10,6 +10,7 @@ across threads.
 from __future__ import annotations
 
 import json
+import math
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -137,14 +138,38 @@ class ParamTree:
 # -- algebra ---------------------------------------------------------------
 
 
+# A sum of squares below this may have lost bits to underflow (squares of
+# entries under ~1e-154 are subnormal or zero); above the float range it
+# overflowed. Only then is the norm recomputed on rescaled entries, so norms
+# of ordinary vectors are the plain sqrt(x . x), bit for bit.
+_SUM_SQ_MIN = 1e-290
+
+
+def _norm(sum_sq: float, arrays: tuple[np.ndarray, ...]) -> float:
+    """L2 norm of the concatenation of `arrays`, whose sum of squares is sum_sq."""
+    if _SUM_SQ_MIN <= sum_sq < math.inf:
+        return float(np.sqrt(sum_sq))
+    peak = max(float(np.max(np.abs(a))) for a in arrays)
+    if peak == 0.0 or not math.isfinite(peak):
+        return float(np.sqrt(sum_sq))
+    scaled = sum(float(np.dot(a / peak, a / peak)) for a in arrays)
+    return peak * float(np.sqrt(scaled))
+
+
+def vector_norm(arr: np.ndarray) -> float:
+    """L2 norm of one flat vector."""
+    return _norm(float(np.dot(arr, arr)), (arr,))
+
+
 def global_norm(tree: ParamTree) -> float:
     """L2 norm of the whole tree viewed as one flat vector."""
-    return float(np.sqrt(sum(float(np.dot(a, a)) for a in tree.arrays())))
+    arrays = tree.arrays()
+    return _norm(sum(float(np.dot(a, a)) for a in arrays), arrays)
 
 
 def layer_norms(tree: ParamTree) -> dict[str, float]:
     """Per-layer L2 norms, in layer order."""
-    return {n: float(np.sqrt(np.dot(a, a))) for n, a in tree.items()}
+    return {n: vector_norm(a) for n, a in tree.items()}
 
 
 def axpy(alpha: float, x: ParamTree, y: ParamTree) -> ParamTree:

@@ -5,13 +5,19 @@ terminal summary (see conftest.py).
 """
 
 import itertools
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from conftest import criterion
 from simtools import INF, linear_model, make_config, small_population
 
+import fldp
 from fldp import models
 from fldp.accountant import DEFAULT_ORDERS, epsilon_for
 from fldp.clipping import (
@@ -22,6 +28,7 @@ from fldp.clipping import (
     clip_tree,
     layer_bounds,
 )
+from fldp.config import parse_config
 from fldp.data import (
     Batch,
     CountSpec,
@@ -209,20 +216,47 @@ def test_criterion_6_fedsgd_matches_centralized_gd():
         assert fl_params == result.final_params
 
 
-def test_criterion_7_determinism_across_parallelism(tmp_path):
-    with criterion(7, "single-threaded and parallel runs emit bitwise "
-                      "identical metrics"):
-        _, population = small_population(num_clients=10)
-        model = linear_model()
-        cfg = make_config(population, num_rounds=6, cohort_size=5,
-                          sigma_client=1e-3, clip_bound=0.05)
+def test_criterion_7_determinism_across_processes(tmp_path):
+    with criterion(7, "two in-process runs and a fresh-interpreter "
+                      "`fldp simulate` run emit bitwise identical metrics"):
+        config = {
+            "model": {"kind": "linear_softmax", "input_dim": 4, "num_classes": 3},
+            "population": {"num_clients": 10, "seed": 7},
+            "federation": {
+                "rounds": 6,
+                "seed": 11,
+                "cohort": {"mode": "fixed_size", "size": 5},
+                "local": {"mode": "steps", "count": 2, "batch_size": 8, "lr": 0.1},
+                "clip": {"variant": "uniform", "bound": 0.05},
+                "privacy": {"sigma": 1.0e-3, "sigma_kind": "client"},
+                "central": {"optimizer": "sgd", "schedule": {"base_lr": 0.5}},
+            },
+        }
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text(yaml.safe_dump(config))
+        rc = parse_config(config_path)
+        population = generate_population(rc.population)
         paths = []
-        for workers in (1, 4):
-            result = run_simulation(cfg, population, model, workers=workers)
-            path = tmp_path / f"metrics_w{workers}.jsonl"
+        for i in range(2):
+            result = run_simulation(rc.federation, population, rc.model)
+            path = tmp_path / f"metrics_{i}.jsonl"
             write_metrics(result.metrics, path)
             paths.append(path)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+        # A fresh interpreter shares no process-global state with this one.
+        src = Path(fldp.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = tmp_path / "cli"
+        subprocess.run(
+            [sys.executable, "-m", "fldp.cli", "simulate",
+             "--config", str(config_path), "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        paths.append(out / "metrics.jsonl")
+        first = paths[0].read_bytes()
+        assert len(first.splitlines()) == 6
+        for path in paths[1:]:
+            assert path.read_bytes() == first
 
 
 # -- constructed layer-imbalanced task (criteria 8) ---------------------------

@@ -154,6 +154,12 @@ def test_golden_epsilon_rows(z, q, steps, eps_ref, order_ref):
     eps, order = epsilon_for(z, q, steps, delta=1e-9)
     assert eps == pytest.approx(eps_ref, rel=0.05)
     assert abs(grid_index(order) - grid_index(order_ref)) <= 1
+    # Plain Python floats, not numpy scalars, at every public return.
+    assert type(eps) is float and type(order) is float
+    curve = compose(rdp_sampled_gaussian(z, q), steps)  # integer and fractional orders
+    assert all(type(e) is float for e in curve.eps_per_step)
+    assert all(type(v) is float for v in epsilon_at_delta(curve, 1e-9))
+    assert type(rdp_single_step(z, 1.0, 2.0)) is float
 
 
 def test_epsilon_decreases_with_noise_and_increases_with_steps():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fldp.clipping import (
     ClipSpec,
@@ -108,6 +110,44 @@ def test_fuzzed_postclip_norm_and_idempotence(variant):
         assert global_norm(clipped) <= bound * (1 + 1e-12)
         again = clip_tree(clipped, spec)
         assert again == clipped
+
+
+_VALUES = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+_SLACK = 1 + 1e-12
+
+
+@st.composite
+def tree_and_spec(draw, variant):
+    layers = draw(st.lists(st.lists(_VALUES, min_size=1, max_size=8),
+                           min_size=1, max_size=5))
+    tree = ParamTree((f"l{i}", values) for i, values in enumerate(layers))
+    bound = draw(st.floats(0.0, 1e3, allow_subnormal=False))
+    weights = None
+    if variant == ClipVariant.PER_LAYER_WEIGHTED:
+        weights = {name: draw(st.floats(0.1, 10.0)) for name in tree.names}
+    return tree, ClipSpec(bound, variant, weights)
+
+
+@pytest.mark.parametrize("variant", list(ClipVariant), ids=lambda v: v.value)
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_clip_tree_properties(variant, data):
+    tree, spec = data.draw(tree_and_spec(variant))
+    out = clip_tree(tree, spec)
+    assert global_norm(out) <= spec.bound * _SLACK
+    if variant == ClipVariant.GLOBAL:
+        # The whole tree is the one clipping unit.
+        bounds = {name: spec.bound for name in tree.names}
+        before = {name: global_norm(tree) for name in tree.names}
+    else:
+        bounds = layer_bounds(spec, tree)
+        before = layer_norms(tree)
+        after = layer_norms(out)
+        for name in tree.names:
+            assert after[name] <= bounds[name] * _SLACK
+    for name in tree.names:
+        if before[name] <= bounds[name]:
+            assert out[name].tobytes() == tree[name].tobytes()
 
 
 def test_per_layer_never_increases_any_layer_norm():

@@ -288,8 +288,7 @@ def test_cli_rerun_reproduces_metrics_bitwise(tmp_path):
     manifest = json.loads((out1 / "run_manifest.json").read_text())
     config2 = tmp_path / "resolved.yaml"
     config2.write_text(yaml.safe_dump(manifest["config"]))
-    assert main(["simulate", "--config", str(config2), "--out", str(out2),
-                 "--workers", "4"]) == 0
+    assert main(["simulate", "--config", str(config2), "--out", str(out2)]) == 0
     assert (out1 / "metrics.jsonl").read_bytes() == (out2 / "metrics.jsonl").read_bytes()
     assert (out1 / "final_params.json").read_bytes() == (
         out2 / "final_params.json"

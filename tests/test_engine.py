@@ -5,23 +5,21 @@ import pytest
 from simtools import INF, linear_model, make_config, small_population
 
 from fldp import models
-from fldp.clipping import ClipSpec, ClipVariant, clip_tree
+from fldp.clipping import ClipVariant, clip_tree
 from fldp.data import Batch, ClientDataset, ClientPartition
-from fldp.dp import FULL_MASK, NoiseMask, add_noise
+from fldp.dp import NoiseMask, add_noise
 from fldp.engine import (
     CohortConfig,
     CohortMode,
     LocalConfig,
     LocalMode,
-    aggregate,
-    dp_process,
     local_train,
     run_simulation,
     sample_cohort,
 )
 from fldp.errors import ConfigError
 from fldp.optimizers import OptimizerKind
-from fldp.param_tree import axpy, global_norm, scale, sub, zeros_like
+from fldp.param_tree import axpy, global_norm, scale, sub, tree_mean, zeros_like
 
 
 # -- cohort sampling -----------------------------------------------------------
@@ -143,45 +141,6 @@ def test_fedprox_zero_is_bitwise_baseline_and_norms_shrink_with_mu():
     assert norms[0] > norms[1] > norms[2]
 
 
-# -- dp_process / aggregate -------------------------------------------------------
-
-
-def test_dp_process_matches_manual_composition_bitwise():
-    _, population = small_population()
-    model = linear_model()
-    params = models.init_params(model, 1)
-    delta = models.grad(model, params, population.clients[0].data)
-    spec = ClipSpec(0.01, ClipVariant.PER_LAYER_UNIFORM)
-    seed = np.random.SeedSequence((4, 5, 6))
-    out = dp_process(delta, spec, 1e-3, FULL_MASK, seed)
-    manual = add_noise(clip_tree(delta, spec), 1e-3, FULL_MASK,
-                       np.random.SeedSequence((4, 5, 6)))
-    assert out == manual
-
-
-def test_dp_process_identity_when_disabled():
-    _, population = small_population()
-    model = linear_model()
-    delta = models.grad(
-        model, models.init_params(model, 1), population.clients[0].data
-    )
-    out = dp_process(delta, ClipSpec(INF), 0.0, FULL_MASK, 0)
-    assert out == delta
-    clipped = dp_process(delta, ClipSpec(1e-4), 0.0, FULL_MASK, 0)
-    assert global_norm(clipped) <= 1e-4 * (1 + 1e-12)
-
-
-def test_aggregate_trivial_cases():
-    _, population = small_population()
-    model = linear_model()
-    d = models.grad(model, models.init_params(model, 1), population.clients[0].data)
-    assert aggregate([d]) == d
-    assert aggregate([d, scale(-1.0, d)]) == zeros_like(d)
-    mean = aggregate([d, d, d])
-    for (_, a), (_, b) in zip(mean.items(), d.items()):
-        np.testing.assert_allclose(a, b, rtol=1e-15)
-
-
 # -- run_simulation ---------------------------------------------------------------
 
 
@@ -258,16 +217,24 @@ def test_fedsgd_equivalence_with_centralized_gd():
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
 
-def test_parallel_and_serial_runs_identical():
+def test_noised_mean_matches_clip_then_noise_oracle():
+    # Recompute every round's noised mean from the archived raw deltas:
+    # clip first, then noise from the client's own (seed, 3, round, client)
+    # stream. Pins the order and the noise streams in the code that runs.
     _, population = small_population(num_clients=10)
     model = linear_model()
-    cfg = make_config(population, num_rounds=6, cohort_size=5, sigma_client=1e-3,
-                      clip_bound=0.05)
-    serial = run_simulation(cfg, population, model, workers=1)
-    parallel = run_simulation(cfg, population, model, workers=4)
-    assert serial.final_params == parallel.final_params
-    for a, b in zip(serial.metrics, parallel.metrics):
-        assert a == b
+    cfg = make_config(population, num_rounds=4, cohort_size=5, sigma_client=1e-3,
+                      clip_bound=0.05, clip_variant=ClipVariant.PER_LAYER_UNIFORM)
+    result = run_simulation(cfg, population, model, archive_deltas=True)
+    for archive, m in zip(result.archives, result.metrics):
+        noised = [
+            add_noise(clip_tree(d, cfg.clip), cfg.privacy.sigma_client,
+                      cfg.noise_mask,
+                      np.random.SeedSequence((cfg.seed, 3, archive.round_index, cid)))
+            for cid, d in archive.deltas
+        ]
+        assert global_norm(tree_mean(noised)) == m.pseudograd_norm_postnoise
+        assert m.pseudograd_norm_postnoise != m.pseudograd_norm_prenoise
 
 
 def test_post_clip_norm_bounded_every_round():
@@ -364,3 +331,29 @@ def test_empty_clients_are_dropped_and_round_continues():
     result = run_simulation(cfg, partition, model)
     for m in result.metrics:
         assert set(m.cohort_ids) == {3, 4, 5}
+
+
+def test_one_probe_forward_pass_per_round(monkeypatch):
+    # Probe loss and accuracy share one forward pass, on training rounds and
+    # on rounds whose sampled cohort is empty alike.
+    _, population = small_population(num_clients=6, count=2)
+    clients = [
+        ClientDataset(c.client_id, None if c.client_id < 3 else c.data)
+        for c in population.clients
+    ]
+    partition = ClientPartition(tuple(clients), population.probe,
+                                population.num_classes)
+    forward = models._forward
+    probe_passes = 0
+
+    def counting_forward(spec, params, inputs, labels=None):
+        nonlocal probe_passes
+        probe_passes += inputs is partition.probe.inputs
+        return forward(spec, params, inputs, labels)
+
+    monkeypatch.setattr(models, "_forward", counting_forward)
+    cfg = make_config(partition, num_rounds=8, cohort_size=1)
+    result = run_simulation(cfg, partition, linear_model())
+    assert any(m.cohort_ids for m in result.metrics)
+    assert any(not m.cohort_ids for m in result.metrics)
+    assert probe_passes == 8

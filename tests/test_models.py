@@ -8,7 +8,7 @@ from fldp.models import (
     Batch,
     ModelKind,
     ModelSpec,
-    accuracy,
+    evaluate,
     finite_diff_grad,
     grad,
     init_params,
@@ -227,12 +227,12 @@ def test_logits_and_accuracy_agree_with_loss_path():
         b = random_batch(spec, rng, n=30)
         lg = logits(spec, p, b.inputs)
         assert lg.shape == (30, spec.num_classes)
-        acc = accuracy(spec, p, b)
+        probe_loss, acc = evaluate(spec, p, b)
         assert 0.0 <= acc <= 1.0
         by_hand = float(np.mean(np.argmax(lg, axis=1) == b.labels))
         assert acc == by_hand
-        # Cross-entropy computed from the logits path must equal loss(),
-        # pinning the two forward implementations together.
+        assert probe_loss == loss(spec, p, b)
+        # Cross-entropy computed by hand from the logits must equal loss().
         shifted = lg - lg.max(axis=1, keepdims=True)
         lse = np.log(np.exp(shifted).sum(axis=1))
         ce = float(np.mean(lse - shifted[np.arange(30), b.labels]))

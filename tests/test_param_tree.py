@@ -51,6 +51,16 @@ def test_global_norm_matches_flat_oracle():
         assert global_norm(t) == pytest.approx(flat_norm_oracle(t), rel=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e200])
+def test_norms_survive_underflow_and_overflow_of_squares(scale):
+    # The squares of these entries under- or overflow float64.
+    t = ParamTree([("a", [3.0 * scale]), ("b", [4.0 * scale])])
+    assert global_norm(t) == pytest.approx(5.0 * scale, rel=1e-15)
+    norms = layer_norms(ParamTree([("a", [3.0 * scale, 4.0 * scale])]))
+    assert norms["a"] == pytest.approx(5.0 * scale, rel=1e-15)
+
+
 def test_layer_norms_simple():
     t = ParamTree([("a", [3.0, 4.0]), ("b", [0.0])])
     assert layer_norms(t) == {"a": 5.0, "b": 0.0}
