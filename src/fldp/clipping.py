@@ -12,6 +12,10 @@ bound:
 A zero-norm vector is already within any bound and is returned unchanged
 (the scaling formula would divide by zero). Layers already within their
 bound are passed through bitwise unchanged.
+
+One implementation clips an (L, P) stack of client deltas row by row
+(``clip_rows``); ``clip_tree`` and ``clip_global`` clip a single tree as a
+one-row stack, so a tree clips bit for bit like the same row of any stack.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .errors import ConfigError
-from .param_tree import ParamTree, global_norm, vector_norm
+from .param_tree import Layout, ParamTree, global_norm_rows, layer_norm_rows
 
 
 class ClipVariant(str, Enum):
@@ -61,27 +65,27 @@ class ClipSpec:
             )
 
 
-def layer_bounds(spec: ClipSpec, tree: ParamTree) -> dict[str, float]:
-    """Per-layer bounds C_i for a per-layer variant; sum C_i^2 = bound^2."""
+def _bound_vector(spec: ClipSpec, layout: Layout) -> list[float]:
+    """Per-layer bounds C_i in layer order; sum C_i^2 = bound^2."""
     if spec.variant not in PER_LAYER_VARIANTS:
         raise ConfigError(f"{spec.variant.value} clipping has no per-layer bounds")
     if spec.variant == ClipVariant.PER_LAYER_UNIFORM:
-        per = spec.bound / math.sqrt(len(tree))
-        return {name: per for name in tree.names}
+        return [spec.bound / math.sqrt(len(layout.names))] * len(layout.names)
     if spec.variant == ClipVariant.PER_LAYER_DIM:
-        total = float(tree.total_size)
-        return {
-            name: spec.bound * math.sqrt(arr.size / total)
-            for name, arr in tree.items()
-        }
-    missing = [n for n in tree.names if n not in spec.weights]
+        total = float(layout.total)
+        return [spec.bound * math.sqrt(size / total) for size in layout.sizes]
+    missing = [n for n in layout.names if n not in spec.weights]
     if missing:
         raise ConfigError(f"weighted clipping is missing weights for {missing}")
-    total = sum(spec.weights[n] * a.size for n, a in tree.items())
-    return {
-        name: spec.bound * math.sqrt(spec.weights[name] * arr.size / total)
-        for name, arr in tree.items()
-    }
+    pairs = list(zip(layout.names, layout.sizes))
+    total = sum(spec.weights[n] * size for n, size in pairs)
+    return [spec.bound * math.sqrt(spec.weights[n] * size / total)
+            for n, size in pairs]
+
+
+def layer_bounds(spec: ClipSpec, tree: ParamTree) -> dict[str, float]:
+    """Per-layer bounds C_i for a per-layer variant; sum C_i^2 = bound^2."""
+    return dict(zip(tree.names, _bound_vector(spec, tree.layout)))
 
 
 # Rescaling by bound/norm can land a few ulp above the bound; treating norms
@@ -90,36 +94,57 @@ def layer_bounds(spec: ClipSpec, tree: ParamTree) -> dict[str, float]:
 _NORM_SLACK = 1e-12
 
 
-def _clip_array(arr: np.ndarray, bound: float) -> np.ndarray:
-    norm = vector_norm(arr)
-    if norm <= bound * (1.0 + _NORM_SLACK) or norm == 0.0:
-        return arr
-    return arr * (bound / norm)
+def _factors(norms: np.ndarray, bounds) -> np.ndarray:
+    """bound/norm where a norm exceeds its bound, else exactly 1.0."""
+    bounds = np.asarray(bounds, dtype=np.float64)
+    scaled = ~((norms <= bounds * (1.0 + _NORM_SLACK)) | (norms == 0.0))
+    safe = np.where(scaled, norms, 1.0)
+    return np.where(scaled, bounds / safe, 1.0)
+
+
+def clip_rows(
+    rows: np.ndarray, layout: Layout, spec: ClipSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Clip every row of an (L, P) stack with the configured variant.
+
+    Returns the clipped stack and the (L, K) scale factor of every (row,
+    layer); a factor of exactly 1.0 marks a unit passed through bitwise.
+    When no unit is scaled the input stack itself is returned.
+    """
+    num_layers = len(layout.names)
+    if spec.variant == ClipVariant.GLOBAL:
+        if math.isinf(spec.bound):
+            return rows, np.ones((rows.shape[0], num_layers))
+        per_row = _factors(global_norm_rows(rows, layout), spec.bound)
+        factors = np.repeat(per_row[:, None], num_layers, axis=1)
+    else:
+        factors = _factors(layer_norm_rows(rows, layout),
+                           _bound_vector(spec, layout))
+    if np.all(factors == 1.0):
+        return rows, factors
+    return rows * np.repeat(factors, layout.sizes, axis=1), factors
+
+
+def clip_tree(tree: ParamTree, spec: ClipSpec) -> ParamTree:
+    """Apply the configured clipping variant to one tree."""
+    rows = tree.flat[None, :]
+    clipped, factors = clip_rows(rows, tree.layout, spec)
+    if clipped is rows:
+        return tree
+    # Layers within their bound keep their identity, not only their bits.
+    return tree.replace(
+        arr if factor == 1.0 else clipped[0, span]
+        for arr, factor, span in zip(tree.arrays(), factors[0], tree.layout.slices)
+    )
 
 
 def clip_global(tree: ParamTree, bound: float) -> ParamTree:
     """tree * min(1, bound/||tree||); identity when already within bound."""
-    if bound < 0:
-        raise ConfigError("clip bound must be >= 0")
-    if math.isinf(bound):
-        return tree
-    norm = global_norm(tree)
-    if norm <= bound * (1.0 + _NORM_SLACK) or norm == 0.0:
-        return tree
-    factor = bound / norm
-    return tree.replace(factor * a for a in tree.arrays())
+    return clip_tree(tree, ClipSpec(bound))
 
 
 def clip_per_layer(tree: ParamTree, spec: ClipSpec) -> ParamTree:
     """Clip each layer independently to its budget share C_i."""
-    bounds = layer_bounds(spec, tree)
-    return tree.replace(
-        _clip_array(arr, bounds[name]) for name, arr in tree.items()
-    )
-
-
-def clip_tree(tree: ParamTree, spec: ClipSpec) -> ParamTree:
-    """Apply the configured clipping variant."""
-    if spec.variant == ClipVariant.GLOBAL:
-        return clip_global(tree, spec.bound)
-    return clip_per_layer(tree, spec)
+    if spec.variant not in PER_LAYER_VARIANTS:
+        raise ConfigError(f"{spec.variant.value} clipping has no per-layer bounds")
+    return clip_tree(tree, spec)

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, StructureError
 from .models import Batch
 
 _STREAM_MEANS = 11
@@ -130,6 +130,22 @@ class ClientPartition:
         ids = [c.client_id for c in self.clients]
         if ids != list(range(len(ids))):
             raise ConfigError("client ids must be dense 0..N-1")
+        # Validated once here, so training never re-checks a minibatch.
+        batches = [c.data for c in self.clients if c.data is not None]
+        shape = self.probe.inputs.shape[1:]
+        for b in batches:
+            if b.inputs.shape[1:] != shape:
+                raise StructureError(
+                    f"client inputs {b.inputs.shape[1:]} differ from probe "
+                    f"inputs {shape}"
+                )
+        # Label maxima in chunks: one scan, no population-sized copy.
+        top = max([int(self.probe.labels.max())] + [
+            int(np.concatenate([b.labels for b in batches[lo : lo + 4096]]).max())
+            for lo in range(0, len(batches), 4096)
+        ])
+        if top >= self.num_classes:
+            raise StructureError("label out of range for num_classes")
 
     @property
     def num_clients(self) -> int:

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, StructureError
-from .param_tree import ParamTree
+from .param_tree import Layout, ParamTree
 
 
 class SigmaKind(str, Enum):
@@ -166,6 +166,33 @@ class NoiseMask:
 FULL_MASK = NoiseMask()
 
 
+def add_noise_rows(
+    rows: np.ndarray,
+    layout: Layout,
+    sigma_client: float,
+    mask: NoiseMask,
+    seeds,
+) -> np.ndarray:
+    """Noise row i of an (L, P) stack from its own Philox stream seeds[i].
+
+    Each row draws N(0, sigma_client^2) for its included layers in layer
+    order: one draw of P values under the full mask, one draw per included
+    layer otherwise. Excluded layers are passed through unchanged. Returns
+    a new stack.
+    """
+    if mask.included is None:
+        spans = [slice(0, layout.total)]
+    else:
+        spans = [span for name, span in zip(layout.names, layout.slices)
+                 if mask.applies_to(name)]
+    out = np.array(rows, dtype=np.float64, copy=True)
+    for row, seed in zip(out, seeds):
+        rng = np.random.Generator(np.random.Philox(seed))
+        for span in spans:
+            row[span] += rng.normal(0.0, sigma_client, size=span.stop - span.start)
+    return out
+
+
 def add_noise(
     delta: ParamTree,
     sigma_client: float,
@@ -175,18 +202,14 @@ def add_noise(
     """Add iid N(0, sigma_client^2) to every coordinate of included layers.
 
     Excluded layers are passed through unchanged. Deterministic in the seed
-    (Philox counter-based generator, ziggurat Gaussian).
+    (Philox counter-based generator, ziggurat Gaussian). The tree is noised
+    as a one-row stack by ``add_noise_rows``.
     """
     if sigma_client < 0:
         raise ConfigError("sigma_client must be >= 0")
     mask.validate_against(delta.names)
     if sigma_client == 0.0:
         return delta
-    rng = np.random.Generator(np.random.Philox(seed))
-    out = []
-    for name, arr in delta.items():
-        if mask.applies_to(name):
-            out.append(arr + rng.normal(0.0, sigma_client, size=arr.size))
-        else:
-            out.append(arr)
-    return delta.replace(out)
+    noised = add_noise_rows(delta.flat[None, :], delta.layout, sigma_client,
+                            mask, [seed])
+    return delta.with_flat(noised[0])

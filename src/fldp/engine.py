@@ -4,16 +4,27 @@ Each round: sample a cohort, run local SGD on every sampled client from the
 round-start parameters, clip each client's delta (global or per-layer),
 add per-client Gaussian noise, average the processed deltas in ascending
 client-id order, and hand the negated average to the central optimizer as
-its gradient estimate. Clients train one after another in ascending id
-order, and all randomness is drawn from per-purpose Philox streams keyed by
-(run seed, stream tag, round, client), so a run is bitwise reproducible
-from its seed.
+its gradient estimate. All randomness is drawn from per-purpose Philox
+streams keyed by (run seed, stream tag, round, client), so a run is bitwise
+reproducible from its seed.
 
-Local training runs either a fixed number of epochs (full shuffled passes)
-or a fixed number of steps (independently sampled minibatches). Every
-minibatch gradient is globally clipped to the local bound before the SGD
-step; with a FedProx weight mu > 0 the gradient first gains the proximal
-pull mu * (theta - theta_round_start).
+A round works on the whole cohort at once. The round-start parameters are
+stacked into an (L, P) matrix, one row per client in ascending id order;
+local training turns it into the (L, P) delta matrix, and clipping, noising
+and the per-layer norm statistics are row-wise array operations on it. The
+cohort mean adds the rows in ascending client-id order, the reduction that
+``tree_mean`` uses, so it does not depend on how the rows were computed.
+
+Local training runs either a fixed number of steps (independently sampled
+minibatches) or a fixed number of epochs (full shuffled passes). In steps
+mode every client draws all its minibatch indices up front from its own
+stream, so the whole cohort takes each SGD step together: one batched
+forward/backward pass, with clients that have fewer than batch_size
+examples padded by zero-weight rows. Epochs mode gives clients different
+step counts, so each client runs its own schedule through the same step on
+a cohort of one. Every minibatch gradient is globally clipped to the local
+bound before the SGD step; with a FedProx weight mu > 0 the gradient first
+gains the proximal pull mu * (theta - theta_round_start).
 """
 
 from __future__ import annotations
@@ -27,9 +38,9 @@ from typing import Optional
 import numpy as np
 
 from . import accountant, models
-from .clipping import ClipSpec, clip_global, clip_tree
+from .clipping import ClipSpec, clip_rows
 from .data import ClientPartition
-from .dp import FULL_MASK, NoiseMask, PrivacyParams, add_noise, noise_multiplier
+from .dp import FULL_MASK, NoiseMask, PrivacyParams, add_noise_rows, noise_multiplier
 from .errors import ConfigError, NumericsError
 from .models import Batch, ModelSpec
 from .optimizers import (
@@ -41,13 +52,13 @@ from .optimizers import (
     lr_at,
 )
 from .param_tree import (
+    Layout,
     ParamTree,
-    axpy,
     global_norm,
-    layer_norms,
+    global_norm_rows,
+    layer_norm_rows,
+    mean_rows,
     scale,
-    sub,
-    tree_mean,
 )
 
 logger = logging.getLogger(__name__)
@@ -168,13 +179,15 @@ def _derived_seed(seed: int, stream: int, *path: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((seed, stream, *path))
 
 
+def _rng(seed: int, stream: int, *path: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(_derived_seed(seed, stream, *path)))
+
+
 def sample_cohort(
     population_size: int, cohort: CohortConfig, round_index: int, seed: int
 ) -> list[int]:
     """Client ids for one round, ascending; deterministic in (seed, round)."""
-    rng = np.random.Generator(
-        np.random.Philox(_derived_seed(seed, _STREAM_COHORT, round_index))
-    )
+    rng = _rng(seed, _STREAM_COHORT, round_index)
     if cohort.mode == CohortMode.FIXED_SIZE:
         if cohort.size > population_size:
             raise ConfigError(
@@ -196,32 +209,88 @@ def local_train(
     client_id: int,
     seed: int,
 ) -> ParamTree:
-    """Run local SGD and return final-minus-initial parameters."""
-    rng = np.random.Generator(
-        np.random.Philox(_derived_seed(seed, _STREAM_LOCAL, round_index, client_id))
-    )
-    n = client_data.size
-    params = global_params
+    """Run local SGD on one client and return final-minus-initial parameters.
 
-    def one_step(batch: Batch, params: ParamTree) -> ParamTree:
-        g = models.grad(model_spec, params, batch)
-        if fedprox_mu > 0.0:
-            g = axpy(fedprox_mu, sub(params, global_params), g)
-        g = clip_global(g, local.clip_bound)
-        return axpy(-local.lr, g, params)
+    The client is trained as a cohort of one, exactly as in a round.
+    """
+    models.check_inputs(model_spec, client_data.inputs, client_data.labels)
+    deltas = train_cohort(global_params, [client_data], model_spec, local,
+                          fedprox_mu, round_index, [client_id], seed)
+    return global_params.with_flat(deltas[0])
 
-    if local.mode == LocalMode.EPOCHS:
-        for _ in range(local.count):
-            order = rng.permutation(n)
-            for start in range(0, n, local.batch_size):
-                idx = order[start : start + local.batch_size]
-                params = one_step(client_data.take(idx), params)
+
+def train_cohort(
+    global_params: ParamTree,
+    datasets: list[Batch],
+    model_spec: ModelSpec,
+    local: LocalConfig,
+    fedprox_mu: float,
+    round_index: int,
+    client_ids: list[int],
+    seed: int,
+) -> np.ndarray:
+    """(L, P) deltas of local SGD on L clients from the same start.
+
+    The data must already be validated against the model.
+    """
+    start = global_params.flat
+    step = _sgd_step(model_spec, global_params.layout, local, fedprox_mu, start)
+    rngs = (_rng(seed, _STREAM_LOCAL, round_index, cid) for cid in client_ids)
+    if local.mode == LocalMode.STEPS:
+        rows = _train_steps(step, start, datasets, rngs, local)
     else:
-        take = min(local.batch_size, n)
-        for _ in range(local.count):
-            idx = rng.choice(n, size=take, replace=False)
-            params = one_step(client_data.take(idx), params)
-    return sub(params, global_params)
+        rows = np.stack([_train_epochs(step, start, data, rng, local)
+                         for data, rng in zip(datasets, rngs)])
+    return rows - start
+
+
+def _sgd_step(model_spec, layout, local, fedprox_mu, start):
+    """One local SGD step on a stack of clients' parameter rows."""
+    clip = ClipSpec(local.clip_bound)
+
+    def step(rows, inputs, labels, count, valid=None):
+        g = models.cohort_grad(model_spec, rows, inputs, labels, count, valid)
+        if fedprox_mu > 0.0:
+            g = fedprox_mu * (rows - start) + g
+        g, _ = clip_rows(g, layout, clip)
+        return -local.lr * g + rows
+
+    return step
+
+
+def _train_steps(step, start, datasets, rngs, local: LocalConfig) -> np.ndarray:
+    """Steps mode: every client takes each step together with the cohort."""
+    num, batch = len(datasets), local.batch_size
+    sizes = np.array([data.size for data in datasets])
+    take = np.minimum(sizes, batch)
+    # Each client draws its `count` index sets up front from its own stream;
+    # the draws do not depend on the parameters.
+    index = np.zeros((local.count, num, batch), dtype=np.intp)
+    for i, (rng, n, m) in enumerate(zip(rngs, sizes.tolist(), take.tolist())):
+        for s in range(local.count):
+            index[s, i, :m] = rng.choice(n, size=m, replace=False)
+    # Padding rows repeat the client's first example with zero weight.
+    index += (np.cumsum(sizes) - sizes)[:, None]
+    valid = np.arange(batch) < take[:, None]
+    inputs = np.concatenate([data.inputs for data in datasets])
+    labels = np.concatenate([data.labels for data in datasets])
+    count = take[:, None, None]
+    rows = np.broadcast_to(start, (num, start.size))
+    for idx in index:
+        rows = step(rows, inputs[idx], labels[idx], count, valid)
+    return rows
+
+
+def _train_epochs(step, start, data: Batch, rng, local: LocalConfig) -> np.ndarray:
+    """Epochs mode: one client's shuffled passes, as a cohort of one."""
+    n = data.size
+    row = start[None, :]
+    for _ in range(local.count):
+        order = rng.permutation(n)
+        for lo in range(0, n, local.batch_size):
+            idx = order[lo : lo + local.batch_size]
+            row = step(row, data.inputs[idx][None], data.labels[idx][None], idx.size)
+    return row[0]
 
 
 def _build_privacy_report(privacy: PrivacyParams, mask: NoiseMask,
@@ -306,6 +375,9 @@ def _validate(cfg: FederationConfig, population: ClientPartition,
             )
     if population.num_classes != model_spec.num_classes:
         raise ConfigError("population and model disagree on num_classes")
+    # The partition holds every client to the probe's input shape and label
+    # range, so checking the probe checks all the data local training uses.
+    models.check_inputs(model_spec, population.probe.inputs, population.probe.labels)
     cfg.noise_mask.validate_against(
         [name for name, _ in model_spec.layer_layout()]
     )
@@ -314,16 +386,23 @@ def _validate(cfg: FederationConfig, population: ClientPartition,
         template.require_congruent(cfg.seed_model)
 
 
-def _layer_norm_stats(deltas: list[ParamTree], names) -> dict:
-    per_layer = {}
-    norms = {name: [] for name in names}
-    for d in deltas:
-        for name, value in layer_norms(d).items():
-            norms[name].append(value)
-    for name in names:
-        arr = np.asarray(norms[name])
-        per_layer[name] = {"mean": float(arr.mean()), "std": float(arr.std())}
-    return per_layer
+def _require_finite(deltas: np.ndarray, t: int, cohort: list[int]) -> None:
+    """Raise NumericsError naming the first client with a non-finite delta."""
+    if np.isfinite(deltas).all():
+        return
+    first = int(np.nonzero(~np.isfinite(deltas).all(axis=1))[0][0])
+    raise NumericsError(
+        f"round {t}: client {cohort[first]} produced a non-finite delta "
+        "(stage local_train)"
+    )
+
+
+def _layer_norm_stats(deltas: np.ndarray, layout: Layout) -> dict:
+    norms = layer_norm_rows(deltas, layout)
+    return {
+        name: {"mean": float(col.mean()), "std": float(col.std())}
+        for name, col in zip(layout.names, norms.T)
+    }
 
 
 def run_simulation(
@@ -339,6 +418,7 @@ def run_simulation(
         if cfg.seed_model is not None
         else models.init_params(model_spec, cfg.seed)
     )
+    layout = params.layout
     opt_state = init_state(cfg.central.optimizer, params, cfg.central.hyper)
     sigma_client = cfg.privacy.sigma_client
     metrics: list[RoundMetrics] = []
@@ -355,31 +435,26 @@ def run_simulation(
             metrics.append(_probe_only_metrics(t, lr, model_spec, params, population))
             continue
 
-        deltas = [
-            local_train(
-                params,
-                population.clients[cid].data,
-                model_spec,
-                cfg.local,
-                cfg.fedprox_mu,
-                t,
-                cid,
-                cfg.seed,
+        deltas = train_cohort(
+            params,
+            [population.clients[cid].data for cid in cohort],
+            model_spec,
+            cfg.local,
+            cfg.fedprox_mu,
+            t,
+            cohort,
+            cfg.seed,
+        )
+        _require_finite(deltas, t, cohort)
+        clipped, _ = clip_rows(deltas, layout, cfg.clip)
+        noised = clipped
+        if sigma_client > 0.0:
+            noised = add_noise_rows(
+                clipped, layout, sigma_client, cfg.noise_mask,
+                (_derived_seed(cfg.seed, _STREAM_NOISE, t, cid) for cid in cohort),
             )
-            for cid in cohort
-        ]
-        clipped = [clip_tree(d, cfg.clip) for d in deltas]
-        noised = [
-            add_noise(
-                d,
-                sigma_client,
-                cfg.noise_mask,
-                _derived_seed(cfg.seed, _STREAM_NOISE, t, cid),
-            )
-            for cid, d in zip(cohort, clipped)
-        ]
-        mean_clipped = tree_mean(clipped)
-        pseudo_grad = tree_mean(noised)
+        mean_clipped = params.with_flat(mean_rows(clipped))
+        pseudo_grad = params.with_flat(mean_rows(noised))
 
         # The optimizer descends, so it receives the negated mean delta.
         params, opt_state = opt_apply(opt_state, params, scale(-1.0, pseudo_grad), lr)
@@ -388,7 +463,7 @@ def run_simulation(
             model_spec, params, population.probe
         )
         if not math.isfinite(probe_loss):
-            raise NumericsError(f"round {t}: non-finite probe loss")
+            raise NumericsError(f"round {t}: non-finite probe loss (stage probe)")
         metrics.append(
             RoundMetrics(
                 round_index=t,
@@ -397,17 +472,19 @@ def run_simulation(
                 accuracy=probe_accuracy,
                 lr=lr,
                 delta_norm_preclip_mean=float(
-                    np.mean([global_norm(d) for d in deltas])
+                    np.mean(global_norm_rows(deltas, layout))
                 ),
-                per_layer=_layer_norm_stats(deltas, params.names),
+                per_layer=_layer_norm_stats(deltas, layout),
                 pseudograd_norm_prenoise=global_norm(mean_clipped),
                 pseudograd_norm_postnoise=global_norm(pseudo_grad),
             )
         )
         if archive_deltas:
-            archives.append(
-                RoundArchive(t, list(zip(cohort, deltas)), list(zip(cohort, clipped)))
-            )
+            archives.append(RoundArchive(
+                t,
+                [(cid, ParamTree(row, layout)) for cid, row in zip(cohort, deltas)],
+                [(cid, ParamTree(row, layout)) for cid, row in zip(cohort, clipped)],
+            ))
 
     report = _build_privacy_report(cfg.privacy, cfg.noise_mask, params.names)
     return SimulationResult(params, metrics, report, archives)

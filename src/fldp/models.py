@@ -10,6 +10,14 @@ Three model kinds, all trained with mean cross-entropy over a batch:
   projections, so per-layer telemetry buckets match the usual transformer
   group names.
 
+Each kind has one forward/backward kernel over a leading cohort axis: it
+takes the (C, P) parameter rows of C clients and their inputs, (C, B, F) or
+(C, B, S, F), and returns (C, B, K) logits plus a closure mapping
+dL/dlogits to the (C, P) gradient rows. The public ``loss``, ``grad``,
+``logits`` and ``evaluate`` validate their arguments and run the kernel on
+a cohort of one; ``cohort_grad`` runs it unchecked on data that the caller
+validated once.
+
 Gradients are hand-derived closed forms; ``finite_diff_grad`` is the
 independent central-difference oracle used to check them.
 """
@@ -22,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import StructureError
-from .param_tree import ParamTree
+from .param_tree import Layout, ParamTree
 
 
 class ModelKind(str, Enum):
@@ -74,9 +82,16 @@ class ModelSpec:
             ("bout", k),
         )
 
+    def layout(self) -> Layout:
+        """The shared flat-vector layout of `layer_layout`."""
+        names, sizes = zip(*self.layer_layout())
+        return Layout.of(names, sizes)
+
 
 @dataclass(frozen=True)
 class Batch:
+    """Inputs and labels, validated once when built."""
+
     inputs: np.ndarray
     labels: np.ndarray
 
@@ -100,7 +115,11 @@ class Batch:
         return int(self.labels.shape[0])
 
     def take(self, idx: np.ndarray) -> "Batch":
-        return Batch(self.inputs[idx], self.labels[idx])
+        """The given rows; rows of a valid batch are valid, so no re-check."""
+        out = object.__new__(Batch)
+        object.__setattr__(out, "inputs", self.inputs[idx])
+        object.__setattr__(out, "labels", self.labels[idx])
+        return out
 
 
 def init_params(spec: ModelSpec, seed: int) -> ParamTree:
@@ -125,16 +144,18 @@ def init_params(spec: ModelSpec, seed: int) -> ParamTree:
 
 
 def _check_layout(spec: ModelSpec, params: ParamTree) -> None:
-    layout = spec.layer_layout()
-    if params.names != tuple(n for n, _ in layout) or params.dims != tuple(
-        s for _, s in layout
+    layout = spec.layout()
+    if params.layout is not layout and (
+        params.names != layout.names or params.dims != layout.sizes
     ):
         raise StructureError(
-            f"params {params!r} do not match {spec.kind.value} layout {layout}"
+            f"params {params!r} do not match {spec.kind.value} layout "
+            f"{spec.layer_layout()}"
         )
 
 
-def _check_inputs(spec: ModelSpec, inputs: np.ndarray) -> None:
+def check_inputs(spec: ModelSpec, inputs: np.ndarray, labels=None) -> None:
+    """Raise StructureError unless inputs (and labels) fit the model."""
     if spec.kind == ModelKind.TINY_ATTENTION:
         want = (spec.seq_len, spec.input_dim)
         if inputs.ndim != 3 or inputs.shape[1:] != want:
@@ -146,6 +167,8 @@ def _check_inputs(spec: ModelSpec, inputs: np.ndarray) -> None:
         raise StructureError(
             f"inputs must be (batch, {spec.input_dim}), got {inputs.shape}"
         )
+    if labels is not None and np.any(labels >= spec.num_classes):
+        raise StructureError("label out of range for num_classes")
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -153,6 +176,11 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def _per_client(v: np.ndarray, ndim: int) -> np.ndarray:
+    """(C, n) per-client vectors shaped to broadcast over (C, ..., n)."""
+    return v.reshape(v.shape[0], *([1] * (ndim - 2)), v.shape[-1])
 
 
 def _layernorm_forward(z, gain, bias, eps):
@@ -164,9 +192,11 @@ def _layernorm_forward(z, gain, bias, eps):
 
 
 def _layernorm_backward(dy, gain, cache):
+    """dL/dz and the (C, n) gain and bias gradients, summed per client."""
     xhat, inv = cache
-    dgain = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
-    dbias = dy.sum(axis=tuple(range(dy.ndim - 1)))
+    batch_axes = tuple(range(1, dy.ndim - 1))
+    dgain = (dy * xhat).sum(axis=batch_axes)
+    dbias = dy.sum(axis=batch_axes)
     gdy = gain * dy
     dz = inv * (
         gdy
@@ -174,6 +204,21 @@ def _layernorm_backward(dy, gain, cache):
         - xhat * (gdy * xhat).mean(axis=-1, keepdims=True)
     )
     return dz, dgain, dbias
+
+
+def _apply(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a (C, ..., n) times the per-client matrices w (C, n, m)."""
+    c = a.shape[0]
+    out = a.reshape(c, -1, a.shape[-1]) @ w
+    return out.reshape(*a.shape[:-1], w.shape[-1])
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-client sum over the middle axes of a[..., i] * b[..., j]: (C, i, j)."""
+    c = a.shape[0]
+    return a.reshape(c, -1, a.shape[-1]).transpose(0, 2, 1) @ b.reshape(
+        c, -1, b.shape[-1]
+    )
 
 
 def _cross_entropy(logits, labels) -> float:
@@ -184,145 +229,138 @@ def _cross_entropy(logits, labels) -> float:
     return float(np.mean(lse - shifted[np.arange(n), labels]))
 
 
-def _cross_entropy_grad(logits, labels):
-    """Gradient of `_cross_entropy` w.r.t. the logits."""
-    n = labels.shape[0]
+def _cross_entropy_grad(logits, labels, count, valid=None):
+    """Gradient of each client's mean cross-entropy w.r.t. its logits.
+
+    logits are (C, B, K) and labels (C, B); `count` is the number of real
+    examples per client, a scalar or (C, 1, 1). Padding examples, where
+    `valid` (C, B) is False, get a zero gradient.
+    """
+    c, b = labels.shape
     p = _softmax(logits)
-    p[np.arange(n), labels] -= 1.0
-    return p / n
+    p[np.arange(c)[:, None], np.arange(b), labels] -= 1.0
+    p /= count
+    if valid is not None:
+        p *= valid[..., None]
+    return p
 
 
-# -- per-kind forward/backward ----------------------------------------------
-# Each returns the logits and a closure mapping dL/dlogits to the per-layer
-# gradients in tree order.
+# -- per-kind forward/backward over a cohort ----------------------------------
 
 
-def _linear_softmax(spec, params, x):
+def _layers(spec, rows):
+    return [rows[:, span] for span in spec.layout().slices]
+
+
+def _grad_rows(grads) -> np.ndarray:
+    return np.concatenate([g.reshape(g.shape[0], -1) for g in grads], axis=1)
+
+
+def _linear_softmax(spec, rows, x):
     f, k = spec.input_dim, spec.num_classes
-    w = params["w"].reshape(k, f)
-    b = params["b"]
-    logits = x @ w.T + b
+    w, b = _layers(spec, rows)
+    w = w.reshape(-1, k, f)
+    logits = _apply(x, w.transpose(0, 2, 1)) + b[:, None, :]
 
     def backward(dlogits):
-        dw = dlogits.T @ x
-        db = dlogits.sum(axis=0)
-        return [dw.reshape(-1), db]
+        return _grad_rows([_outer(dlogits, x), dlogits.sum(axis=1)])
 
     return logits, backward
 
 
-def _mlp_layernorm(spec, params, x):
+def _mlp_layernorm(spec, rows, x):
     f, k, d = spec.input_dim, spec.num_classes, spec.hidden_dim
     eps = spec.layernorm_epsilon
-    w1 = params["w1"].reshape(d, f)
-    b1 = params["b1"]
-    ln = params["ln"]
-    gain, bias = ln[:d], ln[d:]
-    w2 = params["w2"].reshape(k, d)
-    b2 = params["b2"]
+    w1, b1, ln, w2, b2 = _layers(spec, rows)
+    w1 = w1.reshape(-1, d, f)
+    gain, bias = _per_client(ln[:, :d], x.ndim), _per_client(ln[:, d:], x.ndim)
+    w2 = w2.reshape(-1, k, d)
 
-    z1 = x @ w1.T + b1
+    z1 = _apply(x, w1.transpose(0, 2, 1)) + b1[:, None, :]
     h, ln_cache = _layernorm_forward(z1, gain, bias, eps)
     a = np.tanh(h)
-    logits = a @ w2.T + b2
+    logits = _apply(a, w2.transpose(0, 2, 1)) + b2[:, None, :]
 
     def backward(dlogits):
-        dw2 = dlogits.T @ a
-        db2 = dlogits.sum(axis=0)
-        da = dlogits @ w2
+        dw2 = _outer(dlogits, a)
+        db2 = dlogits.sum(axis=1)
+        da = _apply(dlogits, w2)
         dh = (1.0 - a * a) * da
         dz1, dgain, dbias = _layernorm_backward(dh, gain, ln_cache)
-        dw1 = dz1.T @ x
-        db1 = dz1.sum(axis=0)
-        return [
-            dw1.reshape(-1),
-            db1,
-            np.concatenate([dgain, dbias]),
-            dw2.reshape(-1),
-            db2,
-        ]
+        dw1 = _outer(dz1, x)
+        db1 = dz1.sum(axis=1)
+        return _grad_rows([dw1, db1, dgain, dbias, dw2, db2])
 
     return logits, backward
 
 
-def _tiny_attention(spec, params, x):
+def _tiny_attention(spec, rows, x):
     f, k, d = spec.input_dim, spec.num_classes, spec.hidden_dim
     s = spec.seq_len
     eps = spec.layernorm_epsilon
-    win = params["win"].reshape(d, f)
-    ln1 = params["ln1"]
-    g1, be1 = ln1[:d], ln1[d:]
-    wqkv = params["wqkv"].reshape(d, 3 * d)
-    wf = params["wf"].reshape(d, d)
-    ln2 = params["ln2"]
-    g2, be2 = ln2[:d], ln2[d:]
-    w1 = params["w1"].reshape(d, d)
-    w2 = params["w2"].reshape(d, d)
-    wout = params["wout"].reshape(k, d)
-    bout = params["bout"]
+    win, ln1, wqkv, wf, ln2, w1, w2, wout, bout = _layers(spec, rows)
+    win = win.reshape(-1, d, f)
+    g1, be1 = _per_client(ln1[:, :d], x.ndim), _per_client(ln1[:, d:], x.ndim)
+    wqkv = wqkv.reshape(-1, d, 3 * d)
+    wf = wf.reshape(-1, d, d)
+    g2, be2 = _per_client(ln2[:, :d], x.ndim), _per_client(ln2[:, d:], x.ndim)
+    w1 = w1.reshape(-1, d, d)
+    w2 = w2.reshape(-1, d, d)
+    wout = wout.reshape(-1, k, d)
 
-    # x is (B, S, F)
-    h0 = x @ win.T  # (B, S, d)
+    # x is (C, B, S, F)
+    h0 = _apply(x, win.transpose(0, 2, 1))  # (C, B, S, d)
 
     # pre-LN attention sub-block
     u, ln1_cache = _layernorm_forward(h0, g1, be1, eps)
-    qkv = u @ wqkv  # (B, S, 3d)
+    qkv = _apply(u, wqkv)  # (C, B, S, 3d)
     q, kk, v = qkv[..., :d], qkv[..., d : 2 * d], qkv[..., 2 * d :]
-    scores = q @ kk.transpose(0, 2, 1) / np.sqrt(d)  # (B, S, S)
+    scores = q @ kk.swapaxes(-1, -2) / np.sqrt(d)  # (C, B, S, S)
     att = _softmax(scores)
-    ao = att @ v  # (B, S, d)
-    h1 = h0 + ao @ wf.T
+    ao = att @ v  # (C, B, S, d)
+    h1 = h0 + _apply(ao, wf.transpose(0, 2, 1))
 
     # pre-LN MLP sub-block
     m, ln2_cache = _layernorm_forward(h1, g2, be2, eps)
-    a1 = m @ w1.T
-    t = np.tanh(a1)
-    h2 = h1 + t @ w2.T
+    t = np.tanh(_apply(m, w1.transpose(0, 2, 1)))
+    h2 = h1 + _apply(t, w2.transpose(0, 2, 1))
 
-    pool = h2.mean(axis=1)  # (B, d)
-    logits = pool @ wout.T + bout
+    pool = h2.mean(axis=2)  # (C, B, d)
+    logits = _apply(pool, wout.transpose(0, 2, 1)) + bout[:, None, :]
 
     def backward(dlogits):
-        dwout = dlogits.T @ pool
-        dbout = dlogits.sum(axis=0)
-        dpool = dlogits @ wout  # (B, d)
-        dh2 = np.repeat(dpool[:, None, :], s, axis=1) / s
+        dwout = _outer(dlogits, pool)
+        dbout = dlogits.sum(axis=1)
+        dpool = _apply(dlogits, wout)  # (C, B, d)
+        dh2 = np.repeat(dpool[:, :, None, :], s, axis=2) / s
 
         # MLP sub-block backward
-        dt = dh2 @ w2
-        dw2 = np.einsum("bsd,bse->de", dh2, t)
+        dt = _apply(dh2, w2)
+        dw2 = _outer(dh2, t)
         da1 = (1.0 - t * t) * dt
-        dw1 = np.einsum("bsd,bse->de", da1, m)
-        dm = da1 @ w1
+        dw1 = _outer(da1, m)
+        dm = _apply(da1, w1)
         dh1, dg2, dbe2 = _layernorm_backward(dm, g2, ln2_cache)
         dh1 = dh1 + dh2  # residual
 
         # attention sub-block backward
-        dao = dh1 @ wf
-        dwf = np.einsum("bsd,bse->de", dh1, ao)
-        datt = dao @ v.transpose(0, 2, 1)  # (B, S, S)
-        dv = att.transpose(0, 2, 1) @ dao
+        dao = _apply(dh1, wf)
+        dwf = _outer(dh1, ao)
+        datt = dao @ v.swapaxes(-1, -2)  # (C, B, S, S)
+        dv = att.swapaxes(-1, -2) @ dao
         dscores = att * (datt - (datt * att).sum(axis=-1, keepdims=True))
         dq = dscores @ kk / np.sqrt(d)
-        dk = dscores.transpose(0, 2, 1) @ q / np.sqrt(d)
-        dqkv = np.concatenate([dq, dk, dv], axis=-1)  # (B, S, 3d)
-        dwqkv = np.einsum("bsd,bse->de", u, dqkv)
-        du = dqkv @ wqkv.T
+        dk = dscores.swapaxes(-1, -2) @ q / np.sqrt(d)
+        dqkv = np.concatenate([dq, dk, dv], axis=-1)  # (C, B, S, 3d)
+        dwqkv = _outer(u, dqkv)
+        du = _apply(dqkv, wqkv.transpose(0, 2, 1))
         dh0, dg1, dbe1 = _layernorm_backward(du, g1, ln1_cache)
         dh0 = dh0 + dh1  # residual
-        dwin = np.einsum("bsd,bsf->df", dh0, x)
+        dwin = _outer(dh0, x)
 
-        return [
-            dwin.reshape(-1),
-            np.concatenate([dg1, dbe1]),
-            dwqkv.reshape(-1),
-            dwf.reshape(-1),
-            np.concatenate([dg2, dbe2]),
-            dw1.reshape(-1),
-            dw2.reshape(-1),
-            dwout.reshape(-1),
-            dbout,
-        ]
+        return _grad_rows(
+            [dwin, dg1, dbe1, dwqkv, dwf, dg2, dbe2, dw1, dw2, dwout, dbout]
+        )
 
     return logits, backward
 
@@ -334,37 +372,48 @@ _FORWARD = {
 }
 
 
+def cohort_grad(spec: ModelSpec, rows: np.ndarray, inputs: np.ndarray,
+                labels: np.ndarray, count, valid=None) -> np.ndarray:
+    """(C, P) gradients of C clients' mean cross-entropy, unchecked.
+
+    rows are the clients' parameters, inputs (C, B, ...) and labels (C, B)
+    their minibatches; `count` and `valid` are as in the cross-entropy
+    gradient. The caller has validated the data against the model.
+    """
+    out, backward = _FORWARD[spec.kind](spec, rows, inputs)
+    return backward(_cross_entropy_grad(out, labels, count, valid))
+
+
 def _forward(spec: ModelSpec, params: ParamTree, inputs: np.ndarray, labels=None):
-    """Validated forward pass: (logits, backward closure)."""
+    """Validated forward pass of one client: (C=1 logits, backward closure)."""
     _check_layout(spec, params)
-    _check_inputs(spec, inputs)
-    if labels is not None and np.any(labels >= spec.num_classes):
-        raise StructureError("label out of range for num_classes")
-    return _FORWARD[spec.kind](spec, params, inputs)
+    check_inputs(spec, inputs, labels)
+    return _FORWARD[spec.kind](spec, params.flat[None, :], inputs[None])
 
 
 def loss(spec: ModelSpec, params: ParamTree, batch: Batch) -> float:
     """Mean cross-entropy over the batch."""
     out, _ = _forward(spec, params, batch.inputs, batch.labels)
-    return _cross_entropy(out, batch.labels)
+    return _cross_entropy(out[0], batch.labels)
 
 
 def grad(spec: ModelSpec, params: ParamTree, batch: Batch) -> ParamTree:
     """Analytic gradient of `loss` w.r.t. every parameter."""
     out, backward = _forward(spec, params, batch.inputs, batch.labels)
-    return params.replace(backward(_cross_entropy_grad(out, batch.labels)))
+    rows = backward(_cross_entropy_grad(out, batch.labels[None], batch.size))
+    return params.with_flat(rows[0])
 
 
 def logits(spec: ModelSpec, params: ParamTree, inputs: np.ndarray) -> np.ndarray:
     inputs = np.asarray(inputs, dtype=np.float64)
-    return _forward(spec, params, inputs)[0]
+    return _forward(spec, params, inputs)[0][0]
 
 
 def evaluate(spec: ModelSpec, params: ParamTree, batch: Batch) -> tuple[float, float]:
     """Mean cross-entropy and accuracy from one forward pass."""
     out, _ = _forward(spec, params, batch.inputs, batch.labels)
-    pred = np.argmax(out, axis=1)
-    return _cross_entropy(out, batch.labels), float(np.mean(pred == batch.labels))
+    pred = np.argmax(out[0], axis=1)
+    return _cross_entropy(out[0], batch.labels), float(np.mean(pred == batch.labels))
 
 
 def finite_diff_grad(
@@ -377,17 +426,14 @@ def finite_diff_grad(
     """
     if h <= 0:
         raise ValueError("finite difference step must be positive")
-    out = []
-    arrays = [np.array(a, copy=True) for a in params.arrays()]
-    for li, arr in enumerate(arrays):
-        g = np.zeros_like(arr)
-        for i in range(arr.size):
-            orig = arr[i]
-            arr[i] = orig + h
-            lp = loss(spec, params.replace(arrays), batch)
-            arr[i] = orig - h
-            lm = loss(spec, params.replace(arrays), batch)
-            arr[i] = orig
-            g[i] = (lp - lm) / (2.0 * h)
-        out.append(g)
-    return params.replace(out)
+    flat = np.array(params.flat, copy=True)
+    g = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        lp = loss(spec, params.with_flat(flat), batch)
+        flat[i] = orig - h
+        lm = loss(spec, params.with_flat(flat), batch)
+        flat[i] = orig
+        g[i] = (lp - lm) / (2.0 * h)
+    return params.with_flat(g)

@@ -1,113 +1,189 @@
 """Ordered, named, layered parameter container and its vector algebra.
 
-A ParamTree is an ordered collection of named flat float64 vectors
-("layers"). Model parameters, gradients and client deltas all live in this
-shape. Trees are immutable values: every operation returns a new tree and
-the underlying arrays are marked read-only, so trees can be shared freely
-across threads.
+A ParamTree is one contiguous read-only float64 vector plus a shared
+static Layout: the ordered layer names and the offset and size of each
+layer in the vector. Layers are slice views of the vector. Model
+parameters, gradients and client deltas all live in this shape, and a
+stack of L congruent trees is an (L, P) matrix whose rows share the
+layout. Trees are immutable values: every operation returns a new tree
+and the vector is marked read-only, so trees can be shared freely.
+
+Norms are computed row-wise over such a stack: the per-layer sums of
+squares are one ``np.add.reduceat`` over the squared rows, and a row's
+whole-tree sum is the sum of its layer sums in layer order. A single tree
+is a one-row stack, so its norms are bit for bit those of the same row in
+any larger stack.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Iterator, Mapping
+from functools import lru_cache
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import StructureError
 
 
-class ParamTree:
-    """Immutable ordered mapping of layer name -> flat float64 vector."""
+class Layout:
+    """Layer names, sizes and offsets of a flat parameter vector."""
 
-    __slots__ = ("_names", "_arrays", "_index")
+    __slots__ = ("names", "sizes", "starts", "slices", "index", "total")
 
-    def __init__(self, layers: Iterable[tuple[str, np.ndarray]]):
-        names: list[str] = []
-        arrays: list[np.ndarray] = []
-        for name, values in layers:
-            if (
-                isinstance(values, np.ndarray)
-                and values.dtype == np.float64
-                and values.ndim == 1
-                and not values.flags.writeable
-            ):
-                arr = values  # already immutable; share it
-            else:
-                arr = np.array(values, dtype=np.float64, copy=True).reshape(-1)
-                arr.flags.writeable = False
-            if arr.size == 0:
+    def __init__(self, names: tuple[str, ...], sizes: tuple[int, ...]):
+        for name, size in zip(names, sizes):
+            if size == 0:
                 raise StructureError(f"layer {name!r} is empty")
-            names.append(str(name))
-            arrays.append(arr)
         if len(set(names)) != len(names):
             dup = next(n for i, n in enumerate(names) if n in names[:i])
             raise StructureError(f"duplicate layer name {dup!r}")
-        self._names = tuple(names)
-        self._arrays = tuple(arrays)
-        self._index = {n: i for i, n in enumerate(names)}
+        ends = np.cumsum(sizes, dtype=np.intp)
+        self.names = names
+        self.sizes = sizes
+        self.starts = ends - np.asarray(sizes, dtype=np.intp)
+        self.starts.flags.writeable = False
+        self.slices = tuple(slice(int(e - s), int(e)) for s, e in zip(sizes, ends))
+        self.index = {n: i for i, n in enumerate(names)}
+        self.total = int(ends[-1]) if sizes else 0
+
+    @staticmethod
+    @lru_cache(maxsize=256)
+    def of(names: tuple[str, ...], sizes: tuple[int, ...]) -> "Layout":
+        """The shared layout for these names and sizes."""
+        return Layout(names, sizes)
+
+
+def _frozen_vector(values) -> bool:
+    return (
+        isinstance(values, np.ndarray)
+        and values.dtype == np.float64
+        and values.ndim == 1
+        and not values.flags.writeable
+    )
+
+
+class ParamTree:
+    """Immutable ordered mapping of layer name -> flat float64 vector.
+
+    Build one from (name, values) pairs, or as ``ParamTree(flat, layout)``
+    from a vector of ``layout.total`` values. A read-only float64 vector is
+    shared, not copied. Layers given as read-only float64 vectors are kept
+    as the tree's layer objects (equal to their slice of the flat vector),
+    so a layer passed through unchanged, say by clipping, is the same
+    object in both trees.
+    """
+
+    __slots__ = ("_layout", "_flat", "_arrays")
+
+    def __init__(self, layers: Iterable[tuple[str, np.ndarray]] | np.ndarray,
+                 layout: Layout | None = None):
+        if layout is not None:
+            flat = layers
+            if not _frozen_vector(flat):
+                flat = np.array(flat, dtype=np.float64, copy=True)
+                flat.flags.writeable = False
+            if flat.ndim != 1 or flat.size != layout.total:
+                raise StructureError(
+                    f"flat vector of shape {flat.shape} does not match a "
+                    f"layout of {layout.total} values"
+                )
+            arrays = tuple(flat[s] for s in layout.slices)
+        else:
+            names: list[str] = []
+            given: list[np.ndarray] = []
+            for name, values in layers:
+                arr = values if _frozen_vector(values) else np.asarray(
+                    values, dtype=np.float64).reshape(-1)
+                names.append(str(name))
+                given.append(arr)
+            layout = Layout.of(tuple(names), tuple(a.size for a in given))
+            flat = np.concatenate(given) if given else np.zeros(0)
+            flat.flags.writeable = False
+            arrays = tuple(
+                a if _frozen_vector(a) else flat[s]
+                for a, s in zip(given, layout.slices)
+            )
+        self._layout = layout
+        self._flat = flat
+        self._arrays = arrays
+
+    @property
+    def layout(self) -> Layout:
+        return self._layout
+
+    @property
+    def flat(self) -> np.ndarray:
+        """The whole tree as one read-only vector, in layer order."""
+        return self._flat
 
     @property
     def names(self) -> tuple[str, ...]:
-        return self._names
+        return self._layout.names
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(a.size for a in self._arrays)
+        return self._layout.sizes
 
     @property
     def total_size(self) -> int:
-        return sum(a.size for a in self._arrays)
+        return self._layout.total
 
     def __len__(self) -> int:
-        return len(self._names)
+        return len(self._layout.names)
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._arrays[self._index[name]]
+        return self._arrays[self._layout.index[name]]
 
     def __contains__(self, name: str) -> bool:
-        return name in self._index
+        return name in self._layout.index
 
     def items(self) -> Iterator[tuple[str, np.ndarray]]:
-        return iter(zip(self._names, self._arrays))
+        return iter(zip(self._layout.names, self._arrays))
 
     def arrays(self) -> tuple[np.ndarray, ...]:
         return self._arrays
 
     def replace(self, arrays: Iterable[np.ndarray]) -> "ParamTree":
         """New tree with this tree's names and the given per-layer vectors."""
-        return ParamTree(zip(self._names, arrays))
+        return ParamTree(zip(self._layout.names, arrays))
+
+    def with_flat(self, flat: np.ndarray) -> "ParamTree":
+        """New tree with this tree's layout and the given flat vector."""
+        return ParamTree(flat, self._layout)
 
     def congruent_with(self, other: "ParamTree") -> bool:
-        return self._names == other._names and self.dims == other.dims
+        return self._layout is other._layout or (
+            self.names == other.names and self.dims == other.dims
+        )
 
     def require_congruent(self, other: "ParamTree") -> None:
         """Raise StructureError naming the first mismatching layer."""
-        if self._names != other._names:
-            for i, (a, b) in enumerate(zip(self._names, other._names)):
+        if self.congruent_with(other):
+            return
+        if self.names != other.names:
+            for i, (a, b) in enumerate(zip(self.names, other.names)):
                 if a != b:
                     raise StructureError(
                         f"layer {i} name mismatch: {a!r} vs {b!r}"
                     )
             raise StructureError(
-                f"layer count mismatch: {len(self._names)} vs {len(other._names)}"
+                f"layer count mismatch: {len(self)} vs {len(other)}"
             )
-        for name, a, b in zip(self._names, self._arrays, other._arrays):
-            if a.size != b.size:
-                raise StructureError(
-                    f"layer {name!r} dim mismatch: {a.size} vs {b.size}"
-                )
+        for name, a, b in zip(self.names, self.dims, other.dims):
+            if a != b:
+                raise StructureError(f"layer {name!r} dim mismatch: {a} vs {b}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ParamTree):
             return NotImplemented
-        return self._names == other._names and all(
-            np.array_equal(a, b) for a, b in zip(self._arrays, other._arrays)
+        return self.names == other.names and self.dims == other.dims and (
+            np.array_equal(self._flat, other._flat)
         )
 
     def __repr__(self) -> str:
-        spec = ", ".join(f"{n}[{a.size}]" for n, a in self.items())
+        spec = ", ".join(f"{n}[{s}]" for n, s in zip(self.names, self.dims))
         return f"ParamTree({spec})"
 
     # -- serialization -----------------------------------------------------
@@ -135,76 +211,105 @@ class ParamTree:
         return cls.from_json_obj(json.loads(text))
 
 
-# -- algebra ---------------------------------------------------------------
+# -- row-wise norms ----------------------------------------------------------
 
 
 # A sum of squares below this may have lost bits to underflow (squares of
 # entries under ~1e-154 are subnormal or zero); above the float range it
 # overflowed. Only then is the norm recomputed on rescaled entries, so norms
-# of ordinary vectors are the plain sqrt(x . x), bit for bit.
+# of ordinary vectors are the plain sqrt of the sum of squares, bit for bit.
 _SUM_SQ_MIN = 1e-290
 
 
-def _norm(sum_sq: float, arrays: tuple[np.ndarray, ...]) -> float:
-    """L2 norm of the concatenation of `arrays`, whose sum of squares is sum_sq."""
-    if _SUM_SQ_MIN <= sum_sq < math.inf:
-        return float(np.sqrt(sum_sq))
-    peak = max(float(np.max(np.abs(a))) for a in arrays)
+def _needs_rescue(sum_sq: np.ndarray) -> np.ndarray:
+    return ~((sum_sq >= _SUM_SQ_MIN) & (sum_sq < math.inf))
+
+
+def _rescaled_norm(values: np.ndarray, sum_sq: float) -> float:
+    """Norm of `values` from entries divided by their largest magnitude."""
+    peak = float(np.max(np.abs(values)))
     if peak == 0.0 or not math.isfinite(peak):
         return float(np.sqrt(sum_sq))
-    scaled = sum(float(np.dot(a / peak, a / peak)) for a in arrays)
-    return peak * float(np.sqrt(scaled))
+    scaled = values / peak
+    return peak * float(np.sqrt(np.dot(scaled, scaled)))
 
 
-def vector_norm(arr: np.ndarray) -> float:
-    """L2 norm of one flat vector."""
-    return _norm(float(np.dot(arr, arr)), (arr,))
+def _layer_sum_sq(rows: np.ndarray, layout: Layout) -> np.ndarray:
+    return np.add.reduceat(rows * rows, layout.starts, axis=1)
+
+
+def layer_norm_rows(rows: np.ndarray, layout: Layout) -> np.ndarray:
+    """(L, K) per-layer L2 norms of the L rows of an (L, P) stack."""
+    sum_sq = _layer_sum_sq(rows, layout)
+    norms = np.sqrt(sum_sq)
+    for i, k in zip(*np.nonzero(_needs_rescue(sum_sq))):
+        norms[i, k] = _rescaled_norm(rows[i, layout.slices[k]], sum_sq[i, k])
+    return norms
+
+
+def global_norm_rows(rows: np.ndarray, layout: Layout) -> np.ndarray:
+    """(L,) whole-row L2 norms of an (L, P) stack."""
+    layer_sq = _layer_sum_sq(rows, layout)
+    sum_sq = layer_sq[:, 0].copy()
+    for k in range(1, layer_sq.shape[1]):
+        sum_sq += layer_sq[:, k]
+    norms = np.sqrt(sum_sq)
+    for i in np.nonzero(_needs_rescue(sum_sq))[0]:
+        norms[i] = _rescaled_norm(rows[i], sum_sq[i])
+    return norms
+
+
+def mean_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Arithmetic mean of equal-length vectors, summed in sequence order."""
+    acc = np.array(rows[0], dtype=np.float64, copy=True)
+    for row in rows[1:]:
+        acc += row
+    return acc / float(len(rows))
+
+
+# -- algebra ---------------------------------------------------------------
 
 
 def global_norm(tree: ParamTree) -> float:
     """L2 norm of the whole tree viewed as one flat vector."""
-    arrays = tree.arrays()
-    return _norm(sum(float(np.dot(a, a)) for a in arrays), arrays)
+    return float(global_norm_rows(tree.flat[None, :], tree.layout)[0])
 
 
 def layer_norms(tree: ParamTree) -> dict[str, float]:
     """Per-layer L2 norms, in layer order."""
-    return {n: vector_norm(a) for n, a in tree.items()}
+    norms = layer_norm_rows(tree.flat[None, :], tree.layout)[0]
+    return {n: float(v) for n, v in zip(tree.names, norms)}
 
 
 def axpy(alpha: float, x: ParamTree, y: ParamTree) -> ParamTree:
     """alpha * x + y for congruent trees."""
     x.require_congruent(y)
-    return x.replace(alpha * a + b for a, b in zip(x.arrays(), y.arrays()))
+    return x.with_flat(alpha * x.flat + y.flat)
 
 
 def add(x: ParamTree, y: ParamTree) -> ParamTree:
     x.require_congruent(y)
-    return x.replace(a + b for a, b in zip(x.arrays(), y.arrays()))
+    return x.with_flat(x.flat + y.flat)
 
 
 def sub(x: ParamTree, y: ParamTree) -> ParamTree:
     """x - y for congruent trees."""
     x.require_congruent(y)
-    return x.replace(a - b for a, b in zip(x.arrays(), y.arrays()))
+    return x.with_flat(x.flat - y.flat)
 
 
 def scale(alpha: float, x: ParamTree) -> ParamTree:
-    return x.replace(alpha * a for a in x.arrays())
+    return x.with_flat(alpha * x.flat)
 
 
 def zeros_like(x: ParamTree) -> ParamTree:
-    return x.replace(np.zeros(a.size) for a in x.arrays())
+    return x.with_flat(np.zeros(x.total_size))
 
 
 def tree_mean(trees: list[ParamTree]) -> ParamTree:
     """Arithmetic mean, reduced in list order."""
     if not trees:
         raise StructureError("cannot average an empty list of trees")
-    acc = [np.array(a, copy=True) for a in trees[0].arrays()]
     for t in trees[1:]:
         trees[0].require_congruent(t)
-        for buf, a in zip(acc, t.arrays()):
-            buf += a
-    k = float(len(trees))
-    return trees[0].replace(buf / k for buf in acc)
+    return trees[0].with_flat(mean_rows([t.flat for t in trees]))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from fldp.accountant import (
@@ -222,3 +224,20 @@ def test_default_order_grid_contents():
     assert 2.0 in DEFAULT_ORDERS and 64.0 in DEFAULT_ORDERS
     assert 128.0 in DEFAULT_ORDERS and 256.0 in DEFAULT_ORDERS
     assert list(DEFAULT_ORDERS) == sorted(DEFAULT_ORDERS)
+
+
+# Pairs differ by at least 5%, far beyond the accountant's rounding error.
+_Z = st.floats(0.5, 4.0)
+_Q = st.floats(1e-4, 0.5)
+_T = st.integers(1, 3000)
+_GROWTH = st.floats(1.05, 3.0)
+_DELTAS = st.sampled_from([1e-9, 1e-5])
+
+
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(z=_Z, q=_Q, steps=_T, growth=_GROWTH, delta=_DELTAS)
+def test_epsilon_monotone_in_noise_rate_and_steps(z, q, steps, growth, delta):
+    eps = epsilon_for(z, q, steps, delta)[0]
+    assert epsilon_for(z * growth, q, steps, delta)[0] <= eps
+    assert epsilon_for(z, min(1.0, q * growth), steps, delta)[0] >= eps
+    assert epsilon_for(z, q, int(steps * growth) + 1, delta)[0] >= eps

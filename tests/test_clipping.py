@@ -11,11 +11,12 @@ from fldp.clipping import (
     PER_LAYER_VARIANTS,
     clip_global,
     clip_per_layer,
+    clip_rows,
     clip_tree,
     layer_bounds,
 )
 from fldp.errors import ConfigError
-from fldp.param_tree import ParamTree, global_norm, layer_norms
+from fldp.param_tree import Layout, ParamTree, global_norm, layer_norms
 
 
 def random_tree(rng, num_layers=None, scale=1.0):
@@ -148,6 +149,43 @@ def test_clip_tree_properties(variant, data):
     for name in tree.names:
         if before[name] <= bounds[name]:
             assert out[name].tobytes() == tree[name].tobytes()
+
+
+# Row scales whose squared entries underflow to subnormals or to zero.
+_ROW_SCALES = st.sampled_from([1.0, 1e-160, 1e-200, 0.0])
+
+
+@st.composite
+def stack_and_spec(draw, variant):
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    layout = Layout.of(tuple(f"l{i}" for i in range(len(sizes))), tuple(sizes))
+    rows = [
+        np.array(draw(st.lists(_VALUES, min_size=layout.total,
+                               max_size=layout.total))) * draw(_ROW_SCALES)
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    bound = draw(st.floats(0.0, 1e3, allow_subnormal=False)) * draw(
+        st.sampled_from([1.0, 1e-160]))
+    weights = None
+    if variant == ClipVariant.PER_LAYER_WEIGHTED:
+        weights = {name: draw(st.floats(0.1, 10.0)) for name in layout.names}
+    return np.array(rows), layout, ClipSpec(bound, variant, weights)
+
+
+@pytest.mark.parametrize("variant", list(ClipVariant), ids=lambda v: v.value)
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_clip_rows_clips_each_row_like_clip_tree(variant, data):
+    # One clipping implementation: every row of a stack, underflowing rows
+    # included, clips bit for bit like clip_tree on that row alone.
+    rows, layout, spec = data.draw(stack_and_spec(variant))
+    clipped, factors = clip_rows(rows, layout, spec)
+    assert clipped.shape == rows.shape
+    assert factors.shape == (rows.shape[0], len(layout.names))
+    for row, got in zip(rows, clipped):
+        want = clip_tree(ParamTree(row, layout), spec)
+        assert got.tobytes() == want.flat.tobytes()
+        assert global_norm(want) <= spec.bound * _SLACK
 
 
 def test_per_layer_never_increases_any_layer_norm():

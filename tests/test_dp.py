@@ -199,3 +199,25 @@ def test_expected_squared_perturbation_norm():
         total += global_norm(sub(noised, t)) ** 2
     mean_sq = total / 100
     assert mean_sq == pytest.approx(sigma**2 * t.total_size, rel=0.02)
+
+
+def test_noise_draws_follow_layer_order():
+    # Full mask: one draw over the flat vector. Partial mask: one draw per
+    # included layer, in layer order, excluded layers drawing nothing.
+    rng = np.random.default_rng(9)
+    t = tree_of(rng, layers=(("a", 5), ("b", 3), ("c", 4)))
+    sigma, seed = 0.2, (17, 3, 2, 5)
+
+    def stream():
+        return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+    full = add_noise(t, sigma, FULL_MASK, np.random.SeedSequence(seed))
+    assert full.flat.tobytes() == (
+        t.flat + stream().normal(0.0, sigma, size=12)).tobytes()
+
+    partial = add_noise(t, sigma, NoiseMask(frozenset({"a", "c"})),
+                        np.random.SeedSequence(seed))
+    draws = stream()
+    assert partial["a"].tobytes() == (t["a"] + draws.normal(0.0, sigma, 5)).tobytes()
+    assert partial["b"].tobytes() == t["b"].tobytes()
+    assert partial["c"].tobytes() == (t["c"] + draws.normal(0.0, sigma, 4)).tobytes()

@@ -17,7 +17,7 @@ from fldp.engine import (
     run_simulation,
     sample_cohort,
 )
-from fldp.errors import ConfigError
+from fldp.errors import ConfigError, NumericsError
 from fldp.optimizers import OptimizerKind
 from fldp.param_tree import axpy, global_norm, scale, sub, tree_mean, zeros_like
 
@@ -357,3 +357,31 @@ def test_one_probe_forward_pass_per_round(monkeypatch):
     assert any(m.cohort_ids for m in result.metrics)
     assert any(not m.cohort_ids for m in result.metrics)
     assert probe_passes == 8
+
+
+def test_diverging_local_training_names_round_client_and_stage():
+    # A huge local lr with no minibatch clip overflows every client's delta.
+    _, population = small_population()
+    model = linear_model()
+    cfg = make_config(population, num_rounds=2, local_count=4, local_lr=1e308,
+                      local_clip=INF)
+    first = sample_cohort(population.num_clients, cfg.cohort, 1, cfg.seed)[0]
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericsError) as err:
+            run_simulation(cfg, population, model)
+    message = str(err.value)
+    assert message.startswith("round 1: ")
+    assert f"client {first} " in message
+    assert "local_train" in message
+
+
+def test_diverging_central_step_names_the_probe_stage():
+    # Finite deltas of order one, but a central lr that overflows the
+    # parameters they update.
+    _, population = small_population()
+    model = linear_model()
+    cfg = make_config(population, num_rounds=2, local_lr=10.0, clip_bound=INF,
+                      central_lr=1e308)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericsError, match=r"^round 1: .*probe"):
+            run_simulation(cfg, population, model)

@@ -164,3 +164,10 @@ def test_tree_mean():
     assert tree_mean([a, scale(-1.0, a)]) == zeros_like(a)
     m = tree_mean([b, b, b])
     assert m == b
+
+
+def test_tree_mean_reduces_in_list_order():
+    # 1 + 1e16 rounds to 1e16, so only the list order gives exactly 0.
+    trees = [ParamTree([("w", [v])]) for v in (1.0, 1e16, -1e16)]
+    assert tree_mean(trees)["w"][0] == 0.0
+    assert tree_mean(trees[::-1])["w"][0] == 1.0 / 3.0
