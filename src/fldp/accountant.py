@@ -9,11 +9,27 @@ delta) guarantee by minimizing over orders.
 eps(alpha) is log(A_alpha)/(alpha - 1) where A_alpha is the alpha-th moment
 of the likelihood ratio between N(0, z^2) and the mixture
 (1 - q) N(0, z^2) + q N(1, z^2). A_alpha is evaluated with the stable
-log-domain binomial expansion: a finite sum at integer alpha, and the
-two-sided infinite series with erfc tail weights at fractional alpha. All
-arithmetic is float64 in log space; binomial coefficients go through
-log-gamma. For q == 1 the mechanism is a plain Gaussian and
-eps(alpha) = alpha / (2 z^2).
+log-domain binomial expansion, for the whole order grid at once as array
+operations; all arithmetic is float64 in log space and binomial
+coefficients go through log-gamma. For q == 1 the mechanism is a plain
+Gaussian and eps(alpha) = alpha / (2 z^2).
+
+* Integer orders: the expansion is a finite sum of alpha + 1 terms. The
+  terms of every integer order go into one flat array, and each order's
+  log A is a log-sum-exp over its own contiguous segment. An order whose
+  sum would exceed _MAX_SERIES_TERMS terms raises ArithmeticError.
+* Fractional orders: the expansion is two-sided and infinite, with normal
+  tail weights, and its terms alternate in sign once the index passes
+  alpha. The terms form one (orders, terms) block whose width starts small
+  and doubles for the orders that have not yet stopped. An order stops at
+  the first index whose terms on both sides are smaller than the ones
+  before them and below e^-30, and takes a signed log-sum-exp over exactly
+  the terms up to that index. A series still running after
+  _MAX_SERIES_TERMS terms raises ArithmeticError.
+
+Each order's value depends only on its own terms, summed in the same order
+whatever else is on the grid, so an order's eps is bit for bit the same
+alone (rdp_single_step) as on any grid (rdp_sampled_gaussian).
 
 The RDP -> DP conversion uses the tighter minimization
     eps = rdp(alpha) + log1p(-1/alpha) - log(delta * alpha) / (alpha - 1),
@@ -28,6 +44,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
+import numpy as np
 from scipy import special
 
 from .errors import ConfigError
@@ -43,112 +60,155 @@ _MAX_SERIES_TERMS = 100_000
 # far below every tolerance used downstream. Terms decay polynomially for
 # orders just above 1, which is why the cutoff is absolute, not relative.
 _SERIES_LOG_CUTOFF = -30.0
+# Width of the first fractional-order block; enough for the paper's regime.
+_FIRST_SERIES_WIDTH = 16
 
 
-def _log_add(logx: float, logy: float) -> float:
-    a, b = min(logx, logy), max(logx, logy)
-    if a == -math.inf:
-        return b
-    return math.log1p(math.exp(a - b)) + b
+def _log_sum_segments(log_terms, signs, starts) -> np.ndarray:
+    """log(sum(sign * exp(log_term))) over each segment of the flat arrays.
 
-
-def _log_sub(logx: float, logy: float) -> float:
-    """log(exp(logx) - exp(logy)); requires logx >= logy."""
-    if logy == -math.inf:
-        return logx
-    if logx == logy:
-        return -math.inf
-    if logx < logy:
-        raise ArithmeticError("log_sub of a negative difference")
-    return logx + math.log1p(-math.exp(logy - logx))
-
-
-def _log_comb(n: float, k: float) -> float:
-    return (
-        special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(n - k + 1)
-    )
-
-
-def _log_erfc(x: float) -> float:
-    # erfc(x) = 2 * Phi(-x * sqrt(2)); log_ndtr is accurate far into the tail.
-    return math.log(2.0) + float(special.log_ndtr(-x * math.sqrt(2.0)))
-
-
-def _log_a_int(q: float, z: float, alpha: int) -> float:
-    log_a = -math.inf
-    log_q = math.log(q)
-    log1mq = math.log1p(-q)
-    for i in range(alpha + 1):
-        term = (
-            _log_comb(alpha, i)
-            + i * log_q
-            + (alpha - i) * log1mq
-            + (i * i - i) / (2.0 * z * z)
+    Segment k runs from starts[k] to the next start (or the end); signs is
+    None for all-positive terms. Each sum is scaled by its largest term,
+    whose share is taken out and put back through log1p: log A is often a
+    tiny difference between that term and the rest, and summing to 1 + x
+    before the log would keep only the absolute precision of x.
+    """
+    n = log_terms.size
+    lengths = np.diff(starts, append=n)
+    peak = np.repeat(np.maximum.reduceat(log_terms, starts), lengths)
+    at_peak = np.where(log_terms == peak, np.arange(n), n)
+    first_peak = np.minimum.reduceat(at_peak, starts)
+    scaled = np.exp(log_terms - peak)
+    if signs is not None:
+        scaled *= signs
+    scaled[first_peak] -= 1.0
+    excess = np.add.reduceat(scaled, starts)
+    if not np.all(excess > -1.0):
+        raise ArithmeticError(
+            "subsampled-Gaussian series summed to a non-positive value"
         )
-        log_a = _log_add(log_a, term)
+    return peak[starts] + np.log1p(excess)
+
+
+def _log_a_int_orders(q: float, z: float, alphas: np.ndarray) -> np.ndarray:
+    """log A_alpha at integer orders: one flat array of every order's terms."""
+    if alphas.max() >= _MAX_SERIES_TERMS:
+        raise ArithmeticError(
+            f"integer order {alphas.max()} needs more than "
+            f"{_MAX_SERIES_TERMS} series terms"
+        )
+    n = alphas.astype(np.int64)
+    lengths = n + 1
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    order_n = np.repeat(n, lengths)
+    i = np.arange(lengths.sum()) - np.repeat(starts, lengths)
+    log_fact = special.gammaln(np.arange(n.max() + 1) + 1.0)
+    terms = (
+        (log_fact[order_n] - log_fact[i] - log_fact[order_n - i])
+        + i * math.log(q)
+        + (order_n - i) * math.log1p(-q)
+        + (i * i - i) / (2.0 * z * z)
+    )
+    return _log_sum_segments(terms, None, starts)
+
+
+def _frac_terms(q: float, z: float, alphas: np.ndarray, i: np.ndarray):
+    """Log terms of both sides of the fractional series, (orders, len(i))."""
+    alpha = alphas[:, None]
+    j = alpha - i
+    z0 = z * z * math.log(1.0 / q - 1.0) + 0.5
+    log_q, log1mq = math.log(q), math.log1p(-q)
+    log_coef = (
+        special.gammaln(alpha + 1.0)
+        - special.gammaln(i + 1.0)
+        - special.gammaln(j + 1.0)
+    )
+    log_s0 = (
+        log_coef + i * log_q + j * log1mq + (i * i - i) / (2.0 * z * z)
+        + special.log_ndtr((z0 - i) / z)
+    )
+    log_s1 = (
+        log_coef + j * log_q + i * log1mq + (j * j - j) / (2.0 * z * z)
+        + special.log_ndtr((j - z0) / z)
+    )
+    return log_s0, log_s1
+
+
+def _log_a_frac_orders(q: float, z: float, alphas: np.ndarray) -> np.ndarray:
+    """log A_alpha at fractional orders, each series cut by the stopping rule."""
+    log_a = np.empty(alphas.size)
+    pending = np.arange(alphas.size)
+    log_s0 = log_s1 = np.empty((alphas.size, 0))
+    width = 0
+    while pending.size:
+        if width == _MAX_SERIES_TERMS:
+            raise ArithmeticError(
+                "subsampled-Gaussian series did not converge "
+                f"(q={q}, z={z}, alpha={alphas[pending[0]]})"
+            )
+        grown = min(max(2 * width, _FIRST_SERIES_WIDTH), _MAX_SERIES_TERMS)
+        new0, new1 = _frac_terms(q, z, alphas[pending], np.arange(width, grown))
+        log_s0 = np.concatenate((log_s0, new0), axis=1)
+        log_s1 = np.concatenate((log_s1, new1), axis=1)
+        width = grown
+        # Column k + 1 stops the series when both sides fell below column k
+        # and under the cutoff; terms 0..k+1 are summed.
+        falls = (
+            (log_s0[:, 1:] < log_s0[:, :-1])
+            & (log_s1[:, 1:] < log_s1[:, :-1])
+            & (np.maximum(log_s0[:, 1:], log_s1[:, 1:]) < _SERIES_LOG_CUTOFF)
+        )
+        done = falls.any(axis=1)
+        if done.any():
+            count = falls[done].argmax(axis=1) + 2
+            keep = np.arange(width) < count[:, None]
+            # Interleave the two sides: an order's segment is s0_0, s1_0, s0_1, ...
+            log_terms = np.stack((log_s0[done], log_s1[done]), axis=2)[keep].ravel()
+            alpha = alphas[pending[done], None]
+            negatives = np.maximum(0, np.arange(width) - 1 - np.floor(alpha))
+            signs = np.where(negatives % 2 == 1, -1.0, 1.0)[keep].repeat(2)
+            starts = 2 * np.concatenate(([0], np.cumsum(count)[:-1]))
+            log_a[pending[done]] = _log_sum_segments(log_terms, signs, starts)
+            pending = pending[~done]
+            log_s0, log_s1 = log_s0[~done], log_s1[~done]
     return log_a
 
 
-def _binom_sign(alpha: float, i: int) -> int:
-    # binom(alpha, i) = prod_{j<i} (alpha - j) / i!; negative factors appear
-    # once j exceeds alpha.
-    negatives = max(0, i - 1 - math.floor(alpha))
-    return -1 if negatives % 2 else 1
+def _order_array(orders) -> np.ndarray:
+    """The order grid as an array, after checking that every order is > 1."""
+    alphas = np.array(orders, dtype=float)
+    if alphas.size == 0:
+        raise ConfigError("order grid must be nonempty")
+    if not np.all(np.isfinite(alphas)):
+        raise ConfigError(f"Renyi orders must be finite, got {list(orders)}")
+    if not np.all(alphas > 1):
+        raise ConfigError(f"Renyi order must exceed 1, got {alphas.min()}")
+    return alphas
 
 
-def _log_a_frac(q: float, z: float, alpha: float) -> float:
-    # Two-sided expansion around the crossover point of the privacy loss.
-    log_a0 = log_a1 = -math.inf
-    z0 = z * z * math.log(1.0 / q - 1.0) + 0.5
-    log_q = math.log(q)
-    log1mq = math.log1p(-q)
-    last0 = last1 = -math.inf
-    for i in range(_MAX_SERIES_TERMS):
-        log_coef = _log_comb(alpha, i)
-        sign = _binom_sign(alpha, i)
-        j = alpha - i
+def _check_mechanism(
+    noise_multiplier: float, sampling_rate: float, orders
+) -> np.ndarray:
+    """The order grid as an array, after checking z, q and every order."""
+    alphas = _order_array(orders)
+    if not 0 < sampling_rate <= 1:
+        raise ConfigError("sampling_rate must be in (0, 1]")
+    if not (math.isfinite(noise_multiplier) and noise_multiplier > 0):
+        raise ConfigError(
+            f"noise multiplier must be finite and positive, got {noise_multiplier}"
+        )
+    return alphas
 
-        log_t0 = log_coef + i * log_q + j * log1mq
-        log_t1 = log_coef + j * log_q + i * log1mq
-        log_e0 = math.log(0.5) + _log_erfc((i - z0) / (math.sqrt(2.0) * z))
-        log_e1 = math.log(0.5) + _log_erfc((z0 - j) / (math.sqrt(2.0) * z))
-        log_s0 = log_t0 + (i * i - i) / (2.0 * z * z) + log_e0
-        log_s1 = log_t1 + (j * j - j) / (2.0 * z * z) + log_e1
 
-        if sign > 0:
-            log_a0 = _log_add(log_a0, log_s0)
-            log_a1 = _log_add(log_a1, log_s1)
-        else:
-            log_a0 = _log_sub(log_a0, log_s0)
-            log_a1 = _log_sub(log_a1, log_s1)
-
-        if (
-            log_s0 < last0
-            and log_s1 < last1
-            and max(log_s0, log_s1) < _SERIES_LOG_CUTOFF
-        ):
-            return _log_add(log_a0, log_a1)
-        last0, last1 = log_s0, log_s1
-    raise ArithmeticError(
-        f"subsampled-Gaussian series did not converge (q={q}, z={z}, alpha={alpha})"
-    )
+def _check_delta(delta: float) -> None:
+    if not 0 < delta < 1:
+        raise ConfigError("delta must be in (0, 1)")
 
 
 def rdp_single_step(noise_multiplier: float, sampling_rate: float, alpha: float) -> float:
     """Single-invocation RDP eps(alpha) of the sampled Gaussian mechanism."""
-    if alpha <= 1:
-        raise ConfigError(f"Renyi order must exceed 1, got {alpha}")
-    if not 0 < sampling_rate <= 1:
-        raise ConfigError("sampling_rate must be in (0, 1]")
-    if noise_multiplier <= 0:
-        raise ConfigError("noise multiplier must be positive")
-    if sampling_rate == 1.0:
-        return float(alpha / (2.0 * noise_multiplier**2))
-    if float(alpha).is_integer():
-        log_a = _log_a_int(sampling_rate, noise_multiplier, int(alpha))
-    else:
-        log_a = _log_a_frac(sampling_rate, noise_multiplier, float(alpha))
-    return float(max(0.0, log_a / (alpha - 1.0)))
+    curve = rdp_sampled_gaussian(noise_multiplier, sampling_rate, (alpha,))
+    return curve.eps_per_step[0]
 
 
 @dataclass(frozen=True)
@@ -160,8 +220,7 @@ class RdpCurve:
     steps: int = 1
 
     def __post_init__(self):
-        if not self.orders:
-            raise ConfigError("order grid must be nonempty")
+        _order_array(self.orders)
         if len(self.orders) != len(self.eps_per_step):
             raise ConfigError("orders and eps_per_step must align")
         if self.steps < 0:
@@ -179,12 +238,19 @@ def rdp_sampled_gaussian(
 ) -> RdpCurve:
     """RDP curve of a single sampled-Gaussian invocation (steps = 1)."""
     orders = tuple(float(a) for a in orders)
-    if not orders:
-        raise ConfigError("order grid must be nonempty")
-    eps = tuple(
-        rdp_single_step(noise_multiplier, sampling_rate, a) for a in orders
-    )
-    return RdpCurve(orders, eps, steps=1)
+    alphas = _check_mechanism(noise_multiplier, sampling_rate, orders)
+    z, q = noise_multiplier, sampling_rate
+    if q == 1.0:
+        eps = alphas / (2.0 * z**2)
+    else:
+        log_a = np.empty(alphas.size)
+        whole = alphas == np.floor(alphas)
+        if whole.any():
+            log_a[whole] = _log_a_int_orders(q, z, alphas[whole])
+        if not whole.all():
+            log_a[~whole] = _log_a_frac_orders(q, z, alphas[~whole])
+        eps = np.maximum(0.0, log_a / (alphas - 1.0))
+    return RdpCurve(orders, tuple(eps.tolist()), steps=1)
 
 
 def compose(curve: RdpCurve, steps: int) -> RdpCurve:
@@ -196,24 +262,13 @@ def compose(curve: RdpCurve, steps: int) -> RdpCurve:
 
 def epsilon_at_delta(curve: RdpCurve, delta: float) -> tuple[float, float]:
     """Best (epsilon, order) at the target delta over the curve's grid."""
-    if not 0 < delta < 1:
-        raise ConfigError("delta must be in (0, 1)")
-    if not curve.orders:
-        raise ConfigError("order grid must be nonempty")
-    best_eps = math.inf
-    best_order = curve.orders[0]
-    for alpha, total in zip(curve.orders, curve.total()):
-        if math.isinf(total):
-            continue
-        eps = (
-            total
-            + math.log1p(-1.0 / alpha)
-            - math.log(delta * alpha) / (alpha - 1.0)
-        )
-        if eps < best_eps:
-            best_eps = eps
-            best_order = alpha
-    return float(max(0.0, best_eps)), float(best_order)
+    _check_delta(delta)
+    alphas = np.array(curve.orders, dtype=float)
+    total = np.array(curve.total())
+    eps = total + np.log1p(-1.0 / alphas) - np.log(delta * alphas) / (alphas - 1.0)
+    # An undefined order (nan, say inf * 0 steps) never wins.
+    best = int(np.argmin(np.where(np.isnan(eps), np.inf, eps)))
+    return float(max(0.0, eps[best])), float(curve.orders[best])
 
 
 def epsilon_for(
@@ -224,10 +279,14 @@ def epsilon_for(
     orders: Iterable[float] = DEFAULT_ORDERS,
 ) -> tuple[float, float]:
     """Convenience: full chain from (z, q, T, delta) to (epsilon, order)."""
+    orders = tuple(float(a) for a in orders)
     if steps == 0:
-        return 0.0, float(next(iter(orders)))
-    curve = compose(rdp_sampled_gaussian(noise_multiplier, sampling_rate, orders), steps)
-    return epsilon_at_delta(curve, delta)
+        # Nothing is released; the inputs must still describe a mechanism.
+        _check_mechanism(noise_multiplier, sampling_rate, orders)
+        _check_delta(delta)
+        return 0.0, orders[0]
+    curve = rdp_sampled_gaussian(noise_multiplier, sampling_rate, orders)
+    return epsilon_at_delta(compose(curve, steps), delta)
 
 
 def calibrate_noise(

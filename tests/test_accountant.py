@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -17,6 +17,16 @@ from fldp.accountant import (
     rdp_single_step,
 )
 from fldp.errors import ConfigError
+
+# A numpy warning (overflow, invalid value) escaping the series fails.
+# Hypothesis reports a falsified example through libcst, whose import warns
+# through mypy_extensions; as an error that would abort the session instead.
+pytestmark = [
+    pytest.mark.filterwarnings("error"),
+    pytest.mark.filterwarnings(
+        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
+    ),
+]
 
 
 def rdp_by_quadrature(noise_multiplier, sampling_rate, alpha):
@@ -81,6 +91,37 @@ def test_fractional_orders_below_two_match_quadrature():
         assert series == pytest.approx(oracle, rel=1e-6)
 
 
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    z=st.floats(0.3, 8.0),
+    q=st.floats(-4.0, math.log10(0.5)).map(lambda e: 10.0**e),
+    alpha=st.sampled_from(DEFAULT_ORDERS[:9]) | st.sampled_from(DEFAULT_ORDERS[9:]),
+)
+def test_series_matches_quadrature_oracle_property(z, q, alpha):
+    # The oracle integrates in linear space (A_alpha must fit a float) and
+    # resolves log A_alpha only to the quadrature's ~1e-12 absolute error.
+    assume(alpha * (alpha - 1.0) / (2.0 * z * z) < 300.0)
+    oracle = rdp_by_quadrature(z, q, alpha)
+    assume(oracle * (alpha - 1.0) > 1e-5)
+    assert rdp_single_step(z, q, alpha) == pytest.approx(oracle, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "z,q", [(2.048, 0.0295), (0.4, 0.25), (0.512, 0.0295), (0.6144, 0.000295), (3.0, 1.0)]
+)
+def test_grid_entries_equal_single_orders_bitwise(z, q):
+    # Each order sums only its own terms, so its value is independent of
+    # which other orders share the grid.
+    curve = rdp_sampled_gaussian(z, q)
+    singles = [rdp_single_step(z, q, a) for a in DEFAULT_ORDERS]
+    assert curve.eps_per_step == tuple(singles)
+    shuffled = DEFAULT_ORDERS[::-3] + (3.25,)
+    other_grid = rdp_sampled_gaussian(z, q, shuffled)
+    assert other_grid.eps_per_step[:-1] == tuple(
+        singles[DEFAULT_ORDERS.index(a)] for a in shuffled[:-1]
+    )
+
+
 def test_rdp_monotonicity_grid():
     zs = (0.5, 1.0, 2.0, 4.0)
     qs = (0.001, 0.01, 0.1, 0.5)
@@ -102,12 +143,37 @@ def test_rdp_monotonicity_grid():
 def test_invalid_orders_rejected():
     with pytest.raises(ConfigError):
         rdp_single_step(1.0, 0.1, 1.0)
+    for alpha in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="finite"):
+            rdp_single_step(1.0, 0.1, alpha)
+    with pytest.raises(ConfigError, match="finite"):
+        rdp_sampled_gaussian(1.0, 0.1, orders=(2.0, math.inf))
+    with pytest.raises(ConfigError, match="finite"):
+        rdp_sampled_gaussian(1.0, 0.1, orders=(math.nan,))
     with pytest.raises(ConfigError):
         rdp_sampled_gaussian(1.0, 0.1, orders=[0.5, 2.0])
     with pytest.raises(ConfigError):
         rdp_sampled_gaussian(0.0, 0.1)
     with pytest.raises(ConfigError):
         rdp_sampled_gaussian(1.0, 0.0)
+
+
+def test_series_longer_than_term_limit_raises():
+    # An integer order has order + 1 terms; past the limit nothing is built.
+    for alpha in (1e5, 1e20):
+        with pytest.raises(ArithmeticError, match="series terms"):
+            rdp_single_step(1.0, 0.1, alpha)
+    assert rdp_single_step(1e3, 0.1, 99_999.0) > 0.0
+
+
+def test_non_finite_noise_multiplier_rejected():
+    for z in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ConfigError, match="noise multiplier"):
+            rdp_sampled_gaussian(z, 0.1)
+        with pytest.raises(ConfigError, match="noise multiplier"):
+            rdp_single_step(z, 0.1, 1.5)
+        with pytest.raises(ConfigError, match="noise multiplier"):
+            epsilon_for(z, 0.1, 10, 1e-9)
 
 
 # -- composition ----------------------------------------------------------------
@@ -187,10 +253,37 @@ def test_epsilon_at_delta_validation():
         epsilon_at_delta(curve, 0.0)
     with pytest.raises(ConfigError):
         RdpCurve(orders=(), eps_per_step=())
+    for order in (1.0, 0.5, math.inf):
+        with pytest.raises(ConfigError):
+            RdpCurve(orders=(order, 2.0), eps_per_step=(0.1, 0.1))
+
+
+def test_undefined_orders_never_win_the_conversion():
+    curve = RdpCurve(orders=(2.0, 3.0, 4.0), eps_per_step=(math.nan, 0.1, math.inf))
+    rest = RdpCurve(orders=(3.0,), eps_per_step=(0.1,))
+    assert epsilon_at_delta(curve, 1e-9) == epsilon_at_delta(rest, 1e-9)
+    assert epsilon_at_delta(compose(curve, 0), 1e-9)[1] == 3.0
 
 
 def test_zero_steps_epsilon_is_zero():
-    assert epsilon_for(1.0, 0.1, 0, 1e-9)[0] == 0.0
+    assert epsilon_for(1.0, 0.1, 0, 1e-9) == (0.0, DEFAULT_ORDERS[0])
+
+
+@pytest.mark.parametrize(
+    "z,q,delta,orders",
+    [
+        (1.0, 0.1, 5.0, DEFAULT_ORDERS),      # delta outside (0, 1)
+        (1.0, 0.1, 1e-9, ()),                 # empty grid
+        (1.0, 0.1, 1e-9, (0.5, 2.0)),         # order below 1
+        (1.0, 0.1, 1e-9, (2.0, math.inf)),    # non-finite order
+        (0.0, 0.1, 1e-9, DEFAULT_ORDERS),     # no noise
+        (math.nan, 0.1, 1e-9, DEFAULT_ORDERS),
+        (1.0, 1.5, 1e-9, DEFAULT_ORDERS),     # sampling rate above 1
+    ],
+)
+def test_zero_steps_still_validates_inputs(z, q, delta, orders):
+    with pytest.raises(ConfigError):
+        epsilon_for(z, q, 0, delta, orders=orders)
 
 
 # -- calibration ------------------------------------------------------------------
@@ -201,6 +294,11 @@ def test_calibration_round_trip():
     target, _ = epsilon_for(1.024, q, steps, delta)
     z = calibrate_noise(target, q, steps, delta, tolerance=1e-6)
     assert z == pytest.approx(1.024, rel=0.01)
+
+
+def test_calibration_at_paper_point_is_pinned():
+    z = calibrate_noise(4.5, 0.0295, 2006, 1e-9)
+    assert z == pytest.approx(2.028284660788171, rel=1e-12)
 
 
 def test_calibration_monotone_spot_check():

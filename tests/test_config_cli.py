@@ -357,6 +357,16 @@ def test_cli_accountant_prints_derivation_chain(tmp_path, capsys):
     assert output["noise_multiplier"] == pytest.approx(0.003072, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "args", [["-z", "1", "--orders", "2,inf"], ["-z", "1", "--orders", "nan"],
+             ["-z", "nan"], ["-z", "inf"]],
+)
+def test_cli_accountant_non_finite_input_is_config_error(args, capsys):
+    code = main(["accountant", "-q", "0.1", "-T", "10", *args])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_convert_noise(capsys):
     code = main(["convert-noise", "--sigma", "1.0", "--from", "avg",
                  "--to", "client", "-L", "16"])
