@@ -223,7 +223,7 @@ def main(argv=None) -> int:
     except (ConfigError, StructureError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericsError as exc:
+    except (NumericsError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
     except OSError as exc:

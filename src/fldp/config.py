@@ -12,6 +12,7 @@ re-parses to an identical resolution (round-trip stable).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
@@ -69,8 +70,9 @@ class _Section:
         if kind is float:
             if isinstance(raw, str) and raw in ("inf", ".inf"):
                 return float("inf")
-            if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-                raise ConfigError(f"{self.path}.{key}: expected a number")
+            if (isinstance(raw, bool) or not isinstance(raw, (int, float))
+                    or math.isnan(raw)):
+                raise ConfigError(f"{self.path}.{key}: expected a number, got {raw!r}")
             return float(raw)
         if kind is int:
             if isinstance(raw, bool) or not isinstance(raw, int):

@@ -79,10 +79,10 @@ class PrivacyParams:
     cohort_size: Optional[float] = None
 
     def __post_init__(self):
-        if self.clip_bound < 0:
-            raise ConfigError("privacy clip_bound must be >= 0")
-        if self.sigma < 0:
-            raise ConfigError("privacy sigma must be >= 0")
+        if not self.clip_bound >= 0:
+            raise ConfigError(f"privacy clip_bound must be >= 0, got {self.clip_bound}")
+        if not self.sigma >= 0:
+            raise ConfigError(f"privacy sigma must be >= 0, got {self.sigma}")
         if self.population < 1:
             raise ConfigError("population must be >= 1")
         if self.num_steps < 0:

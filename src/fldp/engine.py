@@ -8,23 +8,23 @@ its gradient estimate. All randomness is drawn from per-purpose Philox
 streams keyed by (run seed, stream tag, round, client), so a run is bitwise
 reproducible from its seed.
 
-A round works on the whole cohort at once. The round-start parameters are
-stacked into an (L, P) matrix, one row per client in ascending id order;
-local training turns it into the (L, P) delta matrix, and clipping, noising
-and the per-layer norm statistics are row-wise array operations on it. The
-cohort mean adds the rows in ascending client-id order, the reduction that
-``tree_mean`` uses, so it does not depend on how the rows were computed.
+A round works on the whole cohort at once. Local training turns the
+round-start parameters into an (L, P) delta matrix, one row per client in
+ascending id order, and clipping, noising and the per-layer norm statistics
+are row-wise array operations on it. The cohort mean adds the rows in
+ascending client-id order, the reduction that ``tree_mean`` uses, so it
+does not depend on how the rows were computed.
 
 Local training runs either a fixed number of steps (independently sampled
-minibatches) or a fixed number of epochs (full shuffled passes). In steps
-mode every client draws all its minibatch indices up front from its own
-stream, so the whole cohort takes each SGD step together: one batched
-forward/backward pass, with clients that have fewer than batch_size
-examples padded by zero-weight rows. Epochs mode gives clients different
-step counts, so each client runs its own schedule through the same step on
-a cohort of one. Every minibatch gradient is globally clipped to the local
-bound before the SGD step; with a FedProx weight mu > 0 the gradient first
-gains the proximal pull mu * (theta - theta_round_start).
+minibatches) or a fixed number of epochs (shuffled passes whose last
+minibatch is short). Each client draws all its minibatch indices up front
+from its own stream; only this draw depends on the mode. Sorted by
+descending step count, the clients still training at any step are a prefix
+of the rows, and that prefix takes the SGD step together in one batched
+forward/backward pass, short minibatches padded by zero-weight rows. Every
+minibatch gradient is globally clipped to the local bound before the SGD
+step; with a FedProx weight mu > 0 the gradient first gains the proximal
+pull mu * (theta - theta_round_start).
 """
 
 from __future__ import annotations
@@ -211,7 +211,8 @@ def local_train(
 ) -> ParamTree:
     """Run local SGD on one client and return final-minus-initial parameters.
 
-    The client is trained as a cohort of one, exactly as in a round.
+    The client is trained as a cohort of one, so it agrees with its row of a
+    larger round only to rounding: batched kernels may sum in another order.
     """
     models.check_inputs(model_spec, client_data.inputs, client_data.labels)
     deltas = train_cohort(global_params, [client_data], model_spec, local,
@@ -231,66 +232,58 @@ def train_cohort(
 ) -> np.ndarray:
     """(L, P) deltas of local SGD on L clients from the same start.
 
-    The data must already be validated against the model.
+    Rows follow `datasets`. The data must already be validated against the model.
     """
     start = global_params.flat
-    step = _sgd_step(model_spec, global_params.layout, local, fedprox_mu, start)
-    rngs = (_rng(seed, _STREAM_LOCAL, round_index, cid) for cid in client_ids)
-    if local.mode == LocalMode.STEPS:
-        rows = _train_steps(step, start, datasets, rngs, local)
-    else:
-        rows = np.stack([_train_epochs(step, start, data, rng, local)
-                         for data, rng in zip(datasets, rngs)])
-    return rows - start
-
-
-def _sgd_step(model_spec, layout, local, fedprox_mu, start):
-    """One local SGD step on a stack of clients' parameter rows."""
-    clip = ClipSpec(local.clip_bound)
-
-    def step(rows, inputs, labels, count, valid=None):
-        g = models.cohort_grad(model_spec, rows, inputs, labels, count, valid)
-        if fedprox_mu > 0.0:
-            g = fedprox_mu * (rows - start) + g
-        g, _ = clip_rows(g, layout, clip)
-        return -local.lr * g + rows
-
-    return step
-
-
-def _train_steps(step, start, datasets, rngs, local: LocalConfig) -> np.ndarray:
-    """Steps mode: every client takes each step together with the cohort."""
-    num, batch = len(datasets), local.batch_size
     sizes = np.array([data.size for data in datasets])
-    take = np.minimum(sizes, batch)
-    # Each client draws its `count` index sets up front from its own stream;
-    # the draws do not depend on the parameters.
-    index = np.zeros((local.count, num, batch), dtype=np.intp)
-    for i, (rng, n, m) in enumerate(zip(rngs, sizes.tolist(), take.tolist())):
-        for s in range(local.count):
-            index[s, i, :m] = rng.choice(n, size=m, replace=False)
+    order, index = _draw_minibatches(sizes, local, round_index, client_ids, seed)
+    valid = index >= 0
+    counts = valid.sum(axis=2)
+    active = np.count_nonzero(counts, axis=1).tolist()
     # Padding rows repeat the client's first example with zero weight.
-    index += (np.cumsum(sizes) - sizes)[:, None]
-    valid = np.arange(batch) < take[:, None]
+    np.maximum(index, 0, out=index)
+    index += (np.cumsum(sizes) - sizes)[order, None]
     inputs = np.concatenate([data.inputs for data in datasets])
     labels = np.concatenate([data.labels for data in datasets])
-    count = take[:, None, None]
-    rows = np.broadcast_to(start, (num, start.size))
-    for idx in index:
-        rows = step(rows, inputs[idx], labels[idx], count, valid)
-    return rows
+    clip = ClipSpec(local.clip_bound)
+    rows = np.broadcast_to(start, (len(datasets), start.size))
+    for s, k in enumerate(active):
+        head, idx = rows[:k], index[s, :k]
+        g = models.cohort_grad(model_spec, head, inputs[idx], labels[idx],
+                               counts[s, :k, None, None], valid[s, :k])
+        if fedprox_mu > 0.0:
+            g = fedprox_mu * (head - start) + g
+        head = -local.lr * clip_rows(g, global_params.layout, clip)[0] + head
+        del g  # free the (L, P) gradient before the next step allocates one
+        rows = head if k == len(rows) else np.concatenate([head, rows[k:]])
+    return (rows - start)[np.argsort(order)]
 
 
-def _train_epochs(step, start, data: Batch, rng, local: LocalConfig) -> np.ndarray:
-    """Epochs mode: one client's shuffled passes, as a cohort of one."""
-    n = data.size
-    row = start[None, :]
-    for _ in range(local.count):
-        order = rng.permutation(n)
-        for lo in range(0, n, local.batch_size):
-            idx = order[lo : lo + local.batch_size]
-            row = step(row, data.inputs[idx][None], data.labels[idx][None], idx.size)
-    return row[0]
+def _draw_minibatches(sizes, local: LocalConfig, round_index, client_ids, seed):
+    """Every client's minibatch index sets, drawn up front from its own stream.
+
+    Returns the clients sorted by descending step count (stable) and their
+    (S, L, B) index sets in that order, -1 marking padding. Each of the
+    `count` passes is one draw: a minibatch in steps mode, a shuffled epoch
+    cut into minibatches (the last one short) in epochs mode.
+    """
+    batch = local.batch_size
+    epochs = local.mode == LocalMode.EPOCHS
+    drawn = sizes if epochs else np.minimum(sizes, batch)
+    width = -(-drawn // batch) * batch  # index slots of one pass
+    order = np.argsort(-width, kind="stable")
+    # A client's row holds its passes end to end.
+    index = np.full((sizes.size, local.count * width.max()), -1, dtype=np.intp)
+    clients = zip(order.tolist(), sizes[order].tolist(), drawn[order].tolist(),
+                  width[order].tolist())
+    for slot, (i, n, m, w) in enumerate(clients):
+        rng = _rng(seed, _STREAM_LOCAL, round_index, client_ids[i])
+        for p in range(local.count):
+            index[slot, p * w : p * w + m] = (
+                rng.permutation(n) if epochs else rng.choice(n, size=m, replace=False))
+    # Step-major, so each step's minibatches are contiguous.
+    index = index.reshape(sizes.size, -1, batch).swapaxes(0, 1)
+    return order, np.ascontiguousarray(index)
 
 
 def _build_privacy_report(privacy: PrivacyParams, mask: NoiseMask,

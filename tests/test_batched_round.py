@@ -28,6 +28,9 @@ from fldp.param_tree import axpy, layer_norms, scale, sub, tree_mean
 
 RTOL = 1e-12
 
+# A divide-by-zero or NaN on a padding row or a finished client fails the test.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def reference_local_train(global_params, client_data, model_spec, local,
                           fedprox_mu, round_index, client_id, seed):

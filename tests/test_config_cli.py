@@ -7,7 +7,7 @@ import pytest
 import yaml
 from simtools import linear_model, make_config, small_population
 
-from fldp import models
+from fldp import engine, models
 from fldp.cli import main
 from fldp.data import generate_population
 from fldp.config import (
@@ -320,6 +320,39 @@ def test_cli_numerics_error_exit_code(tmp_path, capsys):
     with np.errstate(all="ignore"):
         code = main(["simulate", "--config", str(config_path), "--out",
                      str(tmp_path / "x")])
+    assert code == 3
+    assert "numerical error" in capsys.readouterr().err
+
+
+def test_nan_noise_level_rejected_before_any_round(tmp_path, capsys, monkeypatch):
+    # `sigma_client > 0` is False for NaN, so an accepted `sigma: .nan`
+    # would train every round without noise.
+    demo = Path(__file__).resolve().parent.parent / "configs" / "demo.yaml"
+    cfg = yaml.safe_load(demo.read_text())
+    cfg["federation"]["privacy"]["sigma"] = math.nan
+    train_cohort = engine.train_cohort
+    rounds = []
+
+    def recording_train_cohort(*args):
+        rounds.append(args[5])
+        return train_cohort(*args)
+
+    monkeypatch.setattr(engine, "train_cohort", recording_train_cohort)
+    out_dir = tmp_path / "run"
+    code = main(["simulate", "--config", str(write_config(tmp_path, cfg)),
+                 "--out", str(out_dir)])
+    assert code == 2
+    assert "federation.privacy.sigma: expected a number, got nan" in (
+        capsys.readouterr().err
+    )
+    assert rounds == []
+    assert not (out_dir / "metrics.jsonl").exists()
+
+
+def test_cli_accountant_series_limit_is_numerics_error(capsys):
+    # An integer order of 100000 needs more series terms than the limit.
+    code = main(["accountant", "-z", "1", "-q", "0.1", "-T", "10",
+                 "--orders", "2,100000"])
     assert code == 3
     assert "numerical error" in capsys.readouterr().err
 

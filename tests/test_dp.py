@@ -124,6 +124,16 @@ def test_privacy_params_accepts_rounded_rate_but_rejects_disagreement():
         )
 
 
+@pytest.mark.parametrize("field", ["sigma", "clip_bound"])
+def test_privacy_params_reject_nan(field):
+    # NaN fails every comparison, so a `< 0` check would let it through.
+    kwargs = dict(clip_bound=0.01, sigma=1e-8, population=1000,
+                  cohort_size=100, num_steps=10, delta=1e-9)
+    kwargs[field] = float("nan")
+    with pytest.raises(ConfigError, match=f"privacy {field} must be >= 0, got nan"):
+        PrivacyParams(**kwargs)
+
+
 def test_sigma_parametrization_properties():
     p = PrivacyParams(
         clip_bound=0.01, sigma=2.0, sigma_kind=SigmaKind.CLIENT,

@@ -6,7 +6,14 @@ from simtools import INF, linear_model, make_config, small_population
 
 from fldp import models
 from fldp.clipping import ClipVariant, clip_tree
-from fldp.data import Batch, ClientDataset, ClientPartition
+from fldp.data import (
+    Batch,
+    ClientDataset,
+    ClientPartition,
+    CountSpec,
+    PopulationSpec,
+    generate_population,
+)
 from fldp.dp import NoiseMask, add_noise
 from fldp.engine import (
     CohortConfig,
@@ -20,6 +27,9 @@ from fldp.engine import (
 from fldp.errors import ConfigError, NumericsError
 from fldp.optimizers import OptimizerKind
 from fldp.param_tree import axpy, global_norm, scale, sub, tree_mean, zeros_like
+
+# A divide-by-zero or NaN on a padding row or a finished client fails the test.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 # -- cohort sampling -----------------------------------------------------------
@@ -139,6 +149,33 @@ def test_fedprox_zero_is_bitwise_baseline_and_norms_shrink_with_mu():
     assert run(0.0) == baseline  # deterministic
     norms = [global_norm(run(mu)) for mu in (0.0, 0.1, 10.0)]
     assert norms[0] > norms[1] > norms[2]
+
+
+def test_epochs_round_makes_one_gradient_call_per_step_index(monkeypatch):
+    # Clients with unequal step counts still step together: a round makes
+    # max_i(count * ceil(n_i / B)) batched gradient calls, not their sum.
+    population = generate_population(PopulationSpec(
+        num_clients=12, num_classes=3, input_dim=4,
+        examples_per_client=CountSpec(kind="lognormal", log_mean=2.0,
+                                      log_sigma=0.8),
+        probe_size=30, seed=7,
+    ))
+    grad = models.cohort_grad
+    calls = 0
+
+    def counting_grad(*args):
+        nonlocal calls
+        calls += 1
+        return grad(*args)
+
+    monkeypatch.setattr(models, "cohort_grad", counting_grad)
+    cfg = make_config(population, num_rounds=3, cohort_size=6,
+                      local_mode=LocalMode.EPOCHS, local_count=2, batch_size=4)
+    result = run_simulation(cfg, population, linear_model())
+    steps = [[2 * math.ceil(population.clients[c].num_examples / 4)
+              for c in m.cohort_ids] for m in result.metrics]
+    assert all(len(set(s)) > 1 for s in steps)
+    assert calls == sum(max(s) for s in steps)
 
 
 # -- run_simulation ---------------------------------------------------------------
