@@ -70,10 +70,17 @@ class _Section:
         if kind is float:
             if isinstance(raw, str) and raw in ("inf", ".inf"):
                 return float("inf")
-            if (isinstance(raw, bool) or not isinstance(raw, (int, float))
-                    or math.isnan(raw)):
+            if isinstance(raw, bool) or not isinstance(raw, (int, float)):
                 raise ConfigError(f"{self.path}.{key}: expected a number, got {raw!r}")
-            return float(raw)
+            try:
+                number = float(raw)
+            except OverflowError:
+                raise ConfigError(
+                    f"{self.path}.{key}: integer beyond the float range"
+                ) from None
+            if math.isnan(number):
+                raise ConfigError(f"{self.path}.{key}: expected a number, got nan")
+            return number
         if kind is int:
             if isinstance(raw, bool) or not isinstance(raw, int):
                 raise ConfigError(f"{self.path}.{key}: expected an integer")
@@ -98,6 +105,14 @@ class _Section:
             raise ConfigError(
                 f"{self.path}: unknown keys {sorted(unknown)}"
             )
+
+
+def _seed(section: _Section) -> int:
+    """The section's ``seed``: stream entropy, so a non-negative integer."""
+    seed = section.value("seed", 0, kind=int)
+    if seed < 0:
+        raise ConfigError(f"{section.path}.seed: must be >= 0, got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -177,7 +192,7 @@ def _parse_population(section: _Section, model: ModelSpec) -> PopulationSpec:
         class_priors=tuple(priors) if priors is not None else None,
         seq_len=seq_len,
         probe_size=section.value("probe_size", 256, kind=int),
-        seed=section.value("seed", 0, kind=int),
+        seed=_seed(section),
     )
     section.finish()
     return spec
@@ -347,7 +362,7 @@ def _parse_federation(
         central=central,
         fedprox_mu=section.value("fedprox_mu", 0.0, kind=float),
         noise_mask=mask,
-        seed=section.value("seed", 0, kind=int),
+        seed=_seed(section),
         seed_model=seed_model,
     )
     section.finish()

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, StructureError
 from .models import Batch
+from .streams import generator
 
 _STREAM_MEANS = 11
 _STREAM_COUNTS = 12
@@ -93,6 +94,8 @@ class PopulationSpec:
             raise ConfigError("label_skew_alpha must be positive")
         if self.probe_size < 1:
             raise ConfigError("probe_size must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"population seed must be >= 0, got {self.seed}")
         if not isinstance(self.noise_level, (int, float)):
             levels = tuple(float(v) for v in self.noise_level)
             if len(levels) != self.input_dim:
@@ -155,12 +158,6 @@ class ClientPartition:
         return sum(c.num_examples for c in self.clients)
 
 
-def _rng(spec_seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence((spec_seed, stream)))
-    )
-
-
 def _draw_inputs(rng, means, labels, spec: PopulationSpec) -> np.ndarray:
     if spec.seq_len is None:
         shape = (labels.size, spec.input_dim)
@@ -176,21 +173,21 @@ def _draw_inputs(rng, means, labels, spec: PopulationSpec) -> np.ndarray:
 def generate_population(spec: PopulationSpec) -> ClientPartition:
     """Deterministic synthetic population; probe split is disjoint."""
     means = (
-        _rng(spec.seed, _STREAM_MEANS).normal(
+        generator(spec.seed, _STREAM_MEANS).normal(
             size=(spec.num_classes, spec.input_dim)
         )
         * spec.mean_separation
     )
     counts = spec.examples_per_client.sample(
-        _rng(spec.seed, _STREAM_COUNTS), spec.num_clients
+        generator(spec.seed, _STREAM_COUNTS), spec.num_clients
     )
     priors = np.asarray(
         spec.class_priors
         if spec.class_priors is not None
         else [1.0 / spec.num_classes] * spec.num_classes
     )
-    label_rng = _rng(spec.seed, _STREAM_LABELS)
-    input_rng = _rng(spec.seed, _STREAM_INPUTS)
+    label_rng = generator(spec.seed, _STREAM_LABELS)
+    input_rng = generator(spec.seed, _STREAM_INPUTS)
 
     clients = []
     concentration = spec.label_skew_alpha * spec.num_classes * priors
@@ -200,7 +197,7 @@ def generate_population(spec: PopulationSpec) -> ClientPartition:
         inputs = _draw_inputs(input_rng, means, labels, spec)
         clients.append(ClientDataset(cid, Batch(inputs, labels)))
 
-    probe_rng = _rng(spec.seed, _STREAM_PROBE)
+    probe_rng = generator(spec.seed, _STREAM_PROBE)
     probe_labels = probe_rng.choice(spec.num_classes, size=spec.probe_size, p=priors)
     probe_inputs = _draw_inputs(probe_rng, means, probe_labels, spec)
     return ClientPartition(
@@ -220,7 +217,7 @@ def iid_shuffle(partition: ClientPartition, seed: int) -> ClientPartition:
     all_inputs = np.concatenate([b.inputs for b in stacks])
     all_labels = np.concatenate([b.labels for b in stacks])
     n_clients = partition.num_clients
-    rng = _rng(seed, _STREAM_SHUFFLE)
+    rng = generator(seed, _STREAM_SHUFFLE)
     assignment = rng.integers(0, n_clients, size=all_labels.size)
 
     clients = []

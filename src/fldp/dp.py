@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, StructureError
 from .param_tree import Layout, ParamTree
+from .streams import keyed
 
 
 class SigmaKind(str, Enum):
@@ -171,14 +172,17 @@ def add_noise_rows(
     layout: Layout,
     sigma_client: float,
     mask: NoiseMask,
-    seeds,
+    keys: np.ndarray,
 ) -> np.ndarray:
-    """Noise row i of an (L, P) stack from its own Philox stream seeds[i].
+    """Noise row i of an (L, P) stack from the Philox stream keyed by keys[i].
 
-    Each row draws N(0, sigma_client^2) for its included layers in layer
-    order: one draw of P values under the full mask, one draw per included
-    layer otherwise. Excluded layers are passed through unchanged. Returns
-    a new stack.
+    `keys` is an (L, 2) uint64 array of Philox keys, as
+    ``streams.cohort_keys`` derives them. One generator is re-keyed to
+    each row's stream, which draws what a fresh generator with that key
+    would. Each row draws N(0, sigma_client^2) for its included layers in
+    layer order: one draw of P values under the full mask, one draw per
+    included layer otherwise. Excluded layers are passed through unchanged.
+    Returns a new stack.
     """
     if mask.included is None:
         spans = [slice(0, layout.total)]
@@ -186,8 +190,7 @@ def add_noise_rows(
         spans = [span for name, span in zip(layout.names, layout.slices)
                  if mask.applies_to(name)]
     out = np.array(rows, dtype=np.float64, copy=True)
-    for row, seed in zip(out, seeds):
-        rng = np.random.Generator(np.random.Philox(seed))
+    for row, rng in zip(out, keyed(keys)):
         for span in spans:
             row[span] += rng.normal(0.0, sigma_client, size=span.stop - span.start)
     return out
@@ -202,14 +205,16 @@ def add_noise(
     """Add iid N(0, sigma_client^2) to every coordinate of included layers.
 
     Excluded layers are passed through unchanged. Deterministic in the seed
-    (Philox counter-based generator, ziggurat Gaussian). The tree is noised
-    as a one-row stack by ``add_noise_rows``.
+    (Philox counter-based generator, ziggurat Gaussian): the draws are those
+    of ``Generator(Philox(seed))``. The tree is noised as a one-row stack by
+    ``add_noise_rows``.
     """
     if sigma_client < 0:
         raise ConfigError("sigma_client must be >= 0")
     mask.validate_against(delta.names)
     if sigma_client == 0.0:
         return delta
+    key = np.random.Philox(seed).state["state"]["key"]
     noised = add_noise_rows(delta.flat[None, :], delta.layout, sigma_client,
-                            mask, [seed])
+                            mask, key[None, :])
     return delta.with_flat(noised[0])

@@ -5,8 +5,11 @@ round-start parameters, clip each client's delta (global or per-layer),
 add per-client Gaussian noise, average the processed deltas in ascending
 client-id order, and hand the negated average to the central optimizer as
 its gradient estimate. All randomness is drawn from per-purpose Philox
-streams keyed by (run seed, stream tag, round, client), so a run is bitwise
-reproducible from its seed.
+streams seeded by (run seed, stream tag, round, client), so a run is
+bitwise reproducible from its seed. A round derives the Philox keys of its
+whole cohort at once (``streams.cohort_keys``) for the minibatch draws and
+again for the noise, and re-keys one generator to each client's stream
+instead of building one per client.
 
 A round works on the whole cohort at once. Local training turns the
 round-start parameters into an (L, P) delta matrix, one row per client in
@@ -37,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import accountant, models
+from . import accountant, models, streams
 from .clipping import ClipSpec, clip_rows
 from .data import ClientPartition
 from .dp import FULL_MASK, NoiseMask, PrivacyParams, add_noise_rows, noise_multiplier
@@ -63,7 +66,7 @@ from .param_tree import (
 
 logger = logging.getLogger(__name__)
 
-# Stream tags for derived Philox seeds.
+# Stream tags: the second entry of every engine stream's entropy tuple.
 _STREAM_COHORT = 1
 _STREAM_LOCAL = 2
 _STREAM_NOISE = 3
@@ -141,6 +144,8 @@ class FederationConfig:
     def __post_init__(self):
         if self.num_rounds < 0:
             raise ConfigError("num_rounds must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"federation seed must be >= 0, got {self.seed}")
         if self.fedprox_mu < 0:
             raise ConfigError("fedprox_mu must be >= 0")
 
@@ -175,19 +180,11 @@ class SimulationResult:
     archives: Optional[list[RoundArchive]] = None
 
 
-def _derived_seed(seed: int, stream: int, *path: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence((seed, stream, *path))
-
-
-def _rng(seed: int, stream: int, *path: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(_derived_seed(seed, stream, *path)))
-
-
 def sample_cohort(
     population_size: int, cohort: CohortConfig, round_index: int, seed: int
 ) -> list[int]:
     """Client ids for one round, ascending; deterministic in (seed, round)."""
-    rng = _rng(seed, _STREAM_COHORT, round_index)
+    rng = streams.generator(seed, _STREAM_COHORT, round_index)
     if cohort.mode == CohortMode.FIXED_SIZE:
         if cohort.size > population_size:
             raise ConfigError(
@@ -236,7 +233,8 @@ def train_cohort(
     """
     start = global_params.flat
     sizes = np.array([data.size for data in datasets])
-    order, index = _draw_minibatches(sizes, local, round_index, client_ids, seed)
+    keys = streams.cohort_keys(seed, _STREAM_LOCAL, round_index, client_ids)
+    order, index = _draw_minibatches(sizes, local, keys)
     valid = index >= 0
     counts = valid.sum(axis=2)
     active = np.count_nonzero(counts, axis=1).tolist()
@@ -259,10 +257,11 @@ def train_cohort(
     return (rows - start)[np.argsort(order)]
 
 
-def _draw_minibatches(sizes, local: LocalConfig, round_index, client_ids, seed):
+def _draw_minibatches(sizes, local: LocalConfig, keys: np.ndarray):
     """Every client's minibatch index sets, drawn up front from its own stream.
 
-    Returns the clients sorted by descending step count (stable) and their
+    Row i of `keys` is the Philox key of client i's stream. Returns the
+    clients sorted by descending step count (stable) and their
     (S, L, B) index sets in that order, -1 marking padding. Each of the
     `count` passes is one draw: a minibatch in steps mode, a shuffled epoch
     cut into minibatches (the last one short) in epochs mode.
@@ -274,10 +273,9 @@ def _draw_minibatches(sizes, local: LocalConfig, round_index, client_ids, seed):
     order = np.argsort(-width, kind="stable")
     # A client's row holds its passes end to end.
     index = np.full((sizes.size, local.count * width.max()), -1, dtype=np.intp)
-    clients = zip(order.tolist(), sizes[order].tolist(), drawn[order].tolist(),
-                  width[order].tolist())
-    for slot, (i, n, m, w) in enumerate(clients):
-        rng = _rng(seed, _STREAM_LOCAL, round_index, client_ids[i])
+    clients = zip(streams.keyed(keys[order]), sizes[order].tolist(),
+                  drawn[order].tolist(), width[order].tolist())
+    for slot, (rng, n, m, w) in enumerate(clients):
         for p in range(local.count):
             index[slot, p * w : p * w + m] = (
                 rng.permutation(n) if epochs else rng.choice(n, size=m, replace=False))
@@ -444,7 +442,7 @@ def run_simulation(
         if sigma_client > 0.0:
             noised = add_noise_rows(
                 clipped, layout, sigma_client, cfg.noise_mask,
-                (_derived_seed(cfg.seed, _STREAM_NOISE, t, cid) for cid in cohort),
+                streams.cohort_keys(cfg.seed, _STREAM_NOISE, t, cohort),
             )
         mean_clipped = params.with_flat(mean_rows(clipped))
         pseudo_grad = params.with_flat(mean_rows(noised))

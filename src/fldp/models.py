@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import StructureError
 from .param_tree import Layout, ParamTree
+from .streams import generator
 
 
 class ModelKind(str, Enum):
@@ -124,7 +125,7 @@ class Batch:
 
 def init_params(spec: ModelSpec, seed: int) -> ParamTree:
     """Deterministic init: weights ~ N(0, 1/fan_in), LN gains 1, biases 0."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xA11D))))
+    rng = generator(seed, 0xA11D)
     f, k, d = spec.input_dim, spec.num_classes, spec.hidden_dim
     fan_in = {
         "w": f, "w1": d if spec.kind == ModelKind.TINY_ATTENTION else f,

@@ -349,6 +349,43 @@ def test_nan_noise_level_rejected_before_any_round(tmp_path, capsys, monkeypatch
     assert not (out_dir / "metrics.jsonl").exists()
 
 
+def demo_config():
+    demo = Path(__file__).resolve().parent.parent / "configs" / "demo.yaml"
+    return yaml.safe_load(demo.read_text())
+
+
+@pytest.mark.parametrize("section", ["federation", "population"])
+def test_cli_negative_seed_is_config_error(section, tmp_path, capsys):
+    # A seed is stream entropy; numpy's SeedSequence rejects negative ones.
+    cfg = demo_config()
+    cfg[section]["seed"] = -1
+    code = main(["simulate", "--config", str(write_config(tmp_path, cfg)),
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert f"config.{section}.seed: must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_negative_seed_rejected_by_library_configs():
+    with pytest.raises(ConfigError, match="population seed"):
+        small_population(seed=-7)
+    _, pop = small_population()
+    with pytest.raises(ConfigError, match="federation seed"):
+        make_config(pop, seed=-1)
+
+
+def test_float_key_beyond_float_range_is_config_error(tmp_path, capsys):
+    cfg = demo_config()
+    cfg["federation"]["local"]["lr"] = 10**400
+    with pytest.raises(ConfigError, match=r"config\.federation\.local\.lr: "):
+        parse_config_mapping(cfg)
+    code = main(["simulate", "--config", str(write_config(tmp_path, cfg)),
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "config.federation.local.lr: integer beyond the float range" in (
+        capsys.readouterr().err
+    )
+
+
 def test_cli_accountant_series_limit_is_numerics_error(capsys):
     # An integer order of 100000 needs more series terms than the limit.
     code = main(["accountant", "-z", "1", "-q", "0.1", "-T", "10",

@@ -15,6 +15,8 @@ from fldp.dp import (
 from fldp.errors import ConfigError, StructureError
 from fldp.param_tree import ParamTree, global_norm, sub
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 KINDS = list(SigmaKind)
 
 
