@@ -51,6 +51,8 @@ class CountSpec:
         object.__setattr__(self, "kind", CountKind(self.kind))
         if self.kind == CountKind.UNIFORM and self.count < 1:
             raise ConfigError("uniform count must be >= 1")
+        if not self.log_sigma >= 0:
+            raise ConfigError(f"lognormal log_sigma must be >= 0, got {self.log_sigma}")
         if self.exponent <= 0 or self.scale <= 0 or self.cap < 1:
             raise ConfigError("power-law parameters must be positive")
 

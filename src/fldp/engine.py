@@ -9,7 +9,9 @@ streams seeded by (run seed, stream tag, round, client), so a run is
 bitwise reproducible from its seed. A round derives the Philox keys of its
 whole cohort at once (``streams.cohort_keys``) for the minibatch draws and
 again for the noise, and re-keys one generator to each client's stream
-instead of building one per client.
+instead of building one per client. A steps-mode cohort's minibatch
+indices come from its streams' raw words as array operations
+(``streams.choice_rows``), bit for bit ``Generator.choice``.
 
 A round works on the whole cohort at once. Local training turns the
 round-start parameters into an (L, P) delta matrix, one row per client in
@@ -264,7 +266,12 @@ def _draw_minibatches(sizes, local: LocalConfig, keys: np.ndarray):
     clients sorted by descending step count (stable) and their
     (S, L, B) index sets in that order, -1 marking padding. Each of the
     `count` passes is one draw: a minibatch in steps mode, a shuffled epoch
-    cut into minibatches (the last one short) in epochs mode.
+    cut into minibatches (the last one short) in epochs mode. Steps mode
+    draws the whole cohort from raw stream words at once
+    (`streams.choice_rows`, equal to `count` calls of
+    `rng.choice(n, m, replace=False)` per client); epochs mode calls
+    `rng.permutation`, whose masked rejection reads a variable number of
+    words.
     """
     batch = local.batch_size
     epochs = local.mode == LocalMode.EPOCHS
@@ -273,12 +280,15 @@ def _draw_minibatches(sizes, local: LocalConfig, keys: np.ndarray):
     order = np.argsort(-width, kind="stable")
     # A client's row holds its passes end to end.
     index = np.full((sizes.size, local.count * width.max()), -1, dtype=np.intp)
-    clients = zip(streams.keyed(keys[order]), sizes[order].tolist(),
-                  drawn[order].tolist(), width[order].tolist())
-    for slot, (rng, n, m, w) in enumerate(clients):
-        for p in range(local.count):
-            index[slot, p * w : p * w + m] = (
-                rng.permutation(n) if epochs else rng.choice(n, size=m, replace=False))
+    if epochs:
+        clients = zip(streams.keyed(keys[order]), sizes[order].tolist(),
+                      width[order].tolist())
+        for slot, (rng, n, w) in enumerate(clients):
+            for p in range(local.count):
+                index[slot, p * w : p * w + n] = rng.permutation(n)
+    else:  # every pass is one minibatch of `batch` slots
+        picked = streams.choice_rows(keys[order], sizes[order], drawn[order], local.count)
+        index.reshape(sizes.size, local.count, batch)[:, :, : picked.shape[2]] = picked
     # Step-major, so each step's minibatches are contiguous.
     index = index.reshape(sizes.size, -1, batch).swapaxes(0, 1)
     return order, np.ascontiguousarray(index)

@@ -12,6 +12,16 @@ array operations on uint32 words held in uint64, bit for bit numpy's
 ``SeedSequence`` hash, and ``keyed`` re-keys one reused generator to the
 start of each stream in turn, which draws exactly what a fresh generator
 would.
+
+``choice_rows`` draws ``count`` successive ``choice(n, m, replace=False)``
+index sets for every stream of a cohort. numpy runs Floyd's sampling
+(Bentley & Floyd, "A Sample of Brilliance", CACM 1987) and then a
+Fisher-Yates shuffle, and takes each bounded integer by Lemire's
+multiply-and-reject method (Lemire, "Fast Random Integer Generation in an
+Interval", ACM TOMACS 2019) from one 32-bit word of the stream. So each
+stream makes one ``random_raw`` call, and ``choice_words`` turns the words
+into index sets as array operations over the whole cohort. Streams where
+numpy would read differently call ``Generator.choice`` themselves.
 """
 
 from __future__ import annotations
@@ -131,3 +141,95 @@ def keyed(keys: np.ndarray):
     rng = np.random.Generator(np.random.Philox(0))
     for key in np.asarray(keys, dtype=np.uint64).tolist():
         yield rekey(rng, key)
+
+
+# numpy's choice(n, m, replace=False) shuffles the tail of arange(n) when
+# n > 10000 and m > n // 50, and runs Floyd's algorithm otherwise.
+_TAIL_MIN, _TAIL_DIV = 10000, 50
+
+
+def choice_words(words, n, m, count: int):
+    """Floyd's draws of ``choice(n, m, replace=False)`` from given stream words.
+
+    Row i of ``words`` holds stream i's uint32 words in the order numpy's
+    bounded draws read them. A pass draws ``v = bounded(j)`` for
+    j = n-m ... n-1, keeping j where v was already chosen, then swaps item
+    i with item ``bounded(i)`` for i = m-1 ... 1. ``bounded(r)`` is Lemire's
+    multiply-and-reject method on one word, and ``bounded(0)`` reads none.
+    The ``count`` passes read the stream in turn. Returns the
+    (L, count, max m) index sets, -1 past each row's m, and an (L,) mask of
+    the rows where numpy would reject a word and read another; their index
+    sets are not numpy's.
+    """
+    n = np.asarray(n, dtype=np.int64)
+    m = np.asarray(m, dtype=np.int64)
+    top = int(m.max())
+    words = np.asarray(words, dtype=np.uint64).reshape(n.size, -1)
+    if words.shape[1] == 0:  # no row reads a word; keep the gather in range
+        words = np.zeros((n.size, 1), dtype=np.uint64)
+    # Work slot-major: a pass has `top` Floyd slots t, then `top - 1`
+    # shuffle slots i, and each slot is one column per stream.
+    t = np.arange(top)[:, None]
+    i = np.arange(top - 1, 0, -1)[:, None]
+    full = n == m  # Floyd's first bound is 0
+    width = 2 * m - 1 - full  # words read by one pass
+    bound = np.concatenate([n - m + t, np.broadcast_to(i, (top - 1, n.size))])
+    active = np.concatenate([t < m, i < m])
+    reads = active & (bound > 0)
+    word = np.where(reads, np.concatenate([t - full, width - i]), 0)
+    word = word[:, None, :] + np.arange(count)[:, None] * width
+    # Slots that read no word get bound 0, which draws 0 and never rejects.
+    excl = np.where(reads, bound + 1, 1).astype(np.uint64)[:, None, :]
+    drawn = words[np.arange(n.size), word] * excl  # (slot, pass, stream)
+    low = drawn & np.uint64(_MASK)
+    drawn >>= np.uint64(32)
+    drawn = drawn.view(np.int64)
+    # numpy rejects where low < (2**32 - excl) % excl, which is below excl,
+    # so the modulo runs only where low < excl.
+    slot, rep, row = np.nonzero(low < excl)
+    b = excl[slot, 0, row]
+    rejected = np.zeros(n.size, dtype=bool)
+    rejected[row[low[slot, rep, row] < (np.uint64(1 << 32) - b) % b]] = True
+    picked = drawn[:top]
+    j = n - m + t
+    for s in range(1, top):
+        seen = (picked[:s] == picked[s]).any(axis=0)
+        picked[s] = np.where(seen, j[s], picked[s])
+    flat = picked.reshape(top, -1)
+    cols = np.arange(flat.shape[1])
+    # A stream past its m swaps item i with itself.
+    swap = np.where(active[top:, None, :], drawn[top:], i[:, None]).reshape(top - 1, cols.size)
+    for col, other in zip(i[:, 0].tolist(), swap):
+        held = flat[col].copy()
+        flat[col] = flat[other, cols]
+        flat[other, cols] = held
+    picked = np.where(active[:top, None, :], picked, -1)
+    return picked.transpose(2, 1, 0), rejected
+
+
+def choice_rows(keys: np.ndarray, n, m, count: int) -> np.ndarray:
+    """``count`` successive ``choice(n[i], m[i], replace=False)`` per stream.
+
+    Row i of the (L, 2) ``keys`` keys stream i. Returns (L, count, max m)
+    index sets, -1 past each row's m. Each row equals, bit for bit, the
+    draws of a fresh generator on its key: every stream makes one
+    ``random_raw`` call for the words ``choice_words`` reads, and only rows
+    in numpy's tail-shuffle branch or with a rejected word call
+    ``Generator.choice``.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    n = np.asarray(n, dtype=np.int64)
+    m = np.asarray(m, dtype=np.int64)
+    need = -(-count * (2 * m - 1 - (n == m)) // 2)  # raw uint64s per stream
+    raw = np.zeros((n.size, int(need.max())), dtype=np.uint64)
+    for row, (rng, size) in enumerate(zip(keyed(keys), need.tolist())):
+        raw[row, :size] = rng.bit_generator.random_raw(size)
+    # A raw uint64 yields its low half first.
+    words = np.stack([raw & np.uint64(_MASK), raw >> np.uint64(32)], axis=2)
+    index, redraw = choice_words(words, n, m, count)
+    redraw |= (n > _TAIL_MIN) & (m > n // _TAIL_DIV)
+    redraw = np.flatnonzero(redraw)
+    for row, rng in zip(redraw.tolist(), keyed(keys[redraw])):
+        for rep in range(count):
+            index[row, rep, : m[row]] = rng.choice(n[row], m[row], replace=False)
+    return index

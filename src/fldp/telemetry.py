@@ -71,7 +71,9 @@ def write_metrics(metrics: Iterable[RoundMetrics], path: str | Path) -> None:
 
 
 def read_metrics(path: str | Path) -> list[dict]:
+    """The records of a metrics file; every record has the first one's layers."""
     records = []
+    layers = None
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
@@ -87,6 +89,17 @@ def read_metrics(path: str | Path) -> list[dict]:
                 raise ConfigError(
                     f"{path}:{lineno}: metrics line missing keys {missing}"
                 )
+            per_layer = record["per_layer"]
+            if layers is None:
+                layers = list(per_layer)
+            for name in layers:
+                if name not in per_layer:
+                    raise ConfigError(f"{path}:{lineno}: per_layer lacks layer {name!r}")
+                missing = [k for k in ("mean", "std") if k not in per_layer[name]]
+                if missing:
+                    raise ConfigError(
+                        f"{path}:{lineno}: layer {name!r} lacks {missing}"
+                    )
             records.append(record)
     return records
 

@@ -386,6 +386,16 @@ def test_float_key_beyond_float_range_is_config_error(tmp_path, capsys):
     )
 
 
+def test_cli_negative_log_sigma_is_config_error(tmp_path, capsys):
+    # numpy's lognormal raises a bare ValueError for sigma < 0.
+    cfg = demo_config()
+    cfg["population"]["examples_per_client"]["log_sigma"] = -1.0
+    code = main(["simulate", "--config", str(write_config(tmp_path, cfg)),
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "lognormal log_sigma must be >= 0, got -1.0" in capsys.readouterr().err
+
+
 def test_cli_accountant_series_limit_is_numerics_error(capsys):
     # An integer order of 100000 needs more series terms than the limit.
     code = main(["accountant", "-z", "1", "-q", "0.1", "-T", "10",
@@ -468,3 +478,21 @@ def test_cli_summarize(tmp_path, capsys):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "layer,mean,std"
     assert len(lines) == 3  # header + w + b
+
+
+@pytest.mark.parametrize("layer, drop, message", [
+    ("b", None, "per_layer lacks layer 'b'"),
+    ("w", "std", "layer 'w' lacks ['std']"),
+])
+def test_cli_summarize_inconsistent_records_is_config_error(
+        layer, drop, message, tmp_path, capsys):
+    result, _ = run_small(num_rounds=3)
+    records = [round_to_json_obj(m) for m in result.metrics]
+    if drop is None:
+        del records[2]["per_layer"][layer]
+    else:
+        del records[2]["per_layer"][layer][drop]
+    path = tmp_path / "metrics.jsonl"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    assert main(["summarize", str(path)]) == 2
+    assert f"{path}:3: {message}" in capsys.readouterr().err
