@@ -29,7 +29,7 @@ Gaussian and eps(alpha) = alpha / (2 z^2).
 
 Each order's value depends only on its own terms, summed in the same order
 whatever else is on the grid, so an order's eps is bit for bit the same
-alone (rdp_single_step) as on any grid (rdp_sampled_gaussian).
+on a one-order grid as on any grid.
 
 The RDP -> DP conversion uses the tighter minimization
     eps = rdp(alpha) + log1p(-1/alpha) - log(delta * alpha) / (alpha - 1),
@@ -203,12 +203,6 @@ def _check_mechanism(
 def _check_delta(delta: float) -> None:
     if not 0 < delta < 1:
         raise ConfigError("delta must be in (0, 1)")
-
-
-def rdp_single_step(noise_multiplier: float, sampling_rate: float, alpha: float) -> float:
-    """Single-invocation RDP eps(alpha) of the sampled Gaussian mechanism."""
-    curve = rdp_sampled_gaussian(noise_multiplier, sampling_rate, (alpha,))
-    return curve.eps_per_step[0]
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ A zero-norm vector is already within any bound and is returned unchanged
 (the scaling formula would divide by zero). Layers already within their
 bound are passed through bitwise unchanged.
 
-One implementation clips an (L, P) stack of client deltas row by row
-(``clip_rows``); ``clip_tree`` and ``clip_global`` clip a single tree as a
-one-row stack, so a tree clips bit for bit like the same row of any stack.
+One implementation, ``clip_rows``, clips an (L, P) stack of flat vectors
+row by row: a cohort's client deltas, or the minibatch gradients of local
+SGD. A single vector is clipped as a one-row stack.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .errors import ConfigError
-from .param_tree import Layout, ParamTree, global_norm_rows, layer_norm_rows
+from .param_tree import Layout, global_norm_rows, layer_norm_rows
 
 
 class ClipVariant(str, Enum):
@@ -65,7 +65,7 @@ class ClipSpec:
             )
 
 
-def _bound_vector(spec: ClipSpec, layout: Layout) -> list[float]:
+def bound_vector(spec: ClipSpec, layout: Layout) -> list[float]:
     """Per-layer bounds C_i in layer order; sum C_i^2 = bound^2."""
     if spec.variant not in PER_LAYER_VARIANTS:
         raise ConfigError(f"{spec.variant.value} clipping has no per-layer bounds")
@@ -81,11 +81,6 @@ def _bound_vector(spec: ClipSpec, layout: Layout) -> list[float]:
     total = sum(spec.weights[n] * size for n, size in pairs)
     return [spec.bound * math.sqrt(spec.weights[n] * size / total)
             for n, size in pairs]
-
-
-def layer_bounds(spec: ClipSpec, tree: ParamTree) -> dict[str, float]:
-    """Per-layer bounds C_i for a per-layer variant; sum C_i^2 = bound^2."""
-    return dict(zip(tree.names, _bound_vector(spec, tree.layout)))
 
 
 # Rescaling by bound/norm can land a few ulp above the bound; treating norms
@@ -119,32 +114,8 @@ def clip_rows(
         factors = np.repeat(per_row[:, None], num_layers, axis=1)
     else:
         factors = _factors(layer_norm_rows(rows, layout),
-                           _bound_vector(spec, layout))
+                           bound_vector(spec, layout))
     if np.all(factors == 1.0):
         return rows, factors
     return rows * np.repeat(factors, layout.sizes, axis=1), factors
 
-
-def clip_tree(tree: ParamTree, spec: ClipSpec) -> ParamTree:
-    """Apply the configured clipping variant to one tree."""
-    rows = tree.flat[None, :]
-    clipped, factors = clip_rows(rows, tree.layout, spec)
-    if clipped is rows:
-        return tree
-    # Layers within their bound keep their identity, not only their bits.
-    return tree.replace(
-        arr if factor == 1.0 else clipped[0, span]
-        for arr, factor, span in zip(tree.arrays(), factors[0], tree.layout.slices)
-    )
-
-
-def clip_global(tree: ParamTree, bound: float) -> ParamTree:
-    """tree * min(1, bound/||tree||); identity when already within bound."""
-    return clip_tree(tree, ClipSpec(bound))
-
-
-def clip_per_layer(tree: ParamTree, spec: ClipSpec) -> ParamTree:
-    """Clip each layer independently to its budget share C_i."""
-    if spec.variant not in PER_LAYER_VARIANTS:
-        raise ConfigError(f"{spec.variant.value} clipping has no per-layer bounds")
-    return clip_tree(tree, spec)

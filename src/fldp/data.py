@@ -26,7 +26,6 @@ _STREAM_COUNTS = 12
 _STREAM_LABELS = 13
 _STREAM_INPUTS = 14
 _STREAM_PROBE = 15
-_STREAM_SHUFFLE = 16
 
 
 class CountKind(str, Enum):
@@ -205,33 +204,6 @@ def generate_population(spec: PopulationSpec) -> ClientPartition:
     return ClientPartition(
         tuple(clients), Batch(probe_inputs, probe_labels), spec.num_classes
     )
-
-
-def iid_shuffle(partition: ClientPartition, seed: int) -> ClientPartition:
-    """Reassign every example to a uniformly random client id.
-
-    The global example multiset (and the probe) is preserved exactly;
-    clients left with no examples stay in the partition as empty clients.
-    """
-    stacks = [c.data for c in partition.clients if c.data is not None]
-    if not stacks:
-        raise ConfigError("cannot shuffle an empty partition")
-    all_inputs = np.concatenate([b.inputs for b in stacks])
-    all_labels = np.concatenate([b.labels for b in stacks])
-    n_clients = partition.num_clients
-    rng = generator(seed, _STREAM_SHUFFLE)
-    assignment = rng.integers(0, n_clients, size=all_labels.size)
-
-    clients = []
-    for cid in range(n_clients):
-        idx = np.nonzero(assignment == cid)[0]
-        if idx.size == 0:
-            clients.append(ClientDataset(cid, None))
-        else:
-            clients.append(
-                ClientDataset(cid, Batch(all_inputs[idx], all_labels[idx]))
-            )
-    return ClientPartition(tuple(clients), partition.probe, partition.num_classes)
 
 
 @dataclass(frozen=True)

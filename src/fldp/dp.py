@@ -6,9 +6,11 @@ linked by the cohort size L:
     sigma_client = sigma_avg * sqrt(L)      (added to every client delta)
     sigma_sum    = sigma_avg * L            (added to the un-normalized sum)
 
-The simulator adds noise per client before averaging (sigma_client). The
-accountant consumes the noise multiplier z = sigma_avg / S with sensitivity
-S = C / (qN); with the expected cohort L = qN this is z = sigma_avg * L / C.
+The simulator adds noise per client before averaging (sigma_client): each
+row of the cohort's (L, P) stack of clipped deltas draws from its client's
+own Philox stream (``add_noise_rows``). The accountant consumes the noise
+multiplier z = sigma_avg / S with sensitivity S = C / (qN); with the
+expected cohort L = qN this is z = sigma_avg * L / C.
 
 A NoiseMask restricts noise to a subset of layers for ablation runs; any
 partial mask invalidates the DP guarantee and must be surfaced as
@@ -25,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, StructureError
-from .param_tree import Layout, ParamTree
+from .param_tree import Layout
 from .streams import keyed
 
 
@@ -195,26 +197,3 @@ def add_noise_rows(
             row[span] += rng.normal(0.0, sigma_client, size=span.stop - span.start)
     return out
 
-
-def add_noise(
-    delta: ParamTree,
-    sigma_client: float,
-    mask: NoiseMask = FULL_MASK,
-    seed: int | np.random.SeedSequence = 0,
-) -> ParamTree:
-    """Add iid N(0, sigma_client^2) to every coordinate of included layers.
-
-    Excluded layers are passed through unchanged. Deterministic in the seed
-    (Philox counter-based generator, ziggurat Gaussian): the draws are those
-    of ``Generator(Philox(seed))``. The tree is noised as a one-row stack by
-    ``add_noise_rows``.
-    """
-    if sigma_client < 0:
-        raise ConfigError("sigma_client must be >= 0")
-    mask.validate_against(delta.names)
-    if sigma_client == 0.0:
-        return delta
-    key = np.random.Philox(seed).state["state"]["key"]
-    noised = add_noise_rows(delta.flat[None, :], delta.layout, sigma_client,
-                            mask, key[None, :])
-    return delta.with_flat(noised[0])

@@ -16,9 +16,10 @@ indices come from its streams' raw words as array operations
 A round works on the whole cohort at once. Local training turns the
 round-start parameters into an (L, P) delta matrix, one row per client in
 ascending id order, and clipping, noising and the per-layer norm statistics
-are row-wise array operations on it. The cohort mean adds the rows in
-ascending client-id order, the reduction that ``tree_mean`` uses, so it
-does not depend on how the rows were computed.
+are row-wise array operations on it. The cohort mean adds the rows one at
+a time in ascending client-id order (``mean_rows``), so it does not depend
+on how the rows were computed. The central optimizer works on the flat
+parameter vector.
 
 Local training runs either a fixed number of steps (independently sampled
 minibatches) or a fixed number of epochs (shuffled passes whose last
@@ -56,15 +57,7 @@ from .optimizers import (
     init_state,
     lr_at,
 )
-from .param_tree import (
-    Layout,
-    ParamTree,
-    global_norm,
-    global_norm_rows,
-    layer_norm_rows,
-    mean_rows,
-    scale,
-)
+from .param_tree import Layout, ParamTree, global_norm_rows, layer_norm_rows, mean_rows
 
 logger = logging.getLogger(__name__)
 
@@ -167,11 +160,12 @@ class RoundMetrics:
 
 @dataclass
 class RoundArchive:
-    """Raw per-client deltas kept for telemetry cross-checks (test mode)."""
+    """A round's raw and clipped (L, P) deltas, one row per cohort id (test mode)."""
 
     round_index: int
-    deltas: list[tuple[int, ParamTree]]
-    clipped: list[tuple[int, ParamTree]]
+    cohort_ids: list[int]
+    deltas: np.ndarray
+    clipped: np.ndarray
 
 
 @dataclass
@@ -196,27 +190,6 @@ def sample_cohort(
     else:
         ids = np.nonzero(rng.random(population_size) < cohort.rate)[0]
     return sorted(int(i) for i in ids)
-
-
-def local_train(
-    global_params: ParamTree,
-    client_data: Batch,
-    model_spec: ModelSpec,
-    local: LocalConfig,
-    fedprox_mu: float,
-    round_index: int,
-    client_id: int,
-    seed: int,
-) -> ParamTree:
-    """Run local SGD on one client and return final-minus-initial parameters.
-
-    The client is trained as a cohort of one, so it agrees with its row of a
-    larger round only to rounding: batched kernels may sum in another order.
-    """
-    models.check_inputs(model_spec, client_data.inputs, client_data.labels)
-    deltas = train_cohort(global_params, [client_data], model_spec, local,
-                          fedprox_mu, round_index, [client_id], seed)
-    return global_params.with_flat(deltas[0])
 
 
 def train_cohort(
@@ -454,11 +427,13 @@ def run_simulation(
                 clipped, layout, sigma_client, cfg.noise_mask,
                 streams.cohort_keys(cfg.seed, _STREAM_NOISE, t, cohort),
             )
-        mean_clipped = params.with_flat(mean_rows(clipped))
-        pseudo_grad = params.with_flat(mean_rows(noised))
+        pseudo_grad = mean_rows(noised)
+        prenoise_norm, postnoise_norm = global_norm_rows(
+            np.stack([mean_rows(clipped), pseudo_grad]), layout).tolist()
 
         # The optimizer descends, so it receives the negated mean delta.
-        params, opt_state = opt_apply(opt_state, params, scale(-1.0, pseudo_grad), lr)
+        params, opt_state = opt_apply(opt_state, params,
+                                      params.with_flat(-pseudo_grad), lr)
 
         probe_loss, probe_accuracy = models.evaluate(
             model_spec, params, population.probe
@@ -476,16 +451,12 @@ def run_simulation(
                     np.mean(global_norm_rows(deltas, layout))
                 ),
                 per_layer=_layer_norm_stats(deltas, layout),
-                pseudograd_norm_prenoise=global_norm(mean_clipped),
-                pseudograd_norm_postnoise=global_norm(pseudo_grad),
+                pseudograd_norm_prenoise=prenoise_norm,
+                pseudograd_norm_postnoise=postnoise_norm,
             )
         )
         if archive_deltas:
-            archives.append(RoundArchive(
-                t,
-                [(cid, ParamTree(row, layout)) for cid, row in zip(cohort, deltas)],
-                [(cid, ParamTree(row, layout)) for cid, row in zip(cohort, clipped)],
-            ))
+            archives.append(RoundArchive(t, list(cohort), deltas, clipped))
 
     report = _build_privacy_report(cfg.privacy, cfg.noise_mask, params.names)
     return SimulationResult(params, metrics, report, archives)

@@ -115,13 +115,6 @@ class Batch:
     def size(self) -> int:
         return int(self.labels.shape[0])
 
-    def take(self, idx: np.ndarray) -> "Batch":
-        """The given rows; rows of a valid batch are valid, so no re-check."""
-        out = object.__new__(Batch)
-        object.__setattr__(out, "inputs", self.inputs[idx])
-        object.__setattr__(out, "labels", self.labels[idx])
-        return out
-
 
 def init_params(spec: ModelSpec, seed: int) -> ParamTree:
     """Deterministic init: weights ~ N(0, 1/fan_in), LN gains 1, biases 0."""

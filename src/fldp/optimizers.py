@@ -3,12 +3,14 @@
 The local optimizer in the simulation loop is plain SGD (applied inline by
 the engine); this module provides the central optimizer family (SGD, Adam,
 AdaGrad, LARS, LAMB) plus the constant / exponential-decay / step-decay
-schedules. ``apply`` is a pure function: it returns fresh parameter and
-state trees and never mutates its inputs.
+schedules. ``apply`` is a pure function on the flat parameter vector: each
+kind is a whole-vector expression, and it returns fresh parameter and state
+trees without mutating its inputs.
 
 LARS and LAMB rescale each layer's update by the trust ratio
-||theta_layer|| / ||update_layer||; a zero numerator or denominator pins the
-ratio to 1 so freshly zero-initialized layers do not divide by zero.
+||theta_layer|| / ||update_layer||, repeated over the layer's entries; a
+zero numerator or denominator pins the ratio to 1 so freshly
+zero-initialized layers do not divide by zero.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError
-from .param_tree import ParamTree, zeros_like
+from .param_tree import Layout, ParamTree
 
 
 class ScheduleKind(str, Enum):
@@ -87,17 +89,21 @@ class OptimizerState:
 def init_state(
     kind: OptimizerKind, template: ParamTree, hyper: OptimizerHyper = OptimizerHyper()
 ) -> OptimizerState:
-    zero = zeros_like(template)
+    zero = template.with_flat(np.zeros(template.layout.total))
     return OptimizerState(kind, hyper, 0, zero, zero)
 
 
-def _trust_ratio(param_norm: float, update_norm: float, clip: float) -> float:
-    if param_norm == 0.0 or update_norm == 0.0:
-        return 1.0
-    ratio = param_norm / update_norm
+def _trust_ratios(p: np.ndarray, direction: np.ndarray, layout: Layout,
+                  clip: float) -> np.ndarray:
+    """Per-layer trust ratios, each repeated over its layer's entries."""
+    param_norms = np.array([np.linalg.norm(p[s]) for s in layout.slices])
+    update_norms = np.array([np.linalg.norm(direction[s]) for s in layout.slices])
+    trusted = (param_norms != 0.0) & (update_norms != 0.0)
+    ratios = np.divide(param_norms, update_norms, out=np.ones_like(param_norms),
+                       where=trusted)
     if clip > 0.0:
-        ratio = min(ratio, clip)
-    return ratio
+        ratios = np.where(trusted, np.minimum(ratios, clip), 1.0)
+    return np.repeat(ratios, layout.sizes)
 
 
 def apply(
@@ -108,64 +114,48 @@ def apply(
     params.require_congruent(state.first_moment)
     h = state.hyper
     t = state.step_count + 1
-    new_params: list[np.ndarray] = []
-    new_m: list[np.ndarray] = []
-    new_v: list[np.ndarray] = []
+    p, g = params.flat, grad.flat
+    m, v = state.first_moment.flat, state.second_moment.flat
 
-    for (name, p), g, m, v in zip(
-        params.items(), grad.arrays(), state.first_moment.arrays(),
-        state.second_moment.arrays(),
-    ):
-        if state.kind == OptimizerKind.SGD:
-            if h.momentum > 0.0:
-                m = h.momentum * m + g
-                step = m
-            else:
-                step = g
-            new_params.append(p - lr * step)
-        elif state.kind == OptimizerKind.ADAGRAD:
-            v = v + g * g
-            new_params.append(p - lr * g / (np.sqrt(v) + h.epsilon))
-        elif state.kind == OptimizerKind.ADAM:
-            m = h.beta1 * m + (1.0 - h.beta1) * g
-            v = h.beta2 * v + (1.0 - h.beta2) * g * g
-            mhat = m / (1.0 - h.beta1**t)
-            vhat = v / (1.0 - h.beta2**t)
-            new_params.append(p - lr * mhat / (np.sqrt(vhat) + h.epsilon))
-        elif state.kind == OptimizerKind.LARS:
-            direction = g + h.weight_decay * p if h.weight_decay > 0.0 else g
-            ratio = _trust_ratio(
-                float(np.linalg.norm(p)), float(np.linalg.norm(direction)),
-                h.trust_clip,
-            )
-            if h.momentum > 0.0:
-                m = h.momentum * m + ratio * direction
-                step = m
-            else:
-                step = ratio * direction
-            new_params.append(p - lr * step)
-        elif state.kind == OptimizerKind.LAMB:
-            m = h.beta1 * m + (1.0 - h.beta1) * g
-            v = h.beta2 * v + (1.0 - h.beta2) * g * g
-            mhat = m / (1.0 - h.beta1**t)
-            vhat = v / (1.0 - h.beta2**t)
+    if state.kind == OptimizerKind.SGD:
+        if h.momentum > 0.0:
+            m = h.momentum * m + g
+            step = m
+        else:
+            step = g
+        new_p = p - lr * step
+    elif state.kind == OptimizerKind.ADAGRAD:
+        v = v + g * g
+        new_p = p - lr * g / (np.sqrt(v) + h.epsilon)
+    elif state.kind in (OptimizerKind.ADAM, OptimizerKind.LAMB):
+        m = h.beta1 * m + (1.0 - h.beta1) * g
+        v = h.beta2 * v + (1.0 - h.beta2) * g * g
+        mhat = m / (1.0 - h.beta1**t)
+        vhat = v / (1.0 - h.beta2**t)
+        if state.kind == OptimizerKind.ADAM:
+            new_p = p - lr * mhat / (np.sqrt(vhat) + h.epsilon)
+        else:
             direction = mhat / (np.sqrt(vhat) + h.epsilon)
             if h.weight_decay > 0.0:
                 direction = direction + h.weight_decay * p
-            ratio = _trust_ratio(
-                float(np.linalg.norm(p)), float(np.linalg.norm(direction)),
-                h.trust_clip,
-            )
-            new_params.append(p - lr * ratio * direction)
-        else:  # pragma: no cover - enum is exhaustive
-            raise ConfigError(f"unknown optimizer kind {state.kind!r}")
-        new_m.append(m)
-        new_v.append(v)
+            ratio = _trust_ratios(p, direction, params.layout, h.trust_clip)
+            new_p = p - lr * ratio * direction
+    elif state.kind == OptimizerKind.LARS:
+        direction = g + h.weight_decay * p if h.weight_decay > 0.0 else g
+        ratio = _trust_ratios(p, direction, params.layout, h.trust_clip)
+        if h.momentum > 0.0:
+            m = h.momentum * m + ratio * direction
+            step = m
+        else:
+            step = ratio * direction
+        new_p = p - lr * step
+    else:  # pragma: no cover - enum is exhaustive
+        raise ConfigError(f"unknown optimizer kind {state.kind!r}")
 
     next_state = replace(
         state,
         step_count=t,
-        first_moment=params.replace(new_m),
-        second_moment=params.replace(new_v),
+        first_moment=params.with_flat(m),
+        second_moment=params.with_flat(v),
     )
-    return params.replace(new_params), next_state
+    return params.with_flat(new_p), next_state

@@ -1,18 +1,20 @@
-"""Ordered, named, layered parameter container and its vector algebra.
+"""Ordered, named, layered parameter container and row-wise norms.
 
 A ParamTree is one contiguous read-only float64 vector plus a shared
 static Layout: the ordered layer names and the offset and size of each
-layer in the vector. Layers are slice views of the vector. Model
-parameters, gradients and client deltas all live in this shape, and a
-stack of L congruent trees is an (L, P) matrix whose rows share the
-layout. Trees are immutable values: every operation returns a new tree
-and the vector is marked read-only, so trees can be shared freely.
+layer in the vector. Layers are slice views of the vector. Inside the
+library all arithmetic acts on flat vectors, and a stack of L congruent
+vectors (a cohort's client deltas) is an (L, P) matrix whose rows share the
+layout. A tree only carries a vector with its layout: the parameters and
+optimizer moments between rounds, the initial and seed models, JSON output
+and the single-client model API. Trees are immutable values: the vector is
+marked read-only, so trees can be shared freely.
 
 Norms are computed row-wise over such a stack: the per-layer sums of
 squares are one ``np.add.reduceat`` over the squared rows, and a row's
-whole-tree sum is the sum of its layer sums in layer order. A single tree
-is a one-row stack, so its norms are bit for bit those of the same row in
-any larger stack.
+whole-vector sum is the sum of its layer sums in layer order. A single
+vector is a one-row stack, so its norms are bit for bit those of the same
+row in any larger stack.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ class ParamTree:
     from a vector of ``layout.total`` values. A read-only float64 vector is
     shared, not copied. Layers given as read-only float64 vectors are kept
     as the tree's layer objects (equal to their slice of the flat vector),
-    so a layer passed through unchanged, say by clipping, is the same
+    so a layer passed through unchanged from another tree is the same
     object in both trees.
     """
 
@@ -126,28 +128,14 @@ class ParamTree:
     def dims(self) -> tuple[int, ...]:
         return self._layout.sizes
 
-    @property
-    def total_size(self) -> int:
-        return self._layout.total
-
     def __len__(self) -> int:
         return len(self._layout.names)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._arrays[self._layout.index[name]]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._layout.index
-
     def items(self) -> Iterator[tuple[str, np.ndarray]]:
         return iter(zip(self._layout.names, self._arrays))
-
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        return self._arrays
-
-    def replace(self, arrays: Iterable[np.ndarray]) -> "ParamTree":
-        """New tree with this tree's names and the given per-layer vectors."""
-        return ParamTree(zip(self._layout.names, arrays))
 
     def with_flat(self, flat: np.ndarray) -> "ParamTree":
         """New tree with this tree's layout and the given flat vector."""
@@ -265,51 +253,3 @@ def mean_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
     for row in rows[1:]:
         acc += row
     return acc / float(len(rows))
-
-
-# -- algebra ---------------------------------------------------------------
-
-
-def global_norm(tree: ParamTree) -> float:
-    """L2 norm of the whole tree viewed as one flat vector."""
-    return float(global_norm_rows(tree.flat[None, :], tree.layout)[0])
-
-
-def layer_norms(tree: ParamTree) -> dict[str, float]:
-    """Per-layer L2 norms, in layer order."""
-    norms = layer_norm_rows(tree.flat[None, :], tree.layout)[0]
-    return {n: float(v) for n, v in zip(tree.names, norms)}
-
-
-def axpy(alpha: float, x: ParamTree, y: ParamTree) -> ParamTree:
-    """alpha * x + y for congruent trees."""
-    x.require_congruent(y)
-    return x.with_flat(alpha * x.flat + y.flat)
-
-
-def add(x: ParamTree, y: ParamTree) -> ParamTree:
-    x.require_congruent(y)
-    return x.with_flat(x.flat + y.flat)
-
-
-def sub(x: ParamTree, y: ParamTree) -> ParamTree:
-    """x - y for congruent trees."""
-    x.require_congruent(y)
-    return x.with_flat(x.flat - y.flat)
-
-
-def scale(alpha: float, x: ParamTree) -> ParamTree:
-    return x.with_flat(alpha * x.flat)
-
-
-def zeros_like(x: ParamTree) -> ParamTree:
-    return x.with_flat(np.zeros(x.total_size))
-
-
-def tree_mean(trees: list[ParamTree]) -> ParamTree:
-    """Arithmetic mean, reduced in list order."""
-    if not trees:
-        raise StructureError("cannot average an empty list of trees")
-    for t in trees[1:]:
-        trees[0].require_congruent(t)
-    return trees[0].with_flat(mean_rows([t.flat for t in trees]))

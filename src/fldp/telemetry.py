@@ -70,6 +70,18 @@ def write_metrics(metrics: Iterable[RoundMetrics], path: str | Path) -> None:
             emit_round(m, sink)
 
 
+# Value types of the schema keys that do not hold a plain number.
+_KINDS = {"t": int, "cohort_size": int, "cohort_ids": list, "per_layer": dict}
+_KIND_NAMES = {int: "an integer", float: "a number", list: "a list", dict: "an object"}
+
+
+def _require(value, kind, what: str) -> None:
+    """Raise ConfigError unless value is a `kind`; a float may be an int, not a bool."""
+    kinds = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"{what} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
 def read_metrics(path: str | Path) -> list[dict]:
     """The records of a metrics file; every record has the first one's layers."""
     records = []
@@ -84,22 +96,30 @@ def read_metrics(path: str | Path) -> list[dict]:
                 raise ConfigError(
                     f"{path}:{lineno}: malformed metrics line: {exc}"
                 ) from exc
+            where = f"{path}:{lineno}"
+            _require(record, dict, f"{where}: metrics line")
             missing = [k for k in SCHEMA_KEYS if k not in record]
             if missing:
                 raise ConfigError(
                     f"{path}:{lineno}: metrics line missing keys {missing}"
                 )
+            for key in SCHEMA_KEYS:
+                _require(record[key], _KINDS.get(key, float), f"{where}: {key!r}")
             per_layer = record["per_layer"]
             if layers is None:
                 layers = list(per_layer)
             for name in layers:
                 if name not in per_layer:
                     raise ConfigError(f"{path}:{lineno}: per_layer lacks layer {name!r}")
+                _require(per_layer[name], dict, f"{where}: layer {name!r}")
                 missing = [k for k in ("mean", "std") if k not in per_layer[name]]
                 if missing:
                     raise ConfigError(
                         f"{path}:{lineno}: layer {name!r} lacks {missing}"
                     )
+                for stat in ("mean", "std"):
+                    _require(per_layer[name][stat], float,
+                             f"{where}: layer {name!r} {stat!r}")
             records.append(record)
     return records
 

@@ -15,40 +15,25 @@ import numpy as np
 import pytest
 import yaml
 from conftest import criterion
+from reference import axpy, clip_tree, global_norm, iid_shuffle, layer_norms, sub, take
 from simtools import INF, linear_model, make_config, small_population
 
 import fldp
 from fldp import models
 from fldp.accountant import DEFAULT_ORDERS, epsilon_for
-from fldp.clipping import (
-    ClipSpec,
-    ClipVariant,
-    PER_LAYER_VARIANTS,
-    clip_global,
-    clip_tree,
-    layer_bounds,
-)
+from fldp.clipping import ClipSpec, ClipVariant, PER_LAYER_VARIANTS, bound_vector
 from fldp.config import parse_config
 from fldp.data import (
     Batch,
     CountSpec,
     PopulationSpec,
     generate_population,
-    iid_shuffle,
 )
 from fldp.dp import PrivacyParams, SigmaKind, convert_noise, noise_multiplier
-from fldp.engine import LocalConfig, LocalMode, local_train, run_simulation
+from fldp.engine import LocalConfig, LocalMode, run_simulation, train_cohort
 from fldp.models import ModelKind, ModelSpec
 from fldp.optimizers import OptimizerKind
-from fldp.param_tree import (
-    ParamTree,
-    add,
-    axpy,
-    global_norm,
-    layer_norms,
-    sub,
-    tree_mean,
-)
+from fldp.param_tree import ParamTree, mean_rows
 from fldp.telemetry import round_to_json_obj, summarize_records, write_metrics
 
 
@@ -140,13 +125,13 @@ def test_criterion_4_clipping_invariants():
                 assert clip_tree(clipped, spec) == clipped
                 if variant != ClipVariant.GLOBAL:
                     budget = sum(
-                        b**2 for b in layer_bounds(spec, tree).values()
+                        b**2 for b in bound_vector(spec, tree.layout)
                     )
                     assert budget == pytest.approx(bound**2, rel=1e-12)
 
         four = ParamTree((f"l{i}", [1.0]) for i in range(4))
         uniform = ClipSpec(0.01, ClipVariant.PER_LAYER_UNIFORM)
-        assert all(b == 0.005 for b in layer_bounds(uniform, four).values())
+        assert all(b == 0.005 for b in bound_vector(uniform, four.layout))
 
 
 def test_criterion_5_gradient_correctness():
@@ -164,9 +149,7 @@ def test_criterion_5_gradient_correctness():
         for spec in specs:
             for _ in range(20):
                 base = models.init_params(spec, int(rng.integers(0, 2**31)))
-                params = base.replace(
-                    rng.normal(scale=0.5, size=a.size) for a in base.arrays()
-                )
+                params = base.with_flat(rng.normal(scale=0.5, size=base.layout.total))
                 n = int(rng.integers(2, 7))
                 if spec.kind == ModelKind.TINY_ATTENTION:
                     x = rng.normal(size=(n, spec.seq_len, spec.input_dim))
@@ -209,7 +192,7 @@ def test_criterion_6_fedsgd_matches_centralized_gd():
         fl_params = models.init_params(model, cfg.seed)
         gd_params = fl_params
         for archive in result.archives:
-            fl_params = add(fl_params, tree_mean([d for _, d in archive.deltas]))
+            fl_params = fl_params.with_flat(fl_params.flat + mean_rows(archive.deltas))
             gd_params = axpy(-eta, models.grad(model, gd_params, full), gd_params)
             for (_, a), (_, b) in zip(fl_params.items(), gd_params.items()):
                 np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
@@ -393,10 +376,10 @@ def test_criterion_10_fedprox_shrinks_deltas():
 
         def mean_delta_norm(mu):
             return float(np.mean([
-                global_norm(local_train(
-                    params, population.clients[cid].data, model, local,
-                    mu, round_index, cid, seed,
-                ))
+                global_norm(params.with_flat(train_cohort(
+                    params, [population.clients[cid].data], model, local,
+                    mu, round_index, [cid], seed,
+                )[0]))
                 for cid in cohort
             ]))
 
@@ -405,8 +388,8 @@ def test_criterion_10_fedprox_shrinks_deltas():
 
         # mu = 0 must take exactly the plain local-SGD path.
         client = population.clients[2].data
-        baseline = local_train(params, client, model, local, 0.0,
-                               round_index, 2, seed)
+        baseline = params.with_flat(train_cohort(
+            params, [client], model, local, 0.0, round_index, [2], seed)[0])
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence((seed, 2, round_index, 2)))
         )
@@ -414,9 +397,9 @@ def test_criterion_10_fedprox_shrinks_deltas():
         for _ in range(local.count):
             order = rng.permutation(client.size)
             for lo in range(0, client.size, local.batch_size):
-                batch = client.take(order[lo: lo + local.batch_size])
-                g = clip_global(models.grad(model, theta, batch),
-                                local.clip_bound)
+                batch = take(client, order[lo: lo + local.batch_size])
+                g = clip_tree(models.grad(model, theta, batch),
+                              ClipSpec(local.clip_bound))
                 theta = axpy(-local.lr, g, theta)
         assert baseline == sub(theta, params)
 
@@ -430,12 +413,13 @@ def test_criterion_11_telemetry_matches_archived_deltas():
                           sigma_client=2e-4, clip_bound=0.05,
                           clip_variant=ClipVariant.PER_LAYER_UNIFORM)
         result = run_simulation(cfg, population, model, archive_deltas=True)
+        layout = result.final_params.layout
 
         # Per-round statistics against a direct recomputation.
         for metric, archive in zip(result.metrics, result.archives):
             norms = {name: [] for name in result.final_params.names}
-            for _, delta in archive.deltas:
-                for name, value in layer_norms(delta).items():
+            for row in archive.deltas:
+                for name, value in layer_norms(ParamTree(row, layout)).items():
                     norms[name].append(value)
             for name, values in norms.items():
                 assert metric.per_layer[name]["mean"] == pytest.approx(
@@ -450,8 +434,8 @@ def test_criterion_11_telemetry_matches_archived_deltas():
         summary = summarize_records(records)
         pooled = {name: [] for name in result.final_params.names}
         for archive in result.archives:
-            for _, delta in archive.deltas:
-                for name, value in layer_norms(delta).items():
+            for row in archive.deltas:
+                for name, value in layer_norms(ParamTree(row, layout)).items():
                     pooled[name].append(value)
         for name, values in pooled.items():
             assert summary.per_layer[name]["mean"] == pytest.approx(

@@ -14,7 +14,6 @@ from fldp.accountant import (
     epsilon_at_delta,
     epsilon_for,
     rdp_sampled_gaussian,
-    rdp_single_step,
 )
 from fldp.errors import ConfigError
 
@@ -27,6 +26,12 @@ pytestmark = [
         "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
     ),
 ]
+
+
+def rdp_single_step(noise_multiplier, sampling_rate, alpha):
+    """The RDP eps(alpha) of one invocation: a one-order grid."""
+    curve = rdp_sampled_gaussian(noise_multiplier, sampling_rate, (alpha,))
+    return curve.eps_per_step[0]
 
 
 def rdp_by_quadrature(noise_multiplier, sampling_rate, alpha):

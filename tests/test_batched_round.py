@@ -1,18 +1,29 @@
 """The cohort-batched round against a plain per-client reference round.
 
 The reference runs a round one client at a time through the public model
-and tree API: local SGD one minibatch gradient at a time, then
-``clip_tree``, ``add_noise`` and ``tree_mean``. Every round of a simulation
-is recomputed from the engine's own round-start parameters and compared
-with the engine's deltas, clipped deltas and noised mean.
+API and the per-tree helpers of ``reference``: local SGD one minibatch
+gradient at a time, then ``clip_tree``, ``add_noise`` and ``tree_mean``.
+Every round of a simulation is recomputed from the engine's own round-start
+parameters and compared with the engine's deltas, clipped deltas and noised
+mean.
 """
 
 import numpy as np
 import pytest
+from reference import (
+    add_noise,
+    axpy,
+    clip_tree,
+    layer_norms,
+    scale,
+    sub,
+    take,
+    tree_mean,
+)
 from simtools import make_config
 
 from fldp import engine, models
-from fldp.clipping import ClipVariant, clip_global, clip_tree
+from fldp.clipping import ClipSpec, ClipVariant
 from fldp.data import (
     ClientDataset,
     ClientPartition,
@@ -20,11 +31,10 @@ from fldp.data import (
     PopulationSpec,
     generate_population,
 )
-from fldp.dp import FULL_MASK, NoiseMask, add_noise
+from fldp.dp import FULL_MASK, NoiseMask
 from fldp.engine import LocalMode, run_simulation
 from fldp.models import ModelKind, ModelSpec
 from fldp.optimizers import OptimizerKind
-from fldp.param_tree import axpy, layer_norms, scale, sub, tree_mean
 
 RTOL = 1e-12
 
@@ -45,7 +55,7 @@ def reference_local_train(global_params, client_data, model_spec, local,
         g = models.grad(model_spec, params, batch)
         if fedprox_mu > 0.0:
             g = axpy(fedprox_mu, sub(params, global_params), g)
-        g = clip_global(g, local.clip_bound)
+        g = clip_tree(g, ClipSpec(local.clip_bound))
         return axpy(-local.lr, g, params)
 
     if local.mode == LocalMode.EPOCHS:
@@ -53,12 +63,12 @@ def reference_local_train(global_params, client_data, model_spec, local,
             order = rng.permutation(n)
             for start in range(0, n, local.batch_size):
                 idx = order[start : start + local.batch_size]
-                params = one_step(client_data.take(idx), params)
+                params = one_step(take(client_data, idx), params)
     else:
-        take = min(local.batch_size, n)
+        drawn = min(local.batch_size, n)
         for _ in range(local.count):
-            idx = rng.choice(n, size=take, replace=False)
-            params = one_step(client_data.take(idx), params)
+            idx = rng.choice(n, size=drawn, replace=False)
+            params = one_step(take(client_data, idx), params)
     return sub(params, global_params)
 
 
@@ -148,7 +158,9 @@ def test_batched_round_matches_per_client_reference(case, monkeypatch):
     for (start, neg_mean), archive in zip(seen, result.archives):
         t = archive.round_index
         noised = []
-        for (cid, delta), (_, clipped) in zip(archive.deltas, archive.clipped):
+        for cid, delta, clipped in zip(archive.cohort_ids, archive.deltas,
+                                       archive.clipped):
+            delta, clipped = start.with_flat(delta), start.with_flat(clipped)
             data = population.clients[cid].data
             covered.add(sizes[cid] < cfg.local.batch_size)
             want = reference_local_train(start, data, model, cfg.local, mu, t,

@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import clip_tree, global_norm, layer_norms
 
 from fldp.clipping import (
     ClipSpec,
     ClipVariant,
     PER_LAYER_VARIANTS,
-    clip_global,
-    clip_per_layer,
+    bound_vector,
     clip_rows,
-    clip_tree,
-    layer_bounds,
 )
 from fldp.errors import ConfigError
-from fldp.param_tree import Layout, ParamTree, global_norm, layer_norms
+from fldp.param_tree import Layout, ParamTree
 
 
 def random_tree(rng, num_layers=None, scale=1.0):
@@ -25,6 +23,10 @@ def random_tree(rng, num_layers=None, scale=1.0):
         (f"l{i}", scale * rng.normal(size=int(rng.integers(1, 9))))
         for i in range(k)
     )
+
+
+def bounds_by_name(spec, tree):
+    return dict(zip(tree.names, bound_vector(spec, tree.layout)))
 
 
 def per_layer_spec(variant, bound, tree=None):
@@ -36,7 +38,7 @@ def per_layer_spec(variant, bound, tree=None):
 
 def test_clip_global_within_bound_is_identity():
     t = ParamTree([("a", [0.3]), ("b", [0.4])])  # norm 0.5
-    out = clip_global(t, 1.0)
+    out = clip_tree(t, ClipSpec(1.0))
     assert out == t
     # bitwise pass-through, not a rescaled copy
     assert out["a"] is t["a"]
@@ -44,31 +46,31 @@ def test_clip_global_within_bound_is_identity():
 
 def test_clip_global_scales_to_bound():
     t = ParamTree([("a", [1.2]), ("b", [1.6])])  # norm 2
-    out = clip_global(t, 1.0)
+    out = clip_tree(t, ClipSpec(1.0))
     assert global_norm(out) == pytest.approx(1.0, rel=1e-15)
     np.testing.assert_allclose(out["a"], [0.6])
 
 
 def test_clip_global_zero_bound_gives_zero_tree():
     t = ParamTree([("a", [1.0, -2.0])])
-    out = clip_global(t, 0.0)
+    out = clip_tree(t, ClipSpec(0.0))
     assert np.all(out["a"] == 0.0)
 
 
 def test_clip_global_zero_tree_unchanged():
     t = ParamTree([("a", [0.0, 0.0])])
-    assert clip_global(t, 0.0) == t
+    assert clip_tree(t, ClipSpec(0.0)) == t
 
 
 def test_uniform_bounds_k4():
     t = ParamTree((f"l{i}", [1.0]) for i in range(4))
-    bounds = layer_bounds(ClipSpec(0.01, ClipVariant.PER_LAYER_UNIFORM), t)
+    bounds = bounds_by_name(ClipSpec(0.01, ClipVariant.PER_LAYER_UNIFORM), t)
     assert all(b == 0.005 for b in bounds.values())
 
 
 def test_dim_bounds_3_1():
     t = ParamTree([("big", [1.0, 1.0, 1.0]), ("small", [1.0])])
-    bounds = layer_bounds(ClipSpec(2.0, ClipVariant.PER_LAYER_DIM), t)
+    bounds = bounds_by_name(ClipSpec(2.0, ClipVariant.PER_LAYER_DIM), t)
     assert bounds["big"] == pytest.approx(math.sqrt(3.0), rel=1e-15)
     assert bounds["small"] == pytest.approx(1.0, rel=1e-15)
 
@@ -76,12 +78,12 @@ def test_dim_bounds_3_1():
 def test_weighted_bounds_and_missing_weight_error():
     t = ParamTree([("a", [1.0, 1.0]), ("b", [1.0])])
     spec = ClipSpec(1.0, ClipVariant.PER_LAYER_WEIGHTED, {"a": 3.0, "b": 2.0})
-    bounds = layer_bounds(spec, t)
+    bounds = bounds_by_name(spec, t)
     assert bounds["a"] == pytest.approx(math.sqrt(6.0 / 8.0), rel=1e-15)
     assert bounds["b"] == pytest.approx(math.sqrt(2.0 / 8.0), rel=1e-15)
     bad = ClipSpec(1.0, ClipVariant.PER_LAYER_WEIGHTED, {"a": 3.0})
     with pytest.raises(ConfigError, match="missing weights"):
-        clip_per_layer(t, bad)
+        clip_rows(t.flat[None, :], t.layout, bad)
 
 
 @pytest.mark.parametrize("variant", PER_LAYER_VARIANTS, ids=lambda v: v.value)
@@ -90,7 +92,7 @@ def test_budget_identity(variant):
     for _ in range(50):
         t = random_tree(rng)
         spec = per_layer_spec(variant, 0.37, t)
-        bounds = layer_bounds(spec, t)
+        bounds = bounds_by_name(spec, t)
         assert sum(b**2 for b in bounds.values()) == pytest.approx(
             spec.bound**2, rel=1e-12
         )
@@ -141,7 +143,7 @@ def test_clip_tree_properties(variant, data):
         bounds = {name: spec.bound for name in tree.names}
         before = {name: global_norm(tree) for name in tree.names}
     else:
-        bounds = layer_bounds(spec, tree)
+        bounds = bounds_by_name(spec, tree)
         before = layer_norms(tree)
         after = layer_norms(out)
         for name in tree.names:
@@ -194,7 +196,7 @@ def test_per_layer_never_increases_any_layer_norm():
         t = random_tree(rng, scale=2.0)
         spec = ClipSpec(0.1, ClipVariant.PER_LAYER_UNIFORM)
         before = layer_norms(t)
-        after = layer_norms(clip_per_layer(t, spec))
+        after = layer_norms(clip_tree(t, spec))
         for name in t.names:
             assert after[name] <= before[name] * (1 + 1e-15)
 
@@ -202,7 +204,7 @@ def test_per_layer_never_increases_any_layer_norm():
 def test_per_layer_leaves_small_layers_bitwise_unchanged():
     t = ParamTree([("tiny", [1e-6]), ("huge", [10.0, 10.0])])
     spec = ClipSpec(0.01, ClipVariant.PER_LAYER_UNIFORM)
-    out = clip_per_layer(t, spec)
+    out = clip_tree(t, spec)
     assert out["tiny"] is t["tiny"]
     assert layer_norms(out)["huge"] == pytest.approx(0.01 / math.sqrt(2), rel=1e-15)
 
@@ -210,7 +212,7 @@ def test_per_layer_leaves_small_layers_bitwise_unchanged():
 def test_clip_global_infinite_bound_identity():
     rng = np.random.default_rng(10)
     t = random_tree(rng, scale=100.0)
-    assert clip_global(t, math.inf) == t
+    assert clip_tree(t, ClipSpec(math.inf)) == t
 
 
 def test_clipspec_validation():
@@ -221,4 +223,4 @@ def test_clipspec_validation():
     with pytest.raises(ConfigError):
         ClipSpec(1.0, ClipVariant.PER_LAYER_UNIFORM, {"a": 1.0})
     with pytest.raises(ConfigError):
-        layer_bounds(ClipSpec(1.0, ClipVariant.GLOBAL), ParamTree([("a", [1.0])]))
+        bound_vector(ClipSpec(1.0, ClipVariant.GLOBAL), Layout.of(("a",), (1,)))

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from reference import layer_norms
 from simtools import linear_model, make_config, small_population
 
 from fldp import engine, models
@@ -18,7 +19,7 @@ from fldp.config import (
 )
 from fldp.engine import run_simulation
 from fldp.errors import ConfigError
-from fldp.param_tree import layer_norms
+from fldp.param_tree import ParamTree
 from fldp.telemetry import (
     SCHEMA_KEYS,
     read_metrics,
@@ -234,9 +235,10 @@ def test_summary_matches_scalar_recomputation_from_archives():
     records = [round_to_json_obj(m) for m in result.metrics]
     summary = summarize_records(records)
     pooled = {}
+    layout = result.final_params.layout
     for archive in result.archives:
-        for _, delta in archive.deltas:
-            for name, norm in layer_norms(delta).items():
+        for row in archive.deltas:
+            for name, norm in layer_norms(ParamTree(row, layout)).items():
                 pooled.setdefault(name, []).append(norm)
     for name, values in pooled.items():
         assert summary.per_layer[name]["mean"] == pytest.approx(
@@ -492,6 +494,25 @@ def test_cli_summarize_inconsistent_records_is_config_error(
         del records[2]["per_layer"][layer]
     else:
         del records[2]["per_layer"][layer][drop]
+    path = tmp_path / "metrics.jsonl"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    assert main(["summarize", str(path)]) == 2
+    assert f"{path}:3: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("layer, key, value, message", [
+    (None, "per_layer", 5, "'per_layer' must be an object, got 5"),
+    ("w", "std", "x", "layer 'w' 'std' must be a number, got 'x'"),
+    (None, "cohort_size", "2", "'cohort_size' must be an integer, got '2'"),
+    (None, "loss", None, "'loss' must be a number, got None"),
+    (None, "accuracy", None, "'accuracy' must be a number, got None"),
+], ids=["per_layer", "std", "cohort_size", "loss", "accuracy"])
+def test_cli_summarize_wrong_value_type_is_config_error(
+        layer, key, value, message, tmp_path, capsys):
+    result, _ = run_small(num_rounds=3)
+    records = [round_to_json_obj(m) for m in result.metrics]
+    record = records[2] if layer is None else records[2]["per_layer"][layer]
+    record[key] = value
     path = tmp_path / "metrics.jsonl"
     path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
     assert main(["summarize", str(path)]) == 2

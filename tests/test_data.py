@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from reference import iid_shuffle, take
 
 from fldp.data import (
     ClientPartition,
@@ -9,7 +10,6 @@ from fldp.data import (
     CountSpec,
     PopulationSpec,
     generate_population,
-    iid_shuffle,
     partition_stats,
 )
 from fldp.errors import ConfigError
@@ -194,7 +194,7 @@ def test_partition_stats_small_case():
     sized = []
     for cid, n in enumerate((1, 2, 3)):
         c = part.clients[cid]
-        sized.append(type(c)(cid, c.data.take(np.arange(n))))
+        sized.append(type(c)(cid, take(c.data, np.arange(n))))
     part = ClientPartition(tuple(sized), part.probe, part.num_classes)
     stats = partition_stats(part)
     assert stats.mean == 2.0

