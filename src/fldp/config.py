@@ -89,6 +89,23 @@ class _Section:
             raise ConfigError(f"{self.path}.{key}: expected a string")
         return raw
 
+    def sequence(self, key, kind) -> Optional[tuple]:
+        """A list of values, each checked as ``value(kind=kind)`` checks one."""
+        raw = self._get(key, None)
+        if raw is None:
+            return None
+        if not isinstance(raw, (list, tuple)):
+            raise ConfigError(f"{self.path}.{key}: expected a list, got {raw!r}")
+        items = _Section(dict(enumerate(raw)), f"{self.path}.{key}")
+        return tuple(items.value(i, required=True, kind=kind) for i in range(len(raw)))
+
+    def number_map(self, key) -> Optional[dict]:
+        """A mapping of names to numbers, each checked as ``value`` checks one."""
+        items = self.child(key)
+        if items is None:
+            return None
+        return {k: items.value(k, required=True, kind=float) for k in items.mapping}
+
     def enum(self, key, enum_cls, default):
         raw = self._get(key, default)
         try:
@@ -172,14 +189,10 @@ def _parse_population(section: _Section, model: ModelSpec) -> PopulationSpec:
             f"population.seq_len ({seq_len}) must match the model input shape "
             f"({model_seq})"
         )
-    priors = section.value("class_priors", None)
-    noise_level = section.value("noise_level", 0.5)
-    if isinstance(noise_level, (list, tuple)):
-        noise_level = tuple(float(v) for v in noise_level)
-    elif isinstance(noise_level, bool) or not isinstance(noise_level, (int, float)):
-        raise ConfigError(
-            "population.noise_level: expected a number or a per-dimension list"
-        )
+    if isinstance(section.mapping.get("noise_level"), (list, tuple)):
+        noise_level = section.sequence("noise_level", float)
+    else:
+        noise_level = section.value("noise_level", 0.5, kind=float)
     spec = PopulationSpec(
         num_clients=section.value("num_clients", required=True, kind=int),
         num_classes=num_classes,
@@ -189,7 +202,7 @@ def _parse_population(section: _Section, model: ModelSpec) -> PopulationSpec:
         noise_level=noise_level,
         mean_separation=section.value("mean_separation", 1.0, kind=float),
         input_scale=section.value("input_scale", 1.0, kind=float),
-        class_priors=tuple(priors) if priors is not None else None,
+        class_priors=section.sequence("class_priors", float),
         seq_len=seq_len,
         probe_size=section.value("probe_size", 256, kind=int),
         seed=_seed(section),
@@ -199,14 +212,23 @@ def _parse_population(section: _Section, model: ModelSpec) -> PopulationSpec:
 
 
 def _parse_clip(section: _Section) -> ClipSpec:
-    weights = section.value("weights", None)
     spec = ClipSpec(
         bound=section.value("bound", required=True, kind=float),
         variant=section.enum("variant", ClipVariant, ClipVariant.GLOBAL),
-        weights=dict(weights) if weights is not None else None,
+        weights=section.number_map("weights"),
     )
     section.finish()
     return spec
+
+
+def _restated(section: _Section, key: str, kind, actual, source: str):
+    """A privacy key that restates `source`: `actual` if absent, else equal to it."""
+    value = section.value(key, None, kind=kind)
+    if value is not None and value != actual:
+        raise ConfigError(
+            f"federation.privacy.{key} ({value}) must equal {source} ({actual})"
+        )
+    return actual
 
 
 def _parse_privacy(
@@ -215,52 +237,22 @@ def _parse_privacy(
     cohort: CohortConfig,
     num_rounds: int,
     num_clients: int,
-    path: str = "federation.privacy",
 ) -> PrivacyParams:
     if section is None:
-        section = _Section({}, path)
-    clip_bound = section.value("clip_bound", None, kind=float)
-    if clip_bound is None:
-        clip_bound = clip.bound
-    elif clip_bound != clip.bound:
-        raise ConfigError(
-            f"{path}.clip_bound ({clip_bound}) must equal "
-            f"federation.clip.bound ({clip.bound})"
-        )
-    population = section.value("population", None, kind=int)
-    if population is None:
-        population = num_clients
-    elif population != num_clients:
-        raise ConfigError(
-            f"{path}.population ({population}) must equal "
-            f"population.num_clients ({num_clients})"
-        )
-    num_steps = section.value("num_steps", None, kind=int)
-    if num_steps is None:
-        num_steps = num_rounds
-    elif num_steps != num_rounds:
-        raise ConfigError(
-            f"{path}.num_steps ({num_steps}) must equal "
-            f"federation.rounds ({num_rounds})"
-        )
-    cohort_size = section.value("cohort_size", None, kind=float)
-    sampling_rate = section.value("sampling_rate", None, kind=float)
+        section = _Section({}, "federation.privacy")
+    clip_bound = _restated(section, "clip_bound", float, clip.bound,
+                           "federation.clip.bound")
+    population = _restated(section, "population", int, num_clients,
+                           "population.num_clients")
+    num_steps = _restated(section, "num_steps", int, num_rounds, "federation.rounds")
     if cohort.mode == CohortMode.FIXED_SIZE:
-        if cohort_size is None:
-            cohort_size = float(cohort.size)
-        elif cohort_size != cohort.size:
-            raise ConfigError(
-                f"{path}.cohort_size ({cohort_size}) must equal "
-                f"federation.cohort.size ({cohort.size})"
-            )
+        cohort_size = _restated(section, "cohort_size", float, cohort.size,
+                                "federation.cohort.size")
+        sampling_rate = section.value("sampling_rate", None, kind=float)
     else:
-        if sampling_rate is None:
-            sampling_rate = cohort.rate
-        elif sampling_rate != cohort.rate:
-            raise ConfigError(
-                f"{path}.sampling_rate ({sampling_rate}) must equal "
-                f"federation.cohort.rate ({cohort.rate})"
-            )
+        sampling_rate = _restated(section, "sampling_rate", float, cohort.rate,
+                                  "federation.cohort.rate")
+        cohort_size = section.value("cohort_size", None, kind=float)
     params = PrivacyParams(
         clip_bound=clip_bound,
         sigma=section.value("sigma", 0.0, kind=float),
@@ -342,7 +334,7 @@ def _parse_federation(
     )
     central_section.finish()
 
-    mask_layers = section.value("noise_mask", None)
+    mask_layers = section.sequence("noise_mask", str)
     mask = NoiseMask(frozenset(mask_layers)) if mask_layers is not None else NoiseMask()
 
     seed_model_path = section.value("seed_model_path", None, kind=str)
@@ -351,7 +343,10 @@ def _parse_federation(
         path = Path(seed_model_path)
         if root_dir is not None and not path.is_absolute():
             path = root_dir / path
-        seed_model = ParamTree.from_json(path.read_text())
+        try:
+            seed_model = ParamTree.from_json(path.read_text())
+        except ValueError as exc:  # not UTF-8, not JSON, or not a parameter tree
+            raise ConfigError(f"seed model {path}: {exc}") from None
 
     cfg = FederationConfig(
         num_rounds=num_rounds,

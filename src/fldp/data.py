@@ -1,4 +1,4 @@
-"""Synthetic heterogeneous client populations.
+"""Synthetic heterogeneous client populations, stored as one flat partition.
 
 Clients draw labels from a per-client class distribution sampled from a
 symmetric Dirichlet (small concentration -> heavy label skew, large ->
@@ -7,11 +7,16 @@ per-class means so every model kind can learn the task. Example counts per
 client follow a constant, log-normal, or Pareto-tail law; the heavy tail of
 the power law reproduces the max/mean >> 1 signature of real per-user
 data. A held-out probe split is generated alongside and never trained on.
+
+The population's examples sit end to end in one input array and one label
+array; client i owns rows ``offsets[i]:offsets[i+1]``, so an empty client
+is a zero-length span. All clients' inputs come from one draw of the
+inputs stream, which equals drawing them client by client.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -26,6 +31,7 @@ _STREAM_COUNTS = 12
 _STREAM_LABELS = 13
 _STREAM_INPUTS = 14
 _STREAM_PROBE = 15
+_MEANS_CHUNK = 1 << 14  # rows per class-mean add in _draw_inputs
 
 
 class CountKind(str, Enum):
@@ -114,96 +120,97 @@ class PopulationSpec:
             )
 
 
-@dataclass(frozen=True)
-class ClientDataset:
-    client_id: int
-    data: Optional[Batch]  # None for an empty client (possible after shuffling)
-
-    @property
-    def num_examples(self) -> int:
-        return 0 if self.data is None else self.data.size
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClientPartition:
-    clients: tuple[ClientDataset, ...]
+    """Every client's examples end to end, plus the held-out probe.
+
+    ``inputs`` is (E, F) or (E, S, F) float64 and ``labels`` (E,) int64;
+    client i owns rows ``offsets[i]:offsets[i+1]`` of both, so ``offsets``
+    is (N+1,) int64 from 0 to E >= 1. The whole partition is validated
+    once here, so training never re-checks a minibatch, and its arrays are
+    read-only.
+    """
+
+    inputs: np.ndarray
+    labels: np.ndarray
+    offsets: np.ndarray
     probe: Batch
     num_classes: int
+    sizes: np.ndarray = field(init=False, repr=False)  # examples per client
 
     def __post_init__(self):
-        ids = [c.client_id for c in self.clients]
-        if ids != list(range(len(ids))):
-            raise ConfigError("client ids must be dense 0..N-1")
-        # Validated once here, so training never re-checks a minibatch.
-        batches = [c.data for c in self.clients if c.data is not None]
-        shape = self.probe.inputs.shape[1:]
-        for b in batches:
-            if b.inputs.shape[1:] != shape:
-                raise StructureError(
-                    f"client inputs {b.inputs.shape[1:]} differ from probe "
-                    f"inputs {shape}"
-                )
-        # Label maxima in chunks: one scan, no population-sized copy.
-        top = max([int(self.probe.labels.max())] + [
-            int(np.concatenate([b.labels for b in batches[lo : lo + 4096]]).max())
-            for lo in range(0, len(batches), 4096)
-        ])
-        if top >= self.num_classes:
+        # Batch checks the labels are 1-D and nonnegative, one per input row.
+        examples = Batch(self.inputs, self.labels)
+        inputs, labels = examples.inputs, examples.labels
+        offsets = np.asarray(self.offsets, dtype=np.int64)
+        if inputs.shape[1:] != self.probe.inputs.shape[1:]:
+            raise StructureError(
+                f"client inputs {inputs.shape[1:]} differ from probe "
+                f"inputs {self.probe.inputs.shape[1:]}"
+            )
+        if (offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0
+                or offsets[-1] != labels.size or np.any(np.diff(offsets) < 0)):
+            raise StructureError(
+                f"client offsets must rise from 0 to {labels.size} examples"
+            )
+        if max(labels.max(), self.probe.labels.max()) >= self.num_classes:
             raise StructureError("label out of range for num_classes")
+        sizes = np.diff(offsets)
+        for name, array in (("inputs", inputs), ("labels", labels),
+                            ("offsets", offsets), ("sizes", sizes)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def num_clients(self) -> int:
-        return len(self.clients)
+        return int(self.offsets.size - 1)
 
     def total_examples(self) -> int:
-        return sum(c.num_examples for c in self.clients)
+        return int(self.labels.size)
 
 
 def _draw_inputs(rng, means, labels, spec: PopulationSpec) -> np.ndarray:
+    """Class means plus scaled noise, built in place in one output array.
+
+    One ``standard_normal`` draw equals ``normal(0, 1)`` draws of its row
+    blocks in turn. Class means are added in chunks of bounded size.
+    """
     if spec.seq_len is None:
         shape = (labels.size, spec.input_dim)
-        base = means[labels]
     else:
         shape = (labels.size, spec.seq_len, spec.input_dim)
-        base = means[labels][:, None, :]
-    level = np.asarray(spec.noise_level)  # scalar or per-dimension stds
-    noise = rng.normal(0.0, 1.0, size=shape) * level
-    return spec.input_scale * (base + noise)
+        means = means[:, None, :]  # one mean for every position
+    out = np.empty(shape)
+    rng.standard_normal(out=out)
+    out *= np.asarray(spec.noise_level)  # scalar or per-dimension stds
+    for lo in range(0, labels.size, _MEANS_CHUNK):
+        out[lo : lo + _MEANS_CHUNK] += means[labels[lo : lo + _MEANS_CHUNK]]
+    out *= spec.input_scale
+    return out
 
 
 def generate_population(spec: PopulationSpec) -> ClientPartition:
     """Deterministic synthetic population; probe split is disjoint."""
-    means = (
-        generator(spec.seed, _STREAM_MEANS).normal(
-            size=(spec.num_classes, spec.input_dim)
-        )
-        * spec.mean_separation
-    )
+    means = spec.mean_separation * generator(spec.seed, _STREAM_MEANS).normal(
+        size=(spec.num_classes, spec.input_dim))
     counts = spec.examples_per_client.sample(
-        generator(spec.seed, _STREAM_COUNTS), spec.num_clients
-    )
-    priors = np.asarray(
-        spec.class_priors
-        if spec.class_priors is not None
-        else [1.0 / spec.num_classes] * spec.num_classes
-    )
+        generator(spec.seed, _STREAM_COUNTS), spec.num_clients)
+    priors = np.asarray(spec.class_priors or [1.0 / spec.num_classes] * spec.num_classes)
+    offsets = np.zeros(spec.num_clients + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    labels = np.empty(offsets[-1], dtype=np.int64)
     label_rng = generator(spec.seed, _STREAM_LABELS)
-    input_rng = generator(spec.seed, _STREAM_INPUTS)
-
-    clients = []
     concentration = spec.label_skew_alpha * spec.num_classes * priors
-    for cid in range(spec.num_clients):
+    for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
         class_dist = label_rng.dirichlet(concentration)
-        labels = label_rng.choice(spec.num_classes, size=counts[cid], p=class_dist)
-        inputs = _draw_inputs(input_rng, means, labels, spec)
-        clients.append(ClientDataset(cid, Batch(inputs, labels)))
+        labels[lo:hi] = label_rng.choice(spec.num_classes, size=hi - lo, p=class_dist)
+    inputs = _draw_inputs(generator(spec.seed, _STREAM_INPUTS), means, labels, spec)
 
     probe_rng = generator(spec.seed, _STREAM_PROBE)
     probe_labels = probe_rng.choice(spec.num_classes, size=spec.probe_size, p=priors)
     probe_inputs = _draw_inputs(probe_rng, means, probe_labels, spec)
-    return ClientPartition(
-        tuple(clients), Batch(probe_inputs, probe_labels), spec.num_classes
-    )
+    return ClientPartition(inputs, labels, offsets,
+                           Batch(probe_inputs, probe_labels), spec.num_classes)
 
 
 @dataclass(frozen=True)
@@ -243,13 +250,8 @@ class PartitionStats:
 
 
 def partition_stats(partition: ClientPartition) -> PartitionStats:
-    counts = np.array([c.num_examples for c in partition.clients], dtype=np.int64)
-    if counts.size == 0:
-        raise ConfigError("partition has no clients")
-    hist = np.zeros(partition.num_classes, dtype=np.int64)
-    for c in partition.clients:
-        if c.data is not None:
-            hist += np.bincount(c.data.labels, minlength=partition.num_classes)
+    counts = partition.sizes
+    hist = np.bincount(partition.labels, minlength=partition.num_classes)
     return PartitionStats(
         num_clients=int(counts.size),
         total_examples=int(counts.sum()),

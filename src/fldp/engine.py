@@ -24,7 +24,9 @@ parameter vector.
 Local training runs either a fixed number of steps (independently sampled
 minibatches) or a fixed number of epochs (shuffled passes whose last
 minibatch is short). Each client draws all its minibatch indices up front
-from its own stream; only this draw depends on the mode. Sorted by
+from its own stream; only this draw depends on the mode. Shifted by the
+client's first row in the partition's flat example arrays, the indices
+gather each step's minibatches straight from them. Sorted by
 descending step count, the clients still training at any step are a prefix
 of the rows, and that prefix takes the SGD step together in one batched
 forward/backward pass, short minibatches padded by zero-weight rows. Every
@@ -48,7 +50,7 @@ from .clipping import ClipSpec, clip_rows
 from .data import ClientPartition
 from .dp import FULL_MASK, NoiseMask, PrivacyParams, add_noise_rows, noise_multiplier
 from .errors import ConfigError, NumericsError
-from .models import Batch, ModelSpec
+from .models import ModelSpec
 from .optimizers import (
     OptimizerHyper,
     OptimizerKind,
@@ -81,11 +83,10 @@ class CohortConfig:
     def __post_init__(self):
         object.__setattr__(self, "mode", CohortMode(self.mode))
         if self.mode == CohortMode.FIXED_SIZE:
-            if self.size is None or self.size < 1:
-                raise ConfigError("fixed_size cohort needs size >= 1")
-        else:
-            if self.rate is None or not 0 < self.rate <= 1:
-                raise ConfigError("bernoulli cohort needs rate in (0, 1]")
+            if self.size is None or self.size < 1 or self.rate is not None:
+                raise ConfigError("fixed_size cohort needs size >= 1 and no rate")
+        elif self.rate is None or not 0 < self.rate <= 1 or self.size is not None:
+            raise ConfigError("bernoulli cohort needs rate in (0, 1] and no size")
 
 
 class LocalMode(str, Enum):
@@ -194,7 +195,7 @@ def sample_cohort(
 
 def train_cohort(
     global_params: ParamTree,
-    datasets: list[Batch],
+    population: ClientPartition,
     model_spec: ModelSpec,
     local: LocalConfig,
     fedprox_mu: float,
@@ -204,10 +205,11 @@ def train_cohort(
 ) -> np.ndarray:
     """(L, P) deltas of local SGD on L clients from the same start.
 
-    Rows follow `datasets`. The data must already be validated against the model.
+    Rows follow `client_ids`, each a client of `population` with at least
+    one example. The partition must already be validated against the model.
     """
     start = global_params.flat
-    sizes = np.array([data.size for data in datasets])
+    sizes = population.sizes[client_ids]
     keys = streams.cohort_keys(seed, _STREAM_LOCAL, round_index, client_ids)
     order, index = _draw_minibatches(sizes, local, keys)
     valid = index >= 0
@@ -215,14 +217,13 @@ def train_cohort(
     active = np.count_nonzero(counts, axis=1).tolist()
     # Padding rows repeat the client's first example with zero weight.
     np.maximum(index, 0, out=index)
-    index += (np.cumsum(sizes) - sizes)[order, None]
-    inputs = np.concatenate([data.inputs for data in datasets])
-    labels = np.concatenate([data.labels for data in datasets])
+    index += population.offsets[client_ids][order, None]
     clip = ClipSpec(local.clip_bound)
-    rows = np.broadcast_to(start, (len(datasets), start.size))
+    rows = np.broadcast_to(start, (len(client_ids), start.size))
     for s, k in enumerate(active):
         head, idx = rows[:k], index[s, :k]
-        g = models.cohort_grad(model_spec, head, inputs[idx], labels[idx],
+        g = models.cohort_grad(model_spec, head, population.inputs[idx],
+                               population.labels[idx],
                                counts[s, :k, None, None], valid[s, :k])
         if fedprox_mu > 0.0:
             g = fedprox_mu * (head - start) + g
@@ -400,25 +401,18 @@ def run_simulation(
 
     for t in range(1, cfg.num_rounds + 1):
         sampled = sample_cohort(population.num_clients, cfg.cohort, t, cfg.seed)
-        cohort = [c for c in sampled if population.clients[c].num_examples > 0]
-        for cid in set(sampled) - set(cohort):
+        nonempty = population.sizes[sampled] > 0
+        for cid in np.compress(~nonempty, sampled).tolist():
             logger.warning("round %d: dropping empty client %d", t, cid)
+        cohort = np.compress(nonempty, sampled).tolist()
         lr = lr_at(cfg.central.schedule, t)
         if not cohort:
             logger.warning("round %d: empty cohort, skipping update", t)
             metrics.append(_probe_only_metrics(t, lr, model_spec, params, population))
             continue
 
-        deltas = train_cohort(
-            params,
-            [population.clients[cid].data for cid in cohort],
-            model_spec,
-            cfg.local,
-            cfg.fedprox_mu,
-            t,
-            cohort,
-            cfg.seed,
-        )
+        deltas = train_cohort(params, population, model_spec, cfg.local,
+                              cfg.fedprox_mu, t, cohort, cfg.seed)
         _require_finite(deltas, t, cohort)
         clipped, _ = clip_rows(deltas, layout, cfg.clip)
         noised = clipped

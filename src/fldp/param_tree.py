@@ -185,10 +185,15 @@ class ParamTree:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "ParamTree":
-        try:
-            layers = obj["layers"]
-        except (KeyError, TypeError) as exc:
-            raise StructureError("expected object with a 'layers' list") from exc
+        layers = obj.get("layers") if isinstance(obj, Mapping) else None
+        if not isinstance(layers, list):
+            raise StructureError("expected an object with a 'layers' list")
+        for i, layer in enumerate(layers):
+            if not (isinstance(layer, Mapping) and isinstance(layer.get("name"), str)
+                    and isinstance(layer.get("values"), list)
+                    and all(type(v) in (int, float) for v in layer["values"])):
+                raise StructureError(
+                    f"layer {i}: expected a 'name' string and a list of number 'values'")
         return cls((layer["name"], layer["values"]) for layer in layers)
 
     def to_json(self) -> str:

@@ -1,10 +1,24 @@
-"""Per-tree forms of fldp's row code for the oracles: norms, clipping and
-noise act on a one-row stack, the algebra on the flat vectors."""
+"""Reference forms of fldp's code for the oracles.
+
+Per-tree forms of the row code: norms, clipping and noise act on a one-row
+stack, the algebra on the flat vectors. Per-client forms of the flat
+partition: a client's examples as a ``Batch`` view, a partition built from
+per-client batches, and the per-client population generator that the flat
+one replaced.
+"""
 
 import numpy as np
 
 from fldp.clipping import clip_rows
-from fldp.data import Batch, ClientDataset, ClientPartition
+from fldp.data import (
+    _STREAM_COUNTS,
+    _STREAM_INPUTS,
+    _STREAM_LABELS,
+    _STREAM_MEANS,
+    _STREAM_PROBE,
+    Batch,
+    ClientPartition,
+)
 from fldp.dp import FULL_MASK, add_noise_rows
 from fldp.param_tree import ParamTree, global_norm_rows, layer_norm_rows, mean_rows
 from fldp.streams import generator
@@ -70,15 +84,77 @@ def take(batch, idx):
     return Batch(batch.inputs[idx], batch.labels[idx])
 
 
+def client_batches(partition):
+    """Each client's examples as a Batch view, None for an empty client."""
+    spans = zip(partition.offsets[:-1].tolist(), partition.offsets[1:].tolist())
+    return [Batch(partition.inputs[lo:hi], partition.labels[lo:hi]) if hi > lo
+            else None for lo, hi in spans]
+
+
+def partition_from_batches(batches, probe, num_classes):
+    """The flat partition of per-client batches, None marking an empty client."""
+    held = [b for b in batches if b is not None]
+    sizes = [0 if b is None else b.size for b in batches]
+    return ClientPartition(
+        np.concatenate([probe.inputs[:0]] + [b.inputs for b in held]),
+        np.concatenate([probe.labels[:0]] + [b.labels for b in held]),
+        np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)]),
+        probe, num_classes)
+
+
 def iid_shuffle(partition, seed):
-    """Every example moved to a uniformly random client; empty clients stay."""
-    stacks = [c.data for c in partition.clients if c.data is not None]
-    whole = Batch(np.concatenate([b.inputs for b in stacks]),
-                  np.concatenate([b.labels for b in stacks]))
+    """Every example moved to a uniformly random client; clients may end empty."""
     rng = generator(seed, _STREAM_SHUFFLE)
-    assignment = rng.integers(0, partition.num_clients, size=whole.size)
+    assignment = rng.integers(0, partition.num_clients,
+                              size=partition.total_examples())
+    order = np.argsort(assignment, kind="stable")
+    sizes = np.bincount(assignment, minlength=partition.num_clients)
+    return ClientPartition(partition.inputs[order], partition.labels[order],
+                           np.concatenate([[0], np.cumsum(sizes)]),
+                           partition.probe, partition.num_classes)
+
+
+def _draw_inputs(rng, means, labels, spec):
+    if spec.seq_len is None:
+        shape = (labels.size, spec.input_dim)
+        base = means[labels]
+    else:
+        shape = (labels.size, spec.seq_len, spec.input_dim)
+        base = means[labels][:, None, :]
+    level = np.asarray(spec.noise_level)  # scalar or per-dimension stds
+    noise = rng.normal(0.0, 1.0, size=shape) * level
+    return spec.input_scale * (base + noise)
+
+
+def per_client_population(spec):
+    """The per-client generator: one ``normal`` draw and one Batch per client."""
+    means = (
+        generator(spec.seed, _STREAM_MEANS).normal(
+            size=(spec.num_classes, spec.input_dim)
+        )
+        * spec.mean_separation
+    )
+    counts = spec.examples_per_client.sample(
+        generator(spec.seed, _STREAM_COUNTS), spec.num_clients
+    )
+    priors = np.asarray(
+        spec.class_priors
+        if spec.class_priors is not None
+        else [1.0 / spec.num_classes] * spec.num_classes
+    )
+    label_rng = generator(spec.seed, _STREAM_LABELS)
+    input_rng = generator(spec.seed, _STREAM_INPUTS)
+
     clients = []
-    for cid in range(partition.num_clients):
-        idx = np.nonzero(assignment == cid)[0]
-        clients.append(ClientDataset(cid, take(whole, idx) if idx.size else None))
-    return ClientPartition(tuple(clients), partition.probe, partition.num_classes)
+    concentration = spec.label_skew_alpha * spec.num_classes * priors
+    for cid in range(spec.num_clients):
+        class_dist = label_rng.dirichlet(concentration)
+        labels = label_rng.choice(spec.num_classes, size=counts[cid], p=class_dist)
+        inputs = _draw_inputs(input_rng, means, labels, spec)
+        clients.append(Batch(inputs, labels))
+
+    probe_rng = generator(spec.seed, _STREAM_PROBE)
+    probe_labels = probe_rng.choice(spec.num_classes, size=spec.probe_size, p=priors)
+    probe_inputs = _draw_inputs(probe_rng, means, probe_labels, spec)
+    return partition_from_batches(clients, Batch(probe_inputs, probe_labels),
+                                  spec.num_classes)

@@ -15,7 +15,16 @@ import numpy as np
 import pytest
 import yaml
 from conftest import criterion
-from reference import axpy, clip_tree, global_norm, iid_shuffle, layer_norms, sub, take
+from reference import (
+    axpy,
+    client_batches,
+    clip_tree,
+    global_norm,
+    iid_shuffle,
+    layer_norms,
+    sub,
+    take,
+)
 from simtools import INF, linear_model, make_config, small_population
 
 import fldp
@@ -185,10 +194,7 @@ def test_criterion_6_fedsgd_matches_centralized_gd():
 
         # Central SGD at lr 1 adds the mean delta, so the round-t parameters
         # are exactly the running sum of the archived aggregates.
-        full = Batch(
-            np.concatenate([c.data.inputs for c in population.clients]),
-            np.concatenate([c.data.labels for c in population.clients]),
-        )
+        full = Batch(population.inputs, population.labels)
         fl_params = models.init_params(model, cfg.seed)
         gd_params = fl_params
         for archive in result.archives:
@@ -298,9 +304,9 @@ def test_criterion_8_per_layer_beats_global_and_noise_monotone():
         # The construction must really be layer-imbalanced: >=100x between
         # the largest per-layer gradient norm and the starved layer's.
         ratios = []
-        for client in population.clients[:8]:
+        for client in client_batches(population)[:8]:
             norms = layer_norms(
-                models.grad(IMBALANCED_MODEL, seed_params, client.data)
+                models.grad(IMBALANCED_MODEL, seed_params, client)
             )
             others = max(v for k, v in norms.items() if k != "w1")
             ratios.append(others / norms["w1"])
@@ -377,7 +383,7 @@ def test_criterion_10_fedprox_shrinks_deltas():
         def mean_delta_norm(mu):
             return float(np.mean([
                 global_norm(params.with_flat(train_cohort(
-                    params, [population.clients[cid].data], model, local,
+                    params, population, model, local,
                     mu, round_index, [cid], seed,
                 )[0]))
                 for cid in cohort
@@ -387,9 +393,9 @@ def test_criterion_10_fedprox_shrinks_deltas():
         assert norms[0] > norms[1] > norms[2]
 
         # mu = 0 must take exactly the plain local-SGD path.
-        client = population.clients[2].data
+        client = client_batches(population)[2]
         baseline = params.with_flat(train_cohort(
-            params, [client], model, local, 0.0, round_index, [2], seed)[0])
+            params, population, model, local, 0.0, round_index, [2], seed)[0])
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence((seed, 2, round_index, 2)))
         )

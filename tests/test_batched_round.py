@@ -13,8 +13,10 @@ import pytest
 from reference import (
     add_noise,
     axpy,
+    client_batches,
     clip_tree,
     layer_norms,
+    partition_from_batches,
     scale,
     sub,
     take,
@@ -24,13 +26,7 @@ from simtools import make_config
 
 from fldp import engine, models
 from fldp.clipping import ClipSpec, ClipVariant
-from fldp.data import (
-    ClientDataset,
-    ClientPartition,
-    CountSpec,
-    PopulationSpec,
-    generate_population,
-)
+from fldp.data import CountSpec, PopulationSpec, generate_population
 from fldp.dp import FULL_MASK, NoiseMask
 from fldp.engine import LocalMode, run_simulation
 from fldp.models import ModelKind, ModelSpec
@@ -116,11 +112,9 @@ def population_for(model, with_empty_clients):
     population = generate_population(spec)
     if not with_empty_clients:
         return population
-    clients = tuple(
-        ClientDataset(c.client_id, None if c.client_id % 4 == 1 else c.data)
-        for c in population.clients
-    )
-    return ClientPartition(clients, population.probe, population.num_classes)
+    batches = [None if cid % 4 == 1 else b
+               for cid, b in enumerate(client_batches(population))]
+    return partition_from_batches(batches, population.probe, population.num_classes)
 
 
 @pytest.mark.parametrize("case", list(CASES))
@@ -128,7 +122,8 @@ def test_batched_round_matches_per_client_reference(case, monkeypatch):
     kind, variant, noised_layers, rate, mode, mu = CASES[case]
     model = MODELS[kind]
     population = population_for(model, with_empty_clients=rate is not None)
-    sizes = [c.num_examples for c in population.clients]
+    sizes = population.sizes.tolist()
+    batches = client_batches(population)
     weights = None
     if variant == ClipVariant.PER_LAYER_WEIGHTED:
         weights = {name: 1.0 + i for i, (name, _) in
@@ -161,7 +156,7 @@ def test_batched_round_matches_per_client_reference(case, monkeypatch):
         for cid, delta, clipped in zip(archive.cohort_ids, archive.deltas,
                                        archive.clipped):
             delta, clipped = start.with_flat(delta), start.with_flat(clipped)
-            data = population.clients[cid].data
+            data = batches[cid]
             covered.add(sizes[cid] < cfg.local.batch_size)
             want = reference_local_train(start, data, model, cfg.local, mu, t,
                                          cid, cfg.seed)

@@ -398,6 +398,88 @@ def test_cli_negative_log_sigma_is_config_error(tmp_path, capsys):
     assert "lognormal log_sigma must be >= 0, got -1.0" in capsys.readouterr().err
 
 
+def simulate_code(tmp_path, cfg):
+    return main(["simulate", "--config", str(write_config(tmp_path, cfg)),
+                 "--out", str(tmp_path / "run")])
+
+
+# (section, key) set to a wrongly typed value, and the error the CLI prints.
+WRONG_TYPES = {
+    "noise-level-entry-string": (
+        ("population", "noise_level"), [0.5, "abc", 0.5, 0.5],
+        "config.population.noise_level.1: expected a number, got 'abc'"),
+    "noise-level-entry-bool": (
+        ("population", "noise_level"), [True, 0.5, 0.5, 0.5],
+        "config.population.noise_level.0: expected a number, got True"),
+    "class-priors-entry-string": (
+        ("population", "class_priors"), ["a", 1, 1],
+        "config.population.class_priors.0: expected a number, got 'a'"),
+    "class-priors-scalar": (
+        ("population", "class_priors"), 5,
+        "config.population.class_priors: expected a list, got 5"),
+    "clip-weights-list": (
+        ("federation", "clip"),
+        {"variant": "weighted", "bound": 0.01, "weights": [1, 2]},
+        "config.federation.clip.weights: expected a mapping"),
+    "clip-weight-string": (
+        ("federation", "clip"),
+        {"variant": "weighted", "bound": 0.01, "weights": {"w": "a", "b": 1}},
+        "config.federation.clip.weights.w: expected a number, got 'a'"),
+    "noise-mask-scalar": (
+        ("federation", "noise_mask"), 5,
+        "config.federation.noise_mask: expected a list, got 5"),
+    "noise-mask-string": (
+        ("federation", "noise_mask"), "w1",
+        "config.federation.noise_mask: expected a list, got 'w1'"),
+    # Split into characters, "wb" would name both linear_softmax layers.
+    "noise-mask-string-of-layer-letters": (
+        ("federation", "noise_mask"), "wb",
+        "config.federation.noise_mask: expected a list, got 'wb'"),
+    "noise-mask-entry-number": (
+        ("federation", "noise_mask"), ["w", 5],
+        "config.federation.noise_mask.1: expected a string"),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONG_TYPES))
+def test_cli_wrongly_typed_list_or_mapping_is_config_error(case, tmp_path, capsys):
+    (section, key), value, message = WRONG_TYPES[case]
+    cfg = minimal_config()
+    cfg[section][key] = value
+    assert simulate_code(tmp_path, cfg) == 2
+    assert message in capsys.readouterr().err
+
+
+BAD_SEED_MODELS = {
+    "not-json": "{layers: [",
+    "layers-not-a-list": '{"layers": 5}',
+    "layer-without-name": '{"layers": [{"values": [0.0, 1.0]}]}',
+    "values-not-numbers": '{"layers": [{"name": "w", "values": "abc"}]}',
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SEED_MODELS))
+def test_cli_malformed_seed_model_is_config_error(case, tmp_path, capsys):
+    seed_path = tmp_path / "seed.json"
+    seed_path.write_text(BAD_SEED_MODELS[case])
+    cfg = minimal_config(seed_model_path="seed.json")
+    assert simulate_code(tmp_path, cfg) == 2
+    assert f"config error: seed model {seed_path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cohort, message", [
+    ({"mode": "bernoulli", "rate": 0.25, "size": 16},
+     "bernoulli cohort needs rate in (0, 1] and no size"),
+    ({"mode": "fixed_size", "size": 4, "rate": 0.25},
+     "fixed_size cohort needs size >= 1 and no rate"),
+], ids=["bernoulli-with-size", "fixed-size-with-rate"])
+def test_cli_cohort_field_of_the_other_mode_is_config_error(
+        cohort, message, tmp_path, capsys):
+    assert simulate_code(tmp_path, minimal_config(cohort=cohort)) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run" / "run_manifest.json").exists()
+
+
 def test_cli_accountant_series_limit_is_numerics_error(capsys):
     # An integer order of 100000 needs more series terms than the limit.
     code = main(["accountant", "-z", "1", "-q", "0.1", "-T", "10",

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from reference import iid_shuffle, take
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import client_batches, iid_shuffle, per_client_population
 
 from fldp.data import (
+    Batch,
     ClientPartition,
     CountKind,
     CountSpec,
@@ -12,7 +15,10 @@ from fldp.data import (
     generate_population,
     partition_stats,
 )
-from fldp.errors import ConfigError
+from fldp.errors import ConfigError, StructureError
+
+# An overflow or invalid value while generating a population fails the test.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def base_spec(**overrides):
@@ -30,39 +36,35 @@ def base_spec(**overrides):
 
 
 def multiset(partition):
-    rows = []
-    for c in partition.clients:
-        if c.data is None:
-            continue
-        flat = c.data.inputs.reshape(c.data.size, -1)
-        for i in range(c.data.size):
-            rows.append((*flat[i].tolist(), float(c.data.labels[i])))
-    return sorted(rows)
+    flat = partition.inputs.reshape(partition.total_examples(), -1)
+    return sorted((*row, float(label))
+                  for row, label in zip(flat.tolist(), partition.labels.tolist()))
 
 
 def test_uniform_counts_exact():
     part = generate_population(base_spec())
-    assert all(c.num_examples == 12 for c in part.clients)
+    assert part.sizes.tolist() == [12] * 20
 
 
 def test_generation_is_deterministic():
     a = generate_population(base_spec())
     b = generate_population(base_spec())
-    for ca, cb in zip(a.clients, b.clients):
-        assert np.array_equal(ca.data.inputs, cb.data.inputs)
-        assert np.array_equal(ca.data.labels, cb.data.labels)
+    assert np.array_equal(a.inputs, b.inputs)
+    assert np.array_equal(a.labels, b.labels)
+    assert np.array_equal(a.offsets, b.offsets)
     assert np.array_equal(a.probe.inputs, b.probe.inputs)
     c = generate_population(base_spec(seed=6))
-    assert not np.array_equal(a.clients[0].data.inputs, c.clients[0].data.inputs)
+    assert not np.array_equal(a.inputs[:12], c.inputs[:12])
 
 
 def test_client_ids_dense_and_probe_disjoint():
     part = generate_population(base_spec())
-    assert [c.client_id for c in part.clients] == list(range(20))
+    # Client i is row span i of the offsets: ids are 0..N-1 by construction.
+    assert part.num_clients == 20
+    assert part.offsets.tolist() == list(range(0, 20 * 12 + 1, 12))
     # Probe rows are drawn from an independent stream; none coincide with
     # training rows (Gaussian draws collide with probability zero).
-    train = set(map(tuple, np.concatenate(
-        [c.data.inputs for c in part.clients]).reshape(-1, 6).round(12).tolist()))
+    train = set(map(tuple, part.inputs.round(12).tolist()))
     probe = set(map(tuple, part.probe.inputs.round(12).tolist()))
     assert not train & probe
 
@@ -75,8 +77,8 @@ def test_high_alpha_label_histograms_near_uniform():
     k = part.num_classes
     expected = 200 / k
     chi2 = []
-    for c in part.clients:
-        obs = np.bincount(c.data.labels, minlength=k)
+    for c in client_batches(part):
+        obs = np.bincount(c.labels, minlength=k)
         chi2.append(float(((obs - expected) ** 2 / expected).sum()))
     # Multinomial sampling noise alone has mean chi2 = k - 1.
     assert np.mean(chi2) < 2.0 * (k - 1)
@@ -90,8 +92,8 @@ def test_low_alpha_is_visibly_skewed():
     k = part.num_classes
     expected = 200 / k
     chi2 = []
-    for c in part.clients:
-        obs = np.bincount(c.data.labels, minlength=k)
+    for c in client_batches(part):
+        obs = np.bincount(c.labels, minlength=k)
         chi2.append(float(((obs - expected) ** 2 / expected).sum()))
     assert np.mean(chi2) > 10.0 * (k - 1)
 
@@ -105,8 +107,7 @@ def test_per_dimension_noise_levels():
             examples_per_client=CountSpec(count=50),
         )
     )
-    pooled = np.concatenate([c.data.inputs for c in part.clients])
-    stds = pooled.std(axis=0)
+    stds = part.inputs.std(axis=0)
     assert np.all(stds[:3] < 0.2)
     assert np.all(stds[3:] > 4.0)
     with pytest.raises(ConfigError, match="per input dim"):
@@ -115,7 +116,7 @@ def test_per_dimension_noise_levels():
 
 def test_sequence_inputs_shape():
     part = generate_population(base_spec(seq_len=3))
-    assert part.clients[0].data.inputs.shape == (12, 3, 6)
+    assert part.inputs.shape == (20 * 12, 3, 6)
     assert part.probe.inputs.shape == (64, 3, 6)
 
 
@@ -146,7 +147,7 @@ def test_iid_shuffle_single_client_unchanged():
     part = generate_population(base_spec(num_clients=1))
     shuffled = iid_shuffle(part, seed=3)
     assert multiset(shuffled) == multiset(part)
-    assert shuffled.clients[0].num_examples == part.clients[0].num_examples
+    assert shuffled.sizes.tolist() == part.sizes.tolist()
 
 
 def test_iid_shuffle_flattens_label_distributions():
@@ -160,10 +161,10 @@ def test_iid_shuffle_flattens_label_distributions():
 
     def mean_pairwise_tv(partition):
         dists = []
-        for c in partition.clients:
-            if c.data is None or c.data.size == 0:
+        for c in client_batches(partition):
+            if c is None:
                 continue
-            p = np.bincount(c.data.labels, minlength=partition.num_classes)
+            p = np.bincount(c.labels, minlength=partition.num_classes)
             dists.append(p / p.sum())
         tvs = [
             0.5 * float(np.abs(a - b).sum())
@@ -181,7 +182,7 @@ def test_iid_shuffle_permits_empty_clients():
     # Far more clients than examples forces some clients to be empty.
     spec = base_spec(num_clients=50, examples_per_client=CountSpec(count=1))
     shuffled = iid_shuffle(generate_population(spec), seed=1)
-    assert any(c.data is None for c in shuffled.clients)
+    assert np.any(shuffled.sizes == 0)
     assert shuffled.total_examples() == 50
 
 
@@ -191,11 +192,10 @@ def test_iid_shuffle_permits_empty_clients():
 def test_partition_stats_small_case():
     spec = base_spec(num_clients=3)
     part = generate_population(spec)
-    sized = []
-    for cid, n in enumerate((1, 2, 3)):
-        c = part.clients[cid]
-        sized.append(type(c)(cid, take(c.data, np.arange(n))))
-    part = ClientPartition(tuple(sized), part.probe, part.num_classes)
+    keep = np.concatenate([lo + np.arange(n) for lo, n in
+                           zip(part.offsets[:-1].tolist(), (1, 2, 3))])
+    part = ClientPartition(part.inputs[keep], part.labels[keep], [0, 1, 3, 6],
+                           part.probe, part.num_classes)
     stats = partition_stats(part)
     assert stats.mean == 2.0
     assert stats.min == 1 and stats.max == 3
@@ -247,3 +247,120 @@ def test_spec_validation():
         base_spec(class_priors=(0.5, 0.5))  # wrong arity for 4 classes
     with pytest.raises(ConfigError):
         CountSpec(kind=CountKind.UNIFORM, count=0)
+
+
+# -- the flat partition against the per-client generator -------------------------
+
+
+_COUNTS = st.one_of(
+    st.builds(CountSpec, kind=st.just(CountKind.UNIFORM),
+              count=st.integers(1, 6)),
+    st.builds(CountSpec, kind=st.just(CountKind.LOGNORMAL),
+              log_mean=st.floats(0.0, 2.0), log_sigma=st.floats(0.0, 1.0),
+              cap=st.integers(1, 40)),
+    st.builds(CountSpec, kind=st.just(CountKind.POWER),
+              exponent=st.floats(0.8, 3.0), scale=st.floats(1.0, 3.0),
+              cap=st.integers(1, 40)),
+)
+
+
+@st.composite
+def population_specs(draw):
+    num_classes = draw(st.integers(2, 5))
+    input_dim = draw(st.integers(1, 4))
+    level = st.floats(0.01, 2.0)
+    return PopulationSpec(
+        num_clients=draw(st.integers(1, 12)),
+        num_classes=num_classes,
+        input_dim=input_dim,
+        examples_per_client=draw(_COUNTS),
+        label_skew_alpha=draw(st.floats(0.1, 10.0)),
+        noise_level=draw(st.one_of(
+            level, st.tuples(*[level] * input_dim))),
+        mean_separation=draw(st.floats(0.0, 3.0)),
+        input_scale=draw(st.floats(0.1, 3.0)),
+        class_priors=draw(st.one_of(
+            st.none(), st.tuples(*[st.floats(0.2, 1.0)] * num_classes))),
+        seq_len=draw(st.one_of(st.none(), st.integers(1, 3))),
+        probe_size=draw(st.integers(1, 20)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(spec=population_specs())
+def test_flat_population_equals_per_client_reference(spec):
+    flat = generate_population(spec)
+    want = per_client_population(spec)
+    assert flat.offsets.tobytes() == want.offsets.tobytes()
+    assert flat.labels.tobytes() == want.labels.tobytes()
+    assert flat.inputs.shape == want.inputs.shape
+    assert flat.inputs.tobytes() == want.inputs.tobytes()
+    assert flat.probe.labels.tobytes() == want.probe.labels.tobytes()
+    assert flat.probe.inputs.tobytes() == want.probe.inputs.tobytes()
+
+
+def test_flat_population_spans_several_mean_chunks():
+    # More rows than one chunk of class-mean adds, in both input layouts.
+    for seq_len in (None, 2):
+        spec = base_spec(num_clients=3000, seq_len=seq_len,
+                         examples_per_client=CountSpec(count=7))
+        flat, want = generate_population(spec), per_client_population(spec)
+        assert flat.inputs.tobytes() == want.inputs.tobytes()
+
+
+# -- partition validation ---------------------------------------------------------
+
+
+def _with(array, index, value):
+    out = np.array(array)
+    out[index] = value
+    return out
+
+
+MALFORMED = {
+    "labels-not-1d": (lambda p: dict(labels=p.labels[:, None]), "1-D"),
+    "rows-unlike-labels": (lambda p: dict(inputs=p.inputs[:-1]), "size mismatch"),
+    "negative-label": (lambda p: dict(labels=_with(p.labels, 5, -1)),
+                       "nonnegative"),
+    "client-label-too-large": (lambda p: dict(labels=_with(p.labels, 5, 4)),
+                               "out of range"),
+    "probe-label-too-large": (
+        lambda p: dict(probe=Batch(p.probe.inputs, _with(p.probe.labels, 0, 4))),
+        "out of range"),
+    "inputs-unlike-probe": (lambda p: dict(inputs=p.inputs[:, :-1]),
+                            "differ from probe"),
+    "offsets-not-from-zero": (lambda p: dict(offsets=_with(p.offsets, 0, 1)),
+                              "offsets"),
+    "offsets-decrease": (lambda p: dict(offsets=[0, 20, 12, 36]), "offsets"),
+    "offsets-short-of-end": (lambda p: dict(offsets=p.offsets[:-1]), "offsets"),
+    "offsets-not-1d": (lambda p: dict(offsets=p.offsets[None, :]), "offsets"),
+    "offsets-empty": (lambda p: dict(offsets=[]), "offsets"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_partition_rejected(case):
+    part = generate_population(base_spec(num_clients=3))
+    change, message = MALFORMED[case]
+    fields = dict(inputs=part.inputs, labels=part.labels, offsets=part.offsets,
+                  probe=part.probe, num_classes=part.num_classes)
+    fields.update(change(part))
+    with pytest.raises(StructureError, match=message):
+        ClientPartition(**fields)
+
+
+def test_empty_client_is_a_zero_length_span():
+    part = generate_population(base_spec(num_clients=3))
+    part = ClientPartition(part.inputs, part.labels, [0, 12, 12, 36], part.probe,
+                           part.num_classes)
+    assert part.sizes.tolist() == [12, 0, 24]
+    assert client_batches(part)[1] is None
+    assert partition_stats(part).min == 0
+
+
+def test_partition_arrays_are_read_only():
+    part = generate_population(base_spec())
+    for array in (part.inputs, part.labels, part.offsets, part.sizes):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0

@@ -5,8 +5,10 @@ import pytest
 from reference import (
     add_noise,
     axpy,
+    client_batches,
     clip_tree,
     global_norm,
+    partition_from_batches,
     scale,
     sub,
     take,
@@ -19,8 +21,6 @@ from fldp import models
 from fldp.clipping import ClipSpec, ClipVariant
 from fldp.data import (
     Batch,
-    ClientDataset,
-    ClientPartition,
     CountSpec,
     PopulationSpec,
     generate_population,
@@ -93,19 +93,19 @@ def test_zero_lr_gives_zero_delta():
     population, model, params = setup_local()
     local = LocalConfig(LocalMode.STEPS, count=4, batch_size=4, lr=0.0)
     delta = params.with_flat(train_cohort(
-        params, [population.clients[0].data], model, local, 0.0, 1, [0], 5)[0])
+        params, population, model, local, 0.0, 1, [0], 5)[0])
     assert delta == zeros_like(params)
 
 
 def test_single_full_batch_step_is_one_sgd_step():
     population, model, params = setup_local()
-    client = population.clients[2].data
+    client = client_batches(population)[2]
     eta = 0.07
     local = LocalConfig(
         LocalMode.STEPS, count=1, batch_size=client.size, lr=eta, clip_bound=INF
     )
     delta = params.with_flat(
-        train_cohort(params, [client], model, local, 0.0, 1, [2], 5)[0])
+        train_cohort(params, population, model, local, 0.0, 1, [2], 5)[0])
     expected = scale(-eta, models.grad(model, params, client))
     for (_, a), (_, b) in zip(delta.items(), expected.items()):
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-15)
@@ -114,11 +114,11 @@ def test_single_full_batch_step_is_one_sgd_step():
 def test_local_train_matches_plain_sgd_oracle():
     # Reimplement the epochs-mode loop directly; mu=0 must agree bitwise.
     population, model, params = setup_local()
-    client = population.clients[1].data
+    client = client_batches(population)[1]
     local = LocalConfig(LocalMode.EPOCHS, count=2, batch_size=4, lr=0.05,
                         clip_bound=0.5)
     delta = params.with_flat(
-        train_cohort(params, [client], model, local, 0.0, 7, [1], 13)[0])
+        train_cohort(params, population, model, local, 0.0, 7, [1], 13)[0])
 
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence((13, 2, 7, 1)))
@@ -135,21 +135,19 @@ def test_local_train_matches_plain_sgd_oracle():
 
 def test_steps_mode_uses_requested_number_of_batches():
     population, model, params = setup_local()
-    client = population.clients[0].data
     # With lr > 0 each extra step moves the parameters further.
     deltas = []
     for count in (1, 3):
         local = LocalConfig(LocalMode.STEPS, count=count, batch_size=4, lr=0.1)
         deltas.append(
             global_norm(params.with_flat(
-                train_cohort(params, [client], model, local, 0.0, 1, [0], 5)[0]))
+                train_cohort(params, population, model, local, 0.0, 1, [0], 5)[0]))
         )
     assert deltas[1] > deltas[0]
 
 
 def test_fedprox_zero_is_bitwise_baseline_and_norms_shrink_with_mu():
     population, model, params = setup_local()
-    client = population.clients[3].data
     # lr small enough that local training is contractive (no overshoot),
     # so the proximal pull strictly shrinks the delta.
     local = LocalConfig(LocalMode.EPOCHS, count=3, batch_size=5, lr=0.05,
@@ -157,7 +155,7 @@ def test_fedprox_zero_is_bitwise_baseline_and_norms_shrink_with_mu():
 
     def run(mu):
         return params.with_flat(
-            train_cohort(params, [client], model, local, mu, 2, [3], 21)[0])
+            train_cohort(params, population, model, local, mu, 2, [3], 21)[0])
 
     baseline = run(0.0)
     assert run(0.0) == baseline  # deterministic
@@ -186,7 +184,7 @@ def test_epochs_round_makes_one_gradient_call_per_step_index(monkeypatch):
     cfg = make_config(population, num_rounds=3, cohort_size=6,
                       local_mode=LocalMode.EPOCHS, local_count=2, batch_size=4)
     result = run_simulation(cfg, population, linear_model())
-    steps = [[2 * math.ceil(population.clients[c].num_examples / 4)
+    steps = [[2 * math.ceil(population.sizes[c] / 4)
               for c in m.cohort_ids] for m in result.metrics]
     assert all(len(set(s)) > 1 for s in steps)
     assert calls == sum(max(s) for s in steps)
@@ -256,10 +254,7 @@ def test_fedsgd_equivalence_with_centralized_gd():
     )
     result = run_simulation(cfg, population, model)
 
-    full = Batch(
-        np.concatenate([c.data.inputs for c in population.clients]),
-        np.concatenate([c.data.labels for c in population.clients]),
-    )
+    full = Batch(population.inputs, population.labels)
     theta = models.init_params(model, cfg.seed)
     for _ in range(50):
         theta = axpy(-eta, models.grad(model, theta, full), theta)
@@ -371,15 +366,16 @@ def test_tiny_clip_bound_harmless_under_lamb():
     assert gap <= noise
 
 
+def without_first_three(population):
+    """The partition with clients 0..2 emptied."""
+    batches = client_batches(population)
+    return partition_from_batches([None] * 3 + batches[3:], population.probe,
+                                  population.num_classes)
+
+
 def test_empty_clients_are_dropped_and_round_continues():
     _, population = small_population(num_clients=6, count=2)
-    # Make clients 0..2 empty.
-    clients = [
-        ClientDataset(c.client_id, None if c.client_id < 3 else c.data)
-        for c in population.clients
-    ]
-    partition = ClientPartition(tuple(clients), population.probe,
-                                population.num_classes)
+    partition = without_first_three(population)
     model = linear_model()
     cfg = make_config(partition, num_rounds=3, cohort_size=6)
     result = run_simulation(cfg, partition, model)
@@ -391,12 +387,7 @@ def test_one_probe_forward_pass_per_round(monkeypatch):
     # Probe loss and accuracy share one forward pass, on training rounds and
     # on rounds whose sampled cohort is empty alike.
     _, population = small_population(num_clients=6, count=2)
-    clients = [
-        ClientDataset(c.client_id, None if c.client_id < 3 else c.data)
-        for c in population.clients
-    ]
-    partition = ClientPartition(tuple(clients), population.probe,
-                                population.num_classes)
+    partition = without_first_three(population)
     forward = models._forward
     probe_passes = 0
 
