@@ -12,17 +12,26 @@ The population's examples sit end to end in one input array and one label
 array; client i owns rows ``offsets[i]:offsets[i+1]``, so an empty client
 is a zero-length span. All clients' inputs come from one draw of the
 inputs stream, which equals drawing them client by client.
+
+Labels come from the one shared label stream, client by client: a
+Dirichlet draw of the client's class distribution, then one uniform per
+example. After the loop an inverse CDF over the whole population turns
+each uniform into the number of its client's cumulative class
+probabilities at or below it. That is what ``Generator.choice(K, n,
+p=dist)`` computes from the same uniforms, so the labels are bit for bit
+the per-client ``choice`` draws.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, StructureError
+from .errors import ConfigError, NumericsError, StructureError
 from .models import Batch
 from .streams import generator
 
@@ -97,8 +106,15 @@ class PopulationSpec:
             raise ConfigError("population needs at least two classes")
         if self.input_dim < 1:
             raise ConfigError("input_dim must be >= 1")
-        if self.label_skew_alpha <= 0:
-            raise ConfigError("label_skew_alpha must be positive")
+        # alpha * K bounds every Dirichlet concentration alpha * K * prior.
+        if not 0 < self.label_skew_alpha * self.num_classes < math.inf:
+            raise ConfigError(
+                "label_skew_alpha must be positive and finite, got "
+                f"{self.label_skew_alpha}")
+        for name in ("mean_separation", "input_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if self.probe_size < 1:
             raise ConfigError("probe_size must be >= 1")
         if self.seed < 0:
@@ -110,11 +126,16 @@ class PopulationSpec:
                     "per-dimension noise_level needs one value per input dim"
                 )
             object.__setattr__(self, "noise_level", levels)
+        if not np.isfinite(self.noise_level).all():
+            raise ConfigError(f"noise_level must be finite, got {self.noise_level}")
         if self.class_priors is not None:
             priors = tuple(float(p) for p in self.class_priors)
-            if len(priors) != self.num_classes or any(p <= 0 for p in priors):
-                raise ConfigError("class_priors must be positive, one per class")
             total = sum(priors)
+            if (len(priors) != self.num_classes
+                    or not all(0 < p < math.inf for p in priors)
+                    or not math.isfinite(total)):
+                raise ConfigError(
+                    "class_priors must be positive and finite, one per class")
             object.__setattr__(
                 self, "class_priors", tuple(p / total for p in priors)
             )
@@ -189,6 +210,47 @@ def _draw_inputs(rng, means, labels, spec: PopulationSpec) -> np.ndarray:
     return out
 
 
+def _cdf(dist: np.ndarray) -> np.ndarray:
+    """Row-wise cumulative sums scaled to end at 1, as ``Generator.choice``."""
+    cdf = np.cumsum(dist, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # checked by the caller
+        cdf /= cdf[:, -1:]
+    return cdf
+
+
+def _inverse_cdf(cdf: np.ndarray, counts: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row-wise ``searchsorted(cdf[i], u, side='right')`` over (N, K) rows.
+
+    Row i covers the next ``counts[i]`` entries of ``u``; each entry's
+    result is the number of its row's cdf entries at or below it. The count
+    goes column by column, so no (E, K) array is built.
+    """
+    out = np.zeros(u.size, dtype=np.int64)
+    for column in cdf.T:
+        out += np.repeat(column, counts) <= u
+    return out
+
+
+def _draw_labels(rng, concentration, offsets) -> np.ndarray:
+    """Every client's labels: a Dirichlet row, then one uniform per example.
+
+    The uniforms are those ``rng.choice(K, n, p=row)`` would read, in the
+    same order, so the labels are bit for bit the per-client draws.
+    """
+    dist = np.empty((offsets.size - 1, concentration.size))
+    u = np.empty(offsets[-1])
+    for i, (lo, hi) in enumerate(zip(offsets[:-1].tolist(), offsets[1:].tolist())):
+        dist[i] = rng.dirichlet(concentration)
+        rng.random(out=u[lo:hi])
+    cdf = _cdf(dist)
+    bad = np.flatnonzero(~np.isfinite(cdf).all(axis=1))
+    if bad.size:
+        raise NumericsError(
+            f"client {bad[0]}: Dirichlet class distribution {dist[bad[0]].tolist()} "
+            "is not a finite probability vector")
+    return _inverse_cdf(cdf, np.diff(offsets), u)
+
+
 def generate_population(spec: PopulationSpec) -> ClientPartition:
     """Deterministic synthetic population; probe split is disjoint."""
     means = spec.mean_separation * generator(spec.seed, _STREAM_MEANS).normal(
@@ -198,16 +260,14 @@ def generate_population(spec: PopulationSpec) -> ClientPartition:
     priors = np.asarray(spec.class_priors or [1.0 / spec.num_classes] * spec.num_classes)
     offsets = np.zeros(spec.num_clients + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    labels = np.empty(offsets[-1], dtype=np.int64)
-    label_rng = generator(spec.seed, _STREAM_LABELS)
-    concentration = spec.label_skew_alpha * spec.num_classes * priors
-    for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
-        class_dist = label_rng.dirichlet(concentration)
-        labels[lo:hi] = label_rng.choice(spec.num_classes, size=hi - lo, p=class_dist)
+    labels = _draw_labels(generator(spec.seed, _STREAM_LABELS),
+                          spec.label_skew_alpha * spec.num_classes * priors,
+                          offsets)
     inputs = _draw_inputs(generator(spec.seed, _STREAM_INPUTS), means, labels, spec)
 
     probe_rng = generator(spec.seed, _STREAM_PROBE)
-    probe_labels = probe_rng.choice(spec.num_classes, size=spec.probe_size, p=priors)
+    probe_labels = _inverse_cdf(_cdf(priors[None, :]), np.array([spec.probe_size]),
+                               probe_rng.random(spec.probe_size))
     probe_inputs = _draw_inputs(probe_rng, means, probe_labels, spec)
     return ClientPartition(inputs, labels, offsets,
                            Batch(probe_inputs, probe_labels), spec.num_classes)

@@ -269,7 +269,12 @@ def _draw_minibatches(sizes, local: LocalConfig, keys: np.ndarray):
 
 
 def _build_privacy_report(privacy: PrivacyParams, mask: NoiseMask,
-                          layer_names) -> dict:
+                          layer_names, sampling: CohortMode) -> dict:
+    """What the run released and its guarantee.
+
+    ``sampling`` is the cohort scheme the engine ran; the accountant always
+    treats it as Poisson sampling at ``sampling_rate``.
+    """
     dp_valid = mask.covers(layer_names)
     report = {
         "clip_bound": privacy.clip_bound,
@@ -277,16 +282,19 @@ def _build_privacy_report(privacy: PrivacyParams, mask: NoiseMask,
         "sigma_client": privacy.sigma_client,
         "sigma_sum": privacy.sigma_sum,
         "sampling_rate": privacy.sampling_rate,
+        "sampling": sampling.value,
+        "accounted_as": "poisson",
         "population": privacy.population,
         "cohort_size": privacy.cohort_size,
         "num_steps": privacy.num_steps,
         "delta": privacy.delta,
         "dp_valid": dp_valid,
-        "notes": [
-            "accounting assumes Poisson sampling at the stated rate even when "
-            "the simulator fixes the cohort size",
-        ],
+        "notes": [],
     }
+    if sampling == CohortMode.FIXED_SIZE:
+        report["notes"].append(
+            "accounting assumes Poisson sampling at the stated rate even when "
+            "the simulator fixes the cohort size")
     if privacy.num_steps == 0:
         report.update({"noise_multiplier": 0.0, "epsilon": 0.0, "best_order": None})
         return report
@@ -452,7 +460,8 @@ def run_simulation(
         if archive_deltas:
             archives.append(RoundArchive(t, list(cohort), deltas, clipped))
 
-    report = _build_privacy_report(cfg.privacy, cfg.noise_mask, params.names)
+    report = _build_privacy_report(cfg.privacy, cfg.noise_mask, params.names,
+                                   cfg.cohort.mode)
     return SimulationResult(params, metrics, report, archives)
 
 

@@ -403,6 +403,47 @@ def simulate_code(tmp_path, cfg):
                  "--out", str(tmp_path / "run")])
 
 
+# A non-finite population parameter is a config error before any client is
+# generated, not a numpy traceback or a failure at round 1.
+NON_FINITE_POPULATION = {
+    "label-skew-alpha-inf": ("label_skew_alpha", math.inf,
+                             "label_skew_alpha must be positive and finite, got inf"),
+    "label-skew-alpha-overflows": ("label_skew_alpha", 1e308,
+                                   "label_skew_alpha must be positive and finite"),
+    "class-priors-inf": ("class_priors", [math.inf, 1, 1],
+                         "class_priors must be positive and finite"),
+    "class-priors-total-overflows": ("class_priors", [1e308, 1e308, 1],
+                                     "class_priors must be positive and finite"),
+    "mean-separation-inf": ("mean_separation", math.inf,
+                            "mean_separation must be finite, got inf"),
+    "input-scale-inf": ("input_scale", math.inf, "input_scale must be finite, got inf"),
+    "noise-level-inf": ("noise_level", math.inf, "noise_level must be finite, got inf"),
+    "noise-level-entry-inf": ("noise_level", [0.5, math.inf, 0.5, 0.5],
+                              "noise_level must be finite, got (0.5, inf, 0.5, 0.5)"),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE_POPULATION))
+def test_cli_non_finite_population_parameter_is_config_error(case, tmp_path, capsys):
+    key, value, message = NON_FINITE_POPULATION[case]
+    cfg = minimal_config()
+    cfg["population"][key] = value
+    assert simulate_code(tmp_path, cfg) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run" / "run_manifest.json").exists()
+
+
+def test_cli_nan_class_distribution_is_numerics_error(tmp_path, capsys, monkeypatch):
+    class NanDirichlet(np.random.Generator):
+        def dirichlet(self, alpha, size=None):
+            return np.full(len(alpha), np.nan)
+
+    monkeypatch.setattr(np.random, "Generator", NanDirichlet)
+    assert simulate_code(tmp_path, minimal_config()) == 3
+    assert "numerical error: client 0: Dirichlet class distribution" in (
+        capsys.readouterr().err)
+
+
 # (section, key) set to a wrongly typed value, and the error the CLI prints.
 WRONG_TYPES = {
     "noise-level-entry-string": (

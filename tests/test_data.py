@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,10 +13,11 @@ from fldp.data import (
     CountKind,
     CountSpec,
     PopulationSpec,
+    _inverse_cdf,
     generate_population,
     partition_stats,
 )
-from fldp.errors import ConfigError, StructureError
+from fldp.errors import ConfigError, NumericsError, StructureError
 
 # An overflow or invalid value while generating a population fails the test.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -249,6 +251,26 @@ def test_spec_validation():
         CountSpec(kind=CountKind.UNIFORM, count=0)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("label_skew_alpha", math.inf, "label_skew_alpha must be positive and finite"),
+    ("label_skew_alpha", math.nan, "label_skew_alpha must be positive and finite"),
+    # Finite, but alpha * num_classes overflows every concentration to inf.
+    ("label_skew_alpha", 1e308, "label_skew_alpha must be positive and finite"),
+    ("class_priors", (math.inf, 1, 1, 1), "class_priors must be positive and finite"),
+    ("class_priors", (math.nan, 1, 1, 1), "class_priors must be positive and finite"),
+    # Finite entries whose total overflows would normalise to all zeros.
+    ("class_priors", (1e308, 1e308, 1, 1), "class_priors must be positive and finite"),
+    ("mean_separation", math.inf, "mean_separation must be finite"),
+    ("mean_separation", math.nan, "mean_separation must be finite"),
+    ("input_scale", -math.inf, "input_scale must be finite"),
+    ("noise_level", math.inf, "noise_level must be finite"),
+    ("noise_level", (0.5, 0.5, math.nan, 0.5, 0.5, 0.5), "noise_level must be finite"),
+])
+def test_spec_rejects_non_finite_parameters(field, value, message):
+    with pytest.raises(ConfigError, match=message):
+        base_spec(**{field: value})
+
+
 # -- the flat partition against the per-client generator -------------------------
 
 
@@ -298,6 +320,82 @@ def test_flat_population_equals_per_client_reference(spec):
     assert flat.inputs.tobytes() == want.inputs.tobytes()
     assert flat.probe.labels.tobytes() == want.probe.labels.tobytes()
     assert flat.probe.inputs.tobytes() == want.probe.inputs.tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(spec=population_specs(), scale=st.floats(0.01, 0.99))
+def test_flat_population_equals_reference_on_the_beta_branch(spec, scale):
+    # With every concentration below 0.1, numpy's Dirichlet breaks a stick
+    # with beta draws instead of normalising gammas, and reads its stream
+    # differently; its rows often put all but zero mass on a few classes.
+    priors = np.asarray(spec.class_priors or [1.0 / spec.num_classes] * spec.num_classes)
+    spec = dataclasses.replace(
+        spec, label_skew_alpha=0.1 * scale / (spec.num_classes * priors.max()))
+    assert (spec.label_skew_alpha * spec.num_classes * priors).max() < 0.1
+    flat = generate_population(spec)
+    want = per_client_population(spec)
+    assert flat.offsets.tobytes() == want.offsets.tobytes()
+    assert flat.labels.tobytes() == want.labels.tobytes()
+    assert flat.inputs.tobytes() == want.inputs.tobytes()
+    assert flat.probe.labels.tobytes() == want.probe.labels.tobytes()
+
+
+@st.composite
+def cdf_rows(draw):
+    """(cdf, counts, u): rows with zero-probability classes, u on cdf entries."""
+    num_rows, k = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+    rows = [draw(st.lists(weight, min_size=k, max_size=k).filter(any))
+            for _ in range(num_rows)]
+    cdf = np.cumsum(rows, axis=1)
+    cdf /= cdf[:, -1:]
+    counts = draw(st.lists(st.integers(0, 5), min_size=num_rows, max_size=num_rows))
+    u = [draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from(cdf[i].tolist())))
+         for i, n in enumerate(counts) for _ in range(n)]
+    return cdf, np.array(counts, dtype=np.int64), np.array(u, dtype=np.float64)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(case=cdf_rows())
+def test_inverse_cdf_equals_searchsorted_per_row(case):
+    cdf, counts, u = case
+    want = np.concatenate(
+        [np.zeros(0, dtype=np.int64)]
+        + [np.searchsorted(row, part, side="right")
+           for row, part in zip(cdf, np.split(u, np.cumsum(counts)[:-1]))])
+    got = _inverse_cdf(cdf, counts, u)
+    assert got.dtype == np.int64
+    assert got.tolist() == want.tolist()
+
+
+def test_population_makes_no_choice_call(monkeypatch):
+    calls = []
+
+    class CountingGenerator(np.random.Generator):
+        def choice(self, *args, **kwargs):
+            calls.append(args)
+            return super().choice(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", CountingGenerator)
+    part = generate_population(base_spec(class_priors=(0.4, 0.3, 0.2, 0.1)))
+    assert part.num_clients == 20
+    assert calls == []
+
+
+@pytest.mark.parametrize("row", [[np.nan, 0.5, 0.25, 0.25], [0.0, 0.0, 0.0, 0.0]],
+                         ids=["nan", "all-zero"])
+def test_non_finite_class_distribution_is_numerics_error(row, monkeypatch):
+    # A Dirichlet row numpy's `choice` would reject must not become labels.
+    rows = []
+
+    class BrokenDirichlet(np.random.Generator):
+        def dirichlet(self, alpha, size=None):
+            rows.append(None)
+            return np.array(row) if len(rows) == 3 else super().dirichlet(alpha, size)
+
+    monkeypatch.setattr(np.random, "Generator", BrokenDirichlet)
+    with pytest.raises(NumericsError, match=r"^client 2: Dirichlet class distribution"):
+        generate_population(base_spec())
 
 
 def test_flat_population_spans_several_mean_chunks():

@@ -17,7 +17,7 @@ from reference import (
 )
 from simtools import INF, linear_model, make_config, small_population
 
-from fldp import models
+from fldp import accountant, models
 from fldp.clipping import ClipSpec, ClipVariant
 from fldp.data import (
     Batch,
@@ -324,6 +324,23 @@ def test_privacy_report_uses_exact_parameters():
     assert report["noise_multiplier"] == pytest.approx(expected_z, rel=1e-12)
     assert report["dp_valid"] is True
     assert report["epsilon"] > 0
+
+
+@pytest.mark.parametrize("cohort, sampling", [
+    (dict(cohort_size=5), "fixed_size"),
+    (dict(cohort_rate=0.25), "bernoulli"),
+])
+def test_privacy_report_names_sampling_scheme(cohort, sampling):
+    _, population = small_population(num_clients=20)
+    cfg = make_config(population, num_rounds=4, sigma_client=0.5, **cohort)
+    report = run_simulation(cfg, population, linear_model()).privacy_report
+    assert report["sampling"] == sampling
+    assert report["accounted_as"] == "poisson"
+    # The free-text caveat is kept only where the two schemes differ.
+    fixed_note = [n for n in report["notes"] if "fixes the cohort size" in n]
+    assert len(fixed_note) == (sampling == "fixed_size")
+    eps, order = accountant.epsilon_for(report["noise_multiplier"], 0.25, 4, 1e-6)
+    assert (report["epsilon"], report["best_order"]) == (eps, order)
 
 
 def test_partial_noise_mask_flags_report_invalid():
