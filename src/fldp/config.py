@@ -1,11 +1,14 @@
 """Config-file parsing, validation, and the run manifest.
 
 Configs are YAML (JSON also parses) with three sections: ``model``,
-``population`` and ``federation``. Parsing applies documented defaults,
-rejects unknown keys with their dotted path, and enforces cross-field
-consistency: the privacy block must agree with the clip bound, population
-size, cohort and round count wherever it restates them (omitted values are
-filled in). ``resolved_dict`` emits the fully expanded configuration, which
+``population`` and ``federation``. Parsing applies documented defaults and
+rejects unknown keys with their dotted path. Every value has one owning
+key: the population takes its shape (classes, input dimension, sequence
+length) from ``model``, and the privacy point takes its clip bound, step
+count, population size and cohort size or rate from ``federation.clip``,
+``federation.rounds``, ``population.num_clients`` and
+``federation.cohort``, so ``federation.privacy`` holds only the noise and
+delta. ``resolved_dict`` emits the fully expanded configuration, which
 re-parses to an identical resolution (round-trip stable).
 """
 
@@ -119,9 +122,8 @@ class _Section:
     def finish(self):
         unknown = set(self.mapping) - self.seen
         if unknown:
-            raise ConfigError(
-                f"{self.path}: unknown keys {sorted(unknown)}"
-            )
+            paths = ", ".join(sorted(f"{self.path}.{key}" for key in unknown))
+            raise ConfigError(f"unknown keys: {paths}")
 
 
 def _seed(section: _Section) -> int:
@@ -170,40 +172,21 @@ def _parse_counts(section: Optional[_Section]) -> CountSpec:
 
 
 def _parse_population(section: _Section, model: ModelSpec) -> PopulationSpec:
-    num_classes = section.value("num_classes", model.num_classes, kind=int)
-    if num_classes != model.num_classes:
-        raise ConfigError(
-            f"population.num_classes ({num_classes}) must equal "
-            f"model.num_classes ({model.num_classes})"
-        )
-    input_dim = section.value("input_dim", model.input_dim, kind=int)
-    if input_dim != model.input_dim:
-        raise ConfigError(
-            f"population.input_dim ({input_dim}) must equal "
-            f"model.input_dim ({model.input_dim})"
-        )
-    model_seq = model.seq_len if model.kind == ModelKind.TINY_ATTENTION else None
-    seq_len = section.value("seq_len", model_seq, kind=int)
-    if seq_len != model_seq:
-        raise ConfigError(
-            f"population.seq_len ({seq_len}) must match the model input shape "
-            f"({model_seq})"
-        )
     if isinstance(section.mapping.get("noise_level"), (list, tuple)):
         noise_level = section.sequence("noise_level", float)
     else:
         noise_level = section.value("noise_level", 0.5, kind=float)
     spec = PopulationSpec(
         num_clients=section.value("num_clients", required=True, kind=int),
-        num_classes=num_classes,
-        input_dim=input_dim,
+        num_classes=model.num_classes,
+        input_dim=model.input_dim,
         examples_per_client=_parse_counts(section.child("examples_per_client")),
         label_skew_alpha=section.value("label_skew_alpha", 1.0, kind=float),
         noise_level=noise_level,
         mean_separation=section.value("mean_separation", 1.0, kind=float),
         input_scale=section.value("input_scale", 1.0, kind=float),
         class_priors=section.sequence("class_priors", float),
-        seq_len=seq_len,
+        seq_len=model.seq_len if model.kind == ModelKind.TINY_ATTENTION else None,
         probe_size=section.value("probe_size", 256, kind=int),
         seed=_seed(section),
     )
@@ -221,16 +204,6 @@ def _parse_clip(section: _Section) -> ClipSpec:
     return spec
 
 
-def _restated(section: _Section, key: str, kind, actual, source: str):
-    """A privacy key that restates `source`: `actual` if absent, else equal to it."""
-    value = section.value(key, None, kind=kind)
-    if value is not None and value != actual:
-        raise ConfigError(
-            f"federation.privacy.{key} ({value}) must equal {source} ({actual})"
-        )
-    return actual
-
-
 def _parse_privacy(
     section: Optional[_Section],
     clip: ClipSpec,
@@ -240,28 +213,14 @@ def _parse_privacy(
 ) -> PrivacyParams:
     if section is None:
         section = _Section({}, "federation.privacy")
-    clip_bound = _restated(section, "clip_bound", float, clip.bound,
-                           "federation.clip.bound")
-    population = _restated(section, "population", int, num_clients,
-                           "population.num_clients")
-    num_steps = _restated(section, "num_steps", int, num_rounds, "federation.rounds")
-    if cohort.mode == CohortMode.FIXED_SIZE:
-        cohort_size = _restated(section, "cohort_size", float, cohort.size,
-                                "federation.cohort.size")
-        sampling_rate = section.value("sampling_rate", None, kind=float)
-    else:
-        sampling_rate = _restated(section, "sampling_rate", float, cohort.rate,
-                                  "federation.cohort.rate")
-        cohort_size = section.value("cohort_size", None, kind=float)
     params = PrivacyParams(
-        clip_bound=clip_bound,
+        clip_bound=clip.bound,
         sigma=section.value("sigma", 0.0, kind=float),
         sigma_kind=section.enum("sigma_kind", SigmaKind, SigmaKind.AVG),
-        population=population,
-        sampling_rate=sampling_rate,
-        cohort_size=cohort_size,
-        num_steps=num_steps,
+        population=num_clients,
+        num_steps=num_rounds,
         delta=section.value("delta", 1e-9, kind=float),
+        **cohort.privacy_args(),
     )
     section.finish()
     return params
@@ -413,9 +372,15 @@ def resolved_dict(rc: ResolvedConfig) -> dict:
     federation["noise_mask"] = sorted(included) if included is not None else None
     del federation["seed_model"]
     federation["seed_model_path"] = rc.seed_model_path
+    # Values owned by other sections are not restated.
+    federation["privacy"] = {key: federation["privacy"][key]
+                             for key in ("sigma", "sigma_kind", "delta")}
+    population = _plain(rc.population)
+    for key in ("num_classes", "input_dim", "seq_len"):
+        del population[key]
     out = {
         "model": _plain(rc.model),
-        "population": _plain(rc.population),
+        "population": population,
         "federation": federation,
     }
     _drop_nones(out)

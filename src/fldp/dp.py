@@ -66,10 +66,13 @@ def convert_noise(
 class PrivacyParams:
     """User-level DP configuration and the derived accounting quantities.
 
-    Exactly one of sampling_rate / cohort_size may be omitted; the other is
-    derived from the population size. When both are given (as when copying
-    a published table row where q is printed rounded) they are cross-checked
-    to 2% and the cohort size is authoritative for the sensitivity.
+    At least one of sampling_rate / cohort_size is given; an omitted one is
+    derived from the population size. A config gives exactly one, the one
+    its cohort owns (``CohortConfig.privacy_args``), and ``run_simulation``
+    rejects any point other than the one it runs. Giving both serves only
+    ``fldp accountant`` (as when copying a published table row where q is
+    printed rounded): they are cross-checked to 2% and the cohort size is
+    authoritative for the sensitivity.
     """
 
     clip_bound: float

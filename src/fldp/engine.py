@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Optional
 
@@ -87,6 +87,10 @@ class CohortConfig:
                 raise ConfigError("fixed_size cohort needs size >= 1 and no rate")
         elif self.rate is None or not 0 < self.rate <= 1 or self.size is not None:
             raise ConfigError("bernoulli cohort needs rate in (0, 1] and no size")
+
+    def privacy_args(self) -> dict:
+        """The cohort's own PrivacyParams argument (size or rate), the other None."""
+        return {"cohort_size": self.size, "sampling_rate": self.rate}
 
 
 class LocalMode(str, Enum):
@@ -273,7 +277,8 @@ def _build_privacy_report(privacy: PrivacyParams, mask: NoiseMask,
     """What the run released and its guarantee.
 
     ``sampling`` is the cohort scheme the engine ran; the accountant always
-    treats it as Poisson sampling at ``sampling_rate``.
+    treats it as Poisson sampling at ``sampling_rate`` under add/remove
+    adjacency.
     """
     dp_valid = mask.covers(layer_names)
     report = {
@@ -284,6 +289,7 @@ def _build_privacy_report(privacy: PrivacyParams, mask: NoiseMask,
         "sampling_rate": privacy.sampling_rate,
         "sampling": sampling.value,
         "accounted_as": "poisson",
+        "adjacency": "add_remove",
         "population": privacy.population,
         "cohort_size": privacy.cohort_size,
         "num_steps": privacy.num_steps,
@@ -293,8 +299,8 @@ def _build_privacy_report(privacy: PrivacyParams, mask: NoiseMask,
     }
     if sampling == CohortMode.FIXED_SIZE:
         report["notes"].append(
-            "accounting assumes Poisson sampling at the stated rate even when "
-            "the simulator fixes the cohort size")
+            "accounting assumes Poisson sampling at q = L/N even when the "
+            "simulator fixes the cohort size")
     if privacy.num_steps == 0:
         report.update({"noise_multiplier": 0.0, "epsilon": 0.0, "best_order": None})
         return report
@@ -329,32 +335,17 @@ def _build_privacy_report(privacy: PrivacyParams, mask: NoiseMask,
 
 def _validate(cfg: FederationConfig, population: ClientPartition,
               model_spec: ModelSpec) -> None:
-    if cfg.privacy.clip_bound != cfg.clip.bound:
-        raise ConfigError(
-            f"privacy.clip_bound ({cfg.privacy.clip_bound}) must equal "
-            f"clip.bound ({cfg.clip.bound})"
-        )
-    if cfg.privacy.population != population.num_clients:
-        raise ConfigError(
-            f"privacy.population ({cfg.privacy.population}) must equal the "
-            f"partition size ({population.num_clients})"
-        )
-    if cfg.privacy.num_steps != cfg.num_rounds:
-        raise ConfigError(
-            f"privacy.num_steps ({cfg.privacy.num_steps}) must equal "
-            f"num_rounds ({cfg.num_rounds})"
-        )
-    if cfg.cohort.mode == CohortMode.FIXED_SIZE:
-        if abs(cfg.privacy.cohort_size - cfg.cohort.size) > 1e-9:
+    # The accounted point, rebuilt from the values the engine runs with.
+    ran = replace(
+        cfg.privacy, clip_bound=cfg.clip.bound, population=population.num_clients,
+        num_steps=cfg.num_rounds, **cfg.cohort.privacy_args(),
+    )
+    for field in fields(ran):
+        stated, actual = getattr(cfg.privacy, field.name), getattr(ran, field.name)
+        if stated != actual:
             raise ConfigError(
-                f"privacy.cohort_size ({cfg.privacy.cohort_size}) must equal "
-                f"cohort.size ({cfg.cohort.size})"
-            )
-    else:
-        if abs(cfg.privacy.sampling_rate - cfg.cohort.rate) > 1e-12:
-            raise ConfigError(
-                f"privacy.sampling_rate ({cfg.privacy.sampling_rate}) must "
-                f"equal cohort.rate ({cfg.cohort.rate})"
+                f"privacy.{field.name} ({stated}) must equal {actual}, "
+                "the value the engine runs"
             )
     if population.num_classes != model_spec.num_classes:
         raise ConfigError("population and model disagree on num_classes")

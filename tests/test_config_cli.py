@@ -1,10 +1,13 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from reference import layer_norms
 from simtools import linear_model, make_config, small_population
 
@@ -72,21 +75,33 @@ def test_minimal_config_resolves_with_defaults(tmp_path):
     assert rc.federation.local.clip_bound == 1.0  # default local clip
 
 
-def test_privacy_clip_mismatch_names_both_fields(tmp_path):
-    cfg = minimal_config()
-    cfg["federation"]["privacy"]["clip_bound"] = 0.5
-    with pytest.raises(ConfigError) as err:
-        parse_config(write_config(tmp_path, cfg))
-    message = str(err.value)
-    assert "federation.privacy.clip_bound" in message
-    assert "federation.clip.bound" in message
+# Keys that would restate a value another section owns.
+RESTATED_KEYS = [
+    ("federation.privacy.clip_bound", 0.01),
+    ("federation.privacy.population", 10),
+    ("federation.privacy.num_steps", 3),
+    ("federation.privacy.cohort_size", 4),
+    ("federation.privacy.sampling_rate", 0.4),
+    ("population.num_classes", 3),
+    ("population.input_dim", 4),
+    ("population.seq_len", 1),
+]
 
 
-def test_population_mismatch_rejected():
+@pytest.mark.parametrize("path, value", RESTATED_KEYS,
+                         ids=[path for path, _ in RESTATED_KEYS])
+def test_restated_key_is_unknown(tmp_path, capsys, path, value):
+    # Even a value equal to its owner's is an unknown key (exit 2).
     cfg = minimal_config()
-    cfg["federation"]["privacy"]["population"] = 99
-    with pytest.raises(ConfigError, match="population.num_clients"):
-        parse_config_mapping(cfg)
+    *sections, key = path.split(".")
+    node = cfg
+    for name in sections:
+        node = node[name]
+    node[key] = value
+    code = main(["simulate", "--config", str(write_config(tmp_path, cfg)),
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert f"unknown keys: config.{path}" in capsys.readouterr().err
 
 
 def test_unknown_keys_rejected_with_path():
@@ -98,13 +113,11 @@ def test_unknown_keys_rejected_with_path():
     cfg2["extra_section"] = {}
     with pytest.raises(ConfigError, match="extra_section"):
         parse_config_mapping(cfg2)
-
-
-def test_model_population_shape_consistency():
-    cfg = minimal_config()
-    cfg["population"]["input_dim"] = 7
-    with pytest.raises(ConfigError, match="model.input_dim"):
-        parse_config_mapping(cfg)
+    cfg3 = minimal_config()
+    cfg3["population"].update({1: 2, "extra": 3})  # keys that do not sort together
+    paths = "config.population.1, config.population.extra"
+    with pytest.raises(ConfigError, match=re.escape(paths)):
+        parse_config_mapping(cfg3)
 
 
 def test_round_trip_resolved_config():
@@ -113,6 +126,43 @@ def test_round_trip_resolved_config():
     rc2 = parse_config_mapping(resolved)
     assert resolved_dict(rc2) == resolved
     assert rc2.model == rc.model
+    assert rc2.population == rc.population
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_privacy_point_comes_from_its_owners(data):
+    n = data.draw(st.integers(1, 10**6), label="num_clients")
+    if data.draw(st.booleans(), label="fixed_size"):
+        cohort = {"mode": "fixed_size", "size": data.draw(st.integers(1, n))}
+    else:
+        rate = data.draw(st.floats(1.0 / n, 1.0), label="rate")
+        assume(rate * n >= 1.0)
+        cohort = {"mode": "bernoulli", "rate": rate}
+    bound = data.draw(st.one_of(st.floats(0.0, 1e3), st.just(math.inf)))
+    rounds = data.draw(st.integers(0, 5000), label="rounds")
+    cfg = minimal_config(rounds=rounds, cohort=cohort,
+                         clip={"variant": "global", "bound": bound})
+    cfg["population"]["num_clients"] = n
+    cfg["federation"]["privacy"]["sigma_kind"] = data.draw(
+        st.sampled_from(["client", "avg", "sum"]))
+    attention = data.draw(st.booleans(), label="attention")
+    if attention:
+        cfg["model"] = {"kind": "tiny_attention", "input_dim": 4,
+                        "num_classes": 3, "hidden_dim": 4, "seq_len": 3}
+    rc = parse_config_mapping(cfg)
+    privacy = rc.federation.privacy
+    assert (privacy.clip_bound, privacy.population, privacy.num_steps) == (
+        bound, n, rounds)
+    if cohort["mode"] == "fixed_size":
+        assert privacy.cohort_size == cohort["size"]
+        assert privacy.sampling_rate == cohort["size"] / n
+    else:
+        assert privacy.sampling_rate == cohort["rate"]
+        assert privacy.cohort_size == cohort["rate"] * n
+    assert rc.population.seq_len == (3 if attention else None)
+    rc2 = parse_config_mapping(resolved_dict(rc))
+    assert rc2.federation == rc.federation
     assert rc2.population == rc.population
 
 
@@ -259,7 +309,6 @@ def test_demo_config_parses_and_runs(tmp_path):
     # Shortened run: keep the demo honest without paying for 60 rounds.
     trimmed = resolved_dict(rc)
     trimmed["federation"]["rounds"] = 3
-    trimmed["federation"]["privacy"]["num_steps"] = 3
     rc_small = parse_config_mapping(trimmed)
     population = generate_population(rc_small.population)
     result = run_simulation(rc_small.federation, population, rc_small.model)
@@ -354,6 +403,37 @@ def test_nan_noise_level_rejected_before_any_round(tmp_path, capsys, monkeypatch
 def demo_config():
     demo = Path(__file__).resolve().parent.parent / "configs" / "demo.yaml"
     return yaml.safe_load(demo.read_text())
+
+
+def config_format_keys():
+    """The backticked words of the README's "Config format" section."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Config format", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"`([^`]+)`", section))
+
+
+def mapping_keys(mapping):
+    for key, value in mapping.items():
+        yield key
+        if isinstance(value, dict):
+            yield from mapping_keys(value)
+
+
+def variant_config():
+    cfg = demo_config()
+    cfg["model"] = {"kind": "tiny_attention", "input_dim": 8, "num_classes": 4,
+                    "hidden_dim": 16, "seq_len": 8}
+    cfg["population"]["examples_per_client"] = {"kind": "power", "exponent": 1.5,
+                                                "scale": 4.0, "cap": 64}
+    cfg["federation"]["cohort"] = {"mode": "bernoulli", "rate": 0.25}
+    return cfg
+
+
+@pytest.mark.parametrize("make", [demo_config, variant_config],
+                         ids=["demo", "attention_power_bernoulli"])
+def test_readme_documents_every_resolved_key(make):
+    emitted = set(mapping_keys(resolved_dict(parse_config_mapping(make()))))
+    assert emitted - config_format_keys() == set()
 
 
 @pytest.mark.parametrize("section", ["federation", "population"])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -231,6 +232,19 @@ def test_config_inconsistencies_rejected_before_round_one():
         run_simulation(cfg3, population, model)
 
 
+@pytest.mark.parametrize("cohort, stated, field", [
+    # Within PrivacyParams' 2% window, yet not the point the engine runs.
+    (dict(cohort_size=5), dict(sampling_rate=0.252), "sampling_rate"),
+    (dict(cohort_rate=0.25), dict(cohort_size=5.1), "cohort_size"),
+], ids=["fixed_size", "bernoulli"])
+def test_off_mechanism_privacy_point_rejected(cohort, stated, field):
+    _, population = small_population(num_clients=20)
+    cfg = make_config(population, num_rounds=3, sigma_client=0.5, **cohort)
+    cfg = replace(cfg, privacy=replace(cfg.privacy, **stated))
+    with pytest.raises(ConfigError, match=rf"privacy\.{field} \("):
+        run_simulation(cfg, population, linear_model())
+
+
 def test_fedsgd_equivalence_with_centralized_gd():
     # Full participation, one local full-batch step, no clipping, no noise,
     # central SGD at lr 1: identical to centralized full-batch GD with the
@@ -336,6 +350,7 @@ def test_privacy_report_names_sampling_scheme(cohort, sampling):
     report = run_simulation(cfg, population, linear_model()).privacy_report
     assert report["sampling"] == sampling
     assert report["accounted_as"] == "poisson"
+    assert report["adjacency"] == "add_remove"
     # The free-text caveat is kept only where the two schemes differ.
     fixed_note = [n for n in report["notes"] if "fixes the cohort size" in n]
     assert len(fixed_note) == (sampling == "fixed_size")
