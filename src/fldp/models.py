@@ -178,10 +178,12 @@ def _per_client(v: np.ndarray, ndim: int) -> np.ndarray:
 
 
 def _layernorm_forward(z, gain, bias, eps):
-    mu = z.mean(axis=-1, keepdims=True)
-    var = z.var(axis=-1, keepdims=True)
+    # The steps of z.var, so var is bitwise z.var, on deviations that then
+    # become xhat in place.
+    xhat = z - z.mean(axis=-1, keepdims=True)
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / z.shape[-1]
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (z - mu) * inv
+    xhat *= inv
     return gain * xhat + bias, (xhat, inv)
 
 

@@ -514,11 +514,13 @@ def test_cli_non_finite_population_parameter_is_config_error(case, tmp_path, cap
 
 
 def test_cli_nan_class_distribution_is_numerics_error(tmp_path, capsys, monkeypatch):
-    class NanDirichlet(np.random.Generator):
-        def dirichlet(self, alpha, size=None):
-            return np.full(len(alpha), np.nan)
+    class NanGamma(np.random.Generator):
+        def standard_gamma(self, shape, size=None, dtype=np.float64, out=None):
+            out = super().standard_gamma(shape, size, dtype, out)
+            out[...] = np.nan
+            return out
 
-    monkeypatch.setattr(np.random, "Generator", NanDirichlet)
+    monkeypatch.setattr(np.random, "Generator", NanGamma)
     assert simulate_code(tmp_path, minimal_config()) == 3
     assert "numerical error: client 0: Dirichlet class distribution" in (
         capsys.readouterr().err)

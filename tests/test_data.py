@@ -7,17 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import client_batches, iid_shuffle, per_client_population
 
+from fldp import data
 from fldp.data import (
+    _STREAM_LABELS,
     Batch,
     ClientPartition,
     CountKind,
     CountSpec,
     PopulationSpec,
+    _cdf,
     _inverse_cdf,
     generate_population,
     partition_stats,
 )
 from fldp.errors import ConfigError, NumericsError, StructureError
+from fldp.streams import generator
 
 # An overflow or invalid value while generating a population fails the test.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -271,6 +275,20 @@ def test_spec_rejects_non_finite_parameters(field, value, message):
         base_spec(**{field: value})
 
 
+@pytest.mark.parametrize("kind, field, value", [
+    ("lognormal", "log_mean", math.nan),
+    ("lognormal", "log_mean", math.inf),
+    ("lognormal", "log_sigma", math.inf),
+    ("power", "exponent", math.nan),
+    ("power", "exponent", math.inf),
+    ("power", "scale", math.nan),
+    ("power", "scale", math.inf),
+])
+def test_count_spec_rejects_non_finite_parameters(kind, field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be finite, got {value}$"):
+        CountSpec(kind=kind, **{field: value})
+
+
 # -- the flat partition against the per-client generator -------------------------
 
 
@@ -382,10 +400,98 @@ def test_population_makes_no_choice_call(monkeypatch):
     assert calls == []
 
 
+def test_population_makes_no_dirichlet_call(monkeypatch):
+    calls = []
+
+    class CountingGenerator(np.random.Generator):
+        def dirichlet(self, *args, **kwargs):
+            calls.append(args)
+            return super().dirichlet(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", CountingGenerator)
+    part = generate_population(base_spec(class_priors=(0.4, 0.3, 0.2, 0.1)))
+    assert part.num_clients == 20
+    assert calls == []
+
+
+def _class_rows(spec):
+    """generate_population(spec) and the (N, K) class distributions it drew."""
+    rows = []
+
+    def recording_cdf(dist):
+        rows.append(dist.copy())
+        return _cdf(dist)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "_cdf", recording_cdf)
+        part = generate_population(spec)
+    return part, rows[0]  # the clients' rows come before the probe's prior
+
+
+@st.composite
+def repeated_concentration_specs(draw):
+    """Specs with runs of equal concentrations whose largest is ``top``.
+
+    A top in [0.1, 0.4) puts the smaller concentrations below numpy's 0.1
+    beta-branch threshold while the largest is at or above it.
+    """
+    spec = draw(population_specs())
+    raw = tuple(draw(st.lists(st.sampled_from([0.25, 0.5, 1.0]),
+                              min_size=spec.num_classes, max_size=spec.num_classes)))
+    top = draw(st.sampled_from([0.1, 0.15, 0.3, 1.0, 2.5]))
+    k = spec.num_classes
+    largest = max(dataclasses.replace(spec, class_priors=raw).class_priors)
+    alpha = top / (k * largest)
+    for _ in range(8):  # step alpha an ulp at a time towards top
+        if alpha * k * largest == top:
+            break
+        alpha = math.nextafter(alpha, -math.inf if alpha * k * largest > top else math.inf)
+    return dataclasses.replace(spec, class_priors=raw, label_skew_alpha=alpha), top
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(case=repeated_concentration_specs())
+def test_gamma_rows_equal_dirichlet_rows(case):
+    spec, top = case
+    concentration = spec.label_skew_alpha * spec.num_classes * np.asarray(spec.class_priors)
+    # Stepping alpha reaches 0.1 exactly for every prior set drawn here; a
+    # larger top may land an ulp off it, which still straddles 0.1.
+    assert concentration.max() == top if top == 0.1 else concentration.max() > 0.1
+    part, rows = _class_rows(spec)
+    rng = generator(spec.seed, _STREAM_LABELS)
+    want_rows = []
+    for n in part.sizes.tolist():
+        want_rows.append(rng.dirichlet(concentration))
+        rng.random(n)  # the uniforms `choice(p=row)` reads
+    assert rows.tobytes() == np.array(want_rows).tobytes()
+    want = per_client_population(spec)
+    assert part.labels.tobytes() == want.labels.tobytes()
+    assert part.inputs.tobytes() == want.inputs.tobytes()
+
+
 @pytest.mark.parametrize("row", [[np.nan, 0.5, 0.25, 0.25], [0.0, 0.0, 0.0, 0.0]],
                          ids=["nan", "all-zero"])
 def test_non_finite_class_distribution_is_numerics_error(row, monkeypatch):
-    # A Dirichlet row numpy's `choice` would reject must not become labels.
+    # Gammas that normalise to no probability vector must not become labels.
+    calls = []
+
+    class BrokenGamma(np.random.Generator):
+        def standard_gamma(self, shape, size=None, dtype=np.float64, out=None):
+            calls.append(None)
+            out = super().standard_gamma(shape, size, dtype, out)
+            if len(calls) == 3:  # client 2's one call: its priors are symmetric
+                out[...] = row
+            return out
+
+    monkeypatch.setattr(np.random, "Generator", BrokenGamma)
+    with pytest.raises(NumericsError, match=r"^client 2: Dirichlet class distribution"):
+        generate_population(base_spec())
+
+
+@pytest.mark.parametrize("row", [[np.nan, 0.5, 0.25, 0.25], [0.0, 0.0, 0.0, 0.0]],
+                         ids=["nan", "all-zero"])
+def test_non_finite_beta_branch_row_is_numerics_error(row, monkeypatch):
+    # With every concentration below 0.1 each row is a `dirichlet` call.
     rows = []
 
     class BrokenDirichlet(np.random.Generator):
@@ -395,7 +501,7 @@ def test_non_finite_class_distribution_is_numerics_error(row, monkeypatch):
 
     monkeypatch.setattr(np.random, "Generator", BrokenDirichlet)
     with pytest.raises(NumericsError, match=r"^client 2: Dirichlet class distribution"):
-        generate_population(base_spec())
+        generate_population(base_spec(label_skew_alpha=0.02))
 
 
 def test_flat_population_spans_several_mean_chunks():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import global_norm, sub, take, zeros_like
 
 from fldp.errors import StructureError
@@ -9,6 +11,7 @@ from fldp.models import (
     Batch,
     ModelKind,
     ModelSpec,
+    _layernorm_forward,
     evaluate,
     finite_diff_grad,
     grad,
@@ -16,6 +19,8 @@ from fldp.models import (
     logits,
     loss,
 )
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 LINEAR = ModelSpec(ModelKind.LINEAR_SOFTMAX, input_dim=5, num_classes=4)
 MLP = ModelSpec(ModelKind.MLP_LAYERNORM, input_dim=5, num_classes=3, hidden_dim=6)
@@ -237,3 +242,34 @@ def test_logits_and_accuracy_agree_with_loss_path():
         lse = np.log(np.exp(shifted).sum(axis=1))
         ce = float(np.mean(lse - shifted[np.arange(30), b.labels]))
         assert loss(spec, p, b) == pytest.approx(ce, rel=1e-12)
+
+
+@st.composite
+def layernorm_stacks(draw):
+    """(C, B, n) or (C, B, S, n) pre-activations, some rows constant or offset."""
+    seq = draw(st.one_of(st.just(()), st.tuples(st.integers(1, 3))))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 4)), *seq,
+             draw(st.integers(1, 9)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    z = rng.normal(scale=draw(st.sampled_from([1e-3, 1.0, 50.0])), size=shape)
+    rows = z.reshape(-1, shape[-1])
+    for i in draw(st.lists(st.integers(0, rows.shape[0] - 1), max_size=3)):
+        rows[i] = rows[i, 0]  # a constant row: zero variance
+    for i in draw(st.lists(st.integers(0, rows.shape[0] - 1), max_size=3)):
+        rows[i] += draw(st.sampled_from([1e4, -3e6, 1e9]))
+    gain = rng.normal(size=(shape[0],) + (1,) * (len(shape) - 2) + shape[-1:])
+    bias = rng.normal(size=gain.shape)
+    return z, gain, bias, draw(st.sampled_from([1e-5, 1e-12, 0.5]))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(case=layernorm_stacks())
+def test_layernorm_forward_equals_var_form_bitwise(case):
+    z, gain, bias, eps = case
+    mu = z.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(z.var(axis=-1, keepdims=True) + eps)
+    xhat = (z - mu) * inv
+    out, (got_xhat, got_inv) = _layernorm_forward(z, gain, bias, eps)
+    assert got_inv.tobytes() == inv.tobytes()
+    assert got_xhat.tobytes() == xhat.tobytes()
+    assert out.tobytes() == (gain * xhat + bias).tobytes()
