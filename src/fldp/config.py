@@ -398,9 +398,7 @@ def _drop_nones(obj: dict) -> None:
 def build_manifest(rc: ResolvedConfig, workers: int = 1) -> dict:
     """Everything needed to reproduce a run bit for bit."""
     fed = rc.federation
-    dp_valid = fed.noise_mask.covers(
-        [name for name, _ in rc.model.layer_layout()]
-    )
+    dp_valid = fed.noise_mask.covers(rc.model.layout().names)
     manifest = {
         "engine_version": __version__,
         "numpy_version": np.__version__,

@@ -45,10 +45,10 @@ def convert_noise(
     sigma: float, from_kind: SigmaKind, to_kind: SigmaKind, cohort_size: float
 ) -> float:
     """Convert sigma between the client/avg/sum parametrizations."""
-    if sigma < 0:
-        raise ConfigError("sigma must be >= 0")
-    if cohort_size < 1:
-        raise ConfigError("cohort size must be >= 1")
+    if not sigma >= 0:
+        raise ConfigError(f"sigma must be >= 0, got {sigma}")
+    if not (math.isfinite(cohort_size) and cohort_size >= 1):
+        raise ConfigError(f"cohort size must be finite and >= 1, got {cohort_size}")
     diff = _SQRT_L_EXPONENT[SigmaKind(to_kind)] - _SQRT_L_EXPONENT[SigmaKind(from_kind)]
     if diff == 0:
         return sigma

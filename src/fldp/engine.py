@@ -352,12 +352,10 @@ def _validate(cfg: FederationConfig, population: ClientPartition,
     # The partition holds every client to the probe's input shape and label
     # range, so checking the probe checks all the data local training uses.
     models.check_inputs(model_spec, population.probe.inputs, population.probe.labels)
-    cfg.noise_mask.validate_against(
-        [name for name, _ in model_spec.layer_layout()]
-    )
+    layout = model_spec.layout()
+    cfg.noise_mask.validate_against(layout.names)
     if cfg.seed_model is not None:
-        template = models.init_params(model_spec, 0)
-        template.require_congruent(cfg.seed_model)
+        layout.require_same(cfg.seed_model.layout)
 
 
 def _require_finite(deltas: np.ndarray, t: int, cohort: list[int]) -> None:

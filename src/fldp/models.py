@@ -14,9 +14,10 @@ Each kind has one forward/backward kernel over a leading cohort axis: it
 takes the (C, P) parameter rows of C clients and their inputs, (C, B, F) or
 (C, B, S, F), and returns (C, B, K) logits plus a closure mapping
 dL/dlogits to the (C, P) gradient rows. The public ``loss``, ``grad``,
-``logits`` and ``evaluate`` validate their arguments and run the kernel on
-a cohort of one; ``cohort_grad`` runs it unchecked on data that the caller
-validated once.
+``logits`` and ``evaluate`` validate their arguments (the parameters'
+layout against ``ModelSpec.layout()`` with ``Layout.require_same``, the
+inputs with ``check_inputs``) and run the kernel on a cohort of one;
+``cohort_grad`` runs it unchecked on data that the caller validated once.
 
 Gradients are hand-derived closed forms; ``finite_diff_grad`` is the
 independent central-difference oracle used to check them.
@@ -57,35 +58,32 @@ class ModelSpec:
         if self.kind == ModelKind.TINY_ATTENTION and self.seq_len < 1:
             raise StructureError("tiny_attention requires seq_len >= 1")
 
-    def layer_layout(self) -> tuple[tuple[str, int], ...]:
-        """Layer names and flat sizes, in tree order."""
+    def layout(self) -> Layout:
+        """The shared flat-vector layout: layer names and sizes, in tree order."""
         f, k, d = self.input_dim, self.num_classes, self.hidden_dim
         if self.kind == ModelKind.LINEAR_SOFTMAX:
-            return (("w", k * f), ("b", k))
-        if self.kind == ModelKind.MLP_LAYERNORM:
-            return (
+            pairs = (("w", k * f), ("b", k))
+        elif self.kind == ModelKind.MLP_LAYERNORM:
+            pairs = (
                 ("w1", d * f),
                 ("b1", d),
                 ("ln", 2 * d),
                 ("w2", k * d),
                 ("b2", k),
             )
-        # tiny_attention; LayerNorm layers pack gains then biases.
-        return (
-            ("win", d * f),
-            ("ln1", 2 * d),
-            ("wqkv", 3 * d * d),
-            ("wf", d * d),
-            ("ln2", 2 * d),
-            ("w1", d * d),
-            ("w2", d * d),
-            ("wout", k * d),
-            ("bout", k),
-        )
-
-    def layout(self) -> Layout:
-        """The shared flat-vector layout of `layer_layout`."""
-        names, sizes = zip(*self.layer_layout())
+        else:  # tiny_attention; LayerNorm layers pack gains then biases.
+            pairs = (
+                ("win", d * f),
+                ("ln1", 2 * d),
+                ("wqkv", 3 * d * d),
+                ("wf", d * d),
+                ("ln2", 2 * d),
+                ("w1", d * d),
+                ("w2", d * d),
+                ("wout", k * d),
+                ("bout", k),
+            )
+        names, sizes = zip(*pairs)
         return Layout.of(names, sizes)
 
 
@@ -125,7 +123,8 @@ def init_params(spec: ModelSpec, seed: int) -> ParamTree:
         "w2": d, "win": f, "wqkv": d, "wf": d, "wout": d,
     }
     layers = []
-    for name, size in spec.layer_layout():
+    layout = spec.layout()
+    for name, size in zip(layout.names, layout.sizes):
         if name in ("b", "b1", "b2", "bout"):
             values = np.zeros(size)
         elif name in ("ln", "ln1", "ln2"):
@@ -135,17 +134,6 @@ def init_params(spec: ModelSpec, seed: int) -> ParamTree:
             values = rng.normal(size=size) / np.sqrt(fan_in[name])
         layers.append((name, values))
     return ParamTree(layers)
-
-
-def _check_layout(spec: ModelSpec, params: ParamTree) -> None:
-    layout = spec.layout()
-    if params.layout is not layout and (
-        params.names != layout.names or params.dims != layout.sizes
-    ):
-        raise StructureError(
-            f"params {params!r} do not match {spec.kind.value} layout "
-            f"{spec.layer_layout()}"
-        )
 
 
 def check_inputs(spec: ModelSpec, inputs: np.ndarray, labels=None) -> None:
@@ -382,7 +370,7 @@ def cohort_grad(spec: ModelSpec, rows: np.ndarray, inputs: np.ndarray,
 
 def _forward(spec: ModelSpec, params: ParamTree, inputs: np.ndarray, labels=None):
     """Validated forward pass of one client: (C=1 logits, backward closure)."""
-    _check_layout(spec, params)
+    spec.layout().require_same(params.layout)
     check_inputs(spec, inputs, labels)
     return _FORWARD[spec.kind](spec, params.flat[None, :], inputs[None])
 

@@ -110,8 +110,8 @@ def apply(
     state: OptimizerState, params: ParamTree, grad: ParamTree, lr: float
 ) -> tuple[ParamTree, OptimizerState]:
     """One optimizer step; returns (new params, new state)."""
-    params.require_congruent(grad)
-    params.require_congruent(state.first_moment)
+    params.layout.require_same(grad.layout)
+    params.layout.require_same(state.first_moment.layout)
     h = state.hyper
     t = state.step_count + 1
     p, g = params.flat, grad.flat

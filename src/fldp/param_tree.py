@@ -2,7 +2,8 @@
 
 A ParamTree is one contiguous read-only float64 vector plus a shared
 static Layout: the ordered layer names and the offset and size of each
-layer in the vector. Layers are slice views of the vector. Inside the
+layer in the vector. Layers are read-only slice views of the vector, and
+``Layout.require_same`` is the one check that two vectors line up. Inside the
 library all arithmetic acts on flat vectors, and a stack of L congruent
 vectors (a cohort's client deltas) is an (L, P) matrix whose rows share the
 layout. A tree only carries a vector with its layout: the parameters and
@@ -56,6 +57,24 @@ class Layout:
         """The shared layout for these names and sizes."""
         return Layout(names, sizes)
 
+    def require_same(self, other: "Layout") -> None:
+        """Raise StructureError naming the first layer that differs."""
+        if self is other or (self.names == other.names and self.sizes == other.sizes):
+            return
+        for i, (a, b) in enumerate(zip(self.names, other.names)):
+            if a != b:
+                raise StructureError(f"layer {i} name mismatch: {a!r} vs {b!r}")
+        if len(self.names) != len(other.names):
+            shared = min(len(self.names), len(other.names))
+            unmatched = max(self.names, other.names, key=len)[shared]
+            raise StructureError(
+                f"layer count mismatch: {len(self.names)} vs {len(other.names)}"
+                f" (first unmatched layer {unmatched!r})"
+            )
+        for name, a, b in zip(self.names, self.sizes, other.sizes):
+            if a != b:
+                raise StructureError(f"layer {name!r} dim mismatch: {a} vs {b}")
+
 
 def _frozen_vector(values) -> bool:
     return (
@@ -69,109 +88,59 @@ def _frozen_vector(values) -> bool:
 class ParamTree:
     """Immutable ordered mapping of layer name -> flat float64 vector.
 
+    A tree is one read-only float64 vector, ``flat``, plus its ``layout``.
     Build one from (name, values) pairs, or as ``ParamTree(flat, layout)``
-    from a vector of ``layout.total`` values. A read-only float64 vector is
-    shared, not copied. Layers given as read-only float64 vectors are kept
-    as the tree's layer objects (equal to their slice of the flat vector),
-    so a layer passed through unchanged from another tree is the same
-    object in both trees.
+    from a vector of ``layout.total`` values; a read-only float64 vector is
+    shared, not copied. A layer is a read-only view of its slice of ``flat``.
     """
 
-    __slots__ = ("_layout", "_flat", "_arrays")
+    __slots__ = ("layout", "flat")
 
     def __init__(self, layers: Iterable[tuple[str, np.ndarray]] | np.ndarray,
                  layout: Layout | None = None):
-        if layout is not None:
-            flat = layers
-            if not _frozen_vector(flat):
-                flat = np.array(flat, dtype=np.float64, copy=True)
-                flat.flags.writeable = False
+        if layout is None:
+            names: list[str] = []
+            given: list[np.ndarray] = []
+            for name, values in layers:
+                names.append(str(name))
+                given.append(np.asarray(values, dtype=np.float64).reshape(-1))
+            layout = Layout.of(tuple(names), tuple(a.size for a in given))
+            flat = np.concatenate(given) if given else np.zeros(0)
+        else:
+            flat = layers if _frozen_vector(layers) else np.array(
+                layers, dtype=np.float64, copy=True)
             if flat.ndim != 1 or flat.size != layout.total:
                 raise StructureError(
                     f"flat vector of shape {flat.shape} does not match a "
                     f"layout of {layout.total} values"
                 )
-            arrays = tuple(flat[s] for s in layout.slices)
-        else:
-            names: list[str] = []
-            given: list[np.ndarray] = []
-            for name, values in layers:
-                arr = values if _frozen_vector(values) else np.asarray(
-                    values, dtype=np.float64).reshape(-1)
-                names.append(str(name))
-                given.append(arr)
-            layout = Layout.of(tuple(names), tuple(a.size for a in given))
-            flat = np.concatenate(given) if given else np.zeros(0)
-            flat.flags.writeable = False
-            arrays = tuple(
-                a if _frozen_vector(a) else flat[s]
-                for a, s in zip(given, layout.slices)
-            )
-        self._layout = layout
-        self._flat = flat
-        self._arrays = arrays
-
-    @property
-    def layout(self) -> Layout:
-        return self._layout
-
-    @property
-    def flat(self) -> np.ndarray:
-        """The whole tree as one read-only vector, in layer order."""
-        return self._flat
+        flat.flags.writeable = False
+        self.layout = layout
+        self.flat = flat
 
     @property
     def names(self) -> tuple[str, ...]:
-        return self._layout.names
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self._layout.sizes
-
-    def __len__(self) -> int:
-        return len(self._layout.names)
+        return self.layout.names
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._arrays[self._layout.index[name]]
+        return self.flat[self.layout.slices[self.layout.index[name]]]
 
     def items(self) -> Iterator[tuple[str, np.ndarray]]:
-        return iter(zip(self._layout.names, self._arrays))
+        return zip(self.layout.names, (self.flat[s] for s in self.layout.slices))
 
     def with_flat(self, flat: np.ndarray) -> "ParamTree":
         """New tree with this tree's layout and the given flat vector."""
-        return ParamTree(flat, self._layout)
-
-    def congruent_with(self, other: "ParamTree") -> bool:
-        return self._layout is other._layout or (
-            self.names == other.names and self.dims == other.dims
-        )
-
-    def require_congruent(self, other: "ParamTree") -> None:
-        """Raise StructureError naming the first mismatching layer."""
-        if self.congruent_with(other):
-            return
-        if self.names != other.names:
-            for i, (a, b) in enumerate(zip(self.names, other.names)):
-                if a != b:
-                    raise StructureError(
-                        f"layer {i} name mismatch: {a!r} vs {b!r}"
-                    )
-            raise StructureError(
-                f"layer count mismatch: {len(self)} vs {len(other)}"
-            )
-        for name, a, b in zip(self.names, self.dims, other.dims):
-            if a != b:
-                raise StructureError(f"layer {name!r} dim mismatch: {a} vs {b}")
+        return ParamTree(flat, self.layout)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ParamTree):
             return NotImplemented
-        return self.names == other.names and self.dims == other.dims and (
-            np.array_equal(self._flat, other._flat)
-        )
+        return (self.names == other.names
+                and self.layout.sizes == other.layout.sizes
+                and np.array_equal(self.flat, other.flat))
 
     def __repr__(self) -> str:
-        spec = ", ".join(f"{n}[{s}]" for n, s in zip(self.names, self.dims))
+        spec = ", ".join(f"{n}[{s}]" for n, s in zip(self.names, self.layout.sizes))
         return f"ParamTree({spec})"
 
     # -- serialization -----------------------------------------------------
@@ -188,13 +157,23 @@ class ParamTree:
         layers = obj.get("layers") if isinstance(obj, Mapping) else None
         if not isinstance(layers, list):
             raise StructureError("expected an object with a 'layers' list")
+        pairs = []
         for i, layer in enumerate(layers):
             if not (isinstance(layer, Mapping) and isinstance(layer.get("name"), str)
                     and isinstance(layer.get("values"), list)
                     and all(type(v) in (int, float) for v in layer["values"])):
                 raise StructureError(
                     f"layer {i}: expected a 'name' string and a list of number 'values'")
-        return cls((layer["name"], layer["values"]) for layer in layers)
+            try:
+                values = np.array(layer["values"], dtype=np.float64)
+                finite = bool(np.isfinite(values).all())
+            except OverflowError:  # an integer beyond the float64 range
+                finite = False
+            if not finite:
+                raise StructureError(
+                    f"layer {i}: values must be finite numbers in the float64 range")
+            pairs.append((layer["name"], values))
+        return cls(pairs)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj())

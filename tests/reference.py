@@ -20,7 +20,7 @@ from fldp.data import (
     ClientPartition,
 )
 from fldp.dp import FULL_MASK, add_noise_rows
-from fldp.param_tree import ParamTree, global_norm_rows, layer_norm_rows, mean_rows
+from fldp.param_tree import global_norm_rows, layer_norm_rows, mean_rows
 from fldp.streams import generator
 
 _STREAM_SHUFFLE = 16  # iid_shuffle's stream tag, apart from every fldp tag
@@ -36,12 +36,12 @@ def layer_norms(tree):
 
 
 def axpy(alpha, x, y):
-    x.require_congruent(y)
+    x.layout.require_same(y.layout)
     return x.with_flat(alpha * x.flat + y.flat)
 
 
 def sub(x, y):
-    x.require_congruent(y)
+    x.layout.require_same(y.layout)
     return x.with_flat(x.flat - y.flat)
 
 
@@ -59,14 +59,7 @@ def tree_mean(trees):
 
 
 def clip_tree(tree, spec):
-    """Unscaled layers keep their identity, not only their bits."""
-    rows = tree.flat[None, :]
-    clipped, factors = clip_rows(rows, tree.layout, spec)
-    if clipped is rows:
-        return tree
-    return ParamTree((name, arr if factor == 1.0 else clipped[0, span])
-                     for (name, arr), factor, span
-                     in zip(tree.items(), factors[0], tree.layout.slices))
+    return tree.with_flat(clip_rows(tree.flat[None, :], tree.layout, spec)[0][0])
 
 
 def add_noise(delta, sigma_client, mask=FULL_MASK, seed=0):

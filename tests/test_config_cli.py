@@ -21,7 +21,7 @@ from fldp.config import (
     resolved_dict,
 )
 from fldp.engine import run_simulation
-from fldp.errors import ConfigError
+from fldp.errors import ConfigError, StructureError
 from fldp.param_tree import ParamTree
 from fldp.telemetry import (
     SCHEMA_KEYS,
@@ -227,7 +227,7 @@ def test_metrics_schema_and_round_trip(tmp_path):
     write_metrics(result.metrics, path)
     records = read_metrics(path)
     assert len(records) == 4
-    layer_names = {name for name, _ in model.layer_layout()}
+    layer_names = set(model.layout().names)
     for record in records:
         assert list(record) == list(SCHEMA_KEYS)
         assert set(record["per_layer"]) == layer_names
@@ -573,11 +573,20 @@ def test_cli_wrongly_typed_list_or_mapping_is_config_error(case, tmp_path, capsy
     assert message in capsys.readouterr().err
 
 
+def linear_seed_json(first_value: str) -> str:
+    """A seed model of minimal_config's model whose first value is this JSON."""
+    w = ", ".join([first_value] + ["0.0"] * 11)
+    return (f'{{"layers": [{{"name": "w", "values": [{w}]}}, '
+            f'{{"name": "b", "values": [0.0, 0.0, 0.0]}}]}}')
+
+
 BAD_SEED_MODELS = {
     "not-json": "{layers: [",
     "layers-not-a-list": '{"layers": 5}',
     "layer-without-name": '{"layers": [{"values": [0.0, 1.0]}]}',
     "values-not-numbers": '{"layers": [{"name": "w", "values": "abc"}]}',
+    "value-nan": linear_seed_json("NaN"),
+    "int-beyond-float-range": linear_seed_json(str(10**400)),
 }
 
 
@@ -588,6 +597,27 @@ def test_cli_malformed_seed_model_is_config_error(case, tmp_path, capsys):
     cfg = minimal_config(seed_model_path="seed.json")
     assert simulate_code(tmp_path, cfg) == 2
     assert f"config error: seed model {seed_path}: " in capsys.readouterr().err
+
+
+# Seed models whose layout differs from the model's: w[12], b[3].
+MISMATCHED_SEED_LAYERS = {
+    "renamed": ([("w", 12), ("bias", 3)], "layer 1 name mismatch: 'b' vs 'bias'"),
+    "missing": ([("w", 12)], "layer count mismatch: 2 vs 1 (first unmatched layer 'b')"),
+    "resized": ([("w", 12), ("b", 4)], "layer 'b' dim mismatch: 3 vs 4"),
+}
+
+
+@pytest.mark.parametrize("case", list(MISMATCHED_SEED_LAYERS))
+def test_seed_model_of_another_layout_is_rejected(case, tmp_path, capsys):
+    layers, message = MISMATCHED_SEED_LAYERS[case]
+    seed_model = ParamTree((name, np.zeros(size)) for name, size in layers)
+    _, population = small_population()
+    cfg = make_config(population, num_rounds=1, seed_model=seed_model)
+    with pytest.raises(StructureError, match=re.escape(message)):
+        run_simulation(cfg, population, linear_model())
+    (tmp_path / "seed.json").write_text(seed_model.to_json())
+    assert simulate_code(tmp_path, minimal_config(seed_model_path="seed.json")) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cohort, message", [
@@ -659,6 +689,22 @@ def test_cli_convert_noise(capsys):
                  "--to", "client", "-L", "16"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["sigma"] == 4.0
+
+
+@pytest.mark.parametrize("sigma, cohort, message", [
+    ("nan", "4", "sigma must be >= 0, got nan"),
+    ("-1", "4", "sigma must be >= 0, got -1.0"),
+    ("1", "nan", "cohort size must be finite and >= 1, got nan"),
+    ("1", "inf", "cohort size must be finite and >= 1, got inf"),
+    ("1", "0.5", "cohort size must be finite and >= 1, got 0.5"),
+], ids=["sigma-nan", "sigma-negative", "cohort-nan", "cohort-inf", "cohort-below-one"])
+def test_cli_convert_noise_rejects_bad_values(sigma, cohort, message, capsys):
+    code = main(["convert-noise", "--sigma", sigma, "--from", "avg",
+                 "--to", "client", "-L", cohort])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_cli_partition_stats(tmp_path, capsys):

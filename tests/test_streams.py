@@ -6,8 +6,6 @@ from simtools import linear_model, make_config, small_population
 from fldp.engine import run_simulation
 from fldp.streams import choice_rows, choice_words, cohort_keys, generator, keyed, rekey
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def numpy_key(*entropy):
     return np.random.SeedSequence(entropy).generate_state(2, np.uint64)
