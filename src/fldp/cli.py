@@ -108,7 +108,7 @@ def _cmd_accountant(args) -> int:
                   "curve": {"orders": list(orders), "steps": args.steps}}
     else:
         curve = acct.compose(acct.rdp_sampled_gaussian(z, q, orders), args.steps)
-        eps, best_order = acct.epsilon_at_delta(curve, args.delta)
+        eps, best_order = acct.epsilon_for(z, q, args.steps, args.delta, orders)
         output = {
             "epsilon": eps,
             "best_order": best_order,

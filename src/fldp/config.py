@@ -1,22 +1,33 @@
 """Config-file parsing, validation, and the run manifest.
 
 Configs are YAML (JSON also parses) with three sections: ``model``,
-``population`` and ``federation``. Parsing applies documented defaults and
-rejects unknown keys with their dotted path. Every value has one owning
-key: the population takes its shape (classes, input dimension, sequence
-length) from ``model``, and the privacy point takes its clip bound, step
-count, population size and cohort size or rate from ``federation.clip``,
+``population`` and ``federation``. A section's keys, their kinds and their
+defaults are the fields of its dataclass (``ModelSpec``, ``PopulationSpec``,
+``FederationConfig`` and the dataclasses of their fields): ``_build`` reads
+each field's key as the field's type, an omitted key takes the field's
+default, and a field without one is a required key. Unknown keys are
+rejected with their dotted path. Every value has one owning key: the
+population takes its shape (classes, input dimension, sequence length)
+from ``model``, and the privacy point takes its clip bound, step count,
+population size and cohort size or rate from ``federation.clip``,
 ``federation.rounds``, ``population.num_clients`` and
 ``federation.cohort``, so ``federation.privacy`` holds only the noise and
-delta. ``resolved_dict`` emits the fully expanded configuration, which
-re-parses to an identical resolution (round-trip stable).
+delta. The table ``_OWNED`` names the fields that other sections own, and
+``_KEYS`` the field stated under another key (``rounds``); parsing and
+``resolved_dict`` both read them. ``resolved_dict`` emits the fully
+expanded configuration, which re-parses to an identical resolution
+(round-trip stable).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, fields, is_dataclass
+import types
+import typing
+from collections import abc
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Optional
@@ -25,20 +36,11 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .clipping import ClipSpec, ClipVariant
-from .data import CountKind, CountSpec, PopulationSpec
-from .dp import NoiseMask, PrivacyParams, SigmaKind
-from .engine import (
-    CentralConfig,
-    CohortConfig,
-    CohortMode,
-    FederationConfig,
-    LocalConfig,
-    LocalMode,
-)
+from .data import PopulationSpec
+from .dp import NoiseMask, PrivacyParams
+from .engine import FederationConfig
 from .errors import ConfigError
 from .models import ModelKind, ModelSpec
-from .optimizers import OptimizerHyper, OptimizerKind, Schedule, ScheduleKind
 from .param_tree import ParamTree
 
 
@@ -126,14 +128,6 @@ class _Section:
             raise ConfigError(f"unknown keys: {paths}")
 
 
-def _seed(section: _Section) -> int:
-    """The section's ``seed``: stream entropy, so a non-negative integer."""
-    seed = section.value("seed", 0, kind=int)
-    if seed < 0:
-        raise ConfigError(f"{section.path}.seed: must be >= 0, got {seed}")
-    return seed
-
-
 @dataclass(frozen=True)
 class ResolvedConfig:
     model: ModelSpec
@@ -142,199 +136,124 @@ class ResolvedConfig:
     seed_model_path: Optional[str] = None
 
 
-def _parse_model(section: _Section) -> ModelSpec:
-    spec = ModelSpec(
-        kind=section.enum("kind", ModelKind, ModelKind.LINEAR_SOFTMAX),
-        input_dim=section.value("input_dim", required=True, kind=int),
-        num_classes=section.value("num_classes", required=True, kind=int),
-        hidden_dim=section.value("hidden_dim", 0, kind=int),
-        seq_len=section.value("seq_len", 1, kind=int),
-        layernorm_epsilon=section.value("layernorm_epsilon", 1e-5, kind=float),
-    )
+# Fields that a section does not state: other sections own their values
+# (``seed_model`` is the tree at ``seed_model_path``). ``_build`` takes them
+# as ``owned``; ``resolved_dict`` leaves them out.
+_OWNED = {
+    PopulationSpec: ("num_classes", "input_dim", "seq_len"),
+    PrivacyParams: ("clip_bound", "population", "num_steps", "sampling_rate",
+                    "cohort_size"),
+    FederationConfig: ("seed_model",),
+}
+# Fields stated under another key; ``resolved_dict`` writes them last.
+_KEYS = {"num_rounds": "rounds"}
+
+
+def _build(section: _Section, cls, **owned):
+    """An instance of the dataclass cls read from its config section.
+
+    Each field is the key of its name (or the one ``_KEYS`` gives), read as
+    the field's type; an omitted key takes the field's default, and a field
+    without one is a required key. The fields in ``owned`` are not read: a
+    value there is the field's, and a function there is called with the
+    fields read before it.
+    """
+    values = {}
+    for name, key, read, default in _fields(cls):
+        if name in owned:
+            value = owned[name]
+            values[name] = value(values) if callable(value) else value
+        else:
+            values[name] = read(section, key, default)
     section.finish()
-    return spec
+    return cls(**values)
 
 
-def _parse_counts(section: Optional[_Section]) -> CountSpec:
-    if section is None:
-        return CountSpec()
-    spec = CountSpec(
-        kind=section.enum("kind", CountKind, CountKind.UNIFORM),
-        count=section.value("count", 10, kind=int),
-        log_mean=section.value("log_mean", 2.0, kind=float),
-        log_sigma=section.value("log_sigma", 1.0, kind=float),
-        exponent=section.value("exponent", 1.2, kind=float),
-        scale=section.value("scale", 1.0, kind=float),
-        cap=section.value("cap", 100_000, kind=int),
-    )
-    section.finish()
-    return spec
+@functools.cache
+def _fields(cls) -> tuple:
+    """(name, key, reader, default) of each field of cls.
+
+    Cached, because resolving the field types costs more than a parse.
+    """
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, _KEYS.get(f.name, f.name), _reader(hints[f.name]), f.default)
+                 for f in fields(cls))
 
 
-def _parse_population(section: _Section, model: ModelSpec) -> PopulationSpec:
-    if isinstance(section.mapping.get("noise_level"), (list, tuple)):
-        noise_level = section.sequence("noise_level", float)
-    else:
-        noise_level = section.value("noise_level", 0.5, kind=float)
-    spec = PopulationSpec(
-        num_clients=section.value("num_clients", required=True, kind=int),
-        num_classes=model.num_classes,
-        input_dim=model.input_dim,
-        examples_per_client=_parse_counts(section.child("examples_per_client")),
-        label_skew_alpha=section.value("label_skew_alpha", 1.0, kind=float),
-        noise_level=noise_level,
-        mean_separation=section.value("mean_separation", 1.0, kind=float),
-        input_scale=section.value("input_scale", 1.0, kind=float),
-        class_priors=section.sequence("class_priors", float),
-        seq_len=model.seq_len if model.kind == ModelKind.TINY_ATTENTION else None,
-        probe_size=section.value("probe_size", 256, kind=int),
-        seed=_seed(section),
-    )
-    section.finish()
-    return spec
+def _reader(kind):
+    """A function (section, key, default) that reads the key as a kind.
+
+    A default of MISSING makes the key required.
+    """
+    if typing.get_origin(kind) in (typing.Union, types.UnionType):
+        arms = [_reader(arm) for arm in typing.get_args(kind) if arm is not type(None)]
+        if len(arms) == 1:
+            return arms[0]
+        number, numbers = arms  # noise_level: a number or a list of numbers
+
+        def either(section, key, default):
+            listed = isinstance(section.mapping.get(key), (list, tuple))
+            return (numbers if listed else number)(section, key, default)
+        return either
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return lambda section, key, default: section.sequence(key, item)
+    if typing.get_origin(kind) is abc.Mapping:
+        return lambda section, key, default: section.number_map(key)
+    if kind is NoiseMask:
+        return lambda section, key, default: NoiseMask(section.sequence(key, str))
+    if is_dataclass(kind):
+        def child(section, key, default):
+            stated = section.child(key, required=default is MISSING)
+            return default if stated is None else _build(stated, kind)
+        return child
+    if issubclass(kind, Enum):
+        return lambda section, key, default: section.enum(key, kind, default)
+
+    def scalar(section, key, default):
+        required = default is MISSING
+        value = section.value(key, None if required else default,
+                              required=required, kind=kind)
+        if key == "seed" and value < 0:  # stream entropy, so non-negative
+            raise ConfigError(f"{section.path}.seed: must be >= 0, got {value}")
+        return value
+    return scalar
 
 
-def _parse_clip(section: _Section) -> ClipSpec:
-    spec = ClipSpec(
-        bound=section.value("bound", required=True, kind=float),
-        variant=section.enum("variant", ClipVariant, ClipVariant.GLOBAL),
-        weights=section.number_map("weights"),
-    )
-    section.finish()
-    return spec
-
-
-def _parse_privacy(
-    section: Optional[_Section],
-    clip: ClipSpec,
-    cohort: CohortConfig,
-    num_rounds: int,
-    num_clients: int,
-) -> PrivacyParams:
-    if section is None:
-        section = _Section({}, "federation.privacy")
-    params = PrivacyParams(
-        clip_bound=clip.bound,
-        sigma=section.value("sigma", 0.0, kind=float),
-        sigma_kind=section.enum("sigma_kind", SigmaKind, SigmaKind.AVG),
-        population=num_clients,
-        num_steps=num_rounds,
-        delta=section.value("delta", 1e-9, kind=float),
-        **cohort.privacy_args(),
-    )
-    section.finish()
-    return params
-
-
-def _parse_schedule(section: Optional[_Section]) -> Schedule:
-    if section is None:
-        raise ConfigError("federation.central.schedule is required")
-    schedule = Schedule(
-        base_lr=section.value("base_lr", required=True, kind=float),
-        kind=section.enum("kind", ScheduleKind, ScheduleKind.CONSTANT),
-        decay_start=section.value("decay_start", 0, kind=int),
-        decay_rate=section.value("decay_rate", 1.0, kind=float),
-        transition_steps=section.value("transition_steps", 1, kind=int),
-    )
-    section.finish()
-    return schedule
-
-
-def _parse_hyper(section: Optional[_Section]) -> OptimizerHyper:
-    if section is None:
-        return OptimizerHyper()
-    hyper = OptimizerHyper(
-        beta1=section.value("beta1", 0.9, kind=float),
-        beta2=section.value("beta2", 0.999, kind=float),
-        epsilon=section.value("epsilon", 1e-6, kind=float),
-        momentum=section.value("momentum", 0.0, kind=float),
-        weight_decay=section.value("weight_decay", 0.0, kind=float),
-        trust_clip=section.value("trust_clip", 0.0, kind=float),
-    )
-    section.finish()
-    return hyper
-
-
-def _parse_federation(
-    section: _Section, population: PopulationSpec, root_dir: Optional[Path]
-) -> tuple[FederationConfig, Optional[str]]:
-    num_rounds = section.value("rounds", required=True, kind=int)
-
-    cohort_section = section.child("cohort", required=True)
-    cohort = CohortConfig(
-        mode=cohort_section.enum("mode", CohortMode, CohortMode.FIXED_SIZE),
-        size=cohort_section.value("size", None, kind=int),
-        rate=cohort_section.value("rate", None, kind=float),
-    )
-    cohort_section.finish()
-
-    local_section = section.child("local", required=True)
-    local = LocalConfig(
-        mode=local_section.enum("mode", LocalMode, LocalMode.STEPS),
-        count=local_section.value("count", 1, kind=int),
-        batch_size=local_section.value("batch_size", 8, kind=int),
-        lr=local_section.value("lr", required=True, kind=float),
-        clip_bound=local_section.value("clip_bound", 1.0, kind=float),
-    )
-    local_section.finish()
-
-    clip = _parse_clip(section.child("clip", required=True))
-    privacy = _parse_privacy(
-        section.child("privacy"), clip, cohort, num_rounds,
-        population.num_clients,
-    )
-
-    central_section = section.child("central", required=True)
-    central = CentralConfig(
-        optimizer=central_section.enum("optimizer", OptimizerKind,
-                                       OptimizerKind.LAMB),
-        schedule=_parse_schedule(central_section.child("schedule")),
-        hyper=_parse_hyper(central_section.child("hyper")),
-    )
-    central_section.finish()
-
-    mask_layers = section.sequence("noise_mask", str)
-    mask = NoiseMask(frozenset(mask_layers)) if mask_layers is not None else NoiseMask()
-
-    seed_model_path = section.value("seed_model_path", None, kind=str)
-    seed_model = None
-    if seed_model_path is not None:
-        path = Path(seed_model_path)
-        if root_dir is not None and not path.is_absolute():
-            path = root_dir / path
-        try:
-            seed_model = ParamTree.from_json(path.read_text())
-        except ValueError as exc:  # not UTF-8, not JSON, or not a parameter tree
-            raise ConfigError(f"seed model {path}: {exc}") from None
-
-    cfg = FederationConfig(
-        num_rounds=num_rounds,
-        cohort=cohort,
-        local=local,
-        clip=clip,
-        privacy=privacy,
-        central=central,
-        fedprox_mu=section.value("fedprox_mu", 0.0, kind=float),
-        noise_mask=mask,
-        seed=_seed(section),
-        seed_model=seed_model,
-    )
-    section.finish()
-    return cfg, seed_model_path
+def _load_seed_model(path_text: Optional[str], root_dir: Optional[Path]):
+    if path_text is None:
+        return None
+    path = Path(path_text)
+    if root_dir is not None and not path.is_absolute():
+        path = root_dir / path
+    try:
+        return ParamTree.from_json(path.read_text())
+    except ValueError as exc:  # not UTF-8, not JSON, or not a parameter tree
+        raise ConfigError(f"seed model {path}: {exc}") from None
 
 
 def parse_config_mapping(
     raw: Mapping, root_dir: Optional[Path] = None
 ) -> ResolvedConfig:
     root = _Section(raw, "config")
-    model = _parse_model(root.child("model", required=True))
-    population = _parse_population(root.child("population", required=True), model)
-    federation, seed_model_path = _parse_federation(
-        root.child("federation", required=True), population, root_dir
+    model = _build(root.child("model", required=True), ModelSpec)
+    population = _build(
+        root.child("population", required=True), PopulationSpec,
+        num_classes=model.num_classes, input_dim=model.input_dim,
+        seq_len=model.seq_len if model.kind == ModelKind.TINY_ATTENTION else None,
     )
+    section = root.child("federation", required=True)
+    seed_model_path = section.value("seed_model_path", kind=str)
+
+    def privacy(fed: dict) -> PrivacyParams:
+        stated = section.child("privacy") or _Section({}, f"{section.path}.privacy")
+        return _build(stated, PrivacyParams, clip_bound=fed["clip"].bound,
+                      population=population.num_clients,
+                      num_steps=fed["num_rounds"], **fed["cohort"].privacy_args())
+
+    federation = _build(section, FederationConfig, privacy=privacy,
+                        seed_model=_load_seed_model(seed_model_path, root_dir))
     root.finish()
-    if model.kind == ModelKind.TINY_ATTENTION and model.hidden_dim < 1:
-        raise ConfigError("model.hidden_dim is required for tiny_attention")
     return ResolvedConfig(model, population, federation, seed_model_path)
 
 
@@ -350,9 +269,19 @@ def parse_config(path: str | Path) -> ResolvedConfig:
 
 
 def _plain(obj):
-    """Dataclass -> dict, Enum -> value, tuple -> list, Mapping -> dict."""
+    """A resolved value as a config states it.
+
+    A dataclass becomes the mapping of its keys: the fields ``_OWNED``
+    lists left out, and those ``_KEYS`` renames last, under their keys. A
+    noise mask becomes its sorted layers, an Enum its value, a tuple a list.
+    """
+    if isinstance(obj, NoiseMask):
+        return None if obj.included is None else sorted(obj.included)
     if is_dataclass(obj):
-        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
+        owned = _OWNED.get(type(obj), ())
+        names = sorted((f.name for f in fields(obj) if f.name not in owned),
+                       key=_KEYS.__contains__)
+        return {_KEYS.get(name, name): _plain(getattr(obj, name)) for name in names}
     if isinstance(obj, Enum):
         return obj.value
     if isinstance(obj, tuple):
@@ -364,25 +293,9 @@ def _plain(obj):
 
 def resolved_dict(rc: ResolvedConfig) -> dict:
     """Fully expanded config; re-parsing it resolves identically."""
-    fed = rc.federation
-    federation = _plain(fed)
-    # Where the config keys differ from the dataclass fields.
-    federation["rounds"] = federation.pop("num_rounds")
-    included = fed.noise_mask.included
-    federation["noise_mask"] = sorted(included) if included is not None else None
-    del federation["seed_model"]
-    federation["seed_model_path"] = rc.seed_model_path
-    # Values owned by other sections are not restated.
-    federation["privacy"] = {key: federation["privacy"][key]
-                             for key in ("sigma", "sigma_kind", "delta")}
-    population = _plain(rc.population)
-    for key in ("num_classes", "input_dim", "seq_len"):
-        del population[key]
-    out = {
-        "model": _plain(rc.model),
-        "population": population,
-        "federation": federation,
-    }
+    out = {name: _plain(getattr(rc, name))
+           for name in ("model", "population", "federation")}
+    out["federation"]["seed_model_path"] = rc.seed_model_path
     _drop_nones(out)
     return out
 

@@ -49,20 +49,26 @@ def convert_noise(
         raise ConfigError(f"sigma must be >= 0, got {sigma}")
     if not (math.isfinite(cohort_size) and cohort_size >= 1):
         raise ConfigError(f"cohort size must be finite and >= 1, got {cohort_size}")
-    diff = _SQRT_L_EXPONENT[SigmaKind(to_kind)] - _SQRT_L_EXPONENT[SigmaKind(from_kind)]
-    if diff == 0:
-        return sigma
+    to_kind = SigmaKind(to_kind)
+    diff = _SQRT_L_EXPONENT[to_kind] - _SQRT_L_EXPONENT[SigmaKind(from_kind)]
     root = math.sqrt(cohort_size)
-    if diff == 1:
-        return sigma * root
-    if diff == -1:
-        return sigma / root
-    if diff == 2:
-        return sigma * cohort_size
-    return sigma / cohort_size
+    if diff == 0:
+        converted = sigma
+    elif diff == 1:
+        converted = sigma * root
+    elif diff == -1:
+        converted = sigma / root
+    elif diff == 2:
+        converted = sigma * cohort_size
+    else:
+        converted = sigma / cohort_size
+    if not math.isfinite(converted):
+        raise ConfigError(f"sigma {sigma} as {to_kind.value} noise for cohort size "
+                          f"{cohort_size} is not finite")
+    return converted
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PrivacyParams:
     """User-level DP configuration and the derived accounting quantities.
 
@@ -76,11 +82,11 @@ class PrivacyParams:
     """
 
     clip_bound: float
-    sigma: float
+    sigma: float = 0.0
+    sigma_kind: SigmaKind = SigmaKind.AVG
     population: int
     num_steps: int
-    delta: float
-    sigma_kind: SigmaKind = SigmaKind.AVG
+    delta: float = 1e-9
     sampling_rate: Optional[float] = None
     cohort_size: Optional[float] = None
 
@@ -114,6 +120,8 @@ class PrivacyParams:
             )
         object.__setattr__(self, "sampling_rate", float(q))
         object.__setattr__(self, "cohort_size", float(size))
+        # Converting to sigma_sum, the largest form, raises unless all are finite.
+        self.sigma_sum
 
     @property
     def sigma_avg(self) -> float:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import KW_ONLY, dataclass, fields, replace
 from enum import Enum
 from typing import Optional
 
@@ -101,9 +101,10 @@ class LocalMode(str, Enum):
 @dataclass(frozen=True)
 class LocalConfig:
     mode: LocalMode = LocalMode.STEPS
+    _: KW_ONLY
     count: int = 1
     batch_size: int = 8
-    lr: float = 0.1
+    lr: float
     clip_bound: float = 1.0  # per-minibatch global clip; inf disables
 
     def __post_init__(self):
@@ -121,7 +122,8 @@ class LocalConfig:
 @dataclass(frozen=True)
 class CentralConfig:
     optimizer: OptimizerKind = OptimizerKind.LAMB
-    schedule: Schedule = Schedule(base_lr=0.01)
+    _: KW_ONLY
+    schedule: Schedule
     hyper: OptimizerHyper = OptimizerHyper()
 
     def __post_init__(self):

@@ -25,7 +25,7 @@ independent central-difference oracle used to check them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from enum import Enum
 
 import numpy as np
@@ -43,7 +43,8 @@ class ModelKind(str, Enum):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    kind: ModelKind
+    kind: ModelKind = ModelKind.LINEAR_SOFTMAX
+    _: KW_ONLY
     input_dim: int
     num_classes: int
     hidden_dim: int = 0

@@ -19,7 +19,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
@@ -134,14 +134,7 @@ class Summary:
     per_layer: dict[str, dict[str, float]]  # pooled mean/std across rounds
 
     def to_json_obj(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "final_loss": self.final_loss,
-            "best_loss": self.best_loss,
-            "final_accuracy": self.final_accuracy,
-            "best_accuracy": self.best_accuracy,
-            "per_layer": self.per_layer,
-        }
+        return asdict(self)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from reference import layer_norms
 from simtools import linear_model, make_config, small_population
 
-from fldp import engine, models
+from fldp import accountant, engine, models
 from fldp.cli import main
 from fldp.data import generate_population
 from fldp.config import (
@@ -73,6 +74,76 @@ def test_minimal_config_resolves_with_defaults(tmp_path):
     assert rc.federation.privacy.num_steps == 3
     assert rc.federation.privacy.cohort_size == 4.0
     assert rc.federation.local.clip_bound == 1.0  # default local clip
+
+
+# Fields a section does not state under their own name: other sections own
+# their values, or the config states them under another key.
+NOT_STATED = {
+    "population": {"num_classes", "input_dim", "seq_len"},
+    "federation": {"num_rounds", "seed_model"},
+    "federation.privacy": {"clip_bound", "population", "num_steps",
+                           "sampling_rate", "cohort_size"},
+}
+
+
+def omitted_fields(obj, mapping, path):
+    """(path, field, value) of each field of obj that the mapping omits."""
+    for f in dataclasses.fields(obj):
+        if f.name in NOT_STATED.get(path, ()):
+            continue
+        value = getattr(obj, f.name)
+        if f.name not in mapping:
+            yield f"{path}.{f.name}", f, value
+        elif dataclasses.is_dataclass(value):
+            yield from omitted_fields(value, mapping[f.name], f"{path}.{f.name}")
+
+
+def test_every_omitted_field_resolves_to_its_dataclass_default():
+    cfg = minimal_config()
+    rc = parse_config_mapping(cfg)
+    omitted = [item for section in ("model", "population", "federation")
+               for item in omitted_fields(getattr(rc, section), cfg[section], section)]
+    assert len(omitted) > 20
+    for path, field, value in omitted:
+        assert field.default is not dataclasses.MISSING, path
+        assert value == field.default, path
+
+
+def test_omitted_model_kind_and_privacy_take_their_defaults():
+    cfg = minimal_config()
+    del cfg["model"]["kind"]
+    del cfg["federation"]["privacy"]
+    rc = parse_config_mapping(cfg)
+    assert rc.model.kind == models.ModelKind.LINEAR_SOFTMAX
+    privacy = rc.federation.privacy
+    assert (privacy.sigma, privacy.sigma_kind, privacy.delta) == (0.0, "avg", 1e-9)
+
+
+OMITTED_REQUIRED = {
+    "local-lr": (("federation", "local", "lr"),
+                 "config.federation.local.lr: value is required"),
+    "rounds": (("federation", "rounds"), "config.federation.rounds: value is required"),
+    "input-dim": (("model", "input_dim"), "config.model.input_dim: value is required"),
+    "base-lr": (("federation", "central", "schedule", "base_lr"),
+                "config.federation.central.schedule.base_lr: value is required"),
+    "clip": (("federation", "clip"), "config.federation.clip: section is required"),
+    "cohort": (("federation", "cohort"), "config.federation.cohort: section is required"),
+    "schedule": (("federation", "central", "schedule"),
+                 "config.federation.central.schedule: section is required"),
+}
+
+
+@pytest.mark.parametrize("case", list(OMITTED_REQUIRED))
+def test_omitted_required_key_is_named(case):
+    path, message = OMITTED_REQUIRED[case]
+    cfg = minimal_config()
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    with pytest.raises(ConfigError) as info:
+        parse_config_mapping(cfg)
+    assert str(info.value) == message
 
 
 # Keys that would restate a value another section owns.
@@ -483,6 +554,16 @@ def simulate_code(tmp_path, cfg):
                  "--out", str(tmp_path / "run")])
 
 
+def test_cli_infinite_sigma_is_config_error_before_any_round(tmp_path, capsys):
+    cfg = demo_config()
+    cfg["federation"]["privacy"]["sigma"] = math.inf
+    assert simulate_code(tmp_path, cfg) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sigma inf as sum noise for cohort size 16.0 is not finite" in captured.err
+    assert not (tmp_path / "run" / "metrics.jsonl").exists()
+
+
 # A non-finite population parameter is a config error before any client is
 # generated, not a numpy traceback or a failure at round 1.
 NON_FINITE_POPULATION = {
@@ -684,6 +765,15 @@ def test_cli_accountant_non_finite_input_is_config_error(args, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("steps", [0, 10])
+def test_cli_accountant_agrees_with_epsilon_for(steps, capsys):
+    # With no step released, epsilon is 0, not the curve's value at T = 0.
+    assert main(["accountant", "-z", "1", "-q", "0.1", "-T", str(steps)]) == 0
+    output = json.loads(capsys.readouterr().out)
+    assert (output["epsilon"], output["best_order"]) == accountant.epsilon_for(
+        1.0, 0.1, steps, 1e-9)
+
+
 def test_cli_convert_noise(capsys):
     code = main(["convert-noise", "--sigma", "1.0", "--from", "avg",
                  "--to", "client", "-L", "16"])
@@ -697,7 +787,11 @@ def test_cli_convert_noise(capsys):
     ("1", "nan", "cohort size must be finite and >= 1, got nan"),
     ("1", "inf", "cohort size must be finite and >= 1, got inf"),
     ("1", "0.5", "cohort size must be finite and >= 1, got 0.5"),
-], ids=["sigma-nan", "sigma-negative", "cohort-nan", "cohort-inf", "cohort-below-one"])
+    ("inf", "4", "sigma inf as client noise for cohort size 4.0 is not finite"),
+    ("1e308", "1e10",
+     "sigma 1e+308 as client noise for cohort size 10000000000.0 is not finite"),
+], ids=["sigma-nan", "sigma-negative", "cohort-nan", "cohort-inf", "cohort-below-one",
+        "sigma-inf", "sigma-overflows"])
 def test_cli_convert_noise_rejects_bad_values(sigma, cohort, message, capsys):
     code = main(["convert-noise", "--sigma", sigma, "--from", "avg",
                  "--to", "client", "-L", cohort])
