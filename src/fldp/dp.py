@@ -122,6 +122,11 @@ class PrivacyParams:
         object.__setattr__(self, "cohort_size", float(size))
         # Converting to sigma_sum, the largest form, raises unless all are finite.
         self.sigma_sum
+        if self.clip_bound > 0 and not math.isfinite(noise_multiplier(self)):
+            raise ConfigError(
+                f"noise multiplier sigma_avg / sensitivity = {self.sigma_avg} / "
+                f"{self.sensitivity} is not finite"
+            )
 
     @property
     def sigma_avg(self) -> float:

@@ -19,6 +19,19 @@ layout against ``ModelSpec.layout()`` with ``Layout.require_same``, the
 inputs with ``check_inputs``) and run the kernel on a cohort of one;
 ``cohort_grad`` runs it unchecked on data that the caller validated once.
 
+Reductions over the kernels' short axes (a row's 4 to 16 classes,
+features or scores, and each client's batch positions) go through
+``_sum_last``, ``_max_last`` and ``_sum_batch``, and each gives the bits of
+the numpy reduction it stands for: ``_sum_last`` adds column slices in
+numpy's own pairwise order, ``_max_last`` chains ``np.maximum`` over the
+columns, and ``_sum_batch`` sums a contiguous copy with the batch positions
+first, in numpy's sequential order. On a paper-sized cohort that is a few
+long ufunc loops where numpy runs one short inner loop per row. On a small
+stack the one numpy call is faster, so each helper picks its form by the
+number of rows; both forms give the same bits, so the choice moves only time.
+(A NaN result is NaN in both forms, but its sign may differ; numpy does
+not fix a NaN's sign either.)
+
 Gradients are hand-derived closed forms; ``finite_diff_grad`` is the
 independent central-difference oracle used to check them.
 """
@@ -154,11 +167,87 @@ def check_inputs(spec: ModelSpec, inputs: np.ndarray, labels=None) -> None:
         raise StructureError("label out of range for num_classes")
 
 
+# Each helper's own form costs a few ufunc calls of about 1 us each (one
+# or two per column in the column forms), where numpy's reduction pays about
+# 25 ns per row. Below these sizes the one numpy call wins, so the helpers
+# hand it small stacks; both forms give the same bits, so the choice moves
+# only time. Crossovers timed with timeit on a 2-vCPU x86-64 host, numpy
+# 2.4: _sum_last near 400, 900 and 2000 rows at 4, 8 and 16 columns;
+# _max_last near 64 and 150 rows at 4 and 8 columns; _sum_batch near 128
+# rows (clients times batch positions) at 4 to 16 columns.
+_SUM_ROWS_PER_COLUMN = 128
+_MAX_ROWS_PER_COLUMN = 16
+_BATCH_ROWS = 128
+
+
+def _rows(z: np.ndarray) -> int:
+    return z.size // z.shape[-1]  # callers rule out an empty last axis first
+
+
+def _sum_last(z: np.ndarray) -> np.ndarray:
+    """np.add.reduce(z, axis=-1, keepdims=True), bit for bit.
+
+    Taken over column slices in numpy's pairwise order: a sequential sum
+    below 8 columns; up to 128, eight strided accumulators, numpy's fixed
+    tree over them and a sequential tail; then numpy's +0.0 identity.
+    """
+    n = z.shape[-1]
+    if (not 0 < n <= 128 or _rows(z) < _SUM_ROWS_PER_COLUMN * n
+            or not z.flags.c_contiguous):
+        return np.add.reduce(z, axis=-1, keepdims=True)
+    col = [z[..., j : j + 1] for j in range(n)]
+    if n < 8:
+        acc, tail = col[0].copy(), col[1:]
+    else:
+        m = n - n % 8
+        r = col[:8]
+        for i in range(8, m, 8):
+            r = [a + b for a, b in zip(r, col[i : i + 8])]
+        acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        tail = col[m:]
+    for c in tail:
+        acc += c
+    acc += 0.0  # where numpy starts: an all -0.0 row sums to +0.0
+    return acc
+
+
+def _max_last(z: np.ndarray) -> np.ndarray:
+    """z.max(axis=-1, keepdims=True), bit for bit: np.maximum over columns.
+
+    Past 8 columns numpy's max takes its columns in another order, which
+    shows only in the sign of a zero maximum; it is left to numpy there.
+    """
+    n = z.shape[-1]
+    if (not 1 < n <= 8 or _rows(z) < _MAX_ROWS_PER_COLUMN * n
+            or not z.flags.c_contiguous):
+        return z.max(axis=-1, keepdims=True)
+    acc = np.maximum(z[..., 0:1], z[..., 1:2])
+    for j in range(2, n):
+        np.maximum(acc, z[..., j : j + 1], out=acc)
+    return acc
+
+
+def _sum_batch(z: np.ndarray) -> np.ndarray:
+    """(C, ..., n) summed over the middle axes per client: (C, n), bit for bit.
+
+    For n >= 2 numpy adds the middle rows in sequence; so does one reduction
+    over a contiguous copy with those rows first, in n·C-long steps. A
+    one-wide stack numpy sums pairwise, so it is left to numpy.
+    """
+    c, n = z.shape[0], z.shape[-1]
+    if n < 2 or _rows(z) < _BATCH_ROWS or not z.flags.c_contiguous:
+        return z.sum(axis=tuple(range(1, z.ndim - 1)))
+    return np.add.reduce(
+        np.ascontiguousarray(z.reshape(c, -1, n).swapaxes(0, 1)), axis=0
+    )
+
+
 def _softmax(z: np.ndarray) -> np.ndarray:
-    # Max-subtraction for stability.
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    # Max-subtraction for stability; C order, so the columns are slices.
+    e = np.subtract(z, _max_last(z), order="C")
+    np.exp(e, out=e)
+    e /= _sum_last(e)
+    return e
 
 
 def _per_client(v: np.ndarray, ndim: int) -> np.ndarray:
@@ -169,26 +258,41 @@ def _per_client(v: np.ndarray, ndim: int) -> np.ndarray:
 def _layernorm_forward(z, gain, bias, eps):
     # The steps of z.var, so var is bitwise z.var, on deviations that then
     # become xhat in place.
-    xhat = z - z.mean(axis=-1, keepdims=True)
-    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / z.shape[-1]
+    n = z.shape[-1]
+    xhat = z - _sum_last(z) / n
+    out = np.multiply(xhat, xhat)  # the squares, then the output
+    var = _sum_last(out) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    return gain * xhat + bias, (xhat, inv)
+    np.multiply(gain, xhat, out=out)
+    out += bias
+    return out, (xhat, inv)
 
 
 def _layernorm_backward(dy, gain, cache):
     """dL/dz and the (C, n) gain and bias gradients, summed per client."""
     xhat, inv = cache
-    batch_axes = tuple(range(1, dy.ndim - 1))
-    dgain = (dy * xhat).sum(axis=batch_axes)
-    dbias = dy.sum(axis=batch_axes)
-    gdy = gain * dy
-    dz = inv * (
-        gdy
-        - gdy.mean(axis=-1, keepdims=True)
-        - xhat * (gdy * xhat).mean(axis=-1, keepdims=True)
-    )
+    n = dy.shape[-1]
+    t = dy * xhat
+    dgain = _sum_batch(t)
+    dbias = _sum_batch(dy)
+    # dz = inv * (gdy - mean(gdy) - xhat * mean(gdy * xhat)), in place.
+    dz = gain * dy
+    np.multiply(dz, xhat, out=t)
+    m = _sum_last(t) / n
+    np.multiply(xhat, m, out=t)
+    dz -= _sum_last(dz) / n
+    dz -= t
+    np.multiply(inv, dz, out=dz)
     return dz, dgain, dbias
+
+
+def _tanh_backward(t, dt):
+    """(1 - t * t) * dt for t = tanh(...), in one new array."""
+    out = t * t
+    np.subtract(1.0, out, out=out)
+    out *= dt
+    return out
 
 
 def _apply(a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -209,8 +313,8 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _cross_entropy(logits, labels) -> float:
     """Mean cross-entropy of the labels under softmax(logits)."""
     n = labels.shape[0]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
+    shifted = logits - _max_last(logits)
+    lse = np.log(_sum_last(np.exp(shifted)))[:, 0]
     return float(np.mean(lse - shifted[np.arange(n), labels]))
 
 
@@ -221,9 +325,9 @@ def _cross_entropy_grad(logits, labels, count, valid=None):
     examples per client, a scalar or (C, 1, 1). Padding examples, where
     `valid` (C, B) is False, get a zero gradient.
     """
-    c, b = labels.shape
     p = _softmax(logits)
-    p[np.arange(c)[:, None], np.arange(b), labels] -= 1.0
+    k = p.shape[-1]
+    p.reshape(-1)[np.arange(0, p.size, k) + labels.ravel()] -= 1.0
     p /= count
     if valid is not None:
         p *= valid[..., None]
@@ -245,10 +349,11 @@ def _linear_softmax(spec, rows, x):
     f, k = spec.input_dim, spec.num_classes
     w, b = _layers(spec, rows)
     w = w.reshape(-1, k, f)
-    logits = _apply(x, w.transpose(0, 2, 1)) + b[:, None, :]
+    logits = _apply(x, w.transpose(0, 2, 1))
+    logits += b[:, None, :]
 
     def backward(dlogits):
-        return _grad_rows([_outer(dlogits, x), dlogits.sum(axis=1)])
+        return _grad_rows([_outer(dlogits, x), _sum_batch(dlogits)])
 
     return logits, backward
 
@@ -261,19 +366,21 @@ def _mlp_layernorm(spec, rows, x):
     gain, bias = _per_client(ln[:, :d], x.ndim), _per_client(ln[:, d:], x.ndim)
     w2 = w2.reshape(-1, k, d)
 
-    z1 = _apply(x, w1.transpose(0, 2, 1)) + b1[:, None, :]
+    z1 = _apply(x, w1.transpose(0, 2, 1))
+    z1 += b1[:, None, :]
     h, ln_cache = _layernorm_forward(z1, gain, bias, eps)
-    a = np.tanh(h)
-    logits = _apply(a, w2.transpose(0, 2, 1)) + b2[:, None, :]
+    a = np.tanh(h, out=h)
+    logits = _apply(a, w2.transpose(0, 2, 1))
+    logits += b2[:, None, :]
 
     def backward(dlogits):
         dw2 = _outer(dlogits, a)
-        db2 = dlogits.sum(axis=1)
+        db2 = _sum_batch(dlogits)
         da = _apply(dlogits, w2)
-        dh = (1.0 - a * a) * da
+        dh = _tanh_backward(a, da)
         dz1, dgain, dbias = _layernorm_backward(dh, gain, ln_cache)
         dw1 = _outer(dz1, x)
-        db1 = dz1.sum(axis=1)
+        db1 = _sum_batch(dz1)
         return _grad_rows([dw1, db1, dgain, dbias, dw2, db2])
 
     return logits, backward
@@ -307,40 +414,43 @@ def _tiny_attention(spec, rows, x):
 
     # pre-LN MLP sub-block
     m, ln2_cache = _layernorm_forward(h1, g2, be2, eps)
-    t = np.tanh(_apply(m, w1.transpose(0, 2, 1)))
+    t = _apply(m, w1.transpose(0, 2, 1))
+    np.tanh(t, out=t)
     h2 = h1 + _apply(t, w2.transpose(0, 2, 1))
 
     pool = h2.mean(axis=2)  # (C, B, d)
-    logits = _apply(pool, wout.transpose(0, 2, 1)) + bout[:, None, :]
+    logits = _apply(pool, wout.transpose(0, 2, 1))
+    logits += bout[:, None, :]
 
     def backward(dlogits):
         dwout = _outer(dlogits, pool)
-        dbout = dlogits.sum(axis=1)
+        dbout = _sum_batch(dlogits)
         dpool = _apply(dlogits, wout)  # (C, B, d)
         dh2 = np.repeat(dpool[:, :, None, :], s, axis=2) / s
 
         # MLP sub-block backward
         dt = _apply(dh2, w2)
         dw2 = _outer(dh2, t)
-        da1 = (1.0 - t * t) * dt
+        da1 = _tanh_backward(t, dt)
         dw1 = _outer(da1, m)
         dm = _apply(da1, w1)
         dh1, dg2, dbe2 = _layernorm_backward(dm, g2, ln2_cache)
-        dh1 = dh1 + dh2  # residual
+        dh1 += dh2  # residual
 
         # attention sub-block backward
         dao = _apply(dh1, wf)
         dwf = _outer(dh1, ao)
         datt = dao @ v.swapaxes(-1, -2)  # (C, B, S, S)
         dv = att.swapaxes(-1, -2) @ dao
-        dscores = att * (datt - (datt * att).sum(axis=-1, keepdims=True))
+        datt -= _sum_last(datt * att)
+        dscores = np.multiply(att, datt, out=datt)
         dq = dscores @ kk / np.sqrt(d)
         dk = dscores.swapaxes(-1, -2) @ q / np.sqrt(d)
         dqkv = np.concatenate([dq, dk, dv], axis=-1)  # (C, B, S, 3d)
         dwqkv = _outer(u, dqkv)
         du = _apply(dqkv, wqkv.transpose(0, 2, 1))
         dh0, dg1, dbe1 = _layernorm_backward(du, g1, ln1_cache)
-        dh0 = dh0 + dh1  # residual
+        dh0 += dh1  # residual
         dwin = _outer(dh0, x)
 
         return _grad_rows(

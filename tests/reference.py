@@ -4,7 +4,9 @@ Per-tree forms of the row code: norms, clipping and noise act on a one-row
 stack, the algebra on the flat vectors. Per-client forms of the flat
 partition: a client's examples as a ``Batch`` view, a partition built from
 per-client batches, and the per-client population generator that the flat
-one replaced.
+one replaced. Plain-numpy forms of the model kernels' softmax,
+cross-entropy gradient and LayerNorm backward pass, each reduction one
+numpy call.
 """
 
 import numpy as np
@@ -151,3 +153,33 @@ def per_client_population(spec):
     probe_inputs = _draw_inputs(probe_rng, means, probe_labels, spec)
     return partition_from_batches(clients, Batch(probe_inputs, probe_labels),
                                   spec.num_classes)
+
+
+def softmax(z):
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def cross_entropy_grad(logits, labels, count, valid=None):
+    c, b = labels.shape
+    p = softmax(logits)
+    p[np.arange(c)[:, None], np.arange(b), labels] -= 1.0
+    p /= count
+    if valid is not None:
+        p *= valid[..., None]
+    return p
+
+
+def layernorm_backward(dy, gain, cache):
+    xhat, inv = cache
+    batch_axes = tuple(range(1, dy.ndim - 1))
+    dgain = (dy * xhat).sum(axis=batch_axes)
+    dbias = dy.sum(axis=batch_axes)
+    gdy = gain * dy
+    dz = inv * (
+        gdy
+        - gdy.mean(axis=-1, keepdims=True)
+        - xhat * (gdy * xhat).mean(axis=-1, keepdims=True)
+    )
+    return dz, dgain, dbias

@@ -564,6 +564,18 @@ def test_cli_infinite_sigma_is_config_error_before_any_round(tmp_path, capsys):
     assert not (tmp_path / "run" / "metrics.jsonl").exists()
 
 
+def test_cli_overflowing_noise_multiplier_is_config_error_before_any_round(
+        tmp_path, capsys):
+    cfg = demo_config()
+    cfg["federation"]["clip"]["bound"] = 1e-10
+    cfg["federation"]["privacy"]["sigma"] = 1e300
+    assert simulate_code(tmp_path, cfg) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "noise multiplier sigma_avg / sensitivity" in captured.err
+    assert not (tmp_path / "run" / "metrics.jsonl").exists()
+
+
 # A non-finite population parameter is a config error before any client is
 # generated, not a numpy traceback or a failure at round 1.
 NON_FINITE_POPULATION = {

@@ -124,6 +124,13 @@ def test_privacy_params_accepts_rounded_rate_but_rejects_disagreement():
         )
 
 
+def test_privacy_params_reject_overflowing_noise_multiplier():
+    # sigma_avg = 2.5e299 is finite, but z = sigma_avg * 16 / 1e-10 is not.
+    with pytest.raises(ConfigError, match="noise multiplier .* is not finite"):
+        PrivacyParams(clip_bound=1e-10, sigma=1e300, sigma_kind="client",
+                      population=64, num_steps=2, cohort_size=16)
+
+
 @pytest.mark.parametrize("field", ["sigma", "clip_bound"])
 def test_privacy_params_reject_nan(field):
     # NaN fails every comparison, so a `< 0` check would let it through.

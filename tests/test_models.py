@@ -1,17 +1,26 @@
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import global_norm, sub, take, zeros_like
 
+from fldp import models
 from fldp.errors import StructureError
 from fldp.models import (
     Batch,
     ModelKind,
     ModelSpec,
+    _cross_entropy_grad,
+    _layernorm_backward,
     _layernorm_forward,
+    _max_last,
+    _softmax,
+    _sum_batch,
+    _sum_last,
     evaluate,
     finite_diff_grad,
     grad,
@@ -271,3 +280,214 @@ def test_layernorm_forward_equals_var_form_bitwise(case):
     assert got_inv.tobytes() == inv.tobytes()
     assert got_xhat.tobytes() == xhat.tobytes()
     assert out.tobytes() == (gain * xhat + bias).tobytes()
+
+
+# -- short-axis reductions: the column forms are numpy's bits ----------------
+
+
+@contextmanager
+def forms(column):
+    """Force the helpers' column forms on (cut-offs 0) or off (past any stack)."""
+    cut = 0 if column else 10**12
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_SUM_ROWS_PER_COLUMN", "_MAX_ROWS_PER_COLUMN", "_BATCH_ROWS"):
+            mp.setattr(models, name, cut)
+        yield
+
+
+def assert_same_bits(got, want):
+    """Bitwise equal where numpy's result is a number; NaN where it is NaN.
+
+    A NaN's sign and payload are not compared: numpy's max reduction returns
+    a NaN of its own, and where NaNs of both signs meet in a sum (inf - inf
+    makes a negative one) the sign follows the operand order that numpy's
+    compiler chose.
+    """
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.where(nan, 0.0, got).tobytes() == np.where(nan, 0.0, want).tobytes()
+
+
+SPECIAL_VALUES = [-0.0, 0.0, math.inf, -math.inf, math.nan, 1e308, -1e308]
+
+
+@st.composite
+def short_axis_stacks(draw, max_n):
+    """(..., n) stacks: magnitudes 1e-8 to 1e8, some ±0, inf, NaN or 1e308 rows."""
+    lead = draw(st.sampled_from([(1,), (5,), (2, 3), (2, 2, 3)]))
+    shape = (*lead, draw(st.integers(1, max_n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    z = 10.0 ** rng.uniform(-8, 8, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+    rows = z.reshape(-1, shape[-1])
+    kind = draw(st.sampled_from(
+        ["finite", "special", "signed zeros", "negative zero", "overflow"]))
+    if kind == "special":
+        mask = rng.random(rows.shape) < draw(st.sampled_from([0.05, 0.3]))
+        rows[mask] = rng.choice(SPECIAL_VALUES, size=int(mask.sum()))
+    elif kind == "signed zeros":
+        rows[:] = rng.choice([-0.0, 0.0, -1.0], size=rows.shape)
+    elif kind == "negative zero":
+        rows[: draw(st.integers(1, rows.shape[0]))] = -0.0
+    elif kind == "overflow":
+        rows[0] = draw(st.sampled_from([1e308, -1e308]))
+    return z
+
+
+def both_forms(helper, z):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with forms(column=True):
+            column = helper(z)
+        with forms(column=False):
+            whole = helper(z)
+    return column, whole
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(z=short_axis_stacks(max_n=130))
+def test_sum_last_is_add_reduce_bitwise(z):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.add.reduce(z, axis=-1, keepdims=True)
+    for got in both_forms(_sum_last, z):
+        assert_same_bits(got, want)
+
+
+def test_sum_last_of_negative_zeros_is_positive_zero():
+    for n in (1, 7, 8, 9, 17):
+        with forms(column=True):
+            got = _sum_last(np.full((3, n), -0.0))
+        assert got.tobytes() == np.zeros((3, 1)).tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(z=short_axis_stacks(max_n=12))
+def test_max_last_is_max_bitwise(z):
+    z.reshape(-1)[::7] = -math.nan  # NaNs of both signs, signed zeros above
+    want = z.max(axis=-1, keepdims=True)
+    for got in both_forms(_max_last, z):
+        assert_same_bits(got, want)
+
+
+def test_max_last_gives_numpy_sign_of_a_zero_maximum():
+    # Past 8 columns numpy takes them in another order, and the sign of a
+    # zero maximum would differ; the helper leaves those widths to numpy.
+    rng = np.random.default_rng(9)
+    for n in range(2, 34):
+        z = rng.choice([-0.0, 0.0], size=(300, n))
+        for got in both_forms(_max_last, z):
+            assert got.tobytes() == z.max(axis=-1, keepdims=True).tobytes()
+
+
+@st.composite
+def batch_stacks(draw):
+    """(C, B, n) and (C, B, S, n) stacks of the values of short_axis_stacks."""
+    z = draw(short_axis_stacks(max_n=9))
+    middle = draw(st.sampled_from([(1,), (4,), (13,), (3, 5), (8, 2)]))
+    c = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    rows = rng.choice(z.reshape(-1, z.shape[-1]), size=c * math.prod(middle))
+    return rows.reshape(c, *middle, z.shape[-1])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(z=batch_stacks())
+def test_sum_batch_is_middle_axes_sum_bitwise(z):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = z.sum(axis=tuple(range(1, z.ndim - 1)))
+    for got in both_forms(_sum_batch, z):
+        assert_same_bits(got, want)
+
+
+def non_contiguous(z):
+    """z's values in a stack whose axes are not in C order."""
+    return np.asfortranarray(z), np.stack([z, z], axis=-1)[..., 0]
+
+
+@pytest.mark.parametrize("shape", [(5, 12, 8), (3, 8, 2, 16)])
+def test_helpers_on_non_contiguous_stacks(shape):
+    z = np.random.default_rng(3).normal(size=shape)
+    for view in non_contiguous(z):
+        assert not view.flags.c_contiguous
+        with forms(column=True):
+            assert _sum_last(view).tobytes() == np.add.reduce(
+                view, axis=-1, keepdims=True).tobytes()
+            assert _max_last(view[..., :4]).tobytes() == view[..., :4].max(
+                axis=-1, keepdims=True).tobytes()
+            assert _sum_batch(view).tobytes() == view.sum(
+                axis=tuple(range(1, view.ndim - 1))).tobytes()
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_helpers_either_side_of_their_cut_offs(n):
+    rng = np.random.default_rng(n)
+    cuts = {
+        _sum_last: models._SUM_ROWS_PER_COLUMN * n,
+        _max_last: models._MAX_ROWS_PER_COLUMN * n,
+        _sum_batch: models._BATCH_ROWS,
+    }
+    for helper, cut in cuts.items():
+        for rows in (cut - 1, cut):
+            z = rng.normal(size=(rows, 1, n))
+            if helper is _sum_last:
+                want = np.add.reduce(z, axis=-1, keepdims=True)
+            elif helper is _max_last:
+                want = z.max(axis=-1, keepdims=True)
+            else:
+                want = z.sum(axis=1)
+            assert helper(z).tobytes() == want.tobytes()
+
+
+# Kernel stacks of the paper's shape (clients, batch 12, width 8 or 4
+# classes) and of the attention shape (clients, batch 8, sequence 8, width
+# 16 or 8 scores), from one client to a paper cohort.
+KERNEL_SHAPES = [(1025, 12, 8), (1025, 12, 4), (16, 12, 8), (1, 12, 4),
+                 (32, 8, 8, 16), (32, 8, 8, 8), (4, 8, 8, 16), (1, 8, 8, 8)]
+
+
+@st.composite
+def kernel_stacks(draw):
+    shape = draw(st.sampled_from(KERNEL_SHAPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    z = rng.normal(scale=draw(st.sampled_from([1e-3, 1.0, 50.0])), size=shape)
+    rows = z.reshape(-1, shape[-1])
+    for i in draw(st.lists(st.integers(0, rows.shape[0] - 1), max_size=3)):
+        rows[i] = draw(st.sampled_from([0.0, -0.0, 1e4, -3e6]))
+    return z, rng
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(case=kernel_stacks())
+def test_softmax_equals_reference_bitwise(case):
+    z, _ = case
+    assert _softmax(z).tobytes() == reference.softmax(z).tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(case=kernel_stacks(), padded=st.booleans())
+def test_cross_entropy_grad_equals_reference_bitwise(case, padded):
+    z, rng = case
+    logits = z.reshape(-1, z.shape[-2], z.shape[-1])
+    c, b, k = logits.shape
+    labels = rng.integers(0, k, size=(c, b))
+    if padded:
+        valid = rng.random((c, b)) < 0.7
+        count = np.maximum(valid.sum(axis=1), 1)[:, None, None]
+    else:
+        valid, count = None, b
+    got = _cross_entropy_grad(logits, labels, count, valid)
+    want = reference.cross_entropy_grad(logits, labels, count, valid)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(case=kernel_stacks())
+def test_layernorm_backward_equals_reference_bitwise(case):
+    z, rng = case
+    gain = rng.normal(size=(z.shape[0],) + (1,) * (z.ndim - 2) + z.shape[-1:])
+    _, cache = _layernorm_forward(z, gain, rng.normal(size=gain.shape), 1e-5)
+    dy = rng.normal(size=z.shape)
+    got = _layernorm_backward(dy, gain, cache)
+    want = reference.layernorm_backward(dy, gain, cache)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
