@@ -153,8 +153,6 @@ class PrivacyParams:
 
 def noise_multiplier(params: PrivacyParams) -> float:
     """z = sigma_avg / S = sigma_avg * qN / C."""
-    if params.sampling_rate == 0:
-        raise ConfigError("noise multiplier undefined for sampling_rate == 0")
     return params.sigma_avg / params.sensitivity
 
 

@@ -352,7 +352,8 @@ def _validate(cfg: FederationConfig, population: ClientPartition,
     if population.num_classes != model_spec.num_classes:
         raise ConfigError("population and model disagree on num_classes")
     # The partition holds every client to the probe's input shape and label
-    # range, so checking the probe checks all the data local training uses.
+    # range, so this one check covers every probe evaluation of the run and
+    # all the data local training uses.
     models.check_inputs(model_spec, population.probe.inputs, population.probe.labels)
     layout = model_spec.layout()
     cfg.noise_mask.validate_against(layout.names)
@@ -405,41 +406,25 @@ def run_simulation(
             logger.warning("round %d: dropping empty client %d", t, cid)
         cohort = np.compress(nonempty, sampled).tolist()
         lr = lr_at(cfg.central.schedule, t)
-        if not cohort:
-            logger.warning("round %d: empty cohort, skipping update", t)
-            metrics.append(_probe_only_metrics(t, lr, model_spec, params, population))
-            continue
+        if cohort:
+            deltas = train_cohort(params, population, model_spec, cfg.local,
+                                  cfg.fedprox_mu, t, cohort, cfg.seed)
+            _require_finite(deltas, t, cohort)
+            clipped, _ = clip_rows(deltas, layout, cfg.clip)
+            noised = clipped
+            if sigma_client > 0.0:
+                noised = add_noise_rows(
+                    clipped, layout, sigma_client, cfg.noise_mask,
+                    streams.cohort_keys(cfg.seed, _STREAM_NOISE, t, cohort),
+                )
+            pseudo_grad = mean_rows(noised)
+            prenoise_norm, postnoise_norm = global_norm_rows(
+                np.stack([mean_rows(clipped), pseudo_grad]), layout).tolist()
 
-        deltas = train_cohort(params, population, model_spec, cfg.local,
-                              cfg.fedprox_mu, t, cohort, cfg.seed)
-        _require_finite(deltas, t, cohort)
-        clipped, _ = clip_rows(deltas, layout, cfg.clip)
-        noised = clipped
-        if sigma_client > 0.0:
-            noised = add_noise_rows(
-                clipped, layout, sigma_client, cfg.noise_mask,
-                streams.cohort_keys(cfg.seed, _STREAM_NOISE, t, cohort),
-            )
-        pseudo_grad = mean_rows(noised)
-        prenoise_norm, postnoise_norm = global_norm_rows(
-            np.stack([mean_rows(clipped), pseudo_grad]), layout).tolist()
-
-        # The optimizer descends, so it receives the negated mean delta.
-        params, opt_state = opt_apply(opt_state, params,
-                                      params.with_flat(-pseudo_grad), lr)
-
-        probe_loss, probe_accuracy = models.evaluate(
-            model_spec, params, population.probe
-        )
-        if not math.isfinite(probe_loss):
-            raise NumericsError(f"round {t}: non-finite probe loss (stage probe)")
-        metrics.append(
-            RoundMetrics(
-                round_index=t,
-                cohort_ids=list(cohort),
-                loss=probe_loss,
-                accuracy=probe_accuracy,
-                lr=lr,
+            # The optimizer descends, so it receives the negated mean delta.
+            params, opt_state = opt_apply(opt_state, params,
+                                          params.with_flat(-pseudo_grad), lr)
+            update = dict(
                 delta_norm_preclip_mean=float(
                     np.mean(global_norm_rows(deltas, layout))
                 ),
@@ -447,25 +432,27 @@ def run_simulation(
                 pseudograd_norm_prenoise=prenoise_norm,
                 pseudograd_norm_postnoise=postnoise_norm,
             )
+            if archive_deltas:
+                archives.append(RoundArchive(t, list(cohort), deltas, clipped))
+        else:
+            logger.warning("round %d: empty cohort, skipping update", t)
+            update = dict(
+                delta_norm_preclip_mean=0.0,
+                per_layer={name: {"mean": 0.0, "std": 0.0} for name in layout.names},
+                pseudograd_norm_prenoise=0.0,
+                pseudograd_norm_postnoise=0.0,
+            )
+
+        probe_loss, probe_accuracy = models.evaluate(
+            model_spec, params, population.probe
         )
-        if archive_deltas:
-            archives.append(RoundArchive(t, list(cohort), deltas, clipped))
+        if not math.isfinite(probe_loss):
+            raise NumericsError(f"round {t}: non-finite probe loss (stage probe)")
+        metrics.append(RoundMetrics(round_index=t, cohort_ids=list(cohort),
+                                    loss=probe_loss, accuracy=probe_accuracy,
+                                    lr=lr, **update))
 
     report = _build_privacy_report(cfg.privacy, cfg.noise_mask, params.names,
                                    cfg.cohort.mode)
     return SimulationResult(params, metrics, report, archives)
 
-
-def _probe_only_metrics(t, lr, model_spec, params, population) -> RoundMetrics:
-    probe_loss, probe_accuracy = models.evaluate(model_spec, params, population.probe)
-    return RoundMetrics(
-        round_index=t,
-        cohort_ids=[],
-        loss=probe_loss,
-        accuracy=probe_accuracy,
-        lr=lr,
-        delta_norm_preclip_mean=0.0,
-        per_layer={name: {"mean": 0.0, "std": 0.0} for name in params.names},
-        pseudograd_norm_prenoise=0.0,
-        pseudograd_norm_postnoise=0.0,
-    )

@@ -13,11 +13,11 @@ Three model kinds, all trained with mean cross-entropy over a batch:
 Each kind has one forward/backward kernel over a leading cohort axis: it
 takes the (C, P) parameter rows of C clients and their inputs, (C, B, F) or
 (C, B, S, F), and returns (C, B, K) logits plus a closure mapping
-dL/dlogits to the (C, P) gradient rows. The public ``loss``, ``grad``,
-``logits`` and ``evaluate`` validate their arguments (the parameters'
-layout against ``ModelSpec.layout()`` with ``Layout.require_same``, the
-inputs with ``check_inputs``) and run the kernel on a cohort of one;
-``cohort_grad`` runs it unchecked on data that the caller validated once.
+dL/dlogits to the (C, P) gradient rows. Two calls run the kernels:
+``cohort_grad`` for training and ``evaluate`` for the probe (a cohort of
+one). Neither checks its arguments: the caller validates the data with
+``check_inputs``, and the parameters' layout against ``ModelSpec.layout()``,
+once per run.
 
 Reductions over the kernels' short axes (a row's 4 to 16 classes,
 features or scores, and each client's batch positions) go through
@@ -32,8 +32,8 @@ number of rows; both forms give the same bits, so the choice moves only time.
 (A NaN result is NaN in both forms, but its sign may differ; numpy does
 not fix a NaN's sign either.)
 
-Gradients are hand-derived closed forms; ``finite_diff_grad`` is the
-independent central-difference oracle used to check them.
+Gradients are hand-derived closed forms, checked in the tests against a
+central-difference oracle.
 """
 
 from __future__ import annotations
@@ -479,56 +479,12 @@ def cohort_grad(spec: ModelSpec, rows: np.ndarray, inputs: np.ndarray,
     return backward(_cross_entropy_grad(out, labels, count, valid))
 
 
-def _forward(spec: ModelSpec, params: ParamTree, inputs: np.ndarray, labels=None):
-    """Validated forward pass of one client: (C=1 logits, backward closure)."""
-    spec.layout().require_same(params.layout)
-    check_inputs(spec, inputs, labels)
-    return _FORWARD[spec.kind](spec, params.flat[None, :], inputs[None])
-
-
-def loss(spec: ModelSpec, params: ParamTree, batch: Batch) -> float:
-    """Mean cross-entropy over the batch."""
-    out, _ = _forward(spec, params, batch.inputs, batch.labels)
-    return _cross_entropy(out[0], batch.labels)
-
-
-def grad(spec: ModelSpec, params: ParamTree, batch: Batch) -> ParamTree:
-    """Analytic gradient of `loss` w.r.t. every parameter."""
-    out, backward = _forward(spec, params, batch.inputs, batch.labels)
-    rows = backward(_cross_entropy_grad(out, batch.labels[None], batch.size))
-    return params.with_flat(rows[0])
-
-
-def logits(spec: ModelSpec, params: ParamTree, inputs: np.ndarray) -> np.ndarray:
-    inputs = np.asarray(inputs, dtype=np.float64)
-    return _forward(spec, params, inputs)[0][0]
-
-
 def evaluate(spec: ModelSpec, params: ParamTree, batch: Batch) -> tuple[float, float]:
-    """Mean cross-entropy and accuracy from one forward pass."""
-    out, _ = _forward(spec, params, batch.inputs, batch.labels)
+    """Mean cross-entropy and accuracy from one forward pass, unchecked.
+
+    The caller has validated the batch and the parameters' layout against
+    the model.
+    """
+    out, _ = _FORWARD[spec.kind](spec, params.flat[None, :], batch.inputs[None])
     pred = np.argmax(out[0], axis=1)
     return _cross_entropy(out[0], batch.labels), float(np.mean(pred == batch.labels))
-
-
-def finite_diff_grad(
-    spec: ModelSpec, params: ParamTree, batch: Batch, h: float = 1e-5
-) -> ParamTree:
-    """Central-difference gradient oracle: (L(p+h e_i) - L(p-h e_i)) / 2h.
-
-    h around 1e-5 balances truncation against roundoff; very large h (say
-    1.0) is accepted but inaccurate.
-    """
-    if h <= 0:
-        raise ValueError("finite difference step must be positive")
-    flat = np.array(params.flat, copy=True)
-    g = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        lp = loss(spec, params.with_flat(flat), batch)
-        flat[i] = orig - h
-        lm = loss(spec, params.with_flat(flat), batch)
-        flat[i] = orig
-        g[i] = (lp - lm) / (2.0 * h)
-    return params.with_flat(g)

@@ -4,9 +4,10 @@ Per-tree forms of the row code: norms, clipping and noise act on a one-row
 stack, the algebra on the flat vectors. Per-client forms of the flat
 partition: a client's examples as a ``Batch`` view, a partition built from
 per-client batches, and the per-client population generator that the flat
-one replaced. Plain-numpy forms of the model kernels' softmax,
-cross-entropy gradient and LayerNorm backward pass, each reduction one
-numpy call.
+one replaced. Single-client forms of the model calls, each the engine's
+own kernel entry on a cohort of one, and the central-difference gradient
+oracle. Plain-numpy forms of the model kernels' softmax, cross-entropy
+gradient and LayerNorm backward pass, each reduction one numpy call.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from fldp.data import (
     ClientPartition,
 )
 from fldp.dp import FULL_MASK, add_noise_rows
+from fldp.models import _FORWARD, cohort_grad, evaluate
 from fldp.param_tree import global_norm_rows, layer_norm_rows, mean_rows
 from fldp.streams import generator
 
@@ -153,6 +155,44 @@ def per_client_population(spec):
     probe_inputs = _draw_inputs(probe_rng, means, probe_labels, spec)
     return partition_from_batches(clients, Batch(probe_inputs, probe_labels),
                                   spec.num_classes)
+
+
+def logits(spec, params, inputs):
+    """One client's (B, K) logits: the kernel's first output."""
+    return _FORWARD[spec.kind](spec, params.flat[None, :], inputs[None])[0][0]
+
+
+def loss(spec, params, batch):
+    """Mean cross-entropy over the batch."""
+    return evaluate(spec, params, batch)[0]
+
+
+def grad(spec, params, batch):
+    """Gradient of `loss`: ``cohort_grad`` on a one-row cohort."""
+    rows = cohort_grad(spec, params.flat[None, :], batch.inputs[None],
+                       batch.labels[None], batch.size)
+    return params.with_flat(rows[0])
+
+
+def finite_diff_grad(spec, params, batch, h=1e-5):
+    """Central-difference gradient oracle: (L(p+h e_i) - L(p-h e_i)) / 2h.
+
+    h around 1e-5 balances truncation against roundoff; very large h (say
+    1.0) is accepted but inaccurate.
+    """
+    if h <= 0:
+        raise ValueError("finite difference step must be positive")
+    flat = np.array(params.flat, copy=True)
+    g = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        lp = loss(spec, params.with_flat(flat), batch)
+        flat[i] = orig - h
+        lm = loss(spec, params.with_flat(flat), batch)
+        flat[i] = orig
+        g[i] = (lp - lm) / (2.0 * h)
+    return params.with_flat(g)
 
 
 def softmax(z):

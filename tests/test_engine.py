@@ -9,6 +9,7 @@ from reference import (
     client_batches,
     clip_tree,
     global_norm,
+    grad,
     partition_from_batches,
     scale,
     sub,
@@ -104,7 +105,7 @@ def test_single_full_batch_step_is_one_sgd_step():
     )
     delta = params.with_flat(
         train_cohort(params, population, model, local, 0.0, 1, [2], 5)[0])
-    expected = scale(-eta, models.grad(model, params, client))
+    expected = scale(-eta, grad(model, params, client))
     for (_, a), (_, b) in zip(delta.items(), expected.items()):
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-15)
 
@@ -126,7 +127,7 @@ def test_local_train_matches_plain_sgd_oracle():
         order = rng.permutation(client.size)
         for start in range(0, client.size, 4):
             batch = take(client, order[start : start + 4])
-            g = clip_tree(models.grad(model, theta, batch), ClipSpec(0.5))
+            g = clip_tree(grad(model, theta, batch), ClipSpec(0.5))
             theta = axpy(-0.05, g, theta)
     assert delta == sub(theta, params)
 
@@ -170,13 +171,13 @@ def test_epochs_round_makes_one_gradient_call_per_step_index(monkeypatch):
                                       log_sigma=0.8),
         probe_size=30, seed=7,
     ))
-    grad = models.cohort_grad
+    cohort_grad = models.cohort_grad
     calls = 0
 
     def counting_grad(*args):
         nonlocal calls
         calls += 1
-        return grad(*args)
+        return cohort_grad(*args)
 
     monkeypatch.setattr(models, "cohort_grad", counting_grad)
     cfg = make_config(population, num_rounds=3, cohort_size=6,
@@ -274,7 +275,7 @@ def test_fedsgd_equivalence_with_centralized_gd():
     full = Batch(population.inputs, population.labels)
     theta = models.init_params(model, cfg.seed)
     for _ in range(50):
-        theta = axpy(-eta, models.grad(model, theta, full), theta)
+        theta = axpy(-eta, grad(model, theta, full), theta)
 
     for (_, a), (_, b) in zip(result.final_params.items(), theta.items()):
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
@@ -423,20 +424,36 @@ def test_one_probe_forward_pass_per_round(monkeypatch):
     # on rounds whose sampled cohort is empty alike.
     _, population = small_population(num_clients=6, count=2)
     partition = without_first_three(population)
-    forward = models._forward
+    model = linear_model()
+    forward = models._FORWARD[model.kind]
     probe_passes = 0
 
-    def counting_forward(spec, params, inputs, labels=None):
+    def counting_forward(spec, rows, inputs):
         nonlocal probe_passes
-        probe_passes += inputs is partition.probe.inputs
-        return forward(spec, params, inputs, labels)
+        probe_passes += np.shares_memory(inputs, partition.probe.inputs)
+        return forward(spec, rows, inputs)
 
-    monkeypatch.setattr(models, "_forward", counting_forward)
+    monkeypatch.setitem(models._FORWARD, model.kind, counting_forward)
     cfg = make_config(partition, num_rounds=8, cohort_size=1)
-    result = run_simulation(cfg, partition, linear_model())
+    result = run_simulation(cfg, partition, model)
     assert any(m.cohort_ids for m in result.metrics)
     assert any(not m.cohort_ids for m in result.metrics)
     assert probe_passes == 8
+
+
+def test_empty_round_with_non_finite_probe_loss_names_the_probe_stage():
+    # Round 1 samples no client at this seed and rate, so the seed model
+    # goes straight to the probe, whose logits overflow.
+    _, population = small_population()
+    model = linear_model()
+    params = models.init_params(model, 0)
+    huge = params.with_flat(np.resize([1e308, -1e308], params.layout.total))
+    cfg = make_config(population, num_rounds=1, cohort_rate=0.1, seed=4,
+                      seed_model=huge)
+    assert sample_cohort(population.num_clients, cfg.cohort, 1, cfg.seed) == []
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericsError, match=r"^round 1: .*probe"):
+            run_simulation(cfg, population, model)
 
 
 def test_diverging_local_training_names_round_client_and_stage():

@@ -6,9 +6,20 @@ import pytest
 import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import global_norm, sub, take, zeros_like
+from reference import (
+    finite_diff_grad,
+    global_norm,
+    grad,
+    logits,
+    loss,
+    sub,
+    take,
+    zeros_like,
+)
+from simtools import linear_model, make_config, small_population
 
 from fldp import models
+from fldp.engine import run_simulation
 from fldp.errors import StructureError
 from fldp.models import (
     Batch,
@@ -21,12 +32,9 @@ from fldp.models import (
     _softmax,
     _sum_batch,
     _sum_last,
+    check_inputs,
     evaluate,
-    finite_diff_grad,
-    grad,
     init_params,
-    logits,
-    loss,
 )
 
 LINEAR = ModelSpec(ModelKind.LINEAR_SOFTMAX, input_dim=5, num_classes=4)
@@ -146,11 +154,24 @@ def test_loss_finite_and_shape_mismatch_raises():
     p = random_params(LINEAR, rng)
     b = random_batch(LINEAR, rng)
     assert math.isfinite(loss(LINEAR, p, b))
-    bad = Batch(rng.normal(size=(4, LINEAR.input_dim + 1)), np.zeros(4, dtype=int))
-    with pytest.raises(StructureError):
-        loss(LINEAR, p, bad)
-    with pytest.raises(StructureError):
-        loss(MLP, p, b)  # params from another layout
+    for spec in ALL_SPECS:
+        batch = random_batch(spec, rng)
+        check_inputs(spec, batch.inputs, batch.labels)
+    with pytest.raises(StructureError, match=r"inputs must be \(batch, 5\)"):
+        check_inputs(LINEAR, rng.normal(size=(4, LINEAR.input_dim + 1)))
+    with pytest.raises(StructureError, match=r"inputs must be \(batch, 5\)"):
+        check_inputs(MLP, rng.normal(size=(4, 1, MLP.input_dim)))
+    s, f = ATTN.seq_len, ATTN.input_dim
+    for shape in [(4, s + 1, f), (4, s, f + 1), (4, s * f), (1, 4, s, f)]:
+        with pytest.raises(StructureError, match="tiny_attention inputs must be"):
+            check_inputs(ATTN, rng.normal(size=shape))
+    # A seed model from another layout is rejected before any round.
+    _, population = small_population()
+    other = ModelSpec(ModelKind.MLP_LAYERNORM, input_dim=4, num_classes=3,
+                      hidden_dim=2)
+    cfg = make_config(population, num_rounds=1, seed_model=init_params(other, 0))
+    with pytest.raises(StructureError, match="layer 0 name mismatch"):
+        run_simulation(cfg, population, linear_model())
 
 
 def test_empty_batch_rejected():
@@ -159,11 +180,10 @@ def test_empty_batch_rejected():
 
 
 def test_label_out_of_range_rejected():
-    rng = np.random.default_rng(5)
-    p = random_params(LINEAR, rng)
-    b = Batch(rng.normal(size=(2, 5)), np.array([0, 4]))
+    x = np.random.default_rng(5).normal(size=(2, 5))
+    check_inputs(LINEAR, x, np.array([0, 3]))
     with pytest.raises(StructureError, match="label out of range"):
-        loss(LINEAR, p, b)
+        check_inputs(LINEAR, x, np.array([0, 4]))
 
 
 # -- grad ----------------------------------------------------------------------
