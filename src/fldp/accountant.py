@@ -4,7 +4,14 @@ Given the noise multiplier z (noise standard deviation over L2 sensitivity)
 and the per-step sampling probability q, the accountant evaluates the
 per-order Renyi divergence eps(alpha) of one mechanism invocation, composes
 additively over steps, and converts the composed curve to an (epsilon,
-delta) guarantee by minimizing over orders.
+delta) guarantee by minimizing over orders. A curve is a float64 array with
+one entry per order, and T invocations compose to T times it:
+
+    rdp = rdp_sampled_gaussian(z, q, orders)
+    eps, order = epsilon_at_delta(orders, T * rdp, delta)
+
+epsilon_for(z, q, T, delta, orders) is that chain with its inputs checked
+once; it gives epsilon 0 at T = 0, where nothing is released.
 
 eps(alpha) is log(A_alpha)/(alpha - 1) where A_alpha is the alpha-th moment
 of the likelihood ratio between N(0, z^2) and the mixture
@@ -41,10 +48,9 @@ regimes exercised here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable
 
 import numpy as np
+import numpy.typing as npt
 from scipy import special
 
 from .errors import ConfigError
@@ -174,95 +180,71 @@ def _log_a_frac_orders(q: float, z: float, alphas: np.ndarray) -> np.ndarray:
     return log_a
 
 
-def _order_array(orders) -> np.ndarray:
-    """The order grid as an array, after checking that every order is > 1."""
-    alphas = np.array(orders, dtype=float)
-    if alphas.size == 0:
-        raise ConfigError("order grid must be nonempty")
+def check_query(orders: npt.ArrayLike, *, noise_multiplier=None, sampling_rate=None,
+                steps=None, delta=None) -> np.ndarray:
+    """The order grid as a float64 array, after checking it and each input given.
+
+    The keywords are epsilon_for's arguments; one left as None is not checked.
+    """
+    alphas = np.asarray(orders, dtype=float)
+    if alphas.ndim != 1 or alphas.size == 0:
+        raise ConfigError(f"order grid must be a nonempty 1-d list, got {alphas.shape}")
     if not np.all(np.isfinite(alphas)):
-        raise ConfigError(f"Renyi orders must be finite, got {list(orders)}")
+        raise ConfigError(f"Renyi orders must be finite, got {alphas.tolist()}")
     if not np.all(alphas > 1):
         raise ConfigError(f"Renyi order must exceed 1, got {alphas.min()}")
-    return alphas
-
-
-def _check_mechanism(
-    noise_multiplier: float, sampling_rate: float, orders
-) -> np.ndarray:
-    """The order grid as an array, after checking z, q and every order."""
-    alphas = _order_array(orders)
-    if not 0 < sampling_rate <= 1:
+    if sampling_rate is not None and not 0 < sampling_rate <= 1:
         raise ConfigError("sampling_rate must be in (0, 1]")
-    if not (math.isfinite(noise_multiplier) and noise_multiplier > 0):
-        raise ConfigError(
-            f"noise multiplier must be finite and positive, got {noise_multiplier}"
-        )
+    z = noise_multiplier
+    if z is not None and not (math.isfinite(z) and z > 0):
+        raise ConfigError(f"noise multiplier must be finite and positive, got {z}")
+    if steps is not None and steps < 0:
+        raise ConfigError("steps must be >= 0")
+    if delta is not None and not 0 < delta < 1:
+        raise ConfigError("delta must be in (0, 1)")
     return alphas
 
 
-def _check_delta(delta: float) -> None:
-    if not 0 < delta < 1:
-        raise ConfigError("delta must be in (0, 1)")
+def _rdp(z: float, q: float, alphas: np.ndarray) -> np.ndarray:
+    """Per-step RDP at each order of a checked grid."""
+    if q == 1.0:
+        return alphas / (2.0 * z**2)
+    log_a = np.empty(alphas.size)
+    whole = alphas == np.floor(alphas)
+    if whole.any():
+        log_a[whole] = _log_a_int_orders(q, z, alphas[whole])
+    if not whole.all():
+        log_a[~whole] = _log_a_frac_orders(q, z, alphas[~whole])
+    return np.maximum(0.0, log_a / (alphas - 1.0))
 
 
-@dataclass(frozen=True)
-class RdpCurve:
-    """Per-order RDP of one invocation plus a composition count."""
-
-    orders: tuple[float, ...]
-    eps_per_step: tuple[float, ...]
-    steps: int = 1
-
-    def __post_init__(self):
-        _order_array(self.orders)
-        if len(self.orders) != len(self.eps_per_step):
-            raise ConfigError("orders and eps_per_step must align")
-        if self.steps < 0:
-            raise ConfigError("steps must be >= 0")
-
-    def total(self) -> tuple[float, ...]:
-        """Composed eps(alpha) over all steps (linear in the step count)."""
-        return tuple(self.steps * e for e in self.eps_per_step)
+def _best_epsilon(alphas, rdp, delta: float) -> tuple[float, float]:
+    """Best (epsilon, order) over a checked grid and its composed RDP."""
+    eps = rdp + np.log1p(-1.0 / alphas) - np.log(delta * alphas) / (alphas - 1.0)
+    # An undefined order (nan, say inf * 0 steps) never wins.
+    best = int(np.argmin(np.where(np.isnan(eps), np.inf, eps)))
+    return float(max(0.0, eps[best])), float(alphas[best])
 
 
 def rdp_sampled_gaussian(
     noise_multiplier: float,
     sampling_rate: float,
-    orders: Iterable[float] = DEFAULT_ORDERS,
-) -> RdpCurve:
-    """RDP curve of a single sampled-Gaussian invocation (steps = 1)."""
-    orders = tuple(float(a) for a in orders)
-    alphas = _check_mechanism(noise_multiplier, sampling_rate, orders)
+    orders: npt.ArrayLike = DEFAULT_ORDERS,
+) -> np.ndarray:
+    """RDP of one invocation: a float64 array with one entry per order."""
     z, q = noise_multiplier, sampling_rate
-    if q == 1.0:
-        eps = alphas / (2.0 * z**2)
-    else:
-        log_a = np.empty(alphas.size)
-        whole = alphas == np.floor(alphas)
-        if whole.any():
-            log_a[whole] = _log_a_int_orders(q, z, alphas[whole])
-        if not whole.all():
-            log_a[~whole] = _log_a_frac_orders(q, z, alphas[~whole])
-        eps = np.maximum(0.0, log_a / (alphas - 1.0))
-    return RdpCurve(orders, tuple(eps.tolist()), steps=1)
+    return _rdp(z, q, check_query(orders, noise_multiplier=z, sampling_rate=q))
 
 
-def compose(curve: RdpCurve, steps: int) -> RdpCurve:
-    """Compose the mechanism `steps` more times (multiplies the count)."""
-    if steps < 0:
-        raise ConfigError("steps must be >= 0")
-    return replace(curve, steps=curve.steps * steps)
-
-
-def epsilon_at_delta(curve: RdpCurve, delta: float) -> tuple[float, float]:
-    """Best (epsilon, order) at the target delta over the curve's grid."""
-    _check_delta(delta)
-    alphas = np.array(curve.orders, dtype=float)
-    total = np.array(curve.total())
-    eps = total + np.log1p(-1.0 / alphas) - np.log(delta * alphas) / (alphas - 1.0)
-    # An undefined order (nan, say inf * 0 steps) never wins.
-    best = int(np.argmin(np.where(np.isnan(eps), np.inf, eps)))
-    return float(max(0.0, eps[best])), float(curve.orders[best])
+def epsilon_at_delta(
+    orders: npt.ArrayLike, rdp: npt.ArrayLike, delta: float
+) -> tuple[float, float]:
+    """Best (epsilon, order) at the target delta of a composed RDP array."""
+    alphas = check_query(orders, delta=delta)
+    rdp = np.asarray(rdp, dtype=float)
+    if rdp.shape != alphas.shape:
+        raise ConfigError(f"rdp has shape {rdp.shape}, the order grid {alphas.shape}")
+    return _best_epsilon(alphas, rdp, delta)
 
 
 def epsilon_for(
@@ -270,17 +252,16 @@ def epsilon_for(
     sampling_rate: float,
     steps: int,
     delta: float,
-    orders: Iterable[float] = DEFAULT_ORDERS,
+    orders: npt.ArrayLike = DEFAULT_ORDERS,
 ) -> tuple[float, float]:
     """Convenience: full chain from (z, q, T, delta) to (epsilon, order)."""
-    orders = tuple(float(a) for a in orders)
+    z, q = noise_multiplier, sampling_rate
+    alphas = check_query(orders, noise_multiplier=z, sampling_rate=q, steps=steps,
+                         delta=delta)
     if steps == 0:
         # Nothing is released; the inputs must still describe a mechanism.
-        _check_mechanism(noise_multiplier, sampling_rate, orders)
-        _check_delta(delta)
-        return 0.0, orders[0]
-    curve = rdp_sampled_gaussian(noise_multiplier, sampling_rate, orders)
-    return epsilon_at_delta(compose(curve, steps), delta)
+        return 0.0, float(alphas[0])
+    return _best_epsilon(alphas, steps * _rdp(z, q, alphas), delta)
 
 
 def calibrate_noise(
@@ -289,7 +270,7 @@ def calibrate_noise(
     steps: int,
     delta: float,
     tolerance: float = 1e-4,
-    orders: Iterable[float] = DEFAULT_ORDERS,
+    orders: npt.ArrayLike = DEFAULT_ORDERS,
     bracket: tuple[float, float] = (1e-4, 1e4),
 ) -> float:
     """Bisect for the noise multiplier z whose epsilon matches the target.
@@ -299,13 +280,16 @@ def calibrate_noise(
     """
     if not math.isfinite(target_epsilon) or target_epsilon <= 0:
         raise ConfigError("target epsilon must be finite and positive")
-    orders = tuple(float(a) for a in orders)
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ConfigError(f"tolerance must be finite and positive, got {tolerance}")
+    alphas = check_query(orders)
     lo, hi = bracket
     if not 0 < lo < hi:
         raise ConfigError("invalid bracket")
 
     def eps_of(zv: float) -> float:
-        return epsilon_for(zv, sampling_rate, steps, delta, orders)[0]
+        # Through the module attribute, so a wrapped epsilon_for sees every call.
+        return epsilon_for(zv, sampling_rate, steps, delta, alphas)[0]
 
     eps_lo, eps_hi = eps_of(lo), eps_of(hi)
     if not (eps_hi <= target_epsilon <= eps_lo):

@@ -104,11 +104,12 @@ def _cmd_accountant(args) -> int:
         print(f"noise multiplier z = sigma_avg / S = {z!r}", file=sys.stderr)
 
     if z == 0.0:
+        acct.check_query(orders, sampling_rate=q, steps=args.steps, delta=args.delta)
         output = {"epsilon": "inf", "best_order": None,
                   "curve": {"orders": list(orders), "steps": args.steps}}
     else:
-        curve = acct.compose(acct.rdp_sampled_gaussian(z, q, orders), args.steps)
         eps, best_order = acct.epsilon_for(z, q, args.steps, args.delta, orders)
+        rdp = acct.rdp_sampled_gaussian(z, q, orders)
         output = {
             "epsilon": eps,
             "best_order": best_order,
@@ -117,10 +118,10 @@ def _cmd_accountant(args) -> int:
             "steps": args.steps,
             "delta": args.delta,
             "curve": {
-                "orders": list(curve.orders),
-                "eps_per_step": list(curve.eps_per_step),
-                "total": list(curve.total()),
-                "steps": curve.steps,
+                "orders": [float(a) for a in orders],
+                "eps_per_step": rdp.tolist(),
+                "total": (args.steps * rdp).tolist(),
+                "steps": args.steps,
             },
         }
     text = dump_json(output)

@@ -7,9 +7,9 @@ layer in the vector. Layers are read-only slice views of the vector, and
 library all arithmetic acts on flat vectors, and a stack of L congruent
 vectors (a cohort's client deltas) is an (L, P) matrix whose rows share the
 layout. A tree only carries a vector with its layout: the parameters and
-optimizer moments between rounds, the initial and seed models, JSON output
-and the single-client model API. Trees are immutable values: the vector is
-marked read-only, so trees can be shared freely.
+optimizer moments between rounds, the initial and seed models and JSON
+output. Trees are immutable values: the vector is marked read-only, so
+trees can be shared freely.
 
 Norms are computed row-wise over such a stack: the per-layer sums of
 squares are one ``np.add.reduceat`` over the squared rows, and a row's

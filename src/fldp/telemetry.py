@@ -75,11 +75,14 @@ _KINDS = {"t": int, "cohort_size": int, "cohort_ids": list, "per_layer": dict}
 _KIND_NAMES = {int: "an integer", float: "a number", list: "a list", dict: "an object"}
 
 
-def _require(value, kind, what: str) -> None:
-    """Raise ConfigError unless value is a `kind`; a float may be an int, not a bool."""
+def _require(value, kind, what: str, nonnegative: bool = False) -> None:
+    """Raise ConfigError unless value is a `kind`, and >= 0 if `nonnegative`;
+    a float may be an int, not a bool."""
     kinds = (int, float) if kind is float else kind
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise ConfigError(f"{what} must be {_KIND_NAMES[kind]}, got {value!r}")
+    if nonnegative and value < 0:
+        raise ConfigError(f"{what} must be >= 0, got {value!r}")
 
 
 def read_metrics(path: str | Path) -> list[dict]:
@@ -104,7 +107,8 @@ def read_metrics(path: str | Path) -> list[dict]:
                     f"{path}:{lineno}: metrics line missing keys {missing}"
                 )
             for key in SCHEMA_KEYS:
-                _require(record[key], _KINDS.get(key, float), f"{where}: {key!r}")
+                _require(record[key], _KINDS.get(key, float), f"{where}: {key!r}",
+                         nonnegative=key == "cohort_size")
             per_layer = record["per_layer"]
             if layers is None:
                 layers = list(per_layer)
@@ -119,7 +123,8 @@ def read_metrics(path: str | Path) -> list[dict]:
                     )
                 for stat in ("mean", "std"):
                     _require(per_layer[name][stat], float,
-                             f"{where}: layer {name!r} {stat!r}")
+                             f"{where}: layer {name!r} {stat!r}",
+                             nonnegative=stat == "std")
             records.append(record)
     return records
 

@@ -6,11 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+import fldp.accountant
 from fldp.accountant import (
     DEFAULT_ORDERS,
-    RdpCurve,
     calibrate_noise,
-    compose,
     epsilon_at_delta,
     epsilon_for,
     rdp_sampled_gaussian,
@@ -30,8 +29,7 @@ pytestmark = [
 
 def rdp_single_step(noise_multiplier, sampling_rate, alpha):
     """The RDP eps(alpha) of one invocation: a one-order grid."""
-    curve = rdp_sampled_gaussian(noise_multiplier, sampling_rate, (alpha,))
-    return curve.eps_per_step[0]
+    return rdp_sampled_gaussian(noise_multiplier, sampling_rate, (alpha,))[0]
 
 
 def rdp_by_quadrature(noise_multiplier, sampling_rate, alpha):
@@ -117,14 +115,14 @@ def test_series_matches_quadrature_oracle_property(z, q, alpha):
 def test_grid_entries_equal_single_orders_bitwise(z, q):
     # Each order sums only its own terms, so its value is independent of
     # which other orders share the grid.
-    curve = rdp_sampled_gaussian(z, q)
+    rdp = rdp_sampled_gaussian(z, q)
     singles = [rdp_single_step(z, q, a) for a in DEFAULT_ORDERS]
-    assert curve.eps_per_step == tuple(singles)
+    assert rdp.tolist() == singles
     shuffled = DEFAULT_ORDERS[::-3] + (3.25,)
     other_grid = rdp_sampled_gaussian(z, q, shuffled)
-    assert other_grid.eps_per_step[:-1] == tuple(
+    assert other_grid[:-1].tolist() == [
         singles[DEFAULT_ORDERS.index(a)] for a in shuffled[:-1]
-    )
+    ]
 
 
 def test_rdp_monotonicity_grid():
@@ -181,29 +179,6 @@ def test_non_finite_noise_multiplier_rejected():
             epsilon_for(z, 0.1, 10, 1e-9)
 
 
-# -- composition ----------------------------------------------------------------
-
-
-def test_compose_zero_steps_gives_zero_total():
-    curve = compose(rdp_sampled_gaussian(1.0, 0.1), 0)
-    assert all(v == 0.0 for v in curve.total())
-
-
-def test_compose_one_is_identity():
-    curve = rdp_sampled_gaussian(1.0, 0.1)
-    assert compose(curve, 1).total() == curve.total()
-
-
-def test_compose_additivity():
-    curve = rdp_sampled_gaussian(1.3, 0.02)
-    t1, t2 = 123, 456
-    combined = compose(curve, t1 + t2).total()
-    parts = [
-        a + b for a, b in zip(compose(curve, t1).total(), compose(curve, t2).total())
-    ]
-    assert combined == pytest.approx(parts, rel=1e-15)
-
-
 # -- conversion to (epsilon, delta) ----------------------------------------------
 
 
@@ -229,10 +204,13 @@ def test_golden_epsilon_rows(z, q, steps, eps_ref, order_ref):
     assert abs(grid_index(order) - grid_index(order_ref)) <= 1
     # Plain Python floats, not numpy scalars, at every public return.
     assert type(eps) is float and type(order) is float
-    curve = compose(rdp_sampled_gaussian(z, q), steps)  # integer and fractional orders
-    assert all(type(e) is float for e in curve.eps_per_step)
-    assert all(type(v) is float for v in epsilon_at_delta(curve, 1e-9))
-    assert type(rdp_single_step(z, 1.0, 2.0)) is float
+    # The curve is a float64 array, on integer and fractional orders alike.
+    rdp = rdp_sampled_gaussian(z, q)
+    for curve in (rdp, rdp_sampled_gaussian(z, 1.0, (2.0,))):
+        assert type(curve) is np.ndarray and curve.dtype == np.float64
+    assert all(
+        type(v) is float for v in epsilon_at_delta(DEFAULT_ORDERS, steps * rdp, 1e-9)
+    )
 
 
 def test_epsilon_decreases_with_noise_and_increases_with_steps():
@@ -253,21 +231,41 @@ def test_enormous_noise_epsilon_limited_by_largest_order():
 
 
 def test_epsilon_at_delta_validation():
-    curve = rdp_sampled_gaussian(1.0, 0.1)
-    with pytest.raises(ConfigError):
-        epsilon_at_delta(curve, 0.0)
-    with pytest.raises(ConfigError):
-        RdpCurve(orders=(), eps_per_step=())
-    for order in (1.0, 0.5, math.inf):
-        with pytest.raises(ConfigError):
-            RdpCurve(orders=(order, 2.0), eps_per_step=(0.1, 0.1))
+    rdp = rdp_sampled_gaussian(1.0, 0.1)
+    for delta in (0.0, 1.0, -1e-9, math.nan):
+        with pytest.raises(ConfigError, match="delta"):
+            epsilon_at_delta(DEFAULT_ORDERS, rdp, delta)
+    with pytest.raises(ConfigError, match="nonempty"):
+        epsilon_at_delta((), (), 1e-9)
+    for order in (1.0, 0.5, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="order"):
+            epsilon_at_delta((order, 2.0), (0.1, 0.1), 1e-9)
+    for rdp in ((0.1,), (0.1, 0.1, 0.1), [(0.1, 0.1)]):
+        with pytest.raises(ConfigError, match="shape"):
+            epsilon_at_delta((3.0, 2.0), rdp, 1e-9)
 
 
 def test_undefined_orders_never_win_the_conversion():
-    curve = RdpCurve(orders=(2.0, 3.0, 4.0), eps_per_step=(math.nan, 0.1, math.inf))
-    rest = RdpCurve(orders=(3.0,), eps_per_step=(0.1,))
-    assert epsilon_at_delta(curve, 1e-9) == epsilon_at_delta(rest, 1e-9)
-    assert epsilon_at_delta(compose(curve, 0), 1e-9)[1] == 3.0
+    orders, rdp = (2.0, 3.0, 4.0), np.array((math.nan, 0.1, math.inf))
+    assert epsilon_at_delta(orders, rdp, 1e-9) == epsilon_at_delta((3.0,), (0.1,), 1e-9)
+    with np.errstate(invalid="ignore"):  # 0 * inf
+        assert epsilon_at_delta(orders, 0 * rdp, 1e-9)[1] == 3.0
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(
+    z=st.floats(0.5, 4.0),
+    q=st.floats(1e-4, 1.0),
+    steps=st.integers(1, 5000),
+    delta=st.sampled_from([1e-9, 1e-5]),
+    orders=st.sampled_from([DEFAULT_ORDERS[:9], DEFAULT_ORDERS[9:], (1.5, 2.5, 7.0)]),
+)
+def test_epsilon_for_is_the_composed_array_chain(z, q, steps, delta, orders):
+    # T steps compose to T times the one-step array, bit for bit.
+    rdp = rdp_sampled_gaussian(z, q, orders)
+    assert epsilon_for(z, q, steps, delta, orders) == epsilon_at_delta(
+        orders, steps * rdp, delta
+    )
 
 
 def test_zero_steps_epsilon_is_zero():
@@ -304,6 +302,37 @@ def test_calibration_round_trip():
 def test_calibration_at_paper_point_is_pinned():
     z = calibrate_noise(4.5, 0.0295, 2006, 1e-9)
     assert z == pytest.approx(2.028284660788171, rel=1e-12)
+
+
+def test_calibration_evaluates_through_the_module_epsilon_for(monkeypatch):
+    # Wrapping fldp.accountant.epsilon_for sees every evaluation of the
+    # bisection: each series run is one call through the attribute.
+    real_epsilon_for, real_rdp = fldp.accountant.epsilon_for, fldp.accountant._rdp
+    calls, series = [], []
+
+    def counting_epsilon_for(*args):
+        calls.append(args[0])
+        return real_epsilon_for(*args)
+
+    def counting_rdp(*args):
+        series.append(args[0])
+        return real_rdp(*args)
+
+    monkeypatch.setattr(fldp.accountant, "epsilon_for", counting_epsilon_for)
+    monkeypatch.setattr(fldp.accountant, "_rdp", counting_rdp)
+    z = calibrate_noise(4.5, 0.0295, 2006, 1e-9)
+    assert z == pytest.approx(2.028284660788171, rel=1e-12)
+    assert len(calls) > 2 and calls[:2] == [1e-4, 1e4] and calls[-1] == z
+    assert series == calls
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf])
+def test_calibration_rejects_bad_tolerance_before_evaluating(tolerance, monkeypatch):
+    calls = []
+    monkeypatch.setattr(fldp.accountant, "epsilon_for", lambda *a: calls.append(a))
+    with pytest.raises(ConfigError, match="tolerance"):
+        calibrate_noise(4.5, 0.0295, 2006, 1e-9, tolerance=tolerance)
+    assert calls == []
 
 
 def test_calibration_monotone_spot_check():

@@ -786,6 +786,40 @@ def test_cli_accountant_agrees_with_epsilon_for(steps, capsys):
         1.0, 0.1, steps, 1e-9)
 
 
+@pytest.mark.parametrize("args", [
+    ["-q", "5", "-T", "-3", "--delta", "7"],
+    ["-q", "0.1", "-T", "10", "--orders", "0.5,nan"],
+    ["-q", "5", "-T", "10"],
+    ["-q", "0.1", "-T", "-3"],
+    ["-q", "0.1", "-T", "10", "--delta", "7"],
+    ["-q", "0.1", "-T", "10", "--orders", "0.5,2"],
+])
+def test_cli_accountant_zero_noise_checks_its_inputs(args, capsys):
+    assert main(["accountant", "-z", "0", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err
+
+
+def test_cli_accountant_zero_noise_output(capsys):
+    assert main(["accountant", "-z", "0", "-q", "0.1", "-T", "10"]) == 0
+    assert capsys.readouterr().out == json.dumps({
+        "epsilon": "inf", "best_order": None,
+        "curve": {"orders": list(accountant.DEFAULT_ORDERS), "steps": 10},
+    }, indent=2) + "\n"
+
+
+def test_cli_accountant_curve_block_is_the_rdp_array(capsys):
+    assert main(["accountant", "-z", "1", "-q", "0.1", "-T", "10"]) == 0
+    curve = json.loads(capsys.readouterr().out)["curve"]
+    # The default grid holds the ints 2..64; the block prints each as a float.
+    assert all(type(a) is float for a in curve["orders"])
+    assert curve["orders"] == list(accountant.DEFAULT_ORDERS)
+    assert curve["eps_per_step"] == accountant.rdp_sampled_gaussian(1.0, 0.1).tolist()
+    assert curve["total"] == [10 * e for e in curve["eps_per_step"]]
+    assert curve["steps"] == 10
+
+
 def test_cli_convert_noise(capsys):
     code = main(["convert-noise", "--sigma", "1.0", "--from", "avg",
                  "--to", "client", "-L", "16"])
@@ -863,7 +897,10 @@ def test_cli_summarize_inconsistent_records_is_config_error(
     (None, "cohort_size", "2", "'cohort_size' must be an integer, got '2'"),
     (None, "loss", None, "'loss' must be a number, got None"),
     (None, "accuracy", None, "'accuracy' must be a number, got None"),
-], ids=["per_layer", "std", "cohort_size", "loss", "accuracy"])
+    (None, "cohort_size", -3, "'cohort_size' must be >= 0, got -3"),
+    ("w", "std", -2.0, "layer 'w' 'std' must be >= 0, got -2.0"),
+], ids=["per_layer", "std", "cohort_size", "loss", "accuracy", "negative-cohort_size",
+        "negative-std"])
 def test_cli_summarize_wrong_value_type_is_config_error(
         layer, key, value, message, tmp_path, capsys):
     result, _ = run_small(num_rounds=3)
