@@ -48,6 +48,7 @@ regimes exercised here.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import numpy.typing as npt
@@ -68,6 +69,8 @@ _MAX_SERIES_TERMS = 100_000
 _SERIES_LOG_CUTOFF = -30.0
 # Width of the first fractional-order block; enough for the paper's regime.
 _FIRST_SERIES_WIDTH = 16
+# The smallest z whose 1/z^2, which the series divides by, is finite.
+_MIN_NOISE_MULTIPLIER = 1.0 / math.sqrt(sys.float_info.max)
 
 
 def _log_sum_segments(log_terms, signs, starts) -> np.ndarray:
@@ -196,8 +199,9 @@ def check_query(orders: npt.ArrayLike, *, noise_multiplier=None, sampling_rate=N
     if sampling_rate is not None and not 0 < sampling_rate <= 1:
         raise ConfigError("sampling_rate must be in (0, 1]")
     z = noise_multiplier
-    if z is not None and not (math.isfinite(z) and z > 0):
-        raise ConfigError(f"noise multiplier must be finite and positive, got {z}")
+    if z is not None and not _MIN_NOISE_MULTIPLIER <= z < math.inf:
+        raise ConfigError(
+            f"noise multiplier must be finite and positive with 1/z^2 finite, got {z}")
     if steps is not None and steps < 0:
         raise ConfigError("steps must be >= 0")
     if delta is not None and not 0 < delta < 1:

@@ -103,13 +103,19 @@ def _cmd_accountant(args) -> int:
         )
         print(f"noise multiplier z = sigma_avg / S = {z!r}", file=sys.stderr)
 
+    # z = 0 (no noise) has no series, so it has no noise multiplier to check.
+    alphas = acct.check_query(orders, noise_multiplier=z or None, sampling_rate=q,
+                              steps=args.steps, delta=args.delta)
     if z == 0.0:
-        acct.check_query(orders, sampling_rate=q, steps=args.steps, delta=args.delta)
-        output = {"epsilon": "inf", "best_order": None,
+        # Each step releases its sum in the clear; no step releases nothing.
+        output = {"epsilon": "inf" if args.steps else 0.0, "best_order": None,
                   "curve": {"orders": list(orders), "steps": args.steps}}
     else:
-        eps, best_order = acct.epsilon_for(z, q, args.steps, args.delta, orders)
-        rdp = acct.rdp_sampled_gaussian(z, q, orders)
+        rdp = acct.rdp_sampled_gaussian(z, q, alphas)
+        total = args.steps * rdp
+        # With no step released, epsilon_for answers without running the series.
+        eps, best_order = (acct.epsilon_at_delta(alphas, total, args.delta) if args.steps
+                           else acct.epsilon_for(z, q, 0, args.delta, alphas))
         output = {
             "epsilon": eps,
             "best_order": best_order,
@@ -118,9 +124,9 @@ def _cmd_accountant(args) -> int:
             "steps": args.steps,
             "delta": args.delta,
             "curve": {
-                "orders": [float(a) for a in orders],
+                "orders": alphas.tolist(),
                 "eps_per_step": rdp.tolist(),
-                "total": (args.steps * rdp).tolist(),
+                "total": total.tolist(),
                 "steps": args.steps,
             },
         }

@@ -59,7 +59,8 @@ from .optimizers import (
     init_state,
     lr_at,
 )
-from .param_tree import Layout, ParamTree, global_norm_rows, layer_norm_rows, mean_rows
+from .param_tree import ParamTree, global_norm_rows, layer_norm_rows, mean_rows
+from .telemetry import LayerStats, RoundMetrics
 
 logger = logging.getLogger(__name__)
 
@@ -150,19 +151,6 @@ class FederationConfig:
             raise ConfigError(f"federation seed must be >= 0, got {self.seed}")
         if self.fedprox_mu < 0:
             raise ConfigError("fedprox_mu must be >= 0")
-
-
-@dataclass
-class RoundMetrics:
-    round_index: int
-    cohort_ids: list[int]
-    loss: float
-    accuracy: float
-    lr: float
-    delta_norm_preclip_mean: float
-    per_layer: dict[str, dict[str, float]]  # name -> {mean, std} of pre-clip norms
-    pseudograd_norm_prenoise: float
-    pseudograd_norm_postnoise: float
 
 
 @dataclass
@@ -372,14 +360,6 @@ def _require_finite(deltas: np.ndarray, t: int, cohort: list[int]) -> None:
     )
 
 
-def _layer_norm_stats(deltas: np.ndarray, layout: Layout) -> dict:
-    norms = layer_norm_rows(deltas, layout)
-    return {
-        name: {"mean": float(col.mean()), "std": float(col.std())}
-        for name, col in zip(layout.names, norms.T)
-    }
-
-
 def run_simulation(
     cfg: FederationConfig,
     population: ClientPartition,
@@ -396,6 +376,9 @@ def run_simulation(
     layout = params.layout
     opt_state = init_state(cfg.central.optimizer, params, cfg.central.hyper)
     sigma_client = cfg.privacy.sigma_client
+    # Accounted before round 1, so a query the accountant rejects trains nothing.
+    report = _build_privacy_report(cfg.privacy, cfg.noise_mask, layout.names,
+                                   cfg.cohort.mode)
     metrics: list[RoundMetrics] = []
     archives: Optional[list[RoundArchive]] = [] if archive_deltas else None
 
@@ -424,35 +407,30 @@ def run_simulation(
             # The optimizer descends, so it receives the negated mean delta.
             params, opt_state = opt_apply(opt_state, params,
                                           params.with_flat(-pseudo_grad), lr)
-            update = dict(
-                delta_norm_preclip_mean=float(
-                    np.mean(global_norm_rows(deltas, layout))
-                ),
-                per_layer=_layer_norm_stats(deltas, layout),
-                pseudograd_norm_prenoise=prenoise_norm,
-                pseudograd_norm_postnoise=postnoise_norm,
-            )
+            preclip_mean = float(np.mean(global_norm_rows(deltas, layout)))
+            per_layer = {
+                name: LayerStats(mean=float(col.mean()), std=float(col.std()))
+                for name, col in zip(layout.names, layer_norm_rows(deltas, layout).T)
+            }
             if archive_deltas:
                 archives.append(RoundArchive(t, list(cohort), deltas, clipped))
         else:
             logger.warning("round %d: empty cohort, skipping update", t)
-            update = dict(
-                delta_norm_preclip_mean=0.0,
-                per_layer={name: {"mean": 0.0, "std": 0.0} for name in layout.names},
-                pseudograd_norm_prenoise=0.0,
-                pseudograd_norm_postnoise=0.0,
-            )
+            preclip_mean = prenoise_norm = postnoise_norm = 0.0
+            per_layer = {name: LayerStats(mean=0.0, std=0.0) for name in layout.names}
 
         probe_loss, probe_accuracy = models.evaluate(
             model_spec, params, population.probe
         )
         if not math.isfinite(probe_loss):
             raise NumericsError(f"round {t}: non-finite probe loss (stage probe)")
-        metrics.append(RoundMetrics(round_index=t, cohort_ids=list(cohort),
-                                    loss=probe_loss, accuracy=probe_accuracy,
-                                    lr=lr, **update))
+        metrics.append(RoundMetrics(
+            t=t, loss=probe_loss, accuracy=probe_accuracy, lr=lr,
+            cohort_size=len(cohort), cohort_ids=cohort,
+            delta_norm_preclip_mean=preclip_mean,
+            pseudograd_norm_prenoise=prenoise_norm,
+            pseudograd_norm_postnoise=postnoise_norm, per_layer=per_layer,
+        ))
 
-    report = _build_privacy_report(cfg.privacy, cfg.noise_mask, params.names,
-                                   cfg.cohort.mode)
     return SimulationResult(params, metrics, report, archives)
 

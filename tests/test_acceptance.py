@@ -45,7 +45,7 @@ from fldp.engine import LocalConfig, LocalMode, run_simulation, train_cohort
 from fldp.models import ModelKind, ModelSpec
 from fldp.optimizers import OptimizerKind
 from fldp.param_tree import ParamTree, mean_rows
-from fldp.telemetry import round_to_json_obj, summarize_records, write_metrics
+from fldp.telemetry import summarize_records, write_metrics
 
 
 def test_criterion_1_accountant_golden_values():
@@ -438,8 +438,7 @@ def test_criterion_11_telemetry_matches_archived_deltas():
                 )
 
         # Pooled across rounds and clients (the per-layer figure analog).
-        records = [round_to_json_obj(m) for m in result.metrics]
-        summary = summarize_records(records)
+        summary = summarize_records(result.metrics)
         pooled = {name: [] for name in result.final_params.names}
         for archive in result.archives:
             for row in archive.deltas:

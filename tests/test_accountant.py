@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import fldp.accountant
 from fldp.accountant import (
     DEFAULT_ORDERS,
     calibrate_noise,
+    check_query,
     epsilon_at_delta,
     epsilon_for,
     rdp_sampled_gaussian,
@@ -170,13 +172,25 @@ def test_series_longer_than_term_limit_raises():
 
 
 def test_non_finite_noise_multiplier_rejected():
-    for z in (math.inf, math.nan, -math.inf):
+    # 1/z^2 is not finite either: z^2 underflows to 0 at 1e-200 and to a
+    # subnormal whose inverse overflows at 1e-160.
+    for z in (math.inf, math.nan, -math.inf, 1e-200, 1e-160):
         with pytest.raises(ConfigError, match="noise multiplier"):
             rdp_sampled_gaussian(z, 0.1)
         with pytest.raises(ConfigError, match="noise multiplier"):
             rdp_single_step(z, 0.1, 1.5)
         with pytest.raises(ConfigError, match="noise multiplier"):
             epsilon_for(z, 0.1, 10, 1e-9)
+
+
+def test_smallest_noise_multiplier_is_where_the_inverse_square_overflows():
+    z = 1.0 / math.sqrt(sys.float_info.max)
+    assert math.isfinite(1.0 / (z * z))
+    check_query((2.0,), noise_multiplier=z)
+    below = math.nextafter(z, 0.0)
+    assert 1.0 / (below * below) == math.inf
+    with pytest.raises(ConfigError, match=r"1/z\^2 finite"):
+        check_query((2.0,), noise_multiplier=below)
 
 
 # -- conversion to (epsilon, delta) ----------------------------------------------

@@ -26,6 +26,7 @@ from fldp.errors import ConfigError, StructureError
 from fldp.param_tree import ParamTree
 from fldp.telemetry import (
     SCHEMA_KEYS,
+    RoundMetrics,
     read_metrics,
     round_to_json_obj,
     summarize,
@@ -296,12 +297,21 @@ def test_metrics_schema_and_round_trip(tmp_path):
     result, model = run_small(sigma_client=1e-3, clip_bound=0.05)
     path = tmp_path / "metrics.jsonl"
     write_metrics(result.metrics, path)
-    records = read_metrics(path)
-    assert len(records) == 4
-    layer_names = set(model.layout().names)
-    for record in records:
+    assert SCHEMA_KEYS == (
+        "t", "loss", "accuracy", "lr", "cohort_size", "cohort_ids",
+        "delta_norm_preclip_mean", "pseudograd_norm_prenoise",
+        "pseudograd_norm_postnoise", "per_layer",
+    )
+    lines = path.read_text().splitlines()
+    assert len(lines) == 4
+    layer_names = list(model.layout().names)
+    for line in lines:
+        record = json.loads(line)
         assert list(record) == list(SCHEMA_KEYS)
-        assert set(record["per_layer"]) == layer_names
+        assert list(record["per_layer"]) == layer_names
+        assert all(list(stats) == ["mean", "std"]
+                   for stats in record["per_layer"].values())
+    assert [r.cohort_size for r in read_metrics(path)] == [4] * 4
 
 
 def test_emitted_values_survive_json_exactly(tmp_path):
@@ -309,9 +319,10 @@ def test_emitted_values_survive_json_exactly(tmp_path):
     path = tmp_path / "metrics.jsonl"
     write_metrics(result.metrics, path)
     records = read_metrics(path)
+    assert len(records) == len(result.metrics)
     for m, rec in zip(result.metrics, records):
-        assert rec["loss"] == m.loss
-        assert rec["per_layer"] == m.per_layer
+        for field in dataclasses.fields(RoundMetrics):
+            assert getattr(rec, field.name) == getattr(m, field.name), field.name
 
 
 def test_malformed_line_reported_with_line_number(tmp_path):
@@ -340,12 +351,12 @@ def test_summary_of_single_round_equals_that_round(tmp_path):
 
 def test_two_identical_rounds_pool_to_zero_extra_variance():
     result, _ = run_small(num_rounds=1)
-    rec = round_to_json_obj(result.metrics[0])
+    rec = result.metrics[0]
     summary = summarize_records([rec, rec])
     for name, stats in summary.per_layer.items():
-        assert stats["mean"] == pytest.approx(rec["per_layer"][name]["mean"],
+        assert stats["mean"] == pytest.approx(rec.per_layer[name]["mean"],
                                               rel=1e-12)
-        assert stats["std"] == pytest.approx(rec["per_layer"][name]["std"],
+        assert stats["std"] == pytest.approx(rec.per_layer[name]["std"],
                                              rel=1e-9, abs=1e-15)
 
 
@@ -353,8 +364,7 @@ def test_summary_matches_scalar_recomputation_from_archives():
     # Pool per-layer norms over every (client, round) pair by brute force and
     # compare with the streaming summary built from per-round statistics.
     result, _ = run_small(num_rounds=5, sigma_client=1e-4)
-    records = [round_to_json_obj(m) for m in result.metrics]
-    summary = summarize_records(records)
+    summary = summarize_records(result.metrics)
     pooled = {}
     layout = result.final_params.layout
     for archive in result.archives:
@@ -469,6 +479,31 @@ def test_nan_noise_level_rejected_before_any_round(tmp_path, capsys, monkeypatch
     )
     assert rounds == []
     assert not (out_dir / "metrics.jsonl").exists()
+
+
+def test_noise_multiplier_too_small_to_account_trains_no_round(
+        tmp_path, capsys, monkeypatch):
+    # sigma 1e-170 gives z ~ 4e-168, whose square underflows to 0; the run
+    # trained every round before the accountant failed on it.
+    cfg = demo_config()
+    cfg["federation"]["privacy"]["sigma"] = 1.0e-170
+    train_cohort = engine.train_cohort
+    rounds = []
+
+    def recording_train_cohort(*args):
+        rounds.append(args[5])
+        return train_cohort(*args)
+
+    monkeypatch.setattr(engine, "train_cohort", recording_train_cohort)
+    out_dir = tmp_path / "run"
+    code = main(["simulate", "--config", str(write_config(tmp_path, cfg)),
+                 "--out", str(out_dir)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: noise multiplier" in captured.err
+    assert rounds == []
+    assert list(out_dir.iterdir()) == []
 
 
 def demo_config():
@@ -778,9 +813,18 @@ def test_cli_accountant_non_finite_input_is_config_error(args, capsys):
 
 
 @pytest.mark.parametrize("steps", [0, 10])
-def test_cli_accountant_agrees_with_epsilon_for(steps, capsys):
+def test_cli_accountant_agrees_with_epsilon_for(steps, capsys, monkeypatch):
     # With no step released, epsilon is 0, not the curve's value at T = 0.
+    series = accountant._rdp
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return series(*args)
+
+    monkeypatch.setattr(accountant, "_rdp", counted)
     assert main(["accountant", "-z", "1", "-q", "0.1", "-T", str(steps)]) == 0
+    assert len(calls) == 1  # the curve and epsilon come from one series
     output = json.loads(capsys.readouterr().out)
     assert (output["epsilon"], output["best_order"]) == accountant.epsilon_for(
         1.0, 0.1, steps, 1e-9)
@@ -807,6 +851,21 @@ def test_cli_accountant_zero_noise_output(capsys):
         "epsilon": "inf", "best_order": None,
         "curve": {"orders": list(accountant.DEFAULT_ORDERS), "steps": 10},
     }, indent=2) + "\n"
+    # No step releases nothing, as epsilon_for and a 0-round run report.
+    assert main(["accountant", "-z", "0", "-q", "0.1", "-T", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["epsilon"] == 0.0
+
+
+@pytest.mark.parametrize("q", ["0.5", "1"])
+def test_cli_accountant_tiny_noise_multiplier_is_config_error(q, capsys):
+    # z^2 underflows to 0: the series failed with an IndexError at q = 0.5
+    # and printed "epsilon": Infinity at q = 1.
+    code = main(["accountant", "-z", "1e-200", "-q", q, "-T", "10", "--orders", "2,3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: noise multiplier" in captured.err
+    assert "1/z^2 finite, got 1e-200" in captured.err
 
 
 def test_cli_accountant_curve_block_is_the_rdp_array(capsys):
@@ -899,8 +958,11 @@ def test_cli_summarize_inconsistent_records_is_config_error(
     (None, "accuracy", None, "'accuracy' must be a number, got None"),
     (None, "cohort_size", -3, "'cohort_size' must be >= 0, got -3"),
     ("w", "std", -2.0, "layer 'w' 'std' must be >= 0, got -2.0"),
+    (None, "loss", math.nan, "'loss' must be finite, got nan"),
+    (None, "lr", math.inf, "'lr' must be finite, got inf"),
+    ("w", "mean", -math.inf, "layer 'w' 'mean' must be finite, got -inf"),
 ], ids=["per_layer", "std", "cohort_size", "loss", "accuracy", "negative-cohort_size",
-        "negative-std"])
+        "negative-std", "nan-loss", "inf-lr", "negative-inf-mean"])
 def test_cli_summarize_wrong_value_type_is_config_error(
         layer, key, value, message, tmp_path, capsys):
     result, _ = run_small(num_rounds=3)
@@ -911,3 +973,18 @@ def test_cli_summarize_wrong_value_type_is_config_error(
     path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
     assert main(["summarize", str(path)]) == 2
     assert f"{path}:3: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(RoundMetrics),
+                         ids=lambda field: field.name)
+def test_cli_summarize_rejects_a_wrong_kind_in_every_field(field, tmp_path, capsys):
+    result, _ = run_small(num_rounds=3)
+    records = [round_to_json_obj(m) for m in result.metrics]
+    records[2][field.name] = "x"  # a string is no field's kind
+    path = tmp_path / "metrics.jsonl"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    assert main(["summarize", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{path}:3: {field.name!r} must be " in captured.err
+    assert captured.err.endswith(", got 'x'\n")
