@@ -199,14 +199,32 @@ def check_query(orders: npt.ArrayLike, *, noise_multiplier=None, sampling_rate=N
     if sampling_rate is not None and not 0 < sampling_rate <= 1:
         raise ConfigError("sampling_rate must be in (0, 1]")
     z = noise_multiplier
-    if z is not None and not _MIN_NOISE_MULTIPLIER <= z < math.inf:
-        raise ConfigError(
-            f"noise multiplier must be finite and positive with 1/z^2 finite, got {z}")
+    if z is not None:
+        _check_noise_multiplier(z, alphas, 1 if steps is None else max(steps, 1))
     if steps is not None and steps < 0:
         raise ConfigError("steps must be >= 0")
     if delta is not None and not 0 < delta < 1:
         raise ConfigError("delta must be in (0, 1)")
     return alphas
+
+
+def _check_noise_multiplier(z: float, alphas: np.ndarray, steps: int) -> None:
+    """Raise ConfigError unless every series term at z, composed, is finite.
+
+    The largest term a series forms is (n^2 - n) / (2 z^2) at its last index
+    n: the largest order for a grid of integer orders, whose series stop at
+    the order. A fractional series runs as long as its stopping rule needs,
+    so n is then also the term limit. T steps scale it by T, and with n >= 2
+    the bound also keeps 1/z^2 finite.
+    """
+    top = float(alphas.max())
+    n = top if np.all(alphas == np.floor(alphas)) else max(top, _MAX_SERIES_TERMS)
+    span = steps * ((n * n - n) / 2.0)
+    if not (0.0 < z < math.inf and z * z > 0.0 and span / (z * z) < math.inf):
+        floor = _MIN_NOISE_MULTIPLIER * math.sqrt(span)
+        raise ConfigError(
+            f"noise multiplier must be finite and at least {floor:.4g} (orders "
+            f"up to {top:g} over {steps} step(s)) with 1/z^2 finite, got {z}")
 
 
 def _rdp(z: float, q: float, alphas: np.ndarray) -> np.ndarray:

@@ -193,6 +193,60 @@ def test_smallest_noise_multiplier_is_where_the_inverse_square_overflows():
         check_query((2.0,), noise_multiplier=below)
 
 
+def series_floor(orders, steps):
+    """The z below which the largest series term over `steps` steps overflows.
+
+    That term is (n^2 - n) / (2 z^2) at a series' last index n: the largest
+    order of an all-integer grid, else at least the term limit.
+    """
+    top = max(orders)
+    n = top if all(float(a).is_integer() for a in orders) else max(top, 100_000)
+    return math.sqrt(steps * (n * n - n) / 2.0 / sys.float_info.max)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    orders=st.lists(st.integers(2, 300).map(float), min_size=1, max_size=4)
+    | st.lists(st.floats(1.01, 300.0), min_size=1, max_size=4),
+    q=st.sampled_from((1e-6, 0.0295, 0.5, 0.99, 1.0)),
+    steps=st.integers(1, 3000),
+    scale=st.floats(0.5, 4.0),
+)
+def test_every_noise_multiplier_accepted_near_the_floor_gives_finite_results(
+        orders, q, steps, scale):
+    # The floor comes from the grid's largest order and the steps. A z the
+    # check accepts runs the series without a warning (this module makes a
+    # RuntimeWarning an error) and composes to a finite epsilon; one clearly
+    # below the floor is a ConfigError.
+    floor = series_floor(orders, steps)
+    z = floor * scale
+    if z < floor * (1.0 - 1e-9):
+        with pytest.raises(ConfigError, match="noise multiplier"):
+            epsilon_for(z, q, steps, 1e-9, orders)
+        return
+    if z <= floor * (1.0 + 1e-9):
+        return  # rounding decides this close to the floor
+    assert np.isfinite(rdp_sampled_gaussian(z, q, orders)).all()
+    assert math.isfinite(epsilon_for(z, q, steps, 1e-9, orders)[0])
+
+
+@pytest.mark.parametrize("orders", [(2.0, 3.0), (1.5,), DEFAULT_ORDERS])
+@pytest.mark.parametrize("q", [0.5, 1.0])
+def test_noise_multiplier_at_the_floor_is_accepted_and_one_step_below_is_not(orders, q):
+    steps = 10
+    z = series_floor(orders, steps)
+    while True:  # the first float the check accepts
+        try:
+            eps = epsilon_for(z, q, steps, 1e-9, orders)[0]
+            break
+        except ConfigError:
+            z = math.nextafter(z, math.inf)
+    assert z <= series_floor(orders, steps) * (1.0 + 1e-12)
+    assert math.isfinite(eps)
+    with pytest.raises(ConfigError, match="noise multiplier"):
+        epsilon_for(math.nextafter(z, 0.0), q, steps, 1e-9, orders)
+
+
 # -- conversion to (epsilon, delta) ----------------------------------------------
 
 

@@ -868,6 +868,20 @@ def test_cli_accountant_tiny_noise_multiplier_is_config_error(q, capsys):
     assert "1/z^2 finite, got 1e-200" in captured.err
 
 
+@pytest.mark.parametrize("args", [
+    # 1/z^2 is finite at both, but the series overflowed: exit 3 after numpy
+    # warnings at the first, "epsilon": Infinity with exit 0 at the second.
+    ["-z", "1e-154", "-q", "0.5", "-T", "10", "--orders", "2,3"],
+    ["-z", "1.3e-154", "-q", "1", "-T", "10"],
+])
+def test_cli_accountant_noise_multiplier_below_the_series_floor_is_config_error(
+        args, capsys):
+    assert main(["accountant", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: noise multiplier must be finite and at least" in captured.err
+
+
 def test_cli_accountant_curve_block_is_the_rdp_array(capsys):
     assert main(["accountant", "-z", "1", "-q", "0.1", "-T", "10"]) == 0
     curve = json.loads(capsys.readouterr().out)["curve"]
