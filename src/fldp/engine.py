@@ -196,12 +196,16 @@ def train_cohort(
     round_index: int,
     client_ids: list[int],
     seed: int,
+    workspace: Optional[models.Workspace] = None,
 ) -> np.ndarray:
     """(L, P) deltas of local SGD on L clients from the same start.
 
     Rows follow `client_ids`, each a client of `population` with at least
     one example. The partition must already be validated against the model.
+    The clients' parameters, minibatches and step intermediates live in the
+    workspace (a new one when none is given); the deltas are a new array.
     """
+    ws = models.Workspace() if workspace is None else workspace
     start = global_params.flat
     sizes = population.sizes[client_ids]
     keys = streams.cohort_keys(seed, _STREAM_LOCAL, round_index, client_ids)
@@ -213,17 +217,23 @@ def train_cohort(
     np.maximum(index, 0, out=index)
     index += population.offsets[client_ids][order, None]
     clip = ClipSpec(local.clip_bound)
-    rows = np.broadcast_to(start, (len(client_ids), start.size))
+    rows = ws.take("rows", (len(client_ids), start.size))
+    rows[...] = start
+    example = population.inputs.shape[1:]
     for s, k in enumerate(active):
+        # Clients past the prefix have finished; their rows stay as they are.
         head, idx = rows[:k], index[s, :k]
-        g = models.cohort_grad(model_spec, head, population.inputs[idx],
-                               population.labels[idx],
-                               counts[s, :k, None, None], valid[s, :k])
+        inputs = np.take(population.inputs, idx, axis=0, mode="clip",
+                         out=ws.take("inputs", (*idx.shape, *example)))
+        g = models.cohort_grad(model_spec, head, inputs, population.labels[idx],
+                               counts[s, :k, None, None], valid[s, :k], ws)
         if fedprox_mu > 0.0:
-            g = fedprox_mu * (head - start) + g
-        head = -local.lr * clip_rows(g, global_params.layout, clip)[0] + head
-        del g  # free the (L, P) gradient before the next step allocates one
-        rows = head if k == len(rows) else np.concatenate([head, rows[k:]])
+            prox = np.subtract(head, start, out=ws.take("prox", head.shape))
+            prox *= fedprox_mu
+            g = np.add(prox, g, out=prox)
+        # The gradient rows are dead once clipped: the step goes over them.
+        step = clip_rows(g, global_params.layout, clip)[0]
+        head += np.multiply(-local.lr, step, out=step)
     return (rows - start)[np.argsort(order)]
 
 
@@ -380,6 +390,9 @@ def run_simulation(
     report = _build_privacy_report(cfg.privacy, cfg.noise_mask, layout.names,
                                    cfg.cohort.mode)
     metrics: list[RoundMetrics] = []
+    # Local training and the probe write their intermediates here, so after
+    # the first rounds they reuse the same memory.
+    workspace = models.Workspace()
     archives: Optional[list[RoundArchive]] = [] if archive_deltas else None
 
     for t in range(1, cfg.num_rounds + 1):
@@ -391,7 +404,7 @@ def run_simulation(
         lr = lr_at(cfg.central.schedule, t)
         if cohort:
             deltas = train_cohort(params, population, model_spec, cfg.local,
-                                  cfg.fedprox_mu, t, cohort, cfg.seed)
+                                  cfg.fedprox_mu, t, cohort, cfg.seed, workspace)
             _require_finite(deltas, t, cohort)
             clipped, _ = clip_rows(deltas, layout, cfg.clip)
             noised = clipped
@@ -420,7 +433,7 @@ def run_simulation(
             per_layer = {name: LayerStats(mean=0.0, std=0.0) for name in layout.names}
 
         probe_loss, probe_accuracy = models.evaluate(
-            model_spec, params, population.probe
+            model_spec, params, population.probe, workspace
         )
         if not math.isfinite(probe_loss):
             raise NumericsError(f"round {t}: non-finite probe loss (stage probe)")

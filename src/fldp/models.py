@@ -38,6 +38,7 @@ central-difference oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import KW_ONLY, dataclass
 from enum import Enum
 
@@ -180,12 +181,36 @@ _MAX_ROWS_PER_COLUMN = 16
 _BATCH_ROWS = 128
 
 
+class Workspace:
+    """Scratch arrays that the kernels write their intermediates into.
+
+    ``take(name, shape)`` hands out the first prod(shape) entries of the
+    float64 array held under `name`, as a C-contiguous view of that shape;
+    its values are whatever the last user left there. A request larger
+    than the held array replaces it, so each array grows to the largest
+    request it sees and serves every smaller one after that: the shrinking
+    prefixes of an epochs cohort, cohorts of varying size and the probe's
+    (1, probe_size, ...) stack alike. A name holds one intermediate at a
+    time; a kernel gives each of its live intermediates its own name.
+    """
+
+    def __init__(self):
+        self.held: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        held = self.held.get(name)
+        if held is None or held.size < size:
+            held = self.held[name] = np.empty(size)
+        return held[:size].reshape(shape)
+
+
 def _rows(z: np.ndarray) -> int:
     return z.size // z.shape[-1]  # callers rule out an empty last axis first
 
 
-def _sum_last(z: np.ndarray) -> np.ndarray:
-    """np.add.reduce(z, axis=-1, keepdims=True), bit for bit.
+def _sum_last(z: np.ndarray, out=None) -> np.ndarray:
+    """np.add.reduce(z, axis=-1, keepdims=True, out=out), bit for bit.
 
     Taken over column slices in numpy's pairwise order: a sequential sum
     below 8 columns; up to 128, eight strided accumulators, numpy's fixed
@@ -194,16 +219,20 @@ def _sum_last(z: np.ndarray) -> np.ndarray:
     n = z.shape[-1]
     if (not 0 < n <= 128 or _rows(z) < _SUM_ROWS_PER_COLUMN * n
             or not z.flags.c_contiguous):
-        return np.add.reduce(z, axis=-1, keepdims=True)
+        return np.add.reduce(z, axis=-1, keepdims=True, out=out)
     col = [z[..., j : j + 1] for j in range(n)]
     if n < 8:
-        acc, tail = col[0].copy(), col[1:]
+        # c0 + c1 as the first step of the sequence; a lone column gains
+        # a +0.0 here and once more below, which is one +0.0.
+        acc = np.add(col[0], col[1] if n > 1 else 0.0, out=out)
+        tail = col[2:]
     else:
         m = n - n % 8
         r = col[:8]
         for i in range(8, m, 8):
             r = [a + b for a, b in zip(r, col[i : i + 8])]
-        acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        acc = np.add((r[0] + r[1]) + (r[2] + r[3]), (r[4] + r[5]) + (r[6] + r[7]),
+                     out=out)
         tail = col[m:]
     for c in tail:
         acc += c
@@ -211,8 +240,8 @@ def _sum_last(z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _max_last(z: np.ndarray) -> np.ndarray:
-    """z.max(axis=-1, keepdims=True), bit for bit: np.maximum over columns.
+def _max_last(z: np.ndarray, out=None) -> np.ndarray:
+    """z.max(axis=-1, keepdims=True, out=out), bit for bit: np.maximum over columns.
 
     Past 8 columns numpy's max takes its columns in another order, which
     shows only in the sign of a zero maximum; it is left to numpy there.
@@ -220,31 +249,37 @@ def _max_last(z: np.ndarray) -> np.ndarray:
     n = z.shape[-1]
     if (not 1 < n <= 8 or _rows(z) < _MAX_ROWS_PER_COLUMN * n
             or not z.flags.c_contiguous):
-        return z.max(axis=-1, keepdims=True)
-    acc = np.maximum(z[..., 0:1], z[..., 1:2])
+        return z.max(axis=-1, keepdims=True, out=out)
+    acc = np.maximum(z[..., 0:1], z[..., 1:2], out=out)
     for j in range(2, n):
         np.maximum(acc, z[..., j : j + 1], out=acc)
     return acc
 
 
-def _sum_batch(z: np.ndarray) -> np.ndarray:
+def _sum_batch(z: np.ndarray, out=None, ws=None) -> np.ndarray:
     """(C, ..., n) summed over the middle axes per client: (C, n), bit for bit.
 
     For n >= 2 numpy adds the middle rows in sequence; so does one reduction
-    over a contiguous copy with those rows first, in n·C-long steps. A
+    over a contiguous copy with those rows first, in n·C-long steps. The
+    copy goes to the workspace's "batch" array when one is given. A
     one-wide stack numpy sums pairwise, so it is left to numpy.
     """
     c, n = z.shape[0], z.shape[-1]
     if n < 2 or _rows(z) < _BATCH_ROWS or not z.flags.c_contiguous:
-        return z.sum(axis=tuple(range(1, z.ndim - 1)))
-    return np.add.reduce(
-        np.ascontiguousarray(z.reshape(c, -1, n).swapaxes(0, 1)), axis=0
-    )
+        return z.sum(axis=tuple(range(1, z.ndim - 1)), out=out)
+    rows_first = z.reshape(c, -1, n).swapaxes(0, 1)
+    if ws is None:
+        copy = np.ascontiguousarray(rows_first)
+    else:
+        copy = ws.take("batch", rows_first.shape)
+        np.copyto(copy, rows_first)
+    return np.add.reduce(copy, axis=0, out=out)
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
+def _softmax(z: np.ndarray, out=None) -> np.ndarray:
     # Max-subtraction for stability; C order, so the columns are slices.
-    e = np.subtract(z, _max_last(z), order="C")
+    # out may be z itself.
+    e = np.subtract(z, _max_last(z), out=out, order="C")
     np.exp(e, out=e)
     e /= _sum_last(e)
     return e
@@ -255,29 +290,43 @@ def _per_client(v: np.ndarray, ndim: int) -> np.ndarray:
     return v.reshape(v.shape[0], *([1] * (ndim - 2)), v.shape[-1])
 
 
-def _layernorm_forward(z, gain, bias, eps):
+def _layernorm_forward(z, gain, bias, eps, ws=None, name="ln"):
     # The steps of z.var, so var is bitwise z.var, on deviations that then
-    # become xhat in place.
+    # become xhat in place. The per-row mean and variance pass through the
+    # array that ends as inv.
+    ws = Workspace() if ws is None else ws
     n = z.shape[-1]
-    xhat = z - _sum_last(z) / n
-    out = np.multiply(xhat, xhat)  # the squares, then the output
-    var = _sum_last(out) / n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = _sum_last(z, out=ws.take(name + ".inv", (*z.shape[:-1], 1)))
+    inv /= n
+    xhat = np.subtract(z, inv, out=ws.take(name + ".xhat", z.shape))
+    out = np.multiply(xhat, xhat, out=ws.take(name + ".out", z.shape))  # squares
+    _sum_last(out, out=inv)
+    inv /= n
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
     xhat *= inv
     np.multiply(gain, xhat, out=out)
     out += bias
     return out, (xhat, inv)
 
 
-def _layernorm_backward(dy, gain, cache):
-    """dL/dz and the (C, n) gain and bias gradients, summed per client."""
+def _layernorm_backward(dy, gain, cache, ws=None, out=None, t=None, in_place=False):
+    """dL/dz and the (C, n) gain and bias gradients, summed per client.
+
+    The gain and bias gradients are the two halves of `out`, (C, 2n): a
+    LayerNorm layer's gradient row, gains then biases. `t` is a dy-shaped
+    scratch array. With `in_place`, dz is written over dy.
+    """
     xhat, inv = cache
     n = dy.shape[-1]
-    t = dy * xhat
-    dgain = _sum_batch(t)
-    dbias = _sum_batch(dy)
+    if out is None:
+        out = np.empty((dy.shape[0], 2 * n))
+    t = np.multiply(dy, xhat, out=t)
+    dgain = _sum_batch(t, out[:, :n], ws)
+    dbias = _sum_batch(dy, out[:, n:], ws)
     # dz = inv * (gdy - mean(gdy) - xhat * mean(gdy * xhat)), in place.
-    dz = gain * dy
+    dz = np.multiply(gain, dy, out=dy if in_place else None)
     np.multiply(dz, xhat, out=t)
     m = _sum_last(t) / n
     np.multiply(xhat, m, out=t)
@@ -288,26 +337,25 @@ def _layernorm_backward(dy, gain, cache):
 
 
 def _tanh_backward(t, dt):
-    """(1 - t * t) * dt for t = tanh(...), in one new array."""
-    out = t * t
-    np.subtract(1.0, out, out=out)
-    out *= dt
+    """(1 - t * t) * dt for t = tanh(...), written over t."""
+    np.multiply(t, t, out=t)
+    np.subtract(1.0, t, out=t)
+    t *= dt
+    return t
+
+
+def _apply(a: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a (C, ..., n) times the per-client matrices w (C, n, m), into out (C, ..., m)."""
+    c, m = a.shape[0], w.shape[-1]
+    np.matmul(a.reshape(c, -1, a.shape[-1]), w, out=out.reshape(c, -1, m))
     return out
 
 
-def _apply(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """a (C, ..., n) times the per-client matrices w (C, n, m)."""
+def _outer(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Per-client sum over the middle axes of a[..., i] * b[..., j], into out (C, i, j)."""
     c = a.shape[0]
-    out = a.reshape(c, -1, a.shape[-1]) @ w
-    return out.reshape(*a.shape[:-1], w.shape[-1])
-
-
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-client sum over the middle axes of a[..., i] * b[..., j]: (C, i, j)."""
-    c = a.shape[0]
-    return a.reshape(c, -1, a.shape[-1]).transpose(0, 2, 1) @ b.reshape(
-        c, -1, b.shape[-1]
-    )
+    return np.matmul(a.reshape(c, -1, a.shape[-1]).transpose(0, 2, 1),
+                     b.reshape(c, -1, b.shape[-1]), out=out)
 
 
 def _cross_entropy(logits, labels) -> float:
@@ -318,14 +366,14 @@ def _cross_entropy(logits, labels) -> float:
     return float(np.mean(lse - shifted[np.arange(n), labels]))
 
 
-def _cross_entropy_grad(logits, labels, count, valid=None):
+def _cross_entropy_grad(logits, labels, count, valid=None, out=None):
     """Gradient of each client's mean cross-entropy w.r.t. its logits.
 
     logits are (C, B, K) and labels (C, B); `count` is the number of real
     examples per client, a scalar or (C, 1, 1). Padding examples, where
-    `valid` (C, B) is False, get a zero gradient.
+    `valid` (C, B) is False, get a zero gradient. out, if given, is C order.
     """
-    p = _softmax(logits)
+    p = _softmax(logits, out=out)
     k = p.shape[-1]
     p.reshape(-1)[np.arange(0, p.size, k) + labels.ravel()] -= 1.0
     p /= count
@@ -335,30 +383,37 @@ def _cross_entropy_grad(logits, labels, count, valid=None):
 
 
 # -- per-kind forward/backward over a cohort ----------------------------------
+#
+# Each kernel writes its forward intermediates into workspace arrays and
+# returns the logits and a closure. The closure writes the gradient rows
+# into the workspace's "grad" array, each layer's gradient straight into its
+# columns, and its own intermediates over forward arrays that are dead by
+# then, or into arrays of its own. It runs at most once: it writes over the
+# forward values it is done with.
 
 
 def _layers(spec, rows):
     return [rows[:, span] for span in spec.layout().slices]
 
 
-def _grad_rows(grads) -> np.ndarray:
-    return np.concatenate([g.reshape(g.shape[0], -1) for g in grads], axis=1)
-
-
-def _linear_softmax(spec, rows, x):
+def _linear_softmax(spec, rows, x, ws):
     f, k = spec.input_dim, spec.num_classes
     w, b = _layers(spec, rows)
     w = w.reshape(-1, k, f)
-    logits = _apply(x, w.transpose(0, 2, 1))
+    logits = _apply(x, w.transpose(0, 2, 1), ws.take("logits", (*x.shape[:-1], k)))
     logits += b[:, None, :]
 
     def backward(dlogits):
-        return _grad_rows([_outer(dlogits, x), _sum_batch(dlogits)])
+        grad = ws.take("grad", rows.shape)
+        gw, gb = _layers(spec, grad)
+        _outer(dlogits, x, gw.reshape(-1, k, f))
+        _sum_batch(dlogits, gb, ws)
+        return grad
 
     return logits, backward
 
 
-def _mlp_layernorm(spec, rows, x):
+def _mlp_layernorm(spec, rows, x, ws):
     f, k, d = spec.input_dim, spec.num_classes, spec.hidden_dim
     eps = spec.layernorm_epsilon
     w1, b1, ln, w2, b2 = _layers(spec, rows)
@@ -366,27 +421,29 @@ def _mlp_layernorm(spec, rows, x):
     gain, bias = _per_client(ln[:, :d], x.ndim), _per_client(ln[:, d:], x.ndim)
     w2 = w2.reshape(-1, k, d)
 
-    z1 = _apply(x, w1.transpose(0, 2, 1))
+    z1 = _apply(x, w1.transpose(0, 2, 1), ws.take("z1", (*x.shape[:-1], d)))
     z1 += b1[:, None, :]
-    h, ln_cache = _layernorm_forward(z1, gain, bias, eps)
+    h, ln_cache = _layernorm_forward(z1, gain, bias, eps, ws, "ln")
     a = np.tanh(h, out=h)
-    logits = _apply(a, w2.transpose(0, 2, 1))
+    logits = _apply(a, w2.transpose(0, 2, 1), ws.take("logits", (*x.shape[:-1], k)))
     logits += b2[:, None, :]
 
     def backward(dlogits):
-        dw2 = _outer(dlogits, a)
-        db2 = _sum_batch(dlogits)
-        da = _apply(dlogits, w2)
+        grad = ws.take("grad", rows.shape)
+        gw1, gb1, gln, gw2, gb2 = _layers(spec, grad)
+        _outer(dlogits, a, gw2.reshape(-1, k, d))
+        _sum_batch(dlogits, gb2, ws)
+        da = _apply(dlogits, w2, z1)  # z1 is dead after the LayerNorm
         dh = _tanh_backward(a, da)
-        dz1, dgain, dbias = _layernorm_backward(dh, gain, ln_cache)
-        dw1 = _outer(dz1, x)
-        db1 = _sum_batch(dz1)
-        return _grad_rows([dw1, db1, dgain, dbias, dw2, db2])
+        dz1 = _layernorm_backward(dh, gain, ln_cache, ws, gln, da, in_place=True)[0]
+        _outer(dz1, x, gw1.reshape(-1, d, f))
+        _sum_batch(dz1, gb1, ws)
+        return grad
 
     return logits, backward
 
 
-def _tiny_attention(spec, rows, x):
+def _tiny_attention(spec, rows, x, ws):
     f, k, d = spec.input_dim, spec.num_classes, spec.hidden_dim
     s = spec.seq_len
     eps = spec.layernorm_epsilon
@@ -400,62 +457,67 @@ def _tiny_attention(spec, rows, x):
     w2 = w2.reshape(-1, d, d)
     wout = wout.reshape(-1, k, d)
 
-    # x is (C, B, S, F)
-    h0 = _apply(x, win.transpose(0, 2, 1))  # (C, B, S, d)
+    # x is (C, B, S, F); h is the residual stream h0, h1, h2, (C, B, S, d)
+    cbs = x.shape[:-1]
+    h = _apply(x, win.transpose(0, 2, 1), ws.take("h", (*cbs, d)))
 
     # pre-LN attention sub-block
-    u, ln1_cache = _layernorm_forward(h0, g1, be1, eps)
-    qkv = _apply(u, wqkv)  # (C, B, S, 3d)
+    u, ln1_cache = _layernorm_forward(h, g1, be1, eps, ws, "ln1")
+    qkv = _apply(u, wqkv, ws.take("qkv", (*cbs, 3 * d)))
     q, kk, v = qkv[..., :d], qkv[..., d : 2 * d], qkv[..., 2 * d :]
-    scores = q @ kk.swapaxes(-1, -2) / np.sqrt(d)  # (C, B, S, S)
-    att = _softmax(scores)
-    ao = att @ v  # (C, B, S, d)
-    h1 = h0 + _apply(ao, wf.transpose(0, 2, 1))
+    att = np.matmul(q, kk.swapaxes(-1, -2), out=ws.take("att", (*cbs, s)))
+    att /= np.sqrt(d)  # the scores (C, B, S, S), then their softmax
+    _softmax(att, out=att)
+    ao = np.matmul(att, v, out=ws.take("ao", h.shape))  # (C, B, S, d)
+    proj = _apply(ao, wf.transpose(0, 2, 1), ws.take("proj", h.shape))
+    h += proj
 
     # pre-LN MLP sub-block
-    m, ln2_cache = _layernorm_forward(h1, g2, be2, eps)
-    t = _apply(m, w1.transpose(0, 2, 1))
+    m, ln2_cache = _layernorm_forward(h, g2, be2, eps, ws, "ln2")
+    t = _apply(m, w1.transpose(0, 2, 1), ws.take("t", h.shape))
     np.tanh(t, out=t)
-    h2 = h1 + _apply(t, w2.transpose(0, 2, 1))
+    h += _apply(t, w2.transpose(0, 2, 1), proj)
 
-    pool = h2.mean(axis=2)  # (C, B, d)
-    logits = _apply(pool, wout.transpose(0, 2, 1))
+    pool = np.mean(h, axis=2, out=ws.take("pool", (*cbs[:2], d)))  # (C, B, d)
+    logits = _apply(pool, wout.transpose(0, 2, 1), ws.take("logits", (*cbs[:2], k)))
     logits += bout[:, None, :]
 
     def backward(dlogits):
-        dwout = _outer(dlogits, pool)
-        dbout = _sum_batch(dlogits)
-        dpool = _apply(dlogits, wout)  # (C, B, d)
-        dh2 = np.repeat(dpool[:, :, None, :], s, axis=2) / s
+        grad = ws.take("grad", rows.shape)
+        gwin, gln1, gwqkv, gwf, gln2, gw1, gw2, gwout, gbout = _layers(spec, grad)
+        _outer(dlogits, pool, gwout.reshape(-1, k, d))
+        _sum_batch(dlogits, gbout, ws)
+        dpool = _apply(dlogits, wout, ws.take("dpool", pool.shape))
+        # h and proj are dead after the pool.
+        dh2 = np.divide(dpool[:, :, None, :], s, out=h)
 
         # MLP sub-block backward
-        dt = _apply(dh2, w2)
-        dw2 = _outer(dh2, t)
+        dt = _apply(dh2, w2, proj)
+        _outer(dh2, t, gw2.reshape(-1, d, d))
         da1 = _tanh_backward(t, dt)
-        dw1 = _outer(da1, m)
-        dm = _apply(da1, w1)
-        dh1, dg2, dbe2 = _layernorm_backward(dm, g2, ln2_cache)
+        _outer(da1, m, gw1.reshape(-1, d, d))
+        dm = _apply(da1, w1, dt)
+        dh1 = _layernorm_backward(dm, g2, ln2_cache, ws, gln2, da1, in_place=True)[0]
         dh1 += dh2  # residual
 
         # attention sub-block backward
-        dao = _apply(dh1, wf)
-        dwf = _outer(dh1, ao)
-        datt = dao @ v.swapaxes(-1, -2)  # (C, B, S, S)
-        dv = att.swapaxes(-1, -2) @ dao
-        datt -= _sum_last(datt * att)
+        dao = _apply(dh1, wf, dh2)
+        _outer(dh1, ao, gwf.reshape(-1, d, d))
+        datt = np.matmul(dao, v.swapaxes(-1, -2), out=ws.take("datt", att.shape))
+        dqkv = ws.take("dqkv", qkv.shape)  # (C, B, S, 3d): dq, dk, dv
+        np.matmul(att.swapaxes(-1, -2), dao, out=dqkv[..., 2 * d :])
+        datt -= _sum_last(np.multiply(datt, att, out=ws.take("datt.att", att.shape)))
         dscores = np.multiply(att, datt, out=datt)
-        dq = dscores @ kk / np.sqrt(d)
-        dk = dscores.swapaxes(-1, -2) @ q / np.sqrt(d)
-        dqkv = np.concatenate([dq, dk, dv], axis=-1)  # (C, B, S, 3d)
-        dwqkv = _outer(u, dqkv)
-        du = _apply(dqkv, wqkv.transpose(0, 2, 1))
-        dh0, dg1, dbe1 = _layernorm_backward(du, g1, ln1_cache)
+        dq = np.matmul(dscores, kk, out=dqkv[..., :d])
+        dq /= np.sqrt(d)
+        dk = np.matmul(dscores.swapaxes(-1, -2), q, out=dqkv[..., d : 2 * d])
+        dk /= np.sqrt(d)
+        _outer(u, dqkv, gwqkv.reshape(-1, d, 3 * d))
+        du = _apply(dqkv, wqkv.transpose(0, 2, 1), dao)
+        dh0 = _layernorm_backward(du, g1, ln1_cache, ws, gln1, da1, in_place=True)[0]
         dh0 += dh1  # residual
-        dwin = _outer(dh0, x)
-
-        return _grad_rows(
-            [dwin, dg1, dbe1, dwqkv, dwf, dg2, dbe2, dw1, dw2, dwout, dbout]
-        )
+        _outer(dh0, x, gwin.reshape(-1, d, f))
+        return grad
 
     return logits, backward
 
@@ -468,23 +530,30 @@ _FORWARD = {
 
 
 def cohort_grad(spec: ModelSpec, rows: np.ndarray, inputs: np.ndarray,
-                labels: np.ndarray, count, valid=None) -> np.ndarray:
+                labels: np.ndarray, count, valid=None,
+                workspace: Workspace | None = None) -> np.ndarray:
     """(C, P) gradients of C clients' mean cross-entropy, unchecked.
 
     rows are the clients' parameters, inputs (C, B, ...) and labels (C, B)
     their minibatches; `count` and `valid` are as in the cross-entropy
-    gradient. The caller has validated the data against the model.
+    gradient. The caller has validated the data against the model. The
+    result is the workspace's "grad" array: the next call into the same
+    workspace overwrites it. Without a workspace the call makes its own.
     """
-    out, backward = _FORWARD[spec.kind](spec, rows, inputs)
-    return backward(_cross_entropy_grad(out, labels, count, valid))
+    ws = Workspace() if workspace is None else workspace
+    out, backward = _FORWARD[spec.kind](spec, rows, inputs, ws)
+    return backward(_cross_entropy_grad(out, labels, count, valid, out=out))
 
 
-def evaluate(spec: ModelSpec, params: ParamTree, batch: Batch) -> tuple[float, float]:
+def evaluate(spec: ModelSpec, params: ParamTree, batch: Batch,
+             workspace: Workspace | None = None) -> tuple[float, float]:
     """Mean cross-entropy and accuracy from one forward pass, unchecked.
 
     The caller has validated the batch and the parameters' layout against
-    the model.
+    the model. The forward pass writes into the workspace, or into one of
+    its own when none is given.
     """
-    out, _ = _FORWARD[spec.kind](spec, params.flat[None, :], batch.inputs[None])
+    ws = Workspace() if workspace is None else workspace
+    out, _ = _FORWARD[spec.kind](spec, params.flat[None, :], batch.inputs[None], ws)
     pred = np.argmax(out[0], axis=1)
     return _cross_entropy(out[0], batch.labels), float(np.mean(pred == batch.labels))

@@ -23,7 +23,7 @@ from fldp.data import (
     ClientPartition,
 )
 from fldp.dp import FULL_MASK, add_noise_rows
-from fldp.models import _FORWARD, cohort_grad, evaluate
+from fldp.models import _FORWARD, Workspace, cohort_grad, evaluate
 from fldp.param_tree import global_norm_rows, layer_norm_rows, mean_rows
 from fldp.streams import generator
 
@@ -159,7 +159,7 @@ def per_client_population(spec):
 
 def logits(spec, params, inputs):
     """One client's (B, K) logits: the kernel's first output."""
-    return _FORWARD[spec.kind](spec, params.flat[None, :], inputs[None])[0][0]
+    return _FORWARD[spec.kind](spec, params.flat[None, :], inputs[None], Workspace())[0][0]
 
 
 def loss(spec, params, batch):

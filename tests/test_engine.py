@@ -428,10 +428,10 @@ def test_one_probe_forward_pass_per_round(monkeypatch):
     forward = models._FORWARD[model.kind]
     probe_passes = 0
 
-    def counting_forward(spec, rows, inputs):
+    def counting_forward(spec, rows, inputs, *rest):
         nonlocal probe_passes
         probe_passes += np.shares_memory(inputs, partition.probe.inputs)
-        return forward(spec, rows, inputs)
+        return forward(spec, rows, inputs, *rest)
 
     monkeypatch.setitem(models._FORWARD, model.kind, counting_forward)
     cfg = make_config(partition, num_rounds=8, cohort_size=1)
