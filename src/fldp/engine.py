@@ -33,6 +33,12 @@ forward/backward pass, short minibatches padded by zero-weight rows. Every
 minibatch gradient is globally clipped to the local bound before the SGD
 step; with a FedProx weight mu > 0 the gradient first gains the proximal
 pull mu * (theta - theta_round_start).
+
+A run owns one ``models.Workspace``. Local training keeps the cohort's
+parameter rows, the gathered minibatches and the proximal term in it, and
+the model kernels their intermediates; the probe evaluation writes its
+forward pass into the same arrays. Nothing in it outlives the run, and the
+deltas a round hands on are new arrays.
 """
 
 from __future__ import annotations

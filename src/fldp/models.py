@@ -15,9 +15,25 @@ takes the (C, P) parameter rows of C clients and their inputs, (C, B, F) or
 (C, B, S, F), and returns (C, B, K) logits plus a closure mapping
 dL/dlogits to the (C, P) gradient rows. Two calls run the kernels:
 ``cohort_grad`` for training and ``evaluate`` for the probe (a cohort of
-one). Neither checks its arguments: the caller validates the data with
-``check_inputs``, and the parameters' layout against ``ModelSpec.layout()``,
-once per run.
+one), which drops the closure. Neither checks its arguments: the caller
+validates the data with ``check_inputs``, and the parameters' layout
+against ``ModelSpec.layout()``, once per run.
+
+The kernels allocate none of their full-width intermediates, only small
+per-row reductions: they write activations, LayerNorm caches, matmul
+outputs, scores and the gradient rows into the arrays of a ``Workspace``,
+through ``out=``. Each array is held
+under a name and grows to the largest request it sees, so once a run has
+seen its largest cohort and the probe, its steps and probe evaluations
+reuse the same memory; training and the probe use the same names, so the
+memory held is the larger of the two sets, not their sum. A workspace
+belongs to one caller at a time: ``engine.run_simulation`` holds one for
+the run. The logits a kernel returns and the rows ``cohort_grad`` returns
+are workspace arrays, valid until the next call into the same workspace;
+``evaluate`` returns plain floats. A call without a workspace makes its
+own. A held array keeps whatever its last user wrote, so every kernel
+writes an array before it reads it; writing into a held array and writing
+into a new one give the same bits.
 
 Reductions over the kernels' short axes (a row's 4 to 16 classes,
 features or scores, and each client's batch positions) go through
@@ -222,8 +238,8 @@ def _sum_last(z: np.ndarray, out=None) -> np.ndarray:
         return np.add.reduce(z, axis=-1, keepdims=True, out=out)
     col = [z[..., j : j + 1] for j in range(n)]
     if n < 8:
-        # c0 + c1 as the first step of the sequence; a lone column gains
-        # a +0.0 here and once more below, which is one +0.0.
+        # The sequence starts c0 + c1; a lone column takes the +0.0 below
+        # twice, which is the same as once.
         acc = np.add(col[0], col[1] if n > 1 else 0.0, out=out)
         tail = col[2:]
     else:
@@ -240,8 +256,8 @@ def _sum_last(z: np.ndarray, out=None) -> np.ndarray:
     return acc
 
 
-def _max_last(z: np.ndarray, out=None) -> np.ndarray:
-    """z.max(axis=-1, keepdims=True, out=out), bit for bit: np.maximum over columns.
+def _max_last(z: np.ndarray) -> np.ndarray:
+    """z.max(axis=-1, keepdims=True), bit for bit: np.maximum over columns.
 
     Past 8 columns numpy's max takes its columns in another order, which
     shows only in the sign of a zero maximum; it is left to numpy there.
@@ -249,8 +265,8 @@ def _max_last(z: np.ndarray, out=None) -> np.ndarray:
     n = z.shape[-1]
     if (not 1 < n <= 8 or _rows(z) < _MAX_ROWS_PER_COLUMN * n
             or not z.flags.c_contiguous):
-        return z.max(axis=-1, keepdims=True, out=out)
-    acc = np.maximum(z[..., 0:1], z[..., 1:2], out=out)
+        return z.max(axis=-1, keepdims=True)
+    acc = np.maximum(z[..., 0:1], z[..., 1:2])
     for j in range(2, n):
         np.maximum(acc, z[..., j : j + 1], out=acc)
     return acc
@@ -352,7 +368,11 @@ def _apply(a: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _outer(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Per-client sum over the middle axes of a[..., i] * b[..., j], into out (C, i, j)."""
+    """Per-client sum over the middle axes of a[..., i] * b[..., j], into out (C, i, j).
+
+    out may be a view with any strides, such as a layer's columns of the
+    gradient rows.
+    """
     c = a.shape[0]
     return np.matmul(a.reshape(c, -1, a.shape[-1]).transpose(0, 2, 1),
                      b.reshape(c, -1, b.shape[-1]), out=out)
@@ -371,7 +391,8 @@ def _cross_entropy_grad(logits, labels, count, valid=None, out=None):
 
     logits are (C, B, K) and labels (C, B); `count` is the number of real
     examples per client, a scalar or (C, 1, 1). Padding examples, where
-    `valid` (C, B) is False, get a zero gradient. out, if given, is C order.
+    `valid` (C, B) is False, get a zero gradient. out, if given, is C order;
+    it may be logits itself.
     """
     p = _softmax(logits, out=out)
     k = p.shape[-1]
