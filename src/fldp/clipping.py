@@ -98,13 +98,14 @@ def _factors(norms: np.ndarray, bounds) -> np.ndarray:
 
 
 def clip_rows(
-    rows: np.ndarray, layout: Layout, spec: ClipSpec
+    rows: np.ndarray, layout: Layout, spec: ClipSpec, out=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Clip every row of an (L, P) stack with the configured variant.
 
     Returns the clipped stack and the (L, K) scale factor of every (row,
     layer); a factor of exactly 1.0 marks a unit passed through bitwise.
-    When no unit is scaled the input stack itself is returned.
+    When no unit is scaled the input stack itself is returned; otherwise
+    the clipped stack is written to `out` when given, which may be `rows`.
     """
     num_layers = len(layout.names)
     if spec.variant == ClipVariant.GLOBAL:
@@ -112,10 +113,12 @@ def clip_rows(
             return rows, np.ones((rows.shape[0], num_layers))
         per_row = _factors(global_norm_rows(rows, layout), spec.bound)
         factors = np.repeat(per_row[:, None], num_layers, axis=1)
+        scale = per_row[:, None]
     else:
         factors = _factors(layer_norm_rows(rows, layout),
                            bound_vector(spec, layout))
+        scale = np.repeat(factors, layout.sizes, axis=1)
     if np.all(factors == 1.0):
         return rows, factors
-    return rows * np.repeat(factors, layout.sizes, axis=1), factors
+    return np.multiply(rows, scale, out=out), factors
 

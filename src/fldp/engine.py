@@ -238,7 +238,7 @@ def train_cohort(
             prox *= fedprox_mu
             g = np.add(prox, g, out=prox)
         # The gradient rows are dead once clipped: the step goes over them.
-        step = clip_rows(g, global_params.layout, clip)[0]
+        step = clip_rows(g, global_params.layout, clip, out=g)[0]
         head += np.multiply(-local.lr, step, out=step)
     return (rows - start)[np.argsort(order)]
 

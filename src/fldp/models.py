@@ -212,13 +212,18 @@ class Workspace:
 
     def __init__(self):
         self.held: dict[str, np.ndarray] = {}
+        self._last: dict[str, np.ndarray] = {}  # the last view of each name
 
     def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        view = self._last.get(name)
+        if view is not None and view.shape == shape:
+            return view  # a steps-mode cohort asks for the same shapes each step
         size = math.prod(shape)
         held = self.held.get(name)
         if held is None or held.size < size:
             held = self.held[name] = np.empty(size)
-        return held[:size].reshape(shape)
+        view = self._last[name] = held[:size].reshape(shape)
+        return view
 
 
 def _rows(z: np.ndarray) -> int:
@@ -327,12 +332,12 @@ def _layernorm_forward(z, gain, bias, eps, ws=None, name="ln"):
     return out, (xhat, inv)
 
 
-def _layernorm_backward(dy, gain, cache, ws=None, out=None, t=None, in_place=False):
-    """dL/dz and the (C, n) gain and bias gradients, summed per client.
+def _layernorm_backward(dy, gain, cache, ws=None, out=None, t=None):
+    """dL/dz, written over dy, and the (C, n) gain and bias gradients.
 
-    The gain and bias gradients are the two halves of `out`, (C, 2n): a
-    LayerNorm layer's gradient row, gains then biases. `t` is a dy-shaped
-    scratch array. With `in_place`, dz is written over dy.
+    The gain and bias gradients, summed per client, are the two halves of
+    `out`, (C, 2n): a LayerNorm layer's gradient row, gains then biases.
+    `t` is a dy-shaped scratch array.
     """
     xhat, inv = cache
     n = dy.shape[-1]
@@ -342,7 +347,7 @@ def _layernorm_backward(dy, gain, cache, ws=None, out=None, t=None, in_place=Fal
     dgain = _sum_batch(t, out[:, :n], ws)
     dbias = _sum_batch(dy, out[:, n:], ws)
     # dz = inv * (gdy - mean(gdy) - xhat * mean(gdy * xhat)), in place.
-    dz = np.multiply(gain, dy, out=dy if in_place else None)
+    dz = np.multiply(gain, dy, out=dy)
     np.multiply(dz, xhat, out=t)
     m = _sum_last(t) / n
     np.multiply(xhat, m, out=t)
@@ -362,8 +367,10 @@ def _tanh_backward(t, dt):
 
 def _apply(a: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
     """a (C, ..., n) times the per-client matrices w (C, n, m), into out (C, ..., m)."""
-    c, m = a.shape[0], w.shape[-1]
-    np.matmul(a.reshape(c, -1, a.shape[-1]), w, out=out.reshape(c, -1, m))
+    if a.ndim == 3:
+        return np.matmul(a, w, out=out)
+    c = a.shape[0]  # one product per client over the stacked middle axes
+    np.matmul(a.reshape(c, -1, a.shape[-1]), w, out=out.reshape(c, -1, w.shape[-1]))
     return out
 
 
@@ -413,20 +420,17 @@ def _cross_entropy_grad(logits, labels, count, valid=None, out=None):
 # forward values it is done with.
 
 
-def _layers(spec, rows):
-    return [rows[:, span] for span in spec.layout().slices]
-
-
 def _linear_softmax(spec, rows, x, ws):
     f, k = spec.input_dim, spec.num_classes
-    w, b = _layers(spec, rows)
+    spans = spec.layout().slices
+    w, b = (rows[:, span] for span in spans)
     w = w.reshape(-1, k, f)
     logits = _apply(x, w.transpose(0, 2, 1), ws.take("logits", (*x.shape[:-1], k)))
     logits += b[:, None, :]
 
     def backward(dlogits):
         grad = ws.take("grad", rows.shape)
-        gw, gb = _layers(spec, grad)
+        gw, gb = (grad[:, span] for span in spans)
         _outer(dlogits, x, gw.reshape(-1, k, f))
         _sum_batch(dlogits, gb, ws)
         return grad
@@ -437,7 +441,8 @@ def _linear_softmax(spec, rows, x, ws):
 def _mlp_layernorm(spec, rows, x, ws):
     f, k, d = spec.input_dim, spec.num_classes, spec.hidden_dim
     eps = spec.layernorm_epsilon
-    w1, b1, ln, w2, b2 = _layers(spec, rows)
+    spans = spec.layout().slices
+    w1, b1, ln, w2, b2 = (rows[:, span] for span in spans)
     w1 = w1.reshape(-1, d, f)
     gain, bias = _per_client(ln[:, :d], x.ndim), _per_client(ln[:, d:], x.ndim)
     w2 = w2.reshape(-1, k, d)
@@ -451,12 +456,12 @@ def _mlp_layernorm(spec, rows, x, ws):
 
     def backward(dlogits):
         grad = ws.take("grad", rows.shape)
-        gw1, gb1, gln, gw2, gb2 = _layers(spec, grad)
+        gw1, gb1, gln, gw2, gb2 = (grad[:, span] for span in spans)
         _outer(dlogits, a, gw2.reshape(-1, k, d))
         _sum_batch(dlogits, gb2, ws)
         da = _apply(dlogits, w2, z1)  # z1 is dead after the LayerNorm
         dh = _tanh_backward(a, da)
-        dz1 = _layernorm_backward(dh, gain, ln_cache, ws, gln, da, in_place=True)[0]
+        dz1 = _layernorm_backward(dh, gain, ln_cache, ws, gln, da)[0]  # da: scratch
         _outer(dz1, x, gw1.reshape(-1, d, f))
         _sum_batch(dz1, gb1, ws)
         return grad
@@ -468,7 +473,8 @@ def _tiny_attention(spec, rows, x, ws):
     f, k, d = spec.input_dim, spec.num_classes, spec.hidden_dim
     s = spec.seq_len
     eps = spec.layernorm_epsilon
-    win, ln1, wqkv, wf, ln2, w1, w2, wout, bout = _layers(spec, rows)
+    spans = spec.layout().slices
+    win, ln1, wqkv, wf, ln2, w1, w2, wout, bout = (rows[:, span] for span in spans)
     win = win.reshape(-1, d, f)
     g1, be1 = _per_client(ln1[:, :d], x.ndim), _per_client(ln1[:, d:], x.ndim)
     wqkv = wqkv.reshape(-1, d, 3 * d)
@@ -505,7 +511,8 @@ def _tiny_attention(spec, rows, x, ws):
 
     def backward(dlogits):
         grad = ws.take("grad", rows.shape)
-        gwin, gln1, gwqkv, gwf, gln2, gw1, gw2, gwout, gbout = _layers(spec, grad)
+        gwin, gln1, gwqkv, gwf, gln2, gw1, gw2, gwout, gbout = (
+            grad[:, span] for span in spans)
         _outer(dlogits, pool, gwout.reshape(-1, k, d))
         _sum_batch(dlogits, gbout, ws)
         dpool = _apply(dlogits, wout, ws.take("dpool", pool.shape))
@@ -517,12 +524,12 @@ def _tiny_attention(spec, rows, x, ws):
         _outer(dh2, t, gw2.reshape(-1, d, d))
         da1 = _tanh_backward(t, dt)
         _outer(da1, m, gw1.reshape(-1, d, d))
-        dm = _apply(da1, w1, dt)
-        dh1 = _layernorm_backward(dm, g2, ln2_cache, ws, gln2, da1, in_place=True)[0]
+        dm = _apply(da1, w1, dt)  # over dt, then da1 is the scratch
+        dh1 = _layernorm_backward(dm, g2, ln2_cache, ws, gln2, da1)[0]
         dh1 += dh2  # residual
 
         # attention sub-block backward
-        dao = _apply(dh1, wf, dh2)
+        dao = _apply(dh1, wf, dh2)  # over dh2, dead after the residual add
         _outer(dh1, ao, gwf.reshape(-1, d, d))
         datt = np.matmul(dao, v.swapaxes(-1, -2), out=ws.take("datt", att.shape))
         dqkv = ws.take("dqkv", qkv.shape)  # (C, B, S, 3d): dq, dk, dv
@@ -534,8 +541,8 @@ def _tiny_attention(spec, rows, x, ws):
         dk = np.matmul(dscores.swapaxes(-1, -2), q, out=dqkv[..., d : 2 * d])
         dk /= np.sqrt(d)
         _outer(u, dqkv, gwqkv.reshape(-1, d, 3 * d))
-        du = _apply(dqkv, wqkv.transpose(0, 2, 1), dao)
-        dh0 = _layernorm_backward(du, g1, ln1_cache, ws, gln1, da1, in_place=True)[0]
+        du = _apply(dqkv, wqkv.transpose(0, 2, 1), dao)  # over dao
+        dh0 = _layernorm_backward(du, g1, ln1_cache, ws, gln1, da1)[0]
         dh0 += dh1  # residual
         _outer(dh0, x, gwin.reshape(-1, d, f))
         return grad
