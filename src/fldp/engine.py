@@ -229,6 +229,8 @@ def train_cohort(
     for s, k in enumerate(active):
         # Clients past the prefix have finished; their rows stay as they are.
         head, idx = rows[:k], index[s, :k]
+        # The indices are in range; numpy's default mode would gather into a
+        # temporary before copying to `out`.
         inputs = np.take(population.inputs, idx, axis=0, mode="clip",
                          out=ws.take("inputs", (*idx.shape, *example)))
         g = models.cohort_grad(model_spec, head, inputs, population.labels[idx],

@@ -22,18 +22,18 @@ against ``ModelSpec.layout()``, once per run.
 The kernels allocate none of their full-width intermediates, only small
 per-row reductions: they write activations, LayerNorm caches, matmul
 outputs, scores and the gradient rows into the arrays of a ``Workspace``,
-through ``out=``. Each array is held
-under a name and grows to the largest request it sees, so once a run has
-seen its largest cohort and the probe, its steps and probe evaluations
-reuse the same memory; training and the probe use the same names, so the
-memory held is the larger of the two sets, not their sum. A workspace
-belongs to one caller at a time: ``engine.run_simulation`` holds one for
-the run. The logits a kernel returns and the rows ``cohort_grad`` returns
-are workspace arrays, valid until the next call into the same workspace;
-``evaluate`` returns plain floats. A call without a workspace makes its
-own. A held array keeps whatever its last user wrote, so every kernel
-writes an array before it reads it; writing into a held array and writing
-into a new one give the same bits.
+through ``out=``. Each array is held under a name and grows to the largest
+request it sees, so once a run has seen its largest cohort and the probe,
+its steps and probe evaluations reuse the same memory; training and the
+probe use the same names, so the memory held is the larger of the two
+sets, not their sum. A workspace belongs to one caller at a time:
+``engine.run_simulation`` holds one for the run. The logits a kernel
+returns and the rows ``cohort_grad`` returns are workspace arrays, valid
+until the next call into the same workspace; ``evaluate`` returns plain
+floats. A call without a workspace makes its own. A held array keeps
+whatever its last user wrote, so every kernel writes an array before it
+reads it; writing into a held array and writing into a new one give the
+same bits.
 
 Reductions over the kernels' short axes (a row's 4 to 16 classes,
 features or scores, and each client's batch positions) go through
