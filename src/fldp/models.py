@@ -212,18 +212,13 @@ class Workspace:
 
     def __init__(self):
         self.held: dict[str, np.ndarray] = {}
-        self._last: dict[str, np.ndarray] = {}  # the last view of each name
 
     def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        view = self._last.get(name)
-        if view is not None and view.shape == shape:
-            return view  # a steps-mode cohort asks for the same shapes each step
         size = math.prod(shape)
         held = self.held.get(name)
         if held is None or held.size < size:
             held = self.held[name] = np.empty(size)
-        view = self._last[name] = held[:size].reshape(shape)
-        return view
+        return held[:size].reshape(shape)
 
 
 def _rows(z: np.ndarray) -> int:
@@ -282,18 +277,16 @@ def _sum_batch(z: np.ndarray, out=None, ws=None) -> np.ndarray:
 
     For n >= 2 numpy adds the middle rows in sequence; so does one reduction
     over a contiguous copy with those rows first, in n·C-long steps. The
-    copy goes to the workspace's "batch" array when one is given. A
-    one-wide stack numpy sums pairwise, so it is left to numpy.
+    copy goes to the workspace's "batch" array. A one-wide stack numpy sums
+    pairwise, so it is left to numpy.
     """
     c, n = z.shape[0], z.shape[-1]
     if n < 2 or _rows(z) < _BATCH_ROWS or not z.flags.c_contiguous:
         return z.sum(axis=tuple(range(1, z.ndim - 1)), out=out)
+    ws = Workspace() if ws is None else ws
     rows_first = z.reshape(c, -1, n).swapaxes(0, 1)
-    if ws is None:
-        copy = np.ascontiguousarray(rows_first)
-    else:
-        copy = ws.take("batch", rows_first.shape)
-        np.copyto(copy, rows_first)
+    copy = ws.take("batch", rows_first.shape)
+    np.copyto(copy, rows_first)
     return np.add.reduce(copy, axis=0, out=out)
 
 
@@ -332,7 +325,7 @@ def _layernorm_forward(z, gain, bias, eps, ws=None, name="ln"):
     return out, (xhat, inv)
 
 
-def _layernorm_backward(dy, gain, cache, ws=None, out=None, t=None):
+def _layernorm_backward(dy, gain, cache, out, t, ws=None):
     """dL/dz, written over dy, and the (C, n) gain and bias gradients.
 
     The gain and bias gradients, summed per client, are the two halves of
@@ -341,8 +334,6 @@ def _layernorm_backward(dy, gain, cache, ws=None, out=None, t=None):
     """
     xhat, inv = cache
     n = dy.shape[-1]
-    if out is None:
-        out = np.empty((dy.shape[0], 2 * n))
     t = np.multiply(dy, xhat, out=t)
     dgain = _sum_batch(t, out[:, :n], ws)
     dbias = _sum_batch(dy, out[:, n:], ws)
@@ -461,7 +452,7 @@ def _mlp_layernorm(spec, rows, x, ws):
         _sum_batch(dlogits, gb2, ws)
         da = _apply(dlogits, w2, z1)  # z1 is dead after the LayerNorm
         dh = _tanh_backward(a, da)
-        dz1 = _layernorm_backward(dh, gain, ln_cache, ws, gln, da)[0]  # da: scratch
+        dz1 = _layernorm_backward(dh, gain, ln_cache, gln, da, ws)[0]  # da: scratch
         _outer(dz1, x, gw1.reshape(-1, d, f))
         _sum_batch(dz1, gb1, ws)
         return grad
@@ -525,7 +516,7 @@ def _tiny_attention(spec, rows, x, ws):
         da1 = _tanh_backward(t, dt)
         _outer(da1, m, gw1.reshape(-1, d, d))
         dm = _apply(da1, w1, dt)  # over dt, then da1 is the scratch
-        dh1 = _layernorm_backward(dm, g2, ln2_cache, ws, gln2, da1)[0]
+        dh1 = _layernorm_backward(dm, g2, ln2_cache, gln2, da1, ws)[0]
         dh1 += dh2  # residual
 
         # attention sub-block backward
@@ -542,7 +533,7 @@ def _tiny_attention(spec, rows, x, ws):
         dk /= np.sqrt(d)
         _outer(u, dqkv, gwqkv.reshape(-1, d, 3 * d))
         du = _apply(dqkv, wqkv.transpose(0, 2, 1), dao)  # over dao
-        dh0 = _layernorm_backward(du, g1, ln1_cache, ws, gln1, da1)[0]
+        dh0 = _layernorm_backward(du, g1, ln1_cache, gln1, da1, ws)[0]
         dh0 += dh1  # residual
         _outer(dh0, x, gwin.reshape(-1, d, f))
         return grad

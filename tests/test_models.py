@@ -506,7 +506,8 @@ def test_layernorm_backward_equals_reference_bitwise(case):
     gain = rng.normal(size=(z.shape[0],) + (1,) * (z.ndim - 2) + z.shape[-1:])
     _, cache = _layernorm_forward(z, gain, rng.normal(size=gain.shape), 1e-5)
     dy = rng.normal(size=z.shape)
-    got = _layernorm_backward(dy.copy(), gain, cache)  # dz is written over dy
+    out, t = np.empty((z.shape[0], 2 * z.shape[-1])), np.empty_like(dy)
+    got = _layernorm_backward(dy.copy(), gain, cache, out, t)  # dz is written over dy
     want = reference.layernorm_backward(dy, gain, cache)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
