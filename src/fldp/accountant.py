@@ -218,7 +218,7 @@ def _check_noise_multiplier(z: float, alphas: np.ndarray, steps: int) -> None:
     the bound also keeps 1/z^2 finite.
     """
     top = float(alphas.max())
-    n = top if np.all(alphas == np.floor(alphas)) else max(top, _MAX_SERIES_TERMS)
+    n = top if (alphas == np.floor(alphas)).all() else max(top, _MAX_SERIES_TERMS)
     span = steps * ((n * n - n) / 2.0)
     if not (0.0 < z < math.inf and z * z > 0.0 and span / (z * z) < math.inf):
         floor = _MIN_NOISE_MULTIPLIER * math.sqrt(span)
