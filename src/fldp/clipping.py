@@ -66,7 +66,10 @@ class ClipSpec:
 
 
 def bound_vector(spec: ClipSpec, layout: Layout) -> list[float]:
-    """Per-layer bounds C_i in layer order; sum C_i^2 = bound^2."""
+    """Per-layer bounds C_i in layer order; sum C_i^2 = bound^2.
+
+    Weighted clipping needs one weight per layer of `layout`, and no other.
+    """
     if spec.variant not in PER_LAYER_VARIANTS:
         raise ConfigError(f"{spec.variant.value} clipping has no per-layer bounds")
     if spec.variant == ClipVariant.PER_LAYER_UNIFORM:
@@ -77,6 +80,9 @@ def bound_vector(spec: ClipSpec, layout: Layout) -> list[float]:
     missing = [n for n in layout.names if n not in spec.weights]
     if missing:
         raise ConfigError(f"weighted clipping is missing weights for {missing}")
+    unknown = sorted(set(spec.weights) - set(layout.names))
+    if unknown:
+        raise ConfigError(f"clip weights name unknown layers {unknown}")
     pairs = list(zip(layout.names, layout.sizes))
     total = sum(spec.weights[n] * size for n, size in pairs)
     return [spec.bound * math.sqrt(spec.weights[n] * size / total)

@@ -52,7 +52,7 @@ from typing import Optional
 import numpy as np
 
 from . import accountant, models, streams
-from .clipping import ClipSpec, clip_rows
+from .clipping import PER_LAYER_VARIANTS, ClipSpec, bound_vector, clip_rows
 from .data import ClientPartition
 from .dp import FULL_MASK, NoiseMask, PrivacyParams, add_noise_rows, noise_multiplier
 from .errors import ConfigError, NumericsError
@@ -202,16 +202,15 @@ def train_cohort(
     round_index: int,
     client_ids: list[int],
     seed: int,
-    workspace: Optional[models.Workspace] = None,
+    ws: models.Workspace,
 ) -> np.ndarray:
     """(L, P) deltas of local SGD on L clients from the same start.
 
     Rows follow `client_ids`, each a client of `population` with at least
     one example. The partition must already be validated against the model.
     The clients' parameters, minibatches and step intermediates live in the
-    workspace (a new one when none is given); the deltas are a new array.
+    workspace; the deltas are a new array.
     """
-    ws = models.Workspace() if workspace is None else workspace
     start = global_params.flat
     sizes = population.sizes[client_ids]
     keys = streams.cohort_keys(seed, _STREAM_LOCAL, round_index, client_ids)
@@ -355,14 +354,16 @@ def _validate(cfg: FederationConfig, population: ClientPartition,
                 f"privacy.{field.name} ({stated}) must equal {actual}, "
                 "the value the engine runs"
             )
+    # The partition holds every label below its num_classes and every
+    # client's inputs to the probe's shape, so these two checks cover every
+    # probe evaluation of the run and all the data local training uses.
     if population.num_classes != model_spec.num_classes:
         raise ConfigError("population and model disagree on num_classes")
-    # The partition holds every client to the probe's input shape and label
-    # range, so this one check covers every probe evaluation of the run and
-    # all the data local training uses.
-    models.check_inputs(model_spec, population.probe.inputs, population.probe.labels)
+    models.check_inputs(model_spec, population.probe.inputs)
     layout = model_spec.layout()
     cfg.noise_mask.validate_against(layout.names)
+    if cfg.clip.variant in PER_LAYER_VARIANTS:
+        bound_vector(cfg.clip, layout)  # raises on weights that miss the layout
     if cfg.seed_model is not None:
         layout.require_same(cfg.seed_model.layout)
 

@@ -15,9 +15,10 @@ takes the (C, P) parameter rows of C clients and their inputs, (C, B, F) or
 (C, B, S, F), and returns (C, B, K) logits plus a closure mapping
 dL/dlogits to the (C, P) gradient rows. Two calls run the kernels:
 ``cohort_grad`` for training and ``evaluate`` for the probe (a cohort of
-one), which drops the closure. Neither checks its arguments: the caller
-validates the data with ``check_inputs``, and the parameters' layout
-against ``ModelSpec.layout()``, once per run.
+one), which drops the closure. Neither checks its arguments: once per
+run, the caller validates the inputs' shape with ``check_inputs``, the
+labels' range through the data's own class count, and the parameters'
+layout against ``ModelSpec.layout()``.
 
 The kernels allocate none of their full-width intermediates, only small
 per-row reductions: they write activations, LayerNorm caches, matmul
@@ -30,10 +31,9 @@ sets, not their sum. A workspace belongs to one caller at a time:
 ``engine.run_simulation`` holds one for the run. The logits a kernel
 returns and the rows ``cohort_grad`` returns are workspace arrays, valid
 until the next call into the same workspace; ``evaluate`` returns plain
-floats. A call without a workspace makes its own. A held array keeps
-whatever its last user wrote, so every kernel writes an array before it
-reads it; writing into a held array and writing into a new one give the
-same bits.
+floats. A held array keeps whatever its last user wrote, so every kernel
+writes an array before it reads it; writing into a held array and writing
+into a new one give the same bits.
 
 Reductions over the kernels' short axes (a row's 4 to 16 classes,
 features or scores, and each client's batch positions) go through
@@ -167,8 +167,8 @@ def init_params(spec: ModelSpec, seed: int) -> ParamTree:
     return ParamTree(layers)
 
 
-def check_inputs(spec: ModelSpec, inputs: np.ndarray, labels=None) -> None:
-    """Raise StructureError unless inputs (and labels) fit the model."""
+def check_inputs(spec: ModelSpec, inputs: np.ndarray) -> None:
+    """Raise StructureError unless the inputs have the model's shape."""
     if spec.kind == ModelKind.TINY_ATTENTION:
         want = (spec.seq_len, spec.input_dim)
         if inputs.ndim != 3 or inputs.shape[1:] != want:
@@ -180,8 +180,6 @@ def check_inputs(spec: ModelSpec, inputs: np.ndarray, labels=None) -> None:
         raise StructureError(
             f"inputs must be (batch, {spec.input_dim}), got {inputs.shape}"
         )
-    if labels is not None and np.any(labels >= spec.num_classes):
-        raise StructureError("label out of range for num_classes")
 
 
 # Each helper's own form costs a few ufunc calls of about 1 us each (one
@@ -272,7 +270,7 @@ def _max_last(z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _sum_batch(z: np.ndarray, out=None, ws=None) -> np.ndarray:
+def _sum_batch(z: np.ndarray, out, ws: Workspace) -> np.ndarray:
     """(C, ..., n) summed over the middle axes per client: (C, n), bit for bit.
 
     For n >= 2 numpy adds the middle rows in sequence; so does one reduction
@@ -283,14 +281,13 @@ def _sum_batch(z: np.ndarray, out=None, ws=None) -> np.ndarray:
     c, n = z.shape[0], z.shape[-1]
     if n < 2 or _rows(z) < _BATCH_ROWS or not z.flags.c_contiguous:
         return z.sum(axis=tuple(range(1, z.ndim - 1)), out=out)
-    ws = Workspace() if ws is None else ws
     rows_first = z.reshape(c, -1, n).swapaxes(0, 1)
     copy = ws.take("batch", rows_first.shape)
     np.copyto(copy, rows_first)
     return np.add.reduce(copy, axis=0, out=out)
 
 
-def _softmax(z: np.ndarray, out=None) -> np.ndarray:
+def _softmax(z: np.ndarray, out) -> np.ndarray:
     # Max-subtraction for stability; C order, so the columns are slices.
     # out may be z itself.
     e = np.subtract(z, _max_last(z), out=out, order="C")
@@ -304,11 +301,10 @@ def _per_client(v: np.ndarray, ndim: int) -> np.ndarray:
     return v.reshape(v.shape[0], *([1] * (ndim - 2)), v.shape[-1])
 
 
-def _layernorm_forward(z, gain, bias, eps, ws=None, name="ln"):
+def _layernorm_forward(z, gain, bias, eps, ws, name):
     # The steps of z.var, so var is bitwise z.var, on deviations that then
     # become xhat in place. The per-row mean and variance pass through the
     # array that ends as inv.
-    ws = Workspace() if ws is None else ws
     n = z.shape[-1]
     inv = _sum_last(z, out=ws.take(name + ".inv", (*z.shape[:-1], 1)))
     inv /= n
@@ -325,8 +321,8 @@ def _layernorm_forward(z, gain, bias, eps, ws=None, name="ln"):
     return out, (xhat, inv)
 
 
-def _layernorm_backward(dy, gain, cache, out, t, ws=None):
-    """dL/dz, written over dy, and the (C, n) gain and bias gradients.
+def _layernorm_backward(dy, gain, cache, out, t, ws):
+    """dL/dz, written over dy; the gain and bias gradients go to `out`.
 
     The gain and bias gradients, summed per client, are the two halves of
     `out`, (C, 2n): a LayerNorm layer's gradient row, gains then biases.
@@ -335,8 +331,8 @@ def _layernorm_backward(dy, gain, cache, out, t, ws=None):
     xhat, inv = cache
     n = dy.shape[-1]
     t = np.multiply(dy, xhat, out=t)
-    dgain = _sum_batch(t, out[:, :n], ws)
-    dbias = _sum_batch(dy, out[:, n:], ws)
+    _sum_batch(t, out[:, :n], ws)
+    _sum_batch(dy, out[:, n:], ws)
     # dz = inv * (gdy - mean(gdy) - xhat * mean(gdy * xhat)), in place.
     dz = np.multiply(gain, dy, out=dy)
     np.multiply(dz, xhat, out=t)
@@ -345,7 +341,7 @@ def _layernorm_backward(dy, gain, cache, out, t, ws=None):
     dz -= _sum_last(dz) / n
     dz -= t
     np.multiply(inv, dz, out=dz)
-    return dz, dgain, dbias
+    return dz
 
 
 def _tanh_backward(t, dt):
@@ -384,20 +380,19 @@ def _cross_entropy(logits, labels) -> float:
     return float(np.mean(lse - shifted[np.arange(n), labels]))
 
 
-def _cross_entropy_grad(logits, labels, count, valid=None, out=None):
+def _cross_entropy_grad(logits, labels, count, valid, out):
     """Gradient of each client's mean cross-entropy w.r.t. its logits.
 
     logits are (C, B, K) and labels (C, B); `count` is the number of real
     examples per client, a scalar or (C, 1, 1). Padding examples, where
-    `valid` (C, B) is False, get a zero gradient. out, if given, is C order;
-    it may be logits itself.
+    `valid` (C, B) is False, get a zero gradient. out is C order; it may be
+    logits itself.
     """
     p = _softmax(logits, out=out)
     k = p.shape[-1]
     p.reshape(-1)[np.arange(0, p.size, k) + labels.ravel()] -= 1.0
     p /= count
-    if valid is not None:
-        p *= valid[..., None]
+    p *= valid[..., None]
     return p
 
 
@@ -452,7 +447,7 @@ def _mlp_layernorm(spec, rows, x, ws):
         _sum_batch(dlogits, gb2, ws)
         da = _apply(dlogits, w2, z1)  # z1 is dead after the LayerNorm
         dh = _tanh_backward(a, da)
-        dz1 = _layernorm_backward(dh, gain, ln_cache, gln, da, ws)[0]  # da: scratch
+        dz1 = _layernorm_backward(dh, gain, ln_cache, gln, da, ws)  # da: scratch
         _outer(dz1, x, gw1.reshape(-1, d, f))
         _sum_batch(dz1, gb1, ws)
         return grad
@@ -516,7 +511,7 @@ def _tiny_attention(spec, rows, x, ws):
         da1 = _tanh_backward(t, dt)
         _outer(da1, m, gw1.reshape(-1, d, d))
         dm = _apply(da1, w1, dt)  # over dt, then da1 is the scratch
-        dh1 = _layernorm_backward(dm, g2, ln2_cache, gln2, da1, ws)[0]
+        dh1 = _layernorm_backward(dm, g2, ln2_cache, gln2, da1, ws)
         dh1 += dh2  # residual
 
         # attention sub-block backward
@@ -533,7 +528,7 @@ def _tiny_attention(spec, rows, x, ws):
         dk /= np.sqrt(d)
         _outer(u, dqkv, gwqkv.reshape(-1, d, 3 * d))
         du = _apply(dqkv, wqkv.transpose(0, 2, 1), dao)  # over dao
-        dh0 = _layernorm_backward(du, g1, ln1_cache, gln1, da1, ws)[0]
+        dh0 = _layernorm_backward(du, g1, ln1_cache, gln1, da1, ws)
         dh0 += dh1  # residual
         _outer(dh0, x, gwin.reshape(-1, d, f))
         return grad
@@ -549,30 +544,27 @@ _FORWARD = {
 
 
 def cohort_grad(spec: ModelSpec, rows: np.ndarray, inputs: np.ndarray,
-                labels: np.ndarray, count, valid=None,
-                workspace: Workspace | None = None) -> np.ndarray:
+                labels: np.ndarray, count, valid: np.ndarray,
+                ws: Workspace) -> np.ndarray:
     """(C, P) gradients of C clients' mean cross-entropy, unchecked.
 
     rows are the clients' parameters, inputs (C, B, ...) and labels (C, B)
     their minibatches; `count` and `valid` are as in the cross-entropy
     gradient. The caller has validated the data against the model. The
     result is the workspace's "grad" array: the next call into the same
-    workspace overwrites it. Without a workspace the call makes its own.
+    workspace overwrites it.
     """
-    ws = Workspace() if workspace is None else workspace
     out, backward = _FORWARD[spec.kind](spec, rows, inputs, ws)
     return backward(_cross_entropy_grad(out, labels, count, valid, out=out))
 
 
 def evaluate(spec: ModelSpec, params: ParamTree, batch: Batch,
-             workspace: Workspace | None = None) -> tuple[float, float]:
+             ws: Workspace) -> tuple[float, float]:
     """Mean cross-entropy and accuracy from one forward pass, unchecked.
 
     The caller has validated the batch and the parameters' layout against
-    the model. The forward pass writes into the workspace, or into one of
-    its own when none is given.
+    the model. The forward pass writes into the workspace.
     """
-    ws = Workspace() if workspace is None else workspace
     out, _ = _FORWARD[spec.kind](spec, params.flat[None, :], batch.inputs[None], ws)
     pred = np.argmax(out[0], axis=1)
     return _cross_entropy(out[0], batch.labels), float(np.mean(pred == batch.labels))

@@ -15,6 +15,7 @@ zero-initialized layers do not divide by zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -76,6 +77,14 @@ class OptimizerHyper:
     weight_decay: float = 0.0
     trust_clip: float = 0.0  # 0 disables clipping of the trust ratio
 
+    def __post_init__(self):
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"optimizer {name} must be in [0, 1)")
+        for name in ("epsilon", "momentum", "weight_decay", "trust_clip"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"optimizer {name} must be finite and >= 0")
+
 
 @dataclass(frozen=True)
 class OptimizerState:
@@ -87,7 +96,7 @@ class OptimizerState:
 
 
 def init_state(
-    kind: OptimizerKind, template: ParamTree, hyper: OptimizerHyper = OptimizerHyper()
+    kind: OptimizerKind, template: ParamTree, hyper: OptimizerHyper
 ) -> OptimizerState:
     zero = template.with_flat(np.zeros(template.layout.total))
     return OptimizerState(kind, hyper, 0, zero, zero)

@@ -164,13 +164,14 @@ def logits(spec, params, inputs):
 
 def loss(spec, params, batch):
     """Mean cross-entropy over the batch."""
-    return evaluate(spec, params, batch)[0]
+    return evaluate(spec, params, batch, Workspace())[0]
 
 
 def grad(spec, params, batch):
     """Gradient of `loss`: ``cohort_grad`` on a one-row cohort."""
     rows = cohort_grad(spec, params.flat[None, :], batch.inputs[None],
-                       batch.labels[None], batch.size)
+                       batch.labels[None], batch.size,
+                       np.ones((1, batch.size), dtype=bool), Workspace())
     return params.with_flat(rows[0])
 
 
@@ -201,13 +202,12 @@ def softmax(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy_grad(logits, labels, count, valid=None):
+def cross_entropy_grad(logits, labels, count, valid):
     c, b = labels.shape
     p = softmax(logits)
     p[np.arange(c)[:, None], np.arange(b), labels] -= 1.0
     p /= count
-    if valid is not None:
-        p *= valid[..., None]
+    p *= valid[..., None]
     return p
 
 

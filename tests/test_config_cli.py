@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 from reference import layer_norms
 from simtools import linear_model, make_config, small_population
 
+import fldp
 from fldp import accountant, engine, models
 from fldp.cli import main
 from fldp.data import generate_population
@@ -456,12 +460,8 @@ def test_cli_numerics_error_exit_code(tmp_path, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
-def test_nan_noise_level_rejected_before_any_round(tmp_path, capsys, monkeypatch):
-    # `sigma_client > 0` is False for NaN, so an accepted `sigma: .nan`
-    # would train every round without noise.
-    demo = Path(__file__).resolve().parent.parent / "configs" / "demo.yaml"
-    cfg = yaml.safe_load(demo.read_text())
-    cfg["federation"]["privacy"]["sigma"] = math.nan
+def record_rounds(monkeypatch):
+    """The round index of every engine.train_cohort call, in call order."""
     train_cohort = engine.train_cohort
     rounds = []
 
@@ -470,6 +470,16 @@ def test_nan_noise_level_rejected_before_any_round(tmp_path, capsys, monkeypatch
         return train_cohort(*args)
 
     monkeypatch.setattr(engine, "train_cohort", recording_train_cohort)
+    return rounds
+
+
+def test_nan_noise_level_rejected_before_any_round(tmp_path, capsys, monkeypatch):
+    # `sigma_client > 0` is False for NaN, so an accepted `sigma: .nan`
+    # would train every round without noise.
+    demo = Path(__file__).resolve().parent.parent / "configs" / "demo.yaml"
+    cfg = yaml.safe_load(demo.read_text())
+    cfg["federation"]["privacy"]["sigma"] = math.nan
+    rounds = record_rounds(monkeypatch)
     out_dir = tmp_path / "run"
     code = main(["simulate", "--config", str(write_config(tmp_path, cfg)),
                  "--out", str(out_dir)])
@@ -487,14 +497,7 @@ def test_noise_multiplier_too_small_to_account_trains_no_round(
     # trained every round before the accountant failed on it.
     cfg = demo_config()
     cfg["federation"]["privacy"]["sigma"] = 1.0e-170
-    train_cohort = engine.train_cohort
-    rounds = []
-
-    def recording_train_cohort(*args):
-        rounds.append(args[5])
-        return train_cohort(*args)
-
-    monkeypatch.setattr(engine, "train_cohort", recording_train_cohort)
+    rounds = record_rounds(monkeypatch)
     out_dir = tmp_path / "run"
     code = main(["simulate", "--config", str(write_config(tmp_path, cfg)),
                  "--out", str(out_dir)])
@@ -511,11 +514,87 @@ def demo_config():
     return yaml.safe_load(demo.read_text())
 
 
+DEMO_LAYERS = {"w1": 1, "b1": 1, "ln": 1, "w2": 1, "b2": 1}
+
+
+@pytest.mark.parametrize("weights, message", [
+    ({**DEMO_LAYERS, "typo": 7}, "clip weights name unknown layers ['typo']"),
+    ({k: v for k, v in DEMO_LAYERS.items() if k != "ln"},
+     "weighted clipping is missing weights for ['ln']"),
+], ids=["unknown", "missing"])
+def test_clip_weights_checked_against_layout_before_round_one(
+        weights, message, tmp_path, capsys, monkeypatch):
+    cfg = demo_config()
+    cfg["federation"]["clip"] = {"variant": "weighted", "bound": 0.01,
+                                 "weights": weights}
+    rounds = record_rounds(monkeypatch)
+    rc = parse_config_mapping(cfg)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run_simulation(rc.federation, generate_population(rc.population), rc.model)
+    out_dir = tmp_path / "run"
+    code = main(["simulate", "--config", str(write_config(tmp_path, cfg)),
+                 "--out", str(out_dir)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert rounds == []
+    assert not (out_dir / "metrics.jsonl").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", 1.5),
+    ("epsilon", -1.0), ("epsilon", math.inf), ("momentum", -0.5),
+    ("weight_decay", -1e-4), ("weight_decay", math.inf), ("trust_clip", -1.0),
+])
+def test_cli_out_of_range_optimizer_hyper_is_config_error(key, value, tmp_path,
+                                                          capsys):
+    # beta = 1 would divide by zero in the bias correction and surface as a
+    # non-finite probe loss; a negative epsilon or trust_clip ran silently.
+    cfg = demo_config()
+    cfg["federation"]["central"]["hyper"] = {key: value}
+    code = main(["simulate", "--config", str(write_config(tmp_path, cfg)),
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert f"optimizer {key} must be" in capsys.readouterr().err
+
+
+def test_blas_thread_count_leaves_every_artifact_unchanged(tmp_path):
+    # Each run is a fresh interpreter, so OpenBLAS reads its thread count at
+    # start-up; the two runs go one after the other.
+    cfg = demo_config()
+    cfg["federation"]["rounds"] = 4
+    config_path = write_config(tmp_path, cfg)
+    src = Path(fldp.__file__).resolve().parent.parent
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        subprocess.run(
+            [sys.executable, "-m", "fldp.cli", "simulate",
+             "--config", str(config_path), "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == ["final_params.json", "metrics.jsonl", "privacy_report.json",
+                     "run_manifest.json"]
+    for name in names:
+        assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes(), name
+
+
+def readme_section(heading):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return readme.split(f"## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_library_use_block_runs(monkeypatch):
+    block = readme_section("Library use").split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    exec(compile(block, "README.md (Library use)", "exec"), {})
+
+
 def config_format_keys():
     """The backticked words of the README's "Config format" section."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    section = readme.split("## Config format", 1)[1].split("\n## ", 1)[0]
-    return set(re.findall(r"`([^`]+)`", section))
+    return set(re.findall(r"`([^`]+)`", readme_section("Config format")))
 
 
 def mapping_keys(mapping):

@@ -92,7 +92,7 @@ def test_zero_lr_gives_zero_delta():
     population, model, params = setup_local()
     local = LocalConfig(LocalMode.STEPS, count=4, batch_size=4, lr=0.0)
     delta = params.with_flat(train_cohort(
-        params, population, model, local, 0.0, 1, [0], 5)[0])
+        params, population, model, local, 0.0, 1, [0], 5, models.Workspace())[0])
     assert delta == zeros_like(params)
 
 
@@ -104,7 +104,8 @@ def test_single_full_batch_step_is_one_sgd_step():
         LocalMode.STEPS, count=1, batch_size=client.size, lr=eta, clip_bound=INF
     )
     delta = params.with_flat(
-        train_cohort(params, population, model, local, 0.0, 1, [2], 5)[0])
+        train_cohort(params, population, model, local, 0.0, 1, [2], 5,
+                     models.Workspace())[0])
     expected = scale(-eta, grad(model, params, client))
     for (_, a), (_, b) in zip(delta.items(), expected.items()):
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-15)
@@ -117,7 +118,8 @@ def test_local_train_matches_plain_sgd_oracle():
     local = LocalConfig(LocalMode.EPOCHS, count=2, batch_size=4, lr=0.05,
                         clip_bound=0.5)
     delta = params.with_flat(
-        train_cohort(params, population, model, local, 0.0, 7, [1], 13)[0])
+        train_cohort(params, population, model, local, 0.0, 7, [1], 13,
+                     models.Workspace())[0])
 
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence((13, 2, 7, 1)))
@@ -140,7 +142,8 @@ def test_steps_mode_uses_requested_number_of_batches():
         local = LocalConfig(LocalMode.STEPS, count=count, batch_size=4, lr=0.1)
         deltas.append(
             global_norm(params.with_flat(
-                train_cohort(params, population, model, local, 0.0, 1, [0], 5)[0]))
+                train_cohort(params, population, model, local, 0.0, 1, [0], 5,
+                             models.Workspace())[0]))
         )
     assert deltas[1] > deltas[0]
 
@@ -154,7 +157,8 @@ def test_fedprox_zero_is_bitwise_baseline_and_norms_shrink_with_mu():
 
     def run(mu):
         return params.with_flat(
-            train_cohort(params, population, model, local, mu, 2, [3], 21)[0])
+            train_cohort(params, population, model, local, mu, 2, [3], 21,
+                         models.Workspace())[0])
 
     baseline = run(0.0)
     assert run(0.0) == baseline  # deterministic

@@ -18,13 +18,14 @@ from reference import (
 )
 from simtools import linear_model, make_config, small_population
 
-from fldp import models
+from fldp import engine, models
 from fldp.engine import run_simulation
-from fldp.errors import StructureError
+from fldp.errors import ConfigError, StructureError
 from fldp.models import (
     Batch,
     ModelKind,
     ModelSpec,
+    Workspace,
     _cross_entropy_grad,
     _layernorm_backward,
     _layernorm_forward,
@@ -156,7 +157,7 @@ def test_loss_finite_and_shape_mismatch_raises():
     assert math.isfinite(loss(LINEAR, p, b))
     for spec in ALL_SPECS:
         batch = random_batch(spec, rng)
-        check_inputs(spec, batch.inputs, batch.labels)
+        check_inputs(spec, batch.inputs)
     with pytest.raises(StructureError, match=r"inputs must be \(batch, 5\)"):
         check_inputs(LINEAR, rng.normal(size=(4, LINEAR.input_dim + 1)))
     with pytest.raises(StructureError, match=r"inputs must be \(batch, 5\)"):
@@ -179,11 +180,16 @@ def test_empty_batch_rejected():
         Batch(np.zeros((0, 5)), np.zeros(0, dtype=int))
 
 
-def test_label_out_of_range_rejected():
-    x = np.random.default_rng(5).normal(size=(2, 5))
-    check_inputs(LINEAR, x, np.array([0, 3]))
-    with pytest.raises(StructureError, match="label out of range"):
-        check_inputs(LINEAR, x, np.array([0, 4]))
+@pytest.mark.parametrize("model_classes", [2, 4])
+def test_class_count_mismatch_rejected_before_round_one(model_classes, monkeypatch):
+    # The partition holds its labels below its own num_classes; this check
+    # is what ties them to the model's.
+    _, population = small_population(num_classes=3)
+    monkeypatch.setattr(engine, "train_cohort",
+                        lambda *args: pytest.fail("trained a round"))
+    with pytest.raises(ConfigError, match="disagree on num_classes"):
+        run_simulation(make_config(population, num_rounds=1), population,
+                       linear_model(num_classes=model_classes))
 
 
 # -- grad ----------------------------------------------------------------------
@@ -259,7 +265,7 @@ def test_logits_and_accuracy_agree_with_loss_path():
         b = random_batch(spec, rng, n=30)
         lg = logits(spec, p, b.inputs)
         assert lg.shape == (30, spec.num_classes)
-        probe_loss, acc = evaluate(spec, p, b)
+        probe_loss, acc = evaluate(spec, p, b, Workspace())
         assert 0.0 <= acc <= 1.0
         by_hand = float(np.mean(np.argmax(lg, axis=1) == b.labels))
         assert acc == by_hand
@@ -296,7 +302,7 @@ def test_layernorm_forward_equals_var_form_bitwise(case):
     mu = z.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(z.var(axis=-1, keepdims=True) + eps)
     xhat = (z - mu) * inv
-    out, (got_xhat, got_inv) = _layernorm_forward(z, gain, bias, eps)
+    out, (got_xhat, got_inv) = _layernorm_forward(z, gain, bias, eps, Workspace(), "ln")
     assert got_inv.tobytes() == inv.tobytes()
     assert got_xhat.tobytes() == xhat.tobytes()
     assert out.tobytes() == (gain * xhat + bias).tobytes()
@@ -409,12 +415,17 @@ def batch_stacks(draw):
     return rows.reshape(c, *middle, z.shape[-1])
 
 
+def sum_batch(z):
+    """_sum_batch into a new array, so it compares with z.sum bit for bit."""
+    return _sum_batch(z, None, Workspace())
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(z=batch_stacks())
 def test_sum_batch_is_middle_axes_sum_bitwise(z):
     with np.errstate(over="ignore", invalid="ignore"):
         want = z.sum(axis=tuple(range(1, z.ndim - 1)))
-    for got in both_forms(_sum_batch, z):
+    for got in both_forms(sum_batch, z):
         assert_same_bits(got, want)
 
 
@@ -433,7 +444,7 @@ def test_helpers_on_non_contiguous_stacks(shape):
                 view, axis=-1, keepdims=True).tobytes()
             assert _max_last(view[..., :4]).tobytes() == view[..., :4].max(
                 axis=-1, keepdims=True).tobytes()
-            assert _sum_batch(view).tobytes() == view.sum(
+            assert sum_batch(view).tobytes() == view.sum(
                 axis=tuple(range(1, view.ndim - 1))).tobytes()
 
 
@@ -443,7 +454,7 @@ def test_helpers_either_side_of_their_cut_offs(n):
     cuts = {
         _sum_last: models._SUM_ROWS_PER_COLUMN * n,
         _max_last: models._MAX_ROWS_PER_COLUMN * n,
-        _sum_batch: models._BATCH_ROWS,
+        sum_batch: models._BATCH_ROWS,
     }
     for helper, cut in cuts.items():
         for rows in (cut - 1, cut):
@@ -479,7 +490,8 @@ def kernel_stacks(draw):
 @given(case=kernel_stacks())
 def test_softmax_equals_reference_bitwise(case):
     z, _ = case
-    assert _softmax(z).tobytes() == reference.softmax(z).tobytes()
+    got = z.copy()  # in place, as the attention kernel calls it
+    assert _softmax(got, out=got).tobytes() == reference.softmax(z).tobytes()
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -493,8 +505,9 @@ def test_cross_entropy_grad_equals_reference_bitwise(case, padded):
         valid = rng.random((c, b)) < 0.7
         count = np.maximum(valid.sum(axis=1), 1)[:, None, None]
     else:
-        valid, count = None, b
-    got = _cross_entropy_grad(logits, labels, count, valid)
+        valid, count = np.ones((c, b), dtype=bool), b
+    got = logits.copy()  # in place, as cohort_grad calls it
+    _cross_entropy_grad(got, labels, count, valid, out=got)
     want = reference.cross_entropy_grad(logits, labels, count, valid)
     assert got.tobytes() == want.tobytes()
 
@@ -504,11 +517,12 @@ def test_cross_entropy_grad_equals_reference_bitwise(case, padded):
 def test_layernorm_backward_equals_reference_bitwise(case):
     z, rng = case
     gain = rng.normal(size=(z.shape[0],) + (1,) * (z.ndim - 2) + z.shape[-1:])
-    _, cache = _layernorm_forward(z, gain, rng.normal(size=gain.shape), 1e-5)
+    ws, n = Workspace(), z.shape[-1]
+    _, cache = _layernorm_forward(z, gain, rng.normal(size=gain.shape), 1e-5, ws, "ln")
     dy = rng.normal(size=z.shape)
-    out, t = np.empty((z.shape[0], 2 * z.shape[-1])), np.empty_like(dy)
-    got = _layernorm_backward(dy.copy(), gain, cache, out, t)  # dz is written over dy
+    out, t = np.empty((z.shape[0], 2 * n)), np.empty_like(dy)
+    dz = _layernorm_backward(dy.copy(), gain, cache, out, t, ws)  # written over dy
     want = reference.layernorm_backward(dy, gain, cache)
-    for g, w in zip(got, want):
+    for g, w in zip((dz, out[:, :n], out[:, n:]), want):
         assert g.tobytes() == w.tobytes()
 

@@ -90,7 +90,7 @@ def test_schedule_validation():
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
 def test_zero_gradient_is_a_no_op(kind):
     params = small_tree()
-    state = init_state(kind, params)
+    state = init_state(kind, params, OptimizerHyper())
     out, new_state = apply(state, params, zeros_like(params), lr=0.1)
     assert out == params
     assert new_state.step_count == 1
@@ -98,7 +98,7 @@ def test_zero_gradient_is_a_no_op(kind):
 
 def test_sgd_step_with_grad_equal_params():
     params = small_tree()
-    state = init_state(OptimizerKind.SGD, params)
+    state = init_state(OptimizerKind.SGD, params, OptimizerHyper())
     out, _ = apply(state, params, params, lr=0.1)
     for (_, p), (_, o) in zip(params.items(), out.items()):
         np.testing.assert_allclose(o, 0.9 * p, rtol=1e-15)
@@ -139,7 +139,7 @@ def test_lamb_first_step_update_norm_is_lr_times_param_norm():
 def test_lars_trust_ratio_scaling():
     params = ParamTree([("w", [3.0, 4.0])])  # norm 5
     grad = ParamTree([("w", [0.0, 2.0])])  # norm 2 -> ratio 2.5
-    state = init_state(OptimizerKind.LARS, params)
+    state = init_state(OptimizerKind.LARS, params, OptimizerHyper())
     out, _ = apply(state, params, grad, lr=0.1)
     np.testing.assert_allclose(out["w"], [3.0, 4.0 - 0.1 * 2.5 * 2.0], rtol=1e-15)
 
@@ -148,7 +148,7 @@ def test_lars_trust_ratio_scaling():
 def test_trust_ratio_guarded_to_one_on_zero_norms(kind):
     zero_params = ParamTree([("w", [0.0, 0.0])])
     grad = ParamTree([("w", [1.0, 0.0])])
-    state = init_state(kind, zero_params)
+    state = init_state(kind, zero_params, OptimizerHyper())
     out, _ = apply(state, zero_params, grad, lr=0.1)
     assert np.all(np.isfinite(out["w"]))
     assert not np.array_equal(out["w"], zero_params["w"])
@@ -188,7 +188,7 @@ def test_apply_is_pure_and_deterministic():
     params = small_tree(rng)
     grad = params.with_flat(rng.normal(size=params.layout.total))
     for kind in ALL_KINDS:
-        state = init_state(kind, params)
+        state = init_state(kind, params, OptimizerHyper())
         p0 = params.flat.copy()
         out1, s1 = apply(state, params, grad, lr=0.03)
         out2, s2 = apply(state, params, grad, lr=0.03)
@@ -200,7 +200,7 @@ def test_apply_is_pure_and_deterministic():
 
 def test_step_count_increments_by_one():
     params = small_tree()
-    state = init_state(OptimizerKind.ADAM, params)
+    state = init_state(OptimizerKind.ADAM, params, OptimizerHyper())
     for expected in (1, 2, 3):
         params, state = apply(state, params, zeros_like(params), lr=0.1)
         assert state.step_count == expected
