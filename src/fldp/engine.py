@@ -18,8 +18,9 @@ round-start parameters into an (L, P) delta matrix, one row per client in
 ascending id order, and clipping, noising and the per-layer norm statistics
 are row-wise array operations on it. The cohort mean adds the rows one at
 a time in ascending client-id order (``mean_rows``), so it does not depend
-on how the rows were computed. The central optimizer works on the flat
-parameter vector.
+on how the rows were computed. The model crosses rounds as its flat
+parameter vector, which the central optimizer takes and returns; a run
+builds a ``ParamTree`` only for its final parameters.
 
 Local training runs either a fixed number of steps (independently sampled
 minibatches) or a fixed number of epochs (shuffled passes whose last
@@ -120,8 +121,8 @@ class LocalConfig:
             raise ConfigError("local count must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("local batch_size must be >= 1")
-        if self.lr < 0:
-            raise ConfigError("local lr must be >= 0")
+        if not 0.0 <= self.lr < math.inf:
+            raise ConfigError(f"local lr must be finite and >= 0, got {self.lr}")
         if self.clip_bound <= 0:
             raise ConfigError("local clip_bound must be positive (inf disables)")
 
@@ -155,8 +156,9 @@ class FederationConfig:
             raise ConfigError("num_rounds must be >= 0")
         if self.seed < 0:
             raise ConfigError(f"federation seed must be >= 0, got {self.seed}")
-        if self.fedprox_mu < 0:
-            raise ConfigError("fedprox_mu must be >= 0")
+        if not 0.0 <= self.fedprox_mu < math.inf:
+            raise ConfigError(
+                f"fedprox_mu must be finite and >= 0, got {self.fedprox_mu}")
 
 
 @dataclass
@@ -194,7 +196,7 @@ def sample_cohort(
 
 
 def train_cohort(
-    global_params: ParamTree,
+    start: np.ndarray,
     population: ClientPartition,
     model_spec: ModelSpec,
     local: LocalConfig,
@@ -204,14 +206,13 @@ def train_cohort(
     seed: int,
     ws: models.Workspace,
 ) -> np.ndarray:
-    """(L, P) deltas of local SGD on L clients from the same start.
+    """(L, P) deltas of local SGD on L clients from the same start vector.
 
     Rows follow `client_ids`, each a client of `population` with at least
-    one example. The partition must already be validated against the model.
-    The clients' parameters, minibatches and step intermediates live in the
-    workspace; the deltas are a new array.
+    one example. The start vector and the partition must already be
+    validated against the model. The clients' parameters, minibatches and
+    step intermediates live in the workspace; the deltas are a new array.
     """
-    start = global_params.flat
     sizes = population.sizes[client_ids]
     keys = streams.cohort_keys(seed, _STREAM_LOCAL, round_index, client_ids)
     order, index = _draw_minibatches(sizes, local, keys)
@@ -221,7 +222,7 @@ def train_cohort(
     # Padding rows repeat the client's first example with zero weight.
     np.maximum(index, 0, out=index)
     index += population.offsets[client_ids][order, None]
-    clip = ClipSpec(local.clip_bound)
+    clip, layout = ClipSpec(local.clip_bound), model_spec.layout()
     rows = ws.take("rows", (len(client_ids), start.size))
     rows[...] = start
     example = population.inputs.shape[1:]
@@ -239,7 +240,7 @@ def train_cohort(
             prox *= fedprox_mu
             g = np.add(prox, g, out=prox)
         # The gradient rows are dead once clipped: the step goes over them.
-        step = clip_rows(g, global_params.layout, clip, out=g)[0]
+        step = clip_rows(g, layout, clip, out=g)[0]
         head += np.multiply(-local.lr, step, out=step)
     return (rows - start)[np.argsort(order)]
 
@@ -311,15 +312,15 @@ def _build_privacy_report(privacy: PrivacyParams, mask: NoiseMask,
     if privacy.num_steps == 0:
         report.update({"noise_multiplier": 0.0, "epsilon": 0.0, "best_order": None})
         return report
+    if privacy.clip_bound == 0.0:
+        # Every delta is zeroed before release, noised or not; nothing is revealed.
+        report.update({"noise_multiplier": 0.0, "epsilon": 0.0, "best_order": None})
+        return report
     if privacy.sigma == 0.0 or not math.isfinite(privacy.clip_bound):
         # No noise, or unbounded sensitivity: no meaningful guarantee.
         report.update(
             {"noise_multiplier": 0.0, "epsilon": "inf", "best_order": None}
         )
-        return report
-    if privacy.clip_bound == 0.0:
-        # Every delta is zeroed before release; nothing is revealed.
-        report.update({"noise_multiplier": 0.0, "epsilon": 0.0, "best_order": None})
         return report
     z = noise_multiplier(privacy)
     eps, order = accountant.epsilon_for(
@@ -391,9 +392,9 @@ def run_simulation(
         cfg.seed_model
         if cfg.seed_model is not None
         else models.init_params(model_spec, cfg.seed)
-    )
-    layout = params.layout
-    opt_state = init_state(cfg.central.optimizer, params, cfg.central.hyper)
+    ).flat
+    layout = model_spec.layout()
+    opt_state = init_state(cfg.central.optimizer, layout, cfg.central.hyper)
     sigma_client = cfg.privacy.sigma_client
     # Accounted before round 1, so a query the accountant rejects trains nothing.
     report = _build_privacy_report(cfg.privacy, cfg.noise_mask, layout.names,
@@ -427,8 +428,7 @@ def run_simulation(
                 np.stack([mean_rows(clipped), pseudo_grad]), layout).tolist()
 
             # The optimizer descends, so it receives the negated mean delta.
-            params, opt_state = opt_apply(opt_state, params,
-                                          params.with_flat(-pseudo_grad), lr)
+            params, opt_state = opt_apply(opt_state, params, -pseudo_grad, lr)
             preclip_mean = float(np.mean(global_norm_rows(deltas, layout)))
             per_layer = {
                 name: LayerStats(mean=float(col.mean()), std=float(col.std()))
@@ -454,5 +454,5 @@ def run_simulation(
             pseudograd_norm_postnoise=postnoise_norm, per_layer=per_layer,
         ))
 
-    return SimulationResult(params, metrics, report, archives)
+    return SimulationResult(ParamTree(params, layout), metrics, report, archives)
 

@@ -88,6 +88,12 @@ class ModelSpec:
             raise StructureError(f"{self.kind.value} requires hidden_dim >= 1")
         if self.kind == ModelKind.TINY_ATTENTION and self.seq_len < 1:
             raise StructureError("tiny_attention requires seq_len >= 1")
+        if self.kind != ModelKind.TINY_ATTENTION and self.seq_len != 1:
+            raise StructureError(
+                f"seq_len is for tiny_attention only, got {self.seq_len}")
+        if not 0.0 < self.layernorm_epsilon < math.inf:
+            raise StructureError("layernorm_epsilon must be finite and > 0, got "
+                                 f"{self.layernorm_epsilon}")
 
     def layout(self) -> Layout:
         """The shared flat-vector layout: layer names and sizes, in tree order."""
@@ -558,13 +564,13 @@ def cohort_grad(spec: ModelSpec, rows: np.ndarray, inputs: np.ndarray,
     return backward(_cross_entropy_grad(out, labels, count, valid, out=out))
 
 
-def evaluate(spec: ModelSpec, params: ParamTree, batch: Batch,
+def evaluate(spec: ModelSpec, params: np.ndarray, batch: Batch,
              ws: Workspace) -> tuple[float, float]:
     """Mean cross-entropy and accuracy from one forward pass, unchecked.
 
-    The caller has validated the batch and the parameters' layout against
-    the model. The forward pass writes into the workspace.
+    The caller has validated the batch and the flat parameter vector
+    against the model. The forward pass writes into the workspace.
     """
-    out, _ = _FORWARD[spec.kind](spec, params.flat[None, :], batch.inputs[None], ws)
+    out, _ = _FORWARD[spec.kind](spec, params[None, :], batch.inputs[None], ws)
     pred = np.argmax(out[0], axis=1)
     return _cross_entropy(out[0], batch.labels), float(np.mean(pred == batch.labels))

@@ -3,9 +3,9 @@
 The local optimizer in the simulation loop is plain SGD (applied inline by
 the engine); this module provides the central optimizer family (SGD, Adam,
 AdaGrad, LARS, LAMB) plus the constant / exponential-decay / step-decay
-schedules. ``apply`` is a pure function on the flat parameter vector: each
-kind is a whole-vector expression, and it returns fresh parameter and state
-trees without mutating its inputs.
+schedules. ``apply`` is a pure function on flat vectors in the state's
+``Layout``: each kind is a whole-vector expression, and it returns a fresh
+parameter vector and state without mutating its inputs.
 
 LARS and LAMB rescale each layer's update by the trust ratio
 ||theta_layer|| / ||update_layer||, repeated over the layer's entries; a
@@ -21,8 +21,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError
-from .param_tree import Layout, ParamTree
+from .errors import ConfigError, StructureError
+from .param_tree import Layout
 
 
 class ScheduleKind(str, Enum):
@@ -40,8 +40,9 @@ class Schedule:
     transition_steps: int = 1
 
     def __post_init__(self):
-        if self.base_lr <= 0:
-            raise ConfigError("schedule base_lr must be positive")
+        if not 0.0 < self.base_lr < math.inf:
+            raise ConfigError(
+                f"schedule base_lr must be finite and > 0, got {self.base_lr}")
         if not 0 < self.decay_rate <= 1:
             raise ConfigError("schedule decay_rate must be in (0, 1]")
         if self.transition_steps < 1:
@@ -90,16 +91,17 @@ class OptimizerHyper:
 class OptimizerState:
     kind: OptimizerKind
     hyper: OptimizerHyper
+    layout: Layout
     step_count: int
-    first_moment: ParamTree
-    second_moment: ParamTree
+    first_moment: np.ndarray
+    second_moment: np.ndarray
 
 
 def init_state(
-    kind: OptimizerKind, template: ParamTree, hyper: OptimizerHyper
+    kind: OptimizerKind, layout: Layout, hyper: OptimizerHyper
 ) -> OptimizerState:
-    zero = template.with_flat(np.zeros(template.layout.total))
-    return OptimizerState(kind, hyper, 0, zero, zero)
+    zero = np.zeros(layout.total)
+    return OptimizerState(kind, hyper, layout, 0, zero, zero)
 
 
 def _trust_ratios(p: np.ndarray, direction: np.ndarray, layout: Layout,
@@ -116,15 +118,15 @@ def _trust_ratios(p: np.ndarray, direction: np.ndarray, layout: Layout,
 
 
 def apply(
-    state: OptimizerState, params: ParamTree, grad: ParamTree, lr: float
-) -> tuple[ParamTree, OptimizerState]:
-    """One optimizer step; returns (new params, new state)."""
-    params.layout.require_same(grad.layout)
-    params.layout.require_same(state.first_moment.layout)
+    state: OptimizerState, p: np.ndarray, g: np.ndarray, lr: float
+) -> tuple[np.ndarray, OptimizerState]:
+    """One optimizer step on flat vectors; returns (new params, new state)."""
+    if p.shape != (state.layout.total,) or g.shape != p.shape:
+        raise StructureError(f"parameter {p.shape} and gradient {g.shape} vectors "
+                             f"must match a layout of {state.layout.total} values")
     h = state.hyper
     t = state.step_count + 1
-    p, g = params.flat, grad.flat
-    m, v = state.first_moment.flat, state.second_moment.flat
+    m, v = state.first_moment, state.second_moment
 
     if state.kind == OptimizerKind.SGD:
         if h.momentum > 0.0:
@@ -147,11 +149,11 @@ def apply(
             direction = mhat / (np.sqrt(vhat) + h.epsilon)
             if h.weight_decay > 0.0:
                 direction = direction + h.weight_decay * p
-            ratio = _trust_ratios(p, direction, params.layout, h.trust_clip)
+            ratio = _trust_ratios(p, direction, state.layout, h.trust_clip)
             new_p = p - lr * ratio * direction
     elif state.kind == OptimizerKind.LARS:
         direction = g + h.weight_decay * p if h.weight_decay > 0.0 else g
-        ratio = _trust_ratios(p, direction, params.layout, h.trust_clip)
+        ratio = _trust_ratios(p, direction, state.layout, h.trust_clip)
         if h.momentum > 0.0:
             m = h.momentum * m + ratio * direction
             step = m
@@ -161,10 +163,4 @@ def apply(
     else:  # pragma: no cover - enum is exhaustive
         raise ConfigError(f"unknown optimizer kind {state.kind!r}")
 
-    next_state = replace(
-        state,
-        step_count=t,
-        first_moment=params.with_flat(m),
-        second_moment=params.with_flat(v),
-    )
-    return params.with_flat(new_p), next_state
+    return new_p, replace(state, step_count=t, first_moment=m, second_moment=v)

@@ -3,13 +3,13 @@
 A ParamTree is one contiguous read-only float64 vector plus a shared
 static Layout: the ordered layer names and the offset and size of each
 layer in the vector. Layers are read-only slice views of the vector, and
-``Layout.require_same`` is the one check that two vectors line up. Inside the
+``Layout.require_same`` is the one check that two layouts line up. Inside the
 library all arithmetic acts on flat vectors, and a stack of L congruent
 vectors (a cohort's client deltas) is an (L, P) matrix whose rows share the
-layout. A tree only carries a vector with its layout: the parameters and
-optimizer moments between rounds, the initial and seed models and JSON
-output. Trees are immutable values: the vector is marked read-only, so
-trees can be shared freely.
+layout. A tree only carries a vector with its layout at a run's two
+edges: the initial and seed models going in, the final parameters and
+their JSON coming out. Trees are immutable values: the vector is marked
+read-only, so trees can be shared freely.
 
 Norms are computed row-wise over such a stack: the per-layer sums of
 squares are one ``np.add.reduceat`` over the squared rows, and a row's

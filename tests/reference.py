@@ -164,7 +164,7 @@ def logits(spec, params, inputs):
 
 def loss(spec, params, batch):
     """Mean cross-entropy over the batch."""
-    return evaluate(spec, params, batch, Workspace())[0]
+    return evaluate(spec, params.flat, batch, Workspace())[0]
 
 
 def grad(spec, params, batch):

@@ -385,7 +385,7 @@ def test_criterion_10_fedprox_shrinks_deltas():
         def mean_delta_norm(mu):
             return float(np.mean([
                 global_norm(params.with_flat(train_cohort(
-                    params, population, model, local,
+                    params.flat, population, model, local,
                     mu, round_index, [cid], seed, models.Workspace(),
                 )[0]))
                 for cid in cohort
@@ -397,7 +397,7 @@ def test_criterion_10_fedprox_shrinks_deltas():
         # mu = 0 must take exactly the plain local-SGD path.
         client = client_batches(population)[2]
         baseline = params.with_flat(train_cohort(
-            params, population, model, local, 0.0, round_index, [2], seed,
+            params.flat, population, model, local, 0.0, round_index, [2], seed,
             models.Workspace())[0])
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence((seed, 2, round_index, 2)))

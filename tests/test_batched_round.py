@@ -32,6 +32,7 @@ from fldp.dp import FULL_MASK, NoiseMask
 from fldp.engine import LocalMode, run_simulation
 from fldp.models import ModelKind, ModelSpec
 from fldp.optimizers import OptimizerKind
+from fldp.param_tree import ParamTree
 
 RTOL = 1e-12
 
@@ -139,7 +140,7 @@ def test_batched_round_matches_per_client_reference(case, monkeypatch):
     apply = engine.opt_apply
 
     def recording_apply(state, params, grad, lr):
-        seen.append((params, grad))
+        seen.append((ParamTree(params, state.layout), ParamTree(grad, state.layout)))
         return apply(state, params, grad, lr)
 
     monkeypatch.setattr(engine, "opt_apply", recording_apply)

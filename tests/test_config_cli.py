@@ -27,6 +27,7 @@ from fldp.config import (
 )
 from fldp.engine import run_simulation
 from fldp.errors import ConfigError, StructureError
+from fldp.optimizers import Schedule
 from fldp.param_tree import ParamTree
 from fldp.telemetry import (
     SCHEMA_KEYS,
@@ -512,6 +513,58 @@ def test_noise_multiplier_too_small_to_account_trains_no_round(
 def demo_config():
     demo = Path(__file__).resolve().parent.parent / "configs" / "demo.yaml"
     return yaml.safe_load(demo.read_text())
+
+
+# Each value trained and then failed with exit 3 (seq_len ran to exit 0);
+# each is rejected when the config is parsed.
+UNTRAINABLE_VALUES = {
+    "layernorm-epsilon-negative": (
+        ("model", "layernorm_epsilon"), -1,
+        "layernorm_epsilon must be finite and > 0, got -1.0"),
+    "local-lr-inf": (("federation", "local", "lr"), math.inf,
+                     "local lr must be finite and >= 0, got inf"),
+    "fedprox-mu-inf": (("federation", "fedprox_mu"), math.inf,
+                       "fedprox_mu must be finite and >= 0, got inf"),
+    "base-lr-inf": (("federation", "central", "schedule", "base_lr"), math.inf,
+                    "schedule base_lr must be finite and > 0, got inf"),
+    "seq-len-without-attention": (
+        ("model", "seq_len"), 5,
+        "seq_len is for tiny_attention only, got 5"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNTRAINABLE_VALUES))
+def test_untrainable_value_is_config_error_before_any_round(
+        case, tmp_path, capsys, monkeypatch):
+    (*path, key), value, message = UNTRAINABLE_VALUES[case]
+    cfg = demo_config()
+    section = cfg
+    for name in path:
+        section = section[name]
+    section[key] = value
+    rounds = record_rounds(monkeypatch)
+    out_dir = tmp_path / "run"
+    code = main(["simulate", "--config", str(write_config(tmp_path, cfg)),
+                 "--out", str(out_dir)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert rounds == []
+    assert not (out_dir / "metrics.jsonl").exists()
+
+
+def test_nan_training_values_rejected_by_library_configs():
+    # The parser rejects NaN first; the dataclasses reject it on their own.
+    nan = math.nan
+    with pytest.raises(StructureError, match="layernorm_epsilon"):
+        models.ModelSpec(models.ModelKind.MLP_LAYERNORM, input_dim=2,
+                         num_classes=2, hidden_dim=2, layernorm_epsilon=nan)
+    with pytest.raises(ConfigError, match="local lr"):
+        engine.LocalConfig(lr=nan)
+    with pytest.raises(ConfigError, match="base_lr"):
+        Schedule(nan)
+    _, pop = small_population()
+    with pytest.raises(ConfigError, match="fedprox_mu"):
+        make_config(pop, fedprox_mu=nan)
 
 
 DEMO_LAYERS = {"w1": 1, "b1": 1, "ln": 1, "w2": 1, "b2": 1}

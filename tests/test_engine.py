@@ -92,7 +92,7 @@ def test_zero_lr_gives_zero_delta():
     population, model, params = setup_local()
     local = LocalConfig(LocalMode.STEPS, count=4, batch_size=4, lr=0.0)
     delta = params.with_flat(train_cohort(
-        params, population, model, local, 0.0, 1, [0], 5, models.Workspace())[0])
+        params.flat, population, model, local, 0.0, 1, [0], 5, models.Workspace())[0])
     assert delta == zeros_like(params)
 
 
@@ -104,7 +104,7 @@ def test_single_full_batch_step_is_one_sgd_step():
         LocalMode.STEPS, count=1, batch_size=client.size, lr=eta, clip_bound=INF
     )
     delta = params.with_flat(
-        train_cohort(params, population, model, local, 0.0, 1, [2], 5,
+        train_cohort(params.flat, population, model, local, 0.0, 1, [2], 5,
                      models.Workspace())[0])
     expected = scale(-eta, grad(model, params, client))
     for (_, a), (_, b) in zip(delta.items(), expected.items()):
@@ -118,7 +118,7 @@ def test_local_train_matches_plain_sgd_oracle():
     local = LocalConfig(LocalMode.EPOCHS, count=2, batch_size=4, lr=0.05,
                         clip_bound=0.5)
     delta = params.with_flat(
-        train_cohort(params, population, model, local, 0.0, 7, [1], 13,
+        train_cohort(params.flat, population, model, local, 0.0, 7, [1], 13,
                      models.Workspace())[0])
 
     rng = np.random.Generator(
@@ -142,7 +142,7 @@ def test_steps_mode_uses_requested_number_of_batches():
         local = LocalConfig(LocalMode.STEPS, count=count, batch_size=4, lr=0.1)
         deltas.append(
             global_norm(params.with_flat(
-                train_cohort(params, population, model, local, 0.0, 1, [0], 5,
+                train_cohort(params.flat, population, model, local, 0.0, 1, [0], 5,
                              models.Workspace())[0]))
         )
     assert deltas[1] > deltas[0]
@@ -157,7 +157,7 @@ def test_fedprox_zero_is_bitwise_baseline_and_norms_shrink_with_mu():
 
     def run(mu):
         return params.with_flat(
-            train_cohort(params, population, model, local, mu, 2, [3], 21,
+            train_cohort(params.flat, population, model, local, mu, 2, [3], 21,
                          models.Workspace())[0])
 
     baseline = run(0.0)
@@ -328,6 +328,38 @@ def test_zero_noise_pre_and_post_norms_equal():
     for m in result.metrics:
         assert m.pseudograd_norm_prenoise == m.pseudograd_norm_postnoise
     assert result.privacy_report["epsilon"] == "inf"
+
+
+@pytest.mark.parametrize("sigma_client", [0.0, 1e-3])
+def test_zero_clip_bound_reports_zero_epsilon_whatever_the_noise(sigma_client):
+    # Every delta is clipped to zero, so the released mean reveals nothing.
+    _, population = small_population()
+    model = linear_model()
+    cfg = make_config(population, num_rounds=2, clip_bound=0.0,
+                      sigma_client=sigma_client)
+    result = run_simulation(cfg, population, model)
+    assert all(m.pseudograd_norm_prenoise == 0.0 for m in result.metrics)
+    assert result.privacy_report["epsilon"] == 0.0
+    assert result.privacy_report["best_order"] is None
+
+
+def test_run_builds_only_the_initial_and_final_trees(monkeypatch):
+    # The round loop carries the flat vector: no tree between rounds.
+    _, population = small_population()
+    model = linear_model()
+    cfg = make_config(population, num_rounds=5, optimizer=OptimizerKind.LAMB)
+    built = []
+    init = ParamTree.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ParamTree, "__init__", counting_init)
+    result = run_simulation(cfg, population, model)
+    assert len(result.metrics) == 5
+    assert len(built) == 2
+    assert built[-1] is result.final_params
 
 
 def test_privacy_report_uses_exact_parameters():

@@ -265,7 +265,7 @@ def test_logits_and_accuracy_agree_with_loss_path():
         b = random_batch(spec, rng, n=30)
         lg = logits(spec, p, b.inputs)
         assert lg.shape == (30, spec.num_classes)
-        probe_loss, acc = evaluate(spec, p, b, Workspace())
+        probe_loss, acc = evaluate(spec, p.flat, b, Workspace())
         assert 0.0 <= acc <= 1.0
         by_hand = float(np.mean(np.argmax(lg, axis=1) == b.labels))
         assert acc == by_hand

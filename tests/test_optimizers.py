@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import layer_norms, sub, zeros_like
 
-from fldp.errors import ConfigError
+from fldp.errors import ConfigError, StructureError
 from fldp.optimizers import (
     OptimizerHyper,
     OptimizerKind,
@@ -29,6 +29,12 @@ FIG2_SCHEDULE = Schedule(
     decay_rate=0.6,
     transition_steps=500,
 )
+
+
+def tree_apply(state, params, grad, lr):
+    """``apply`` on the trees' vectors; the new parameters come back as a tree."""
+    new_params, new_state = apply(state, params.flat, grad.flat, lr)
+    return params.with_flat(new_params), new_state
 
 
 def small_tree(rng=None, scale=1.0):
@@ -90,16 +96,16 @@ def test_schedule_validation():
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
 def test_zero_gradient_is_a_no_op(kind):
     params = small_tree()
-    state = init_state(kind, params, OptimizerHyper())
-    out, new_state = apply(state, params, zeros_like(params), lr=0.1)
+    state = init_state(kind, params.layout, OptimizerHyper())
+    out, new_state = tree_apply(state, params, zeros_like(params), lr=0.1)
     assert out == params
     assert new_state.step_count == 1
 
 
 def test_sgd_step_with_grad_equal_params():
     params = small_tree()
-    state = init_state(OptimizerKind.SGD, params, OptimizerHyper())
-    out, _ = apply(state, params, params, lr=0.1)
+    state = init_state(OptimizerKind.SGD, params.layout, OptimizerHyper())
+    out, _ = tree_apply(state, params, params, lr=0.1)
     for (_, p), (_, o) in zip(params.items(), out.items()):
         np.testing.assert_allclose(o, 0.9 * p, rtol=1e-15)
 
@@ -110,16 +116,16 @@ def test_adam_first_step_hand_computed():
     params = ParamTree([("x", [1.0])])
     grad = ParamTree([("x", [2.0])])
     hyper = OptimizerHyper(epsilon=1e-8)
-    state = init_state(OptimizerKind.ADAM, params, hyper)
-    out, _ = apply(state, params, grad, lr=0.01)
+    state = init_state(OptimizerKind.ADAM, params.layout, hyper)
+    out, _ = tree_apply(state, params, grad, lr=0.01)
     assert out["x"][0] == pytest.approx(1.0 - 0.01, rel=1e-8)
 
 
 def test_adagrad_first_step():
     params = ParamTree([("x", [1.0])])
     grad = ParamTree([("x", [3.0])])
-    state = init_state(OptimizerKind.ADAGRAD, params, OptimizerHyper(epsilon=0.0))
-    out, _ = apply(state, params, grad, lr=0.5)
+    state = init_state(OptimizerKind.ADAGRAD, params.layout, OptimizerHyper(epsilon=0.0))
+    out, _ = tree_apply(state, params, grad, lr=0.5)
     # accumulator = 9, update = lr * 3 / 3 = lr
     assert out["x"][0] == pytest.approx(0.5)
 
@@ -128,9 +134,9 @@ def test_lamb_first_step_update_norm_is_lr_times_param_norm():
     rng = np.random.default_rng(7)
     params = small_tree(rng)
     grad = params.with_flat(rng.normal(size=params.layout.total))
-    state = init_state(OptimizerKind.LAMB, params, OptimizerHyper(epsilon=1e-12))
+    state = init_state(OptimizerKind.LAMB, params.layout, OptimizerHyper(epsilon=1e-12))
     lr = 0.02
-    out, _ = apply(state, params, grad, lr=lr)
+    out, _ = tree_apply(state, params, grad, lr=lr)
     update_norms = layer_norms(sub(params, out))
     for name, pn in layer_norms(params).items():
         assert update_norms[name] == pytest.approx(lr * pn, rel=1e-6)
@@ -139,8 +145,8 @@ def test_lamb_first_step_update_norm_is_lr_times_param_norm():
 def test_lars_trust_ratio_scaling():
     params = ParamTree([("w", [3.0, 4.0])])  # norm 5
     grad = ParamTree([("w", [0.0, 2.0])])  # norm 2 -> ratio 2.5
-    state = init_state(OptimizerKind.LARS, params, OptimizerHyper())
-    out, _ = apply(state, params, grad, lr=0.1)
+    state = init_state(OptimizerKind.LARS, params.layout, OptimizerHyper())
+    out, _ = tree_apply(state, params, grad, lr=0.1)
     np.testing.assert_allclose(out["w"], [3.0, 4.0 - 0.1 * 2.5 * 2.0], rtol=1e-15)
 
 
@@ -148,8 +154,8 @@ def test_lars_trust_ratio_scaling():
 def test_trust_ratio_guarded_to_one_on_zero_norms(kind):
     zero_params = ParamTree([("w", [0.0, 0.0])])
     grad = ParamTree([("w", [1.0, 0.0])])
-    state = init_state(kind, zero_params, OptimizerHyper())
-    out, _ = apply(state, zero_params, grad, lr=0.1)
+    state = init_state(kind, zero_params.layout, OptimizerHyper())
+    out, _ = tree_apply(state, zero_params, grad, lr=0.1)
     assert np.all(np.isfinite(out["w"]))
     assert not np.array_equal(out["w"], zero_params["w"])
 
@@ -162,8 +168,9 @@ def test_lamb_first_step_scale_equivariance_per_layer():
     grad = params.with_flat(rng.normal(size=params.layout.total))
     scaled = ParamTree([("w", 100.0 * grad["w"]), ("b", grad["b"])])
     hyper = OptimizerHyper(epsilon=1e-15)
-    out1, _ = apply(init_state(OptimizerKind.LAMB, params, hyper), params, grad, 0.05)
-    out2, _ = apply(init_state(OptimizerKind.LAMB, params, hyper), params, scaled, 0.05)
+    state = init_state(OptimizerKind.LAMB, params.layout, hyper)
+    out1, _ = tree_apply(state, params, grad, 0.05)
+    out2, _ = tree_apply(state, params, scaled, 0.05)
     np.testing.assert_allclose(out1["w"], out2["w"], rtol=1e-9)
     np.testing.assert_allclose(out1["b"], out2["b"], rtol=1e-15)
 
@@ -174,10 +181,10 @@ def test_adam_update_magnitude_bounded():
     bound = 0.01 * (1 - hyper.beta1) / np.sqrt(1 - hyper.beta2) * (1 + 1e-9)
     rng = np.random.default_rng(13)
     params = small_tree(rng)
-    state = init_state(OptimizerKind.ADAM, params, hyper)
+    state = init_state(OptimizerKind.ADAM, params.layout, hyper)
     for _ in range(200):
         grad = params.with_flat(rng.uniform(-10.0, 10.0, size=params.layout.total))
-        new_params, state = apply(state, params, grad, lr=0.01)
+        new_params, state = tree_apply(state, params, grad, lr=0.01)
         step = sub(params, new_params)
         assert np.max(np.abs(step.flat)) <= bound
         params = new_params
@@ -188,22 +195,34 @@ def test_apply_is_pure_and_deterministic():
     params = small_tree(rng)
     grad = params.with_flat(rng.normal(size=params.layout.total))
     for kind in ALL_KINDS:
-        state = init_state(kind, params, OptimizerHyper())
+        state = init_state(kind, params.layout, OptimizerHyper())
         p0 = params.flat.copy()
-        out1, s1 = apply(state, params, grad, lr=0.03)
-        out2, s2 = apply(state, params, grad, lr=0.03)
+        out1, s1 = tree_apply(state, params, grad, lr=0.03)
+        out2, s2 = tree_apply(state, params, grad, lr=0.03)
         assert out1 == out2
-        assert s1.first_moment == s2.first_moment
-        assert s1.second_moment == s2.second_moment
+        assert np.array_equal(s1.first_moment, s2.first_moment)
+        assert np.array_equal(s1.second_moment, s2.second_moment)
         assert np.array_equal(params.flat, p0)
 
 
 def test_step_count_increments_by_one():
     params = small_tree()
-    state = init_state(OptimizerKind.ADAM, params, OptimizerHyper())
+    state = init_state(OptimizerKind.ADAM, params.layout, OptimizerHyper())
     for expected in (1, 2, 3):
-        params, state = apply(state, params, zeros_like(params), lr=0.1)
+        params, state = tree_apply(state, params, zeros_like(params), lr=0.1)
         assert state.step_count == expected
+
+
+@pytest.mark.parametrize("which", ["params", "grad"])
+@pytest.mark.parametrize("size", [7, 9])
+def test_apply_rejects_a_vector_off_the_layout(which, size):
+    params = small_tree()
+    state = init_state(OptimizerKind.ADAM, params.layout, OptimizerHyper())
+    vectors = {"params": params.flat, "grad": np.zeros(params.layout.total)}
+    vectors[which] = np.zeros(size)
+    with pytest.raises(StructureError, match="layout of 8 values"):
+        apply(state, vectors["params"], vectors["grad"], 0.1)
+    assert state.step_count == 0
 
 
 # -- the flat step against the per-layer reference -------------------------------
@@ -223,9 +242,10 @@ def reference_apply(state, params, grad, lr):
     h = state.hyper
     t = state.step_count + 1
     new_params, new_m, new_v = [], [], []
-    for (name, p), (_, g), (_, m), (_, v) in zip(
-        params.items(), grad.items(), state.first_moment.items(),
-        state.second_moment.items(),
+    for (name, p), (_, g), m, v in zip(
+        params.items(), grad.items(),
+        (state.first_moment[s] for s in state.layout.slices),
+        (state.second_moment[s] for s in state.layout.slices),
     ):
         if state.kind == OptimizerKind.SGD:
             if h.momentum > 0.0:
@@ -274,8 +294,8 @@ def reference_apply(state, params, grad, lr):
     def tree(arrays):
         return ParamTree(zip(params.names, arrays))
 
-    return tree(new_params), replace(state, step_count=t, first_moment=tree(new_m),
-                                     second_moment=tree(new_v))
+    return tree(new_params), replace(state, step_count=t, first_moment=tree(new_m).flat,
+                                     second_moment=tree(new_v).flat)
 
 
 _ENTRIES = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False)
@@ -307,13 +327,14 @@ def test_apply_equals_per_layer_reference_bitwise(
     params = draw_tree()
     hyper = OptimizerHyper(momentum=momentum, weight_decay=weight_decay,
                            trust_clip=trust_clip)
-    state = want_state = init_state(kind, params, hyper)
+    state = want_state = init_state(kind, params.layout, hyper)
     want = params
     for _ in range(3):
         grad = draw_tree()
-        params, state = apply(state, params, grad, lr)
+        params, state = tree_apply(state, params, grad, lr)
         want, want_state = reference_apply(want_state, want, grad, lr)
-        for got, ref in ((params, want), (state.first_moment, want_state.first_moment),
+        for got, ref in ((params.flat, want.flat),
+                         (state.first_moment, want_state.first_moment),
                          (state.second_moment, want_state.second_moment)):
-            assert got.flat.tobytes() == ref.flat.tobytes()
+            assert got.tobytes() == ref.tobytes()
         assert state.step_count == want_state.step_count

@@ -68,8 +68,8 @@ def cohort(spec, clients, seed):
 
 def probe(spec, seed):
     rng = np.random.default_rng(seed)
-    params = init_params(spec, seed)
-    params = params.with_flat(params.flat + 0.3 * rng.normal(size=params.flat.size))
+    params = init_params(spec, seed).flat
+    params = params + 0.3 * rng.normal(size=params.size)
     inputs = rng.normal(size=(40, *example_shape(spec)))
     return params, Batch(inputs, rng.integers(0, spec.num_classes, size=40))
 
