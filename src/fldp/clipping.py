@@ -28,7 +28,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .errors import ConfigError
-from .param_tree import Layout, global_norm_rows, layer_norm_rows
+from .param_tree import Layout, norm_rows
 
 
 class ClipVariant(str, Enum):
@@ -52,12 +52,12 @@ class ClipSpec:
     weights: Optional[Mapping[str, float]] = None
 
     def __post_init__(self):
-        if self.bound < 0:
+        if not self.bound >= 0:
             raise ConfigError("clip bound must be >= 0")
         if self.variant == ClipVariant.PER_LAYER_WEIGHTED:
             if not self.weights:
                 raise ConfigError("weighted clipping requires per-layer weights")
-            if any(w <= 0 for w in self.weights.values()):
+            if any(not w > 0 for w in self.weights.values()):
                 raise ConfigError("clip weights must be positive")
         elif self.weights is not None:
             raise ConfigError(
@@ -117,12 +117,11 @@ def clip_rows(
     if spec.variant == ClipVariant.GLOBAL:
         if math.isinf(spec.bound):
             return rows, np.ones((rows.shape[0], num_layers))
-        per_row = _factors(global_norm_rows(rows, layout), spec.bound)
+        per_row = _factors(norm_rows(rows, layout)[1], spec.bound)
         factors = np.repeat(per_row[:, None], num_layers, axis=1)
         scale = per_row[:, None]
     else:
-        factors = _factors(layer_norm_rows(rows, layout),
-                           bound_vector(spec, layout))
+        factors = _factors(norm_rows(rows, layout)[0], bound_vector(spec, layout))
         scale = np.repeat(factors, layout.sizes, axis=1)
     if np.all(factors == 1.0):
         return rows, factors

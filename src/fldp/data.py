@@ -134,6 +134,8 @@ class PopulationSpec:
             object.__setattr__(self, "noise_level", levels)
         if not np.isfinite(self.noise_level).all():
             raise ConfigError(f"noise_level must be finite, got {self.noise_level}")
+        if np.any(np.asarray(self.noise_level) < 0):  # a standard deviation
+            raise ConfigError(f"noise_level must be >= 0, got {self.noise_level}")
         if self.class_priors is not None:
             priors = tuple(float(p) for p in self.class_priors)
             total = sum(priors)

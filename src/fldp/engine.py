@@ -66,7 +66,7 @@ from .optimizers import (
     init_state,
     lr_at,
 )
-from .param_tree import ParamTree, global_norm_rows, layer_norm_rows, mean_rows
+from .param_tree import ParamTree, mean_rows, norm_rows
 from .telemetry import LayerStats, RoundMetrics
 
 logger = logging.getLogger(__name__)
@@ -123,7 +123,7 @@ class LocalConfig:
             raise ConfigError("local batch_size must be >= 1")
         if not 0.0 <= self.lr < math.inf:
             raise ConfigError(f"local lr must be finite and >= 0, got {self.lr}")
-        if self.clip_bound <= 0:
+        if not self.clip_bound > 0:
             raise ConfigError("local clip_bound must be positive (inf disables)")
 
 
@@ -162,21 +162,10 @@ class FederationConfig:
 
 
 @dataclass
-class RoundArchive:
-    """A round's raw and clipped (L, P) deltas, one row per cohort id (test mode)."""
-
-    round_index: int
-    cohort_ids: list[int]
-    deltas: np.ndarray
-    clipped: np.ndarray
-
-
-@dataclass
 class SimulationResult:
     final_params: ParamTree
     metrics: list[RoundMetrics]
     privacy_report: dict
-    archives: Optional[list[RoundArchive]] = None
 
 
 def sample_cohort(
@@ -384,7 +373,6 @@ def run_simulation(
     cfg: FederationConfig,
     population: ClientPartition,
     model_spec: ModelSpec,
-    archive_deltas: bool = False,
 ) -> SimulationResult:
     """Run the configured number of rounds; fully deterministic in cfg.seed."""
     _validate(cfg, population, model_spec)
@@ -403,7 +391,6 @@ def run_simulation(
     # Local training and the probe write their intermediates here, so after
     # the first rounds they reuse the same memory.
     workspace = models.Workspace()
-    archives: Optional[list[RoundArchive]] = [] if archive_deltas else None
 
     for t in range(1, cfg.num_rounds + 1):
         sampled = sample_cohort(population.num_clients, cfg.cohort, t, cfg.seed)
@@ -424,18 +411,17 @@ def run_simulation(
                     streams.cohort_keys(cfg.seed, _STREAM_NOISE, t, cohort),
                 )
             pseudo_grad = mean_rows(noised)
-            prenoise_norm, postnoise_norm = global_norm_rows(
-                np.stack([mean_rows(clipped), pseudo_grad]), layout).tolist()
+            prenoise_norm, postnoise_norm = norm_rows(
+                np.stack([mean_rows(clipped), pseudo_grad]), layout)[1].tolist()
 
             # The optimizer descends, so it receives the negated mean delta.
             params, opt_state = opt_apply(opt_state, params, -pseudo_grad, lr)
-            preclip_mean = float(np.mean(global_norm_rows(deltas, layout)))
+            layer_norms, row_norms = norm_rows(deltas, layout)
+            preclip_mean = float(np.mean(row_norms))
             per_layer = {
                 name: LayerStats(mean=float(col.mean()), std=float(col.std()))
-                for name, col in zip(layout.names, layer_norm_rows(deltas, layout).T)
+                for name, col in zip(layout.names, layer_norms.T)
             }
-            if archive_deltas:
-                archives.append(RoundArchive(t, list(cohort), deltas, clipped))
         else:
             logger.warning("round %d: empty cohort, skipping update", t)
             preclip_mean = prenoise_norm = postnoise_norm = 0.0
@@ -454,5 +440,5 @@ def run_simulation(
             pseudograd_norm_postnoise=postnoise_norm, per_layer=per_layer,
         ))
 
-    return SimulationResult(ParamTree(params, layout), metrics, report, archives)
+    return SimulationResult(ParamTree(params, layout), metrics, report)
 

@@ -146,10 +146,6 @@ class Batch:
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "labels", labels)
 
-    @property
-    def size(self) -> int:
-        return int(self.labels.shape[0])
-
 
 def init_params(spec: ModelSpec, seed: int) -> ParamTree:
     """Deterministic init: weights ~ N(0, 1/fan_in), LN gains 1, biases 0."""

@@ -11,11 +11,11 @@ edges: the initial and seed models going in, the final parameters and
 their JSON coming out. Trees are immutable values: the vector is marked
 read-only, so trees can be shared freely.
 
-Norms are computed row-wise over such a stack: the per-layer sums of
-squares are one ``np.add.reduceat`` over the squared rows, and a row's
-whole-vector sum is the sum of its layer sums in layer order. A single
-vector is a one-row stack, so its norms are bit for bit those of the same
-row in any larger stack.
+``norm_rows`` computes a stack's per-layer and whole-row norms together,
+from one sum of squares: the per-layer sums are one ``np.add.reduceat``
+over the squared rows, and a row's whole-vector sum is the sum of its
+layer sums in layer order. A single vector is a one-row stack, so its
+norms are bit for bit those of the same row in any larger stack.
 """
 
 from __future__ import annotations
@@ -128,10 +128,6 @@ class ParamTree:
     def items(self) -> Iterator[tuple[str, np.ndarray]]:
         return zip(self.layout.names, (self.flat[s] for s in self.layout.slices))
 
-    def with_flat(self, flat: np.ndarray) -> "ParamTree":
-        """New tree with this tree's layout and the given flat vector."""
-        return ParamTree(flat, self.layout)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ParamTree):
             return NotImplemented
@@ -206,29 +202,18 @@ def _rescaled_norm(values: np.ndarray, sum_sq: float) -> float:
     return peak * float(np.sqrt(np.dot(scaled, scaled)))
 
 
-def _layer_sum_sq(rows: np.ndarray, layout: Layout) -> np.ndarray:
-    return np.add.reduceat(rows * rows, layout.starts, axis=1)
-
-
-def layer_norm_rows(rows: np.ndarray, layout: Layout) -> np.ndarray:
-    """(L, K) per-layer L2 norms of the L rows of an (L, P) stack."""
-    sum_sq = _layer_sum_sq(rows, layout)
-    norms = np.sqrt(sum_sq)
-    for i, k in zip(*np.nonzero(_needs_rescue(sum_sq))):
-        norms[i, k] = _rescaled_norm(rows[i, layout.slices[k]], sum_sq[i, k])
-    return norms
-
-
-def global_norm_rows(rows: np.ndarray, layout: Layout) -> np.ndarray:
-    """(L,) whole-row L2 norms of an (L, P) stack."""
-    layer_sq = _layer_sum_sq(rows, layout)
-    sum_sq = layer_sq[:, 0].copy()
+def norm_rows(rows: np.ndarray, layout: Layout) -> tuple[np.ndarray, np.ndarray]:
+    """(L, K) per-layer and (L,) whole-row L2 norms of an (L, P) stack."""
+    layer_sq = np.add.reduceat(rows * rows, layout.starts, axis=1)
+    row_sq = layer_sq[:, 0].copy()
     for k in range(1, layer_sq.shape[1]):
-        sum_sq += layer_sq[:, k]
-    norms = np.sqrt(sum_sq)
-    for i in np.nonzero(_needs_rescue(sum_sq))[0]:
-        norms[i] = _rescaled_norm(rows[i], sum_sq[i])
-    return norms
+        row_sq += layer_sq[:, k]
+    layer_norms, row_norms = np.sqrt(layer_sq), np.sqrt(row_sq)
+    for i, k in zip(*np.nonzero(_needs_rescue(layer_sq))):
+        layer_norms[i, k] = _rescaled_norm(rows[i, layout.slices[k]], layer_sq[i, k])
+    for i in np.nonzero(_needs_rescue(row_sq))[0]:
+        row_norms[i] = _rescaled_norm(rows[i], row_sq[i])
+    return layer_norms, row_norms
 
 
 def mean_rows(rows: Sequence[np.ndarray]) -> np.ndarray:

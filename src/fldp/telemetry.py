@@ -128,6 +128,9 @@ def read_metrics(path: str | Path) -> list[RoundMetrics]:
             for key, tp in _HINTS[RoundMetrics].items():
                 _require(obj[key], tp, where, repr(key))
             record = RoundMetrics(**{key: obj[key] for key in SCHEMA_KEYS})
+            if record.cohort_size != len(record.cohort_ids):
+                raise ConfigError(f"{where}: cohort_size {record.cohort_size} is not "
+                                  f"the number of cohort_ids ({len(record.cohort_ids)})")
             for name in records[0].per_layer if records else ():
                 if name not in record.per_layer:
                     raise ConfigError(f"{where}: per_layer lacks layer {name!r}")

@@ -24,46 +24,47 @@ from fldp.data import (
 )
 from fldp.dp import FULL_MASK, add_noise_rows
 from fldp.models import _FORWARD, Workspace, cohort_grad, evaluate
-from fldp.param_tree import global_norm_rows, layer_norm_rows, mean_rows
+from fldp.param_tree import ParamTree, mean_rows, norm_rows
 from fldp.streams import generator
 
 _STREAM_SHUFFLE = 16  # iid_shuffle's stream tag, apart from every fldp tag
 
 
 def global_norm(tree):
-    return float(global_norm_rows(tree.flat[None, :], tree.layout)[0])
+    return float(norm_rows(tree.flat[None, :], tree.layout)[1][0])
 
 
 def layer_norms(tree):
-    norms = layer_norm_rows(tree.flat[None, :], tree.layout)[0]
+    norms = norm_rows(tree.flat[None, :], tree.layout)[0][0]
     return {n: float(v) for n, v in zip(tree.names, norms)}
 
 
 def axpy(alpha, x, y):
     x.layout.require_same(y.layout)
-    return x.with_flat(alpha * x.flat + y.flat)
+    return ParamTree(alpha * x.flat + y.flat, x.layout)
 
 
 def sub(x, y):
     x.layout.require_same(y.layout)
-    return x.with_flat(x.flat - y.flat)
+    return ParamTree(x.flat - y.flat, x.layout)
 
 
 def scale(alpha, x):
-    return x.with_flat(alpha * x.flat)
+    return ParamTree(alpha * x.flat, x.layout)
 
 
 def zeros_like(x):
-    return x.with_flat(np.zeros(x.layout.total))
+    return ParamTree(np.zeros(x.layout.total), x.layout)
 
 
 def tree_mean(trees):
     """Arithmetic mean, reduced in list order."""
-    return trees[0].with_flat(mean_rows([t.flat for t in trees]))
+    return ParamTree(mean_rows([t.flat for t in trees]), trees[0].layout)
 
 
 def clip_tree(tree, spec):
-    return tree.with_flat(clip_rows(tree.flat[None, :], tree.layout, spec)[0][0])
+    clipped = clip_rows(tree.flat[None, :], tree.layout, spec)[0]
+    return ParamTree(clipped[0], tree.layout)
 
 
 def add_noise(delta, sigma_client, mask=FULL_MASK, seed=0):
@@ -74,7 +75,7 @@ def add_noise(delta, sigma_client, mask=FULL_MASK, seed=0):
     key = np.random.Philox(seed).state["state"]["key"]
     noised = add_noise_rows(delta.flat[None, :], delta.layout, sigma_client,
                             mask, key[None, :])
-    return delta.with_flat(noised[0])
+    return ParamTree(noised[0], delta.layout)
 
 
 def take(batch, idx):
@@ -91,7 +92,7 @@ def client_batches(partition):
 def partition_from_batches(batches, probe, num_classes):
     """The flat partition of per-client batches, None marking an empty client."""
     held = [b for b in batches if b is not None]
-    sizes = [0 if b is None else b.size for b in batches]
+    sizes = [0 if b is None else b.labels.size for b in batches]
     return ClientPartition(
         np.concatenate([probe.inputs[:0]] + [b.inputs for b in held]),
         np.concatenate([probe.labels[:0]] + [b.labels for b in held]),
@@ -170,9 +171,9 @@ def loss(spec, params, batch):
 def grad(spec, params, batch):
     """Gradient of `loss`: ``cohort_grad`` on a one-row cohort."""
     rows = cohort_grad(spec, params.flat[None, :], batch.inputs[None],
-                       batch.labels[None], batch.size,
-                       np.ones((1, batch.size), dtype=bool), Workspace())
-    return params.with_flat(rows[0])
+                       batch.labels[None], batch.labels.size,
+                       np.ones((1, batch.labels.size), dtype=bool), Workspace())
+    return ParamTree(rows[0], params.layout)
 
 
 def finite_diff_grad(spec, params, batch, h=1e-5):
@@ -188,12 +189,12 @@ def finite_diff_grad(spec, params, batch, h=1e-5):
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + h
-        lp = loss(spec, params.with_flat(flat), batch)
+        lp = loss(spec, ParamTree(flat, params.layout), batch)
         flat[i] = orig - h
-        lm = loss(spec, params.with_flat(flat), batch)
+        lm = loss(spec, ParamTree(flat, params.layout), batch)
         flat[i] = orig
         g[i] = (lp - lm) / (2.0 * h)
-    return params.with_flat(g)
+    return ParamTree(g, params.layout)
 
 
 def softmax(z):

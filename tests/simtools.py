@@ -1,7 +1,12 @@
 """Shared builders for engine and acceptance tests."""
 
 import math
+from dataclasses import dataclass
+from typing import Optional
 
+import numpy as np
+
+from fldp import engine
 from fldp.clipping import ClipSpec, ClipVariant
 from fldp.data import CountSpec, PopulationSpec, generate_population
 from fldp.dp import FULL_MASK, PrivacyParams, SigmaKind
@@ -102,3 +107,39 @@ def make_config(
 
 
 INF = math.inf
+
+
+@dataclass
+class RecordedRound:
+    """A trained round's cohort and its raw and clipped (L, P) deltas."""
+
+    round_index: int
+    cohort_ids: list[int]
+    deltas: np.ndarray
+    clipped: Optional[np.ndarray] = None
+
+
+def record_rounds(monkeypatch):
+    """Every trained round of the runs that follow, in call order.
+
+    Wraps ``engine.train_cohort`` for the round, cohort and deltas, and
+    ``engine.clip_rows`` for the clip of those deltas; the local-SGD clips
+    inside ``train_cohort`` see other rows and are skipped.
+    """
+    train_cohort, clip_rows = engine.train_cohort, engine.clip_rows
+    rounds = []
+
+    def recording_train_cohort(*args):
+        deltas = train_cohort(*args)
+        rounds.append(RecordedRound(args[5], list(args[6]), deltas))
+        return deltas
+
+    def recording_clip_rows(rows, *args, **kwargs):
+        clipped, factors = clip_rows(rows, *args, **kwargs)
+        if rounds and rows is rounds[-1].deltas:
+            rounds[-1].clipped = clipped
+        return clipped, factors
+
+    monkeypatch.setattr(engine, "train_cohort", recording_train_cohort)
+    monkeypatch.setattr(engine, "clip_rows", recording_clip_rows)
+    return rounds

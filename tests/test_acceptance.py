@@ -27,7 +27,7 @@ from reference import (
     sub,
     take,
 )
-from simtools import INF, linear_model, make_config, small_population
+from simtools import INF, linear_model, make_config, record_rounds, small_population
 
 import fldp
 from fldp import models
@@ -160,7 +160,8 @@ def test_criterion_5_gradient_correctness():
         for spec in specs:
             for _ in range(20):
                 base = models.init_params(spec, int(rng.integers(0, 2**31)))
-                params = base.with_flat(rng.normal(scale=0.5, size=base.layout.total))
+                params = ParamTree(rng.normal(scale=0.5, size=base.layout.total),
+                                   base.layout)
                 n = int(rng.integers(2, 7))
                 if spec.kind == ModelKind.TINY_ATTENTION:
                     x = rng.normal(size=(n, spec.seq_len, spec.input_dim))
@@ -180,7 +181,7 @@ def test_criterion_5_gradient_correctness():
         assert time.monotonic() - start < 60.0
 
 
-def test_criterion_6_fedsgd_matches_centralized_gd():
+def test_criterion_6_fedsgd_matches_centralized_gd(monkeypatch):
     with criterion(6, "FedSGD trajectory equals centralized gradient descent "
                       "to 1e-9 over 50 rounds"):
         _, population = small_population(num_clients=6, count=10, seed=3)
@@ -192,15 +193,17 @@ def test_criterion_6_fedsgd_matches_centralized_gd():
             local_lr=eta, local_clip=INF, clip_bound=INF, sigma_client=0.0,
             optimizer=OptimizerKind.SGD, central_lr=1.0,
         )
-        result = run_simulation(cfg, population, model, archive_deltas=True)
+        rounds = record_rounds(monkeypatch)
+        result = run_simulation(cfg, population, model)
 
         # Central SGD at lr 1 adds the mean delta, so the round-t parameters
-        # are exactly the running sum of the archived aggregates.
+        # are exactly the running sum of the recorded aggregates.
         full = Batch(population.inputs, population.labels)
         fl_params = models.init_params(model, cfg.seed)
         gd_params = fl_params
-        for archive in result.archives:
-            fl_params = fl_params.with_flat(fl_params.flat + mean_rows(archive.deltas))
+        for recorded in rounds:
+            fl_params = ParamTree(fl_params.flat + mean_rows(recorded.deltas),
+                                  fl_params.layout)
             gd_params = axpy(-eta, grad(model, gd_params, full), gd_params)
             for (_, a), (_, b) in zip(fl_params.items(), gd_params.items()):
                 np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
@@ -384,10 +387,10 @@ def test_criterion_10_fedprox_shrinks_deltas():
 
         def mean_delta_norm(mu):
             return float(np.mean([
-                global_norm(params.with_flat(train_cohort(
+                global_norm(ParamTree(train_cohort(
                     params.flat, population, model, local,
                     mu, round_index, [cid], seed, models.Workspace(),
-                )[0]))
+                )[0], params.layout))
                 for cid in cohort
             ]))
 
@@ -396,16 +399,16 @@ def test_criterion_10_fedprox_shrinks_deltas():
 
         # mu = 0 must take exactly the plain local-SGD path.
         client = client_batches(population)[2]
-        baseline = params.with_flat(train_cohort(
+        baseline = ParamTree(train_cohort(
             params.flat, population, model, local, 0.0, round_index, [2], seed,
-            models.Workspace())[0])
+            models.Workspace())[0], params.layout)
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence((seed, 2, round_index, 2)))
         )
         theta = params
         for _ in range(local.count):
-            order = rng.permutation(client.size)
-            for lo in range(0, client.size, local.batch_size):
+            order = rng.permutation(client.labels.size)
+            for lo in range(0, client.labels.size, local.batch_size):
                 batch = take(client, order[lo: lo + local.batch_size])
                 g = clip_tree(grad(model, theta, batch),
                               ClipSpec(local.clip_bound))
@@ -413,7 +416,7 @@ def test_criterion_10_fedprox_shrinks_deltas():
         assert baseline == sub(theta, params)
 
 
-def test_criterion_11_telemetry_matches_archived_deltas():
+def test_criterion_11_telemetry_matches_archived_deltas(monkeypatch):
     with criterion(11, "per-layer telemetry recomputed from archived deltas "
                        "matches emitted statistics to 1e-9"):
         _, population = small_population(num_clients=14, count=10)
@@ -421,13 +424,14 @@ def test_criterion_11_telemetry_matches_archived_deltas():
         cfg = make_config(population, num_rounds=6, cohort_size=7,
                           sigma_client=2e-4, clip_bound=0.05,
                           clip_variant=ClipVariant.PER_LAYER_UNIFORM)
-        result = run_simulation(cfg, population, model, archive_deltas=True)
+        rounds = record_rounds(monkeypatch)
+        result = run_simulation(cfg, population, model)
         layout = result.final_params.layout
 
         # Per-round statistics against a direct recomputation.
-        for metric, archive in zip(result.metrics, result.archives):
+        for metric, recorded in zip(result.metrics, rounds):
             norms = {name: [] for name in result.final_params.names}
-            for row in archive.deltas:
+            for row in recorded.deltas:
                 for name, value in layer_norms(ParamTree(row, layout)).items():
                     norms[name].append(value)
             for name, values in norms.items():
@@ -441,8 +445,8 @@ def test_criterion_11_telemetry_matches_archived_deltas():
         # Pooled across rounds and clients (the per-layer figure analog).
         summary = summarize_records(result.metrics)
         pooled = {name: [] for name in result.final_params.names}
-        for archive in result.archives:
-            for row in archive.deltas:
+        for recorded in rounds:
+            for row in recorded.deltas:
                 for name, value in layer_norms(ParamTree(row, layout)).items():
                     pooled[name].append(value)
         for name, values in pooled.items():

@@ -23,7 +23,7 @@ from reference import (
     take,
     tree_mean,
 )
-from simtools import make_config
+from simtools import make_config, record_rounds
 
 from fldp import engine
 from fldp.clipping import ClipSpec, ClipVariant
@@ -43,7 +43,7 @@ def reference_local_train(global_params, client_data, model_spec, local,
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence((seed, 2, round_index, client_id)))
     )
-    n = client_data.size
+    n = client_data.labels.size
     params = global_params
 
     def one_step(batch, params):
@@ -144,16 +144,18 @@ def test_batched_round_matches_per_client_reference(case, monkeypatch):
         return apply(state, params, grad, lr)
 
     monkeypatch.setattr(engine, "opt_apply", recording_apply)
-    result = run_simulation(cfg, population, model, archive_deltas=True)
+    rounds = record_rounds(monkeypatch)
+    run_simulation(cfg, population, model)
 
-    assert len(seen) == len(result.archives) == cfg.num_rounds
+    assert len(seen) == len(rounds) == cfg.num_rounds
     covered, any_clipped = set(), False
-    for (start, neg_mean), archive in zip(seen, result.archives):
-        t = archive.round_index
+    for (start, neg_mean), recorded in zip(seen, rounds):
+        t = recorded.round_index
         noised = []
-        for cid, delta, clipped in zip(archive.cohort_ids, archive.deltas,
-                                       archive.clipped):
-            delta, clipped = start.with_flat(delta), start.with_flat(clipped)
+        for cid, delta, clipped in zip(recorded.cohort_ids, recorded.deltas,
+                                       recorded.clipped):
+            delta = ParamTree(delta, start.layout)
+            clipped = ParamTree(clipped, start.layout)
             data = batches[cid]
             covered.add(sizes[cid] < cfg.local.batch_size)
             want = reference_local_train(start, data, model, cfg.local, mu, t,

@@ -13,11 +13,12 @@ import yaml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference import layer_norms
-from simtools import linear_model, make_config, small_population
+from simtools import linear_model, make_config, record_rounds, small_population
 
 import fldp
 from fldp import accountant, engine, models
 from fldp.cli import main
+from fldp.clipping import ClipSpec, ClipVariant
 from fldp.data import generate_population
 from fldp.config import (
     build_manifest,
@@ -295,7 +296,7 @@ def run_small(num_rounds=4, **kwargs):
     _, population = small_population()
     model = linear_model()
     cfg = make_config(population, num_rounds=num_rounds, **kwargs)
-    return run_simulation(cfg, population, model, archive_deltas=True), model
+    return run_simulation(cfg, population, model), model
 
 
 def test_metrics_schema_and_round_trip(tmp_path):
@@ -365,15 +366,16 @@ def test_two_identical_rounds_pool_to_zero_extra_variance():
                                              rel=1e-9, abs=1e-15)
 
 
-def test_summary_matches_scalar_recomputation_from_archives():
+def test_summary_matches_scalar_recomputation_from_archives(monkeypatch):
     # Pool per-layer norms over every (client, round) pair by brute force and
     # compare with the streaming summary built from per-round statistics.
+    rounds = record_rounds(monkeypatch)
     result, _ = run_small(num_rounds=5, sigma_client=1e-4)
     summary = summarize_records(result.metrics)
     pooled = {}
     layout = result.final_params.layout
-    for archive in result.archives:
-        for row in archive.deltas:
+    for recorded in rounds:
+        for row in recorded.deltas:
             for name, norm in layer_norms(ParamTree(row, layout)).items():
                 pooled.setdefault(name, []).append(norm)
     for name, values in pooled.items():
@@ -459,19 +461,6 @@ def test_cli_numerics_error_exit_code(tmp_path, capsys):
                      str(tmp_path / "x")])
     assert code == 3
     assert "numerical error" in capsys.readouterr().err
-
-
-def record_rounds(monkeypatch):
-    """The round index of every engine.train_cohort call, in call order."""
-    train_cohort = engine.train_cohort
-    rounds = []
-
-    def recording_train_cohort(*args):
-        rounds.append(args[5])
-        return train_cohort(*args)
-
-    monkeypatch.setattr(engine, "train_cohort", recording_train_cohort)
-    return rounds
 
 
 def test_nan_noise_level_rejected_before_any_round(tmp_path, capsys, monkeypatch):
@@ -565,6 +554,13 @@ def test_nan_training_values_rejected_by_library_configs():
     _, pop = small_population()
     with pytest.raises(ConfigError, match="fedprox_mu"):
         make_config(pop, fedprox_mu=nan)
+    # The clip checks: a NaN local clip trained round 1, then failed.
+    with pytest.raises(ConfigError, match="local clip_bound"):
+        make_config(pop, local_clip=nan)
+    with pytest.raises(ConfigError, match="clip bound"):
+        ClipSpec(nan)
+    with pytest.raises(ConfigError, match="clip weights"):
+        ClipSpec(1.0, ClipVariant.PER_LAYER_WEIGHTED, {"w": 1.0, "b": nan})
 
 
 DEMO_LAYERS = {"w1": 1, "b1": 1, "ln": 1, "w2": 1, "b2": 1}
@@ -770,6 +766,19 @@ def test_cli_non_finite_population_parameter_is_config_error(case, tmp_path, cap
     cfg["population"][key] = value
     assert simulate_code(tmp_path, cfg) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "run" / "run_manifest.json").exists()
+
+
+@pytest.mark.parametrize("value, shown", [
+    (-0.6, "-0.6"), ([-0.6] * 4, "(-0.6, -0.6, -0.6, -0.6)"),
+    ([0.5, 0.5, -0.6, 0.5], "(0.5, 0.5, -0.6, 0.5)"),
+], ids=["scalar", "per-dimension", "one-entry"])
+def test_cli_negative_noise_level_is_config_error(value, shown, tmp_path, capsys):
+    # A negative standard deviation used to parse and train.
+    cfg = minimal_config()
+    cfg["population"]["noise_level"] = value
+    assert simulate_code(tmp_path, cfg) == 2
+    assert f"noise_level must be >= 0, got {shown}" in capsys.readouterr().err
     assert not (tmp_path / "run" / "run_manifest.json").exists()
 
 
@@ -1107,8 +1116,12 @@ def test_cli_summarize_inconsistent_records_is_config_error(
     (None, "loss", math.nan, "'loss' must be finite, got nan"),
     (None, "lr", math.inf, "'lr' must be finite, got inf"),
     ("w", "mean", -math.inf, "layer 'w' 'mean' must be finite, got -inf"),
+    # The summary weights a round by cohort_size; the writer writes len(cohort_ids).
+    (None, "cohort_size", 3, "cohort_size 3 is not the number of cohort_ids (4)"),
+    (None, "cohort_size", 5, "cohort_size 5 is not the number of cohort_ids (4)"),
 ], ids=["per_layer", "std", "cohort_size", "loss", "accuracy", "negative-cohort_size",
-        "negative-std", "nan-loss", "inf-lr", "negative-inf-mean"])
+        "negative-std", "nan-loss", "inf-lr", "negative-inf-mean",
+        "cohort_size-below-ids", "cohort_size-above-ids"])
 def test_cli_summarize_wrong_value_type_is_config_error(
         layer, key, value, message, tmp_path, capsys):
     result, _ = run_small(num_rounds=3)

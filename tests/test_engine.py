@@ -17,7 +17,7 @@ from reference import (
     tree_mean,
     zeros_like,
 )
-from simtools import INF, linear_model, make_config, small_population
+from simtools import INF, linear_model, make_config, record_rounds, small_population
 
 from fldp import accountant, models
 from fldp.clipping import ClipSpec, ClipVariant
@@ -91,8 +91,9 @@ def setup_local():
 def test_zero_lr_gives_zero_delta():
     population, model, params = setup_local()
     local = LocalConfig(LocalMode.STEPS, count=4, batch_size=4, lr=0.0)
-    delta = params.with_flat(train_cohort(
-        params.flat, population, model, local, 0.0, 1, [0], 5, models.Workspace())[0])
+    delta = ParamTree(train_cohort(
+        params.flat, population, model, local, 0.0, 1, [0], 5, models.Workspace())[0],
+        params.layout)
     assert delta == zeros_like(params)
 
 
@@ -101,11 +102,11 @@ def test_single_full_batch_step_is_one_sgd_step():
     client = client_batches(population)[2]
     eta = 0.07
     local = LocalConfig(
-        LocalMode.STEPS, count=1, batch_size=client.size, lr=eta, clip_bound=INF
+        LocalMode.STEPS, count=1, batch_size=client.labels.size, lr=eta, clip_bound=INF
     )
-    delta = params.with_flat(
+    delta = ParamTree(
         train_cohort(params.flat, population, model, local, 0.0, 1, [2], 5,
-                     models.Workspace())[0])
+                     models.Workspace())[0], params.layout)
     expected = scale(-eta, grad(model, params, client))
     for (_, a), (_, b) in zip(delta.items(), expected.items()):
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-15)
@@ -117,17 +118,17 @@ def test_local_train_matches_plain_sgd_oracle():
     client = client_batches(population)[1]
     local = LocalConfig(LocalMode.EPOCHS, count=2, batch_size=4, lr=0.05,
                         clip_bound=0.5)
-    delta = params.with_flat(
+    delta = ParamTree(
         train_cohort(params.flat, population, model, local, 0.0, 7, [1], 13,
-                     models.Workspace())[0])
+                     models.Workspace())[0], params.layout)
 
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence((13, 2, 7, 1)))
     )
     theta = params
     for _ in range(2):
-        order = rng.permutation(client.size)
-        for start in range(0, client.size, 4):
+        order = rng.permutation(client.labels.size)
+        for start in range(0, client.labels.size, 4):
             batch = take(client, order[start : start + 4])
             g = clip_tree(grad(model, theta, batch), ClipSpec(0.5))
             theta = axpy(-0.05, g, theta)
@@ -141,9 +142,9 @@ def test_steps_mode_uses_requested_number_of_batches():
     for count in (1, 3):
         local = LocalConfig(LocalMode.STEPS, count=count, batch_size=4, lr=0.1)
         deltas.append(
-            global_norm(params.with_flat(
+            global_norm(ParamTree(
                 train_cohort(params.flat, population, model, local, 0.0, 1, [0], 5,
-                             models.Workspace())[0]))
+                             models.Workspace())[0], params.layout))
         )
     assert deltas[1] > deltas[0]
 
@@ -156,9 +157,9 @@ def test_fedprox_zero_is_bitwise_baseline_and_norms_shrink_with_mu():
                         clip_bound=INF)
 
     def run(mu):
-        return params.with_flat(
+        return ParamTree(
             train_cohort(params.flat, population, model, local, mu, 2, [3], 21,
-                         models.Workspace())[0])
+                         models.Workspace())[0], params.layout)
 
     baseline = run(0.0)
     assert run(0.0) == baseline  # deterministic
@@ -285,37 +286,39 @@ def test_fedsgd_equivalence_with_centralized_gd():
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
 
-def test_noised_mean_matches_clip_then_noise_oracle():
-    # Recompute every round's noised mean from the archived raw deltas:
+def test_noised_mean_matches_clip_then_noise_oracle(monkeypatch):
+    # Recompute every round's noised mean from the recorded raw deltas:
     # clip first, then noise from the client's own (seed, 3, round, client)
     # stream. Pins the order and the noise streams in the code that runs.
     _, population = small_population(num_clients=10)
     model = linear_model()
     cfg = make_config(population, num_rounds=4, cohort_size=5, sigma_client=1e-3,
                       clip_bound=0.05, clip_variant=ClipVariant.PER_LAYER_UNIFORM)
-    result = run_simulation(cfg, population, model, archive_deltas=True)
+    rounds = record_rounds(monkeypatch)
+    result = run_simulation(cfg, population, model)
     layout = result.final_params.layout
-    for archive, m in zip(result.archives, result.metrics):
+    for recorded, m in zip(rounds, result.metrics):
         noised = [
             add_noise(clip_tree(ParamTree(d, layout), cfg.clip),
                       cfg.privacy.sigma_client, cfg.noise_mask,
-                      np.random.SeedSequence((cfg.seed, 3, archive.round_index, cid)))
-            for cid, d in zip(archive.cohort_ids, archive.deltas)
+                      np.random.SeedSequence((cfg.seed, 3, recorded.round_index, cid)))
+            for cid, d in zip(recorded.cohort_ids, recorded.deltas)
         ]
         assert global_norm(tree_mean(noised)) == m.pseudograd_norm_postnoise
         assert m.pseudograd_norm_postnoise != m.pseudograd_norm_prenoise
 
 
-def test_post_clip_norm_bounded_every_round():
+def test_post_clip_norm_bounded_every_round(monkeypatch):
     _, population = small_population()
     model = linear_model()
     bound = 0.02
     cfg = make_config(population, num_rounds=4, clip_bound=bound, local_lr=0.5,
                       sigma_client=1e-3)
-    result = run_simulation(cfg, population, model, archive_deltas=True)
+    rounds = record_rounds(monkeypatch)
+    result = run_simulation(cfg, population, model)
     layout = result.final_params.layout
-    for archive in result.archives:
-        for row in archive.clipped:
+    for recorded in rounds:
+        for row in recorded.clipped:
             clipped = ParamTree(row, layout)
             assert global_norm(clipped) <= bound * (1 + 1e-12)
 
@@ -483,7 +486,7 @@ def test_empty_round_with_non_finite_probe_loss_names_the_probe_stage():
     _, population = small_population()
     model = linear_model()
     params = models.init_params(model, 0)
-    huge = params.with_flat(np.resize([1e308, -1e308], params.layout.total))
+    huge = ParamTree(np.resize([1e308, -1e308], params.layout.total), params.layout)
     cfg = make_config(population, num_rounds=1, cohort_rate=0.1, seed=4,
                       seed_model=huge)
     assert sample_cohort(population.num_clients, cfg.cohort, 1, cfg.seed) == []

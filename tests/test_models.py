@@ -37,6 +37,7 @@ from fldp.models import (
     evaluate,
     init_params,
 )
+from fldp.param_tree import ParamTree
 
 LINEAR = ModelSpec(ModelKind.LINEAR_SOFTMAX, input_dim=5, num_classes=4)
 MLP = ModelSpec(ModelKind.MLP_LAYERNORM, input_dim=5, num_classes=3, hidden_dim=6)
@@ -57,7 +58,7 @@ def random_batch(spec, rng, n=8):
 
 def random_params(spec, rng):
     base = init_params(spec, seed=int(rng.integers(0, 2**31)))
-    return base.with_flat(rng.normal(scale=0.5, size=base.layout.total))
+    return ParamTree(rng.normal(scale=0.5, size=base.layout.total), base.layout)
 
 
 def max_rel_error(a, b):
@@ -126,7 +127,7 @@ def test_loss_permutation_invariant():
     for spec in ALL_SPECS:
         p = random_params(spec, rng)
         b = random_batch(spec, rng, n=9)
-        perm = rng.permutation(b.size)
+        perm = rng.permutation(b.labels.size)
         assert loss(spec, p, take(b, perm)) == pytest.approx(
             loss(spec, p, b), rel=1e-12
         )
@@ -140,14 +141,14 @@ def test_linear_softmax_loss_matches_scalar_reimplementation():
     b = random_batch(LINEAR, rng, n=5)
     w = p["w"].reshape(LINEAR.num_classes, LINEAR.input_dim)
     total = 0.0
-    for i in range(b.size):
+    for i in range(b.labels.size):
         scores = [
             sum(w[c][j] * b.inputs[i][j] for j in range(LINEAR.input_dim)) + p["b"][c]
             for c in range(LINEAR.num_classes)
         ]
         z = sum(math.exp(s) for s in scores)
         total += -math.log(math.exp(scores[b.labels[i]]) / z)
-    assert loss(LINEAR, p, b) == pytest.approx(total / b.size, rel=1e-12)
+    assert loss(LINEAR, p, b) == pytest.approx(total / b.labels.size, rel=1e-12)
 
 
 def test_loss_finite_and_shape_mismatch_raises():
@@ -201,9 +202,9 @@ def test_linear_softmax_grad_closed_form_at_zero():
     b = random_batch(LINEAR, rng, n=7)
     g = grad(LINEAR, p, b)
     k, f = LINEAR.num_classes, LINEAR.input_dim
-    probs = np.full((b.size, k), 1.0 / k)
+    probs = np.full((b.labels.size, k), 1.0 / k)
     onehot = np.eye(k)[b.labels]
-    expect_w = (probs - onehot).T @ b.inputs / b.size
+    expect_w = (probs - onehot).T @ b.inputs / b.labels.size
     expect_b = (probs - onehot).mean(axis=0)
     np.testing.assert_allclose(g["w"].reshape(k, f), expect_w, atol=1e-14)
     np.testing.assert_allclose(g["b"], expect_b, atol=1e-14)
@@ -225,7 +226,7 @@ def test_grad_matches_finite_differences(spec):
 def test_finite_diff_close_to_analytic_at_small_params():
     rng = np.random.default_rng(8)
     base = init_params(LINEAR, 1)
-    p = base.with_flat(rng.normal(scale=1e-2, size=base.layout.total))
+    p = ParamTree(rng.normal(scale=1e-2, size=base.layout.total), base.layout)
     b = random_batch(LINEAR, rng, n=6)
     fd = finite_diff_grad(LINEAR, p, b, h=1e-5)
     g = grad(LINEAR, p, b)

@@ -34,7 +34,7 @@ FIG2_SCHEDULE = Schedule(
 def tree_apply(state, params, grad, lr):
     """``apply`` on the trees' vectors; the new parameters come back as a tree."""
     new_params, new_state = apply(state, params.flat, grad.flat, lr)
-    return params.with_flat(new_params), new_state
+    return ParamTree(new_params, params.layout), new_state
 
 
 def small_tree(rng=None, scale=1.0):
@@ -133,7 +133,7 @@ def test_adagrad_first_step():
 def test_lamb_first_step_update_norm_is_lr_times_param_norm():
     rng = np.random.default_rng(7)
     params = small_tree(rng)
-    grad = params.with_flat(rng.normal(size=params.layout.total))
+    grad = ParamTree(rng.normal(size=params.layout.total), params.layout)
     state = init_state(OptimizerKind.LAMB, params.layout, OptimizerHyper(epsilon=1e-12))
     lr = 0.02
     out, _ = tree_apply(state, params, grad, lr=lr)
@@ -165,7 +165,7 @@ def test_lamb_first_step_scale_equivariance_per_layer():
     # first-step update unchanged (trust normalization at zero moments).
     rng = np.random.default_rng(11)
     params = small_tree(rng)
-    grad = params.with_flat(rng.normal(size=params.layout.total))
+    grad = ParamTree(rng.normal(size=params.layout.total), params.layout)
     scaled = ParamTree([("w", 100.0 * grad["w"]), ("b", grad["b"])])
     hyper = OptimizerHyper(epsilon=1e-15)
     state = init_state(OptimizerKind.LAMB, params.layout, hyper)
@@ -183,7 +183,8 @@ def test_adam_update_magnitude_bounded():
     params = small_tree(rng)
     state = init_state(OptimizerKind.ADAM, params.layout, hyper)
     for _ in range(200):
-        grad = params.with_flat(rng.uniform(-10.0, 10.0, size=params.layout.total))
+        grad = ParamTree(rng.uniform(-10.0, 10.0, size=params.layout.total),
+                         params.layout)
         new_params, state = tree_apply(state, params, grad, lr=0.01)
         step = sub(params, new_params)
         assert np.max(np.abs(step.flat)) <= bound
@@ -193,7 +194,7 @@ def test_adam_update_magnitude_bounded():
 def test_apply_is_pure_and_deterministic():
     rng = np.random.default_rng(17)
     params = small_tree(rng)
-    grad = params.with_flat(rng.normal(size=params.layout.total))
+    grad = ParamTree(rng.normal(size=params.layout.total), params.layout)
     for kind in ALL_KINDS:
         state = init_state(kind, params.layout, OptimizerHyper())
         p0 = params.flat.copy()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from reference import axpy, global_norm, layer_norms, scale, sub, tree_mean, zeros_like
 
 from fldp.errors import StructureError
-from fldp.param_tree import Layout, ParamTree
+from fldp.param_tree import Layout, ParamTree, norm_rows
 
 
 def random_tree(rng, num_layers=3, max_dim=17):
@@ -83,10 +83,51 @@ def test_norm_decomposition_identity_fuzzed():
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
 
 
+# Each row is ordinary, all tiny (squares underflow) or all huge (squares
+# overflow), or mixes the three entry by entry.
+ROW_SCALES = {"ordinary": [1.0], "tiny": [1e-170], "huge": [1e200],
+              "mixed": [1.0, 1e-170, 1e200]}
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=st.data(), sizes=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+       kinds=st.lists(st.sampled_from(sorted(ROW_SCALES)), min_size=1, max_size=5))
+def test_norm_rows_of_a_stack_are_those_of_each_row(data, sizes, kinds):
+    layout = Layout.of(tuple(f"l{i}" for i in range(len(sizes))), tuple(sizes))
+    rows = np.array([
+        [data.draw(st.floats(-2.0, 2.0)) * data.draw(st.sampled_from(ROW_SCALES[kind]))
+         for _ in range(layout.total)]
+        for kind in kinds
+    ])
+    with np.errstate(over="ignore"):  # huge rows overflow their squares
+        layer_norms, row_norms = norm_rows(rows, layout)
+        one_rows = [norm_rows(rows[i:i + 1], layout) for i in range(len(rows))]
+        layer_sqs = np.add.reduceat(rows * rows, layout.starts, axis=1).tolist()
+    assert layer_norms.shape == (len(kinds), len(sizes))
+    assert row_norms.shape == (len(kinds),)
+    for i, (row, (one_layer, one_row), layer_sq) in enumerate(
+            zip(rows, one_rows, layer_sqs)):
+        assert layer_norms[i].tobytes() == one_layer[0].tobytes()
+        assert row_norms[i].tobytes() == one_row[0].tobytes()
+        # Unrescued norms are the square roots of the plain sums of squares,
+        # the row's sum adding the layer sums in layer order.
+        row_sq = 0.0
+        for value in layer_sq:
+            row_sq += value
+        for k, value in enumerate(layer_sq):
+            if 1e-290 <= value < math.inf:
+                assert layer_norms[i, k] == math.sqrt(value)
+            assert layer_norms[i, k] == pytest.approx(
+                math.hypot(*row[layout.slices[k]]), rel=1e-12)
+        if 1e-290 <= row_sq < math.inf:
+            assert row_norms[i] == math.sqrt(row_sq)
+        assert row_norms[i] == pytest.approx(math.hypot(*row), rel=1e-12)
+
+
 def test_axpy_alpha_zero_copies_y():
     rng = np.random.default_rng(0)
     x, y = random_tree(rng), None
-    y = x.with_flat(rng.normal(size=x.layout.total))
+    y = ParamTree(rng.normal(size=x.layout.total), x.layout)
     assert axpy(0.0, x, y) == y
 
 
@@ -119,7 +160,7 @@ def test_axpy_rejects_non_congruent_naming_layer():
 def test_operations_preserve_congruence_and_inputs():
     rng = np.random.default_rng(3)
     x = random_tree(rng)
-    y = x.with_flat(rng.normal(size=x.layout.total))
+    y = ParamTree(rng.normal(size=x.layout.total), x.layout)
     x_before = x.flat.copy()
     for out in (axpy(2.5, x, y), axpy(1.0, x, y), sub(x, y), scale(-3.0, x)):
         out.layout.require_same(x.layout)
