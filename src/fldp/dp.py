@@ -1,16 +1,18 @@
-"""Gaussian mechanism on client deltas and the noise-parametrization algebra.
+"""Gaussian mechanism on the cohort sum and the noise-parametrization algebra.
 
 Three equivalent places to add the noise give three sigma conventions,
-linked by the cohort size L:
+linked by the expected cohort size L = qN:
 
-    sigma_client = sigma_avg * sqrt(L)      (added to every client delta)
+    sigma_client = sigma_avg * sqrt(L)      (L per-client draws, each)
     sigma_sum    = sigma_avg * L            (added to the un-normalized sum)
 
-The simulator adds noise per client before averaging (sigma_client): each
-row of the cohort's (L, P) stack of clipped deltas draws from its client's
-own Philox stream (``add_noise_rows``). The accountant consumes the noise
-multiplier z = sigma_avg / S with sensitivity S = C / (qN); with the
-expected cohort L = qN this is z = sigma_avg * L / C.
+The simulator adds one draw of N(0, sigma_sum^2) to the sum of the
+cohort's clipped deltas each round (``add_noise``, from the round's own
+Philox stream) and divides the sum by the fixed L, the fixed-denominator
+estimator of McMahan et al. (ICLR 2018). So the noise on the released
+sum is sigma_sum whatever the realized cohort size, and the accountant's
+noise multiplier z = sigma_avg / S with sensitivity S = C / (qN) is
+z = sigma_sum / C.
 
 A NoiseMask restricts noise to a subset of layers for ablation runs; any
 partial mask invalidates the DP guarantee and must be surfaced as
@@ -28,7 +30,6 @@ import numpy as np
 
 from .errors import ConfigError, StructureError
 from .param_tree import Layout
-from .streams import keyed
 
 
 class SigmaKind(str, Enum):
@@ -183,31 +184,26 @@ class NoiseMask:
 FULL_MASK = NoiseMask()
 
 
-def add_noise_rows(
-    rows: np.ndarray,
+def add_noise(
+    vector: np.ndarray,
     layout: Layout,
-    sigma_client: float,
+    sigma: float,
     mask: NoiseMask,
-    keys: np.ndarray,
+    rng: np.random.Generator,
 ) -> np.ndarray:
-    """Noise row i of an (L, P) stack from the Philox stream keyed by keys[i].
+    """`vector` plus N(0, sigma^2) noise on the layers `mask` includes.
 
-    `keys` is an (L, 2) uint64 array of Philox keys, as
-    ``streams.cohort_keys`` derives them. One generator is re-keyed to
-    each row's stream, which draws what a fresh generator with that key
-    would. Each row draws N(0, sigma_client^2) for its included layers in
-    layer order: one draw of P values under the full mask, one draw per
-    included layer otherwise. Excluded layers are passed through unchanged.
-    Returns a new stack.
+    The draws come from `rng` in layer order: one draw of P values under
+    the full mask, one draw per included layer otherwise. Excluded layers
+    pass through unchanged. Sigma 0 returns `vector` itself; otherwise the
+    result is a new vector.
     """
+    if sigma == 0.0:
+        return vector
     if mask.included is None:
-        spans = [slice(0, layout.total)]
-    else:
-        spans = [span for name, span in zip(layout.names, layout.slices)
-                 if mask.applies_to(name)]
-    out = np.array(rows, dtype=np.float64, copy=True)
-    for row, rng in zip(out, keyed(keys)):
-        for span in spans:
-            row[span] += rng.normal(0.0, sigma_client, size=span.stop - span.start)
+        return vector + rng.normal(0.0, sigma, size=layout.total)
+    out = np.array(vector, dtype=np.float64, copy=True)
+    for name, span in zip(layout.names, layout.slices):
+        if mask.applies_to(name):
+            out[span] += rng.normal(0.0, sigma, size=span.stop - span.start)
     return out
-

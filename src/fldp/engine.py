@@ -2,25 +2,29 @@
 
 Each round: sample a cohort, run local SGD on every sampled client from the
 round-start parameters, clip each client's delta (global or per-layer),
-add per-client Gaussian noise, average the processed deltas in ascending
-client-id order, and hand the negated average to the central optimizer as
-its gradient estimate. All randomness is drawn from per-purpose Philox
-streams seeded by (run seed, stream tag, round, client), so a run is
-bitwise reproducible from its seed. A round derives the Philox keys of its
-whole cohort at once (``streams.cohort_keys``) for the minibatch draws and
-again for the noise, and re-keys one generator to each client's stream
-instead of building one per client. A steps-mode cohort's minibatch
-indices come from its streams' raw words as array operations
-(``streams.choice_rows``), bit for bit ``Generator.choice``.
+sum the clipped deltas in ascending client-id order, add one Gaussian draw
+of std sigma_sum to the sum, divide it by the expected cohort size qN, and
+hand the negated result to the central optimizer as its gradient estimate.
+All randomness is drawn from per-purpose Philox streams seeded by (run
+seed, stream tag, round[, client]), so a run is bitwise reproducible from
+its seed. A round derives the Philox keys of its whole cohort at once
+(``streams.cohort_keys``) for the minibatch draws and re-keys one
+generator to each client's stream instead of building one per client. A
+steps-mode cohort's minibatch indices come from its streams' raw words as
+array operations (``streams.choice_rows``), bit for bit
+``Generator.choice``. The noise comes from the round's own stream.
 
 A round works on the whole cohort at once. Local training turns the
 round-start parameters into an (L, P) delta matrix, one row per client in
-ascending id order, and clipping, noising and the per-layer norm statistics
-are row-wise array operations on it. The cohort mean adds the rows one at
-a time in ascending client-id order (``mean_rows``), so it does not depend
-on how the rows were computed. The model crosses rounds as its flat
-parameter vector, which the central optimizer takes and returns; a run
-builds a ``ParamTree`` only for its final parameters.
+ascending id order, and clipping and the per-layer norm statistics are
+row-wise array operations on it. The sum is one ``np.add.reduce`` over the
+rows, which adds them one at a time in ascending client-id order (P >= 2
+for every model), so it does not depend on how the rows were computed.
+The noise on the sum is sigma_sum and the denominator is qN whatever the
+realized cohort size, so the released update is the mechanism the privacy
+report accounts. The model crosses rounds as its flat parameter vector,
+which the central optimizer takes and returns; a run builds a
+``ParamTree`` only for its final parameters.
 
 Local training runs either a fixed number of steps (independently sampled
 minibatches) or a fixed number of epochs (shuffled passes whose last
@@ -55,7 +59,7 @@ import numpy as np
 from . import accountant, models, streams
 from .clipping import PER_LAYER_VARIANTS, ClipSpec, bound_vector, clip_rows
 from .data import ClientPartition
-from .dp import FULL_MASK, NoiseMask, PrivacyParams, add_noise_rows, noise_multiplier
+from .dp import FULL_MASK, NoiseMask, PrivacyParams, add_noise, noise_multiplier
 from .errors import ConfigError, NumericsError
 from .models import ModelSpec
 from .optimizers import (
@@ -66,7 +70,7 @@ from .optimizers import (
     init_state,
     lr_at,
 )
-from .param_tree import ParamTree, mean_rows, norm_rows
+from .param_tree import ParamTree, norm_rows
 from .telemetry import LayerStats, RoundMetrics
 
 logger = logging.getLogger(__name__)
@@ -383,7 +387,7 @@ def run_simulation(
     ).flat
     layout = model_spec.layout()
     opt_state = init_state(cfg.central.optimizer, layout, cfg.central.hyper)
-    sigma_client = cfg.privacy.sigma_client
+    sigma_sum, expected = cfg.privacy.sigma_sum, cfg.privacy.cohort_size
     # Accounted before round 1, so a query the accountant rejects trains nothing.
     report = _build_privacy_report(cfg.privacy, cfg.noise_mask, layout.names,
                                    cfg.cohort.mode)
@@ -404,15 +408,12 @@ def run_simulation(
                                   cfg.fedprox_mu, t, cohort, cfg.seed, workspace)
             _require_finite(deltas, t, cohort)
             clipped, _ = clip_rows(deltas, layout, cfg.clip)
-            noised = clipped
-            if sigma_client > 0.0:
-                noised = add_noise_rows(
-                    clipped, layout, sigma_client, cfg.noise_mask,
-                    streams.cohort_keys(cfg.seed, _STREAM_NOISE, t, cohort),
-                )
-            pseudo_grad = mean_rows(noised)
+            total = np.add.reduce(clipped, axis=0)
+            noised = add_noise(total, layout, sigma_sum, cfg.noise_mask,
+                               streams.generator(cfg.seed, _STREAM_NOISE, t))
+            pseudo_grad = noised / expected
             prenoise_norm, postnoise_norm = norm_rows(
-                np.stack([mean_rows(clipped), pseudo_grad]), layout)[1].tolist()
+                np.stack([total / expected, pseudo_grad]), layout)[1].tolist()
 
             # The optimizer descends, so it receives the negated mean delta.
             params, opt_state = opt_apply(opt_state, params, -pseudo_grad, lr)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -204,21 +204,15 @@ def _rescaled_norm(values: np.ndarray, sum_sq: float) -> float:
 
 def norm_rows(rows: np.ndarray, layout: Layout) -> tuple[np.ndarray, np.ndarray]:
     """(L, K) per-layer and (L,) whole-row L2 norms of an (L, P) stack."""
-    layer_sq = np.add.reduceat(rows * rows, layout.starts, axis=1)
-    row_sq = layer_sq[:, 0].copy()
-    for k in range(1, layer_sq.shape[1]):
-        row_sq += layer_sq[:, k]
+    # A sum of squares that overflows is rescued below, so it may go to inf.
+    with np.errstate(over="ignore"):
+        layer_sq = np.add.reduceat(rows * rows, layout.starts, axis=1)
+        row_sq = layer_sq[:, 0].copy()
+        for k in range(1, layer_sq.shape[1]):
+            row_sq += layer_sq[:, k]
     layer_norms, row_norms = np.sqrt(layer_sq), np.sqrt(row_sq)
     for i, k in zip(*np.nonzero(_needs_rescue(layer_sq))):
         layer_norms[i, k] = _rescaled_norm(rows[i, layout.slices[k]], layer_sq[i, k])
     for i in np.nonzero(_needs_rescue(row_sq))[0]:
         row_norms[i] = _rescaled_norm(rows[i], row_sq[i])
     return layer_norms, row_norms
-
-
-def mean_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
-    """Arithmetic mean of equal-length vectors, summed in sequence order."""
-    acc = np.array(rows[0], dtype=np.float64, copy=True)
-    for row in rows[1:]:
-        acc += row
-    return acc / float(len(rows))

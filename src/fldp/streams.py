@@ -5,6 +5,11 @@ Random Numbers: As Easy as 1, 2, 3", SC 2011) seeded by a tuple of
 non-negative integers, such as (run seed, stream tag, round, client). Philox
 is counter-based: a stream is fully set by its 128-bit key, which numpy
 derives as ``SeedSequence(entropy).generate_state(2, np.uint64)``.
+``SeedSequence`` pads short entropy with zero words, so a tuple and the
+same tuple with a trailing 0 key the same stream: the engine's per-round
+noise stream (seed, 3, round) is the stream (seed, 3, round, 0). No
+per-client stream may use the noise tag 3, or client 0's stream would be
+the round's noise.
 
 ``generator`` builds a fresh generator from its entropy. A round needs one
 stream per client, so ``cohort_keys`` derives the keys of a whole cohort as
@@ -224,8 +229,8 @@ def choice_rows(keys: np.ndarray, n, m, count: int) -> np.ndarray:
     raw = np.zeros((n.size, int(need.max())), dtype=np.uint64)
     for row, (rng, size) in enumerate(zip(keyed(keys), need.tolist())):
         raw[row, :size] = rng.bit_generator.random_raw(size)
-    # A raw uint64 yields its low half first.
-    words = np.stack([raw & np.uint64(_MASK), raw >> np.uint64(32)], axis=2)
+    # A raw uint64 yields its low half first: its little-endian uint32 pair.
+    words = raw.astype("<u8", copy=False).view("<u4")
     index, redraw = choice_words(words, n, m, count)
     redraw |= (n > _TAIL_MIN) & (m > n // _TAIL_DIV)
     redraw = np.flatnonzero(redraw)

@@ -1,7 +1,8 @@
 """Reference forms of fldp's code for the oracles.
 
-Per-tree forms of the row code: norms, clipping and noise act on a one-row
-stack, the algebra on the flat vectors. Per-client forms of the flat
+Per-tree forms of the row code: norms and clipping act on a one-row stack,
+noise on the flat vector, the algebra on the flat vectors, and the sum and
+mean add the rows one at a time in sequence order. Per-client forms of the flat
 partition: a client's examples as a ``Batch`` view, a partition built from
 per-client batches, and the per-client population generator that the flat
 one replaced. Single-client forms of the model calls, each the engine's
@@ -22,9 +23,10 @@ from fldp.data import (
     Batch,
     ClientPartition,
 )
-from fldp.dp import FULL_MASK, add_noise_rows
+from fldp import dp
+from fldp.dp import FULL_MASK
 from fldp.models import _FORWARD, Workspace, cohort_grad, evaluate
-from fldp.param_tree import ParamTree, mean_rows, norm_rows
+from fldp.param_tree import ParamTree, norm_rows
 from fldp.streams import generator
 
 _STREAM_SHUFFLE = 16  # iid_shuffle's stream tag, apart from every fldp tag
@@ -57,6 +59,24 @@ def zeros_like(x):
     return ParamTree(np.zeros(x.layout.total), x.layout)
 
 
+def sum_rows(rows):
+    """Sum of equal-length vectors, added in sequence order."""
+    acc = np.array(rows[0], dtype=np.float64, copy=True)
+    for row in rows[1:]:
+        acc += row
+    return acc
+
+
+def mean_rows(rows):
+    """Arithmetic mean of equal-length vectors, summed in sequence order."""
+    return sum_rows(rows) / float(len(rows))
+
+
+def tree_sum(trees):
+    """Sum, reduced in list order."""
+    return ParamTree(sum_rows([t.flat for t in trees]), trees[0].layout)
+
+
 def tree_mean(trees):
     """Arithmetic mean, reduced in list order."""
     return ParamTree(mean_rows([t.flat for t in trees]), trees[0].layout)
@@ -67,15 +87,14 @@ def clip_tree(tree, spec):
     return ParamTree(clipped[0], tree.layout)
 
 
-def add_noise(delta, sigma_client, mask=FULL_MASK, seed=0):
+def add_noise(delta, sigma, mask=FULL_MASK, seed=0):
     """Noise drawn from ``Generator(Philox(seed))``."""
     mask.validate_against(delta.names)
-    if sigma_client == 0.0:
+    if sigma == 0.0:
         return delta
-    key = np.random.Philox(seed).state["state"]["key"]
-    noised = add_noise_rows(delta.flat[None, :], delta.layout, sigma_client,
-                            mask, key[None, :])
-    return ParamTree(noised[0], delta.layout)
+    rng = np.random.Generator(np.random.Philox(seed))
+    return ParamTree(dp.add_noise(delta.flat, delta.layout, sigma, mask, rng),
+                     delta.layout)
 
 
 def take(batch, idx):

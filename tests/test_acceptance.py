@@ -24,6 +24,7 @@ from reference import (
     grad,
     iid_shuffle,
     layer_norms,
+    mean_rows,
     sub,
     take,
 )
@@ -44,7 +45,7 @@ from fldp.dp import PrivacyParams, SigmaKind, convert_noise, noise_multiplier
 from fldp.engine import LocalConfig, LocalMode, run_simulation, train_cohort
 from fldp.models import ModelKind, ModelSpec
 from fldp.optimizers import OptimizerKind
-from fldp.param_tree import ParamTree, mean_rows
+from fldp.param_tree import ParamTree
 from fldp.telemetry import summarize_records, write_metrics
 
 

@@ -2,10 +2,11 @@
 
 The reference runs a round one client at a time through the single-client
 model forms and the per-tree helpers of ``reference``: local SGD one minibatch
-gradient at a time, then ``clip_tree``, ``add_noise`` and ``tree_mean``.
-Every round of a simulation is recomputed from the engine's own round-start
-parameters and compared with the engine's deltas, clipped deltas and noised
-mean.
+gradient at a time, then ``clip_tree`` per client, ``tree_sum`` over the
+cohort, ``add_noise`` of std sigma_sum from the round's stream and the
+division by the expected cohort size. Every round of a simulation is
+recomputed from the engine's own round-start parameters and compared with
+the engine's deltas, clipped deltas and noised mean.
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ from reference import (
     scale,
     sub,
     take,
-    tree_mean,
+    tree_sum,
 )
 from simtools import make_config, record_rounds
 
@@ -151,7 +152,7 @@ def test_batched_round_matches_per_client_reference(case, monkeypatch):
     covered, any_clipped = set(), False
     for (start, neg_mean), recorded in zip(seen, rounds):
         t = recorded.round_index
-        noised = []
+        want_clipped_rows = []
         for cid, delta, clipped in zip(recorded.cohort_ids, recorded.deltas,
                                        recorded.clipped):
             delta = ParamTree(delta, start.layout)
@@ -164,11 +165,10 @@ def test_batched_round_matches_per_client_reference(case, monkeypatch):
             want_clipped = clip_tree(want, cfg.clip)
             assert_close(clipped, want_clipped)
             any_clipped |= clipped != delta
-            noised.append(add_noise(
-                want_clipped, cfg.privacy.sigma_client, mask,
-                np.random.SeedSequence((cfg.seed, 3, t, cid)),
-            ))
-        assert_close(neg_mean, scale(-1.0, tree_mean(noised)))
+            want_clipped_rows.append(want_clipped)
+        noised = add_noise(tree_sum(want_clipped_rows), cfg.privacy.sigma_sum,
+                           mask, np.random.SeedSequence((cfg.seed, 3, t)))
+        assert_close(neg_mean, scale(-1.0 / cfg.privacy.cohort_size, noised))
     # Both full minibatches and clients short of batch_size were trained,
     # and clipping scaled some deltas.
     assert covered == {True, False}

@@ -224,3 +224,22 @@ def test_clipspec_validation():
         ClipSpec(1.0, ClipVariant.PER_LAYER_UNIFORM, {"a": 1.0})
     with pytest.raises(ConfigError):
         bound_vector(ClipSpec(1.0, ClipVariant.GLOBAL), Layout.of(("a",), (1,)))
+
+
+@pytest.mark.parametrize("variant", list(ClipVariant))
+def test_row_whose_squares_overflow_clips_without_a_warning(variant):
+    # 1e200 squared overflows float64; the norm is rescued, not warned about
+    # (the suite turns numpy's RuntimeWarnings into errors).
+    layout = Layout.of(("a", "b"), (2, 1))
+    rows = np.array([[1e200, -3e199, 0.5]])
+    spec = per_layer_spec(variant, 0.1, ParamTree(rows[0], layout))
+    clipped, factors = clip_rows(rows, layout, spec)
+    assert np.all(factors < 1.0)
+    if variant == ClipVariant.GLOBAL:
+        assert global_norm(ParamTree(clipped[0], layout)) == pytest.approx(0.1, rel=1e-12)
+        assert factors[0, 0] == pytest.approx(0.1 / math.hypot(*rows[0]), rel=1e-12)
+    else:
+        bounds = bound_vector(spec, layout)
+        for k, span in enumerate(layout.slices):
+            assert factors[0, k] == pytest.approx(
+                bounds[k] / math.hypot(*rows[0, span]), rel=1e-12)

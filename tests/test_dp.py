@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import add_noise, global_norm, sub
 
+from fldp import dp
 from fldp.dp import (
     FULL_MASK,
     NoiseMask,
@@ -13,7 +16,8 @@ from fldp.dp import (
     noise_multiplier,
 )
 from fldp.errors import ConfigError, StructureError
-from fldp.param_tree import ParamTree
+from fldp.param_tree import Layout, ParamTree
+from fldp.streams import generator
 
 KINDS = list(SigmaKind)
 
@@ -238,3 +242,28 @@ def test_noise_draws_follow_layer_order():
     assert partial["a"].tobytes() == (t["a"] + draws.normal(0.0, sigma, 5)).tobytes()
     assert partial["b"].tobytes() == t["b"].tobytes()
     assert partial["c"].tobytes() == (t["c"] + draws.normal(0.0, sigma, 4)).tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data(), sizes=st.lists(st.integers(1, 9), min_size=1, max_size=5),
+       sigma=st.one_of(st.just(0.0), st.floats(1e-8, 1e3)),
+       seed=st.integers(0, 2**32 - 1))
+def test_add_noise_draws_a_fresh_stream_over_included_layers_in_order(
+        data, sizes, sigma, seed):
+    layout = Layout.of(tuple(f"l{i}" for i in range(len(sizes))), tuple(sizes))
+    included = data.draw(st.one_of(st.none(), st.sets(st.sampled_from(layout.names))))
+    vector = np.random.default_rng(seed).normal(size=layout.total)
+    given_bytes = vector.tobytes()
+    out = dp.add_noise(vector, layout, sigma, NoiseMask(included), generator(seed, 3))
+    assert vector.tobytes() == given_bytes
+    if sigma == 0.0:
+        assert out is vector
+        return
+    # A fresh generator on the same stream, drawn over the included spans.
+    draws = generator(seed, 3)
+    want = vector.copy()
+    spans = [slice(0, layout.total)] if included is None else [
+        span for name, span in zip(layout.names, layout.slices) if name in included]
+    for span in spans:
+        want[span] = vector[span] + draws.normal(0.0, sigma, span.stop - span.start)
+    assert out.tobytes() == want.tobytes()

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import (
     add_noise,
     axpy,
@@ -14,12 +16,13 @@ from reference import (
     scale,
     sub,
     take,
-    tree_mean,
+    sum_rows,
+    tree_sum,
     zeros_like,
 )
 from simtools import INF, linear_model, make_config, record_rounds, small_population
 
-from fldp import accountant, models
+from fldp import accountant, engine, models
 from fldp.clipping import ClipSpec, ClipVariant
 from fldp.data import (
     Batch,
@@ -40,6 +43,7 @@ from fldp.engine import (
 from fldp.errors import ConfigError, NumericsError
 from fldp.optimizers import OptimizerKind
 from fldp.param_tree import ParamTree
+from fldp.streams import generator
 
 
 # -- cohort sampling -----------------------------------------------------------
@@ -288,8 +292,9 @@ def test_fedsgd_equivalence_with_centralized_gd():
 
 def test_noised_mean_matches_clip_then_noise_oracle(monkeypatch):
     # Recompute every round's noised mean from the recorded raw deltas:
-    # clip first, then noise from the client's own (seed, 3, round, client)
-    # stream. Pins the order and the noise streams in the code that runs.
+    # clip each, sum in ascending client-id order, noise the sum from the
+    # round's own (seed, 3, round) stream and divide by qN. Pins the order
+    # and the noise stream in the code that runs.
     _, population = small_population(num_clients=10)
     model = linear_model()
     cfg = make_config(population, num_rounds=4, cohort_size=5, sigma_client=1e-3,
@@ -298,14 +303,67 @@ def test_noised_mean_matches_clip_then_noise_oracle(monkeypatch):
     result = run_simulation(cfg, population, model)
     layout = result.final_params.layout
     for recorded, m in zip(rounds, result.metrics):
-        noised = [
-            add_noise(clip_tree(ParamTree(d, layout), cfg.clip),
-                      cfg.privacy.sigma_client, cfg.noise_mask,
-                      np.random.SeedSequence((cfg.seed, 3, recorded.round_index, cid)))
-            for cid, d in zip(recorded.cohort_ids, recorded.deltas)
-        ]
-        assert global_norm(tree_mean(noised)) == m.pseudograd_norm_postnoise
+        clipped = [clip_tree(ParamTree(d, layout), cfg.clip) for d in recorded.deltas]
+        noised = add_noise(tree_sum(clipped), cfg.privacy.sigma_sum, cfg.noise_mask,
+                           np.random.SeedSequence((cfg.seed, 3, recorded.round_index)))
+        mean = ParamTree(noised.flat / cfg.privacy.cohort_size, layout)
+        assert global_norm(mean) == m.pseudograd_norm_postnoise
         assert m.pseudograd_norm_postnoise != m.pseudograd_norm_prenoise
+
+
+def with_empty_clients(population):
+    """The partition with clients 1, 5, 9, ... emptied."""
+    batches = [None if cid % 4 == 1 else b
+               for cid, b in enumerate(client_batches(population))]
+    return partition_from_batches(batches, population.probe, population.num_classes)
+
+
+@pytest.mark.parametrize("cohort", [dict(cohort_rate=0.5), dict(cohort_size=6)],
+                         ids=["bernoulli", "fixed-drops-empty"])
+def test_pseudo_gradient_is_the_noised_sum_over_the_expected_cohort(cohort, monkeypatch):
+    # (sum of the clipped rows in ascending id order + one N(0, sigma_sum^2)
+    # draw from the round's stream) / qN, bit for bit, in every round, also
+    # when the realized cohort is not qN. The noise on the sum is then
+    # sigma_sum = z * C whatever the cohort, so the report's z is the run's.
+    _, population = small_population(num_clients=12)
+    population = with_empty_clients(population)
+    cfg = make_config(population, num_rounds=5, sigma_client=1e-3, clip_bound=0.05,
+                      **cohort)
+    grads = []
+    apply = engine.opt_apply
+
+    def recording_apply(state, params, grad, lr):
+        grads.append(grad)
+        return apply(state, params, grad, lr)
+
+    monkeypatch.setattr(engine, "opt_apply", recording_apply)
+    rounds = record_rounds(monkeypatch)
+    result = run_simulation(cfg, population, linear_model())
+
+    sigma_sum, expected = cfg.privacy.sigma_sum, cfg.privacy.cohort_size
+    assert len(grads) == len(rounds) == cfg.num_rounds
+    for grad, recorded in zip(grads, rounds):
+        want = sum_rows(recorded.clipped)
+        want += generator(cfg.seed, 3, recorded.round_index).normal(
+            0.0, sigma_sum, want.size)
+        want /= expected
+        assert (-grad).tobytes() == want.tobytes()
+    # Some round's realized cohort is not qN.
+    assert any(len(r.cohort_ids) != expected for r in rounds)
+    z = result.privacy_report["noise_multiplier"]
+    assert sigma_sum / cfg.clip.bound == pytest.approx(z, rel=1e-12)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(num_rows=st.integers(1, 40), width=st.integers(2, 200),
+       seed=st.integers(0, 2**32 - 1))
+def test_cohort_sum_adds_the_rows_in_order(num_rows, width, seed):
+    # With P >= 2 numpy's reduction over axis 0 adds whole rows in sequence,
+    # bit for bit the engine's ascending client-id loop. Rows of very
+    # different magnitudes make any other order show in the last bits.
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(num_rows, width)) * 10.0 ** rng.uniform(-8, 8, (num_rows, 1))
+    assert np.add.reduce(rows, axis=0).tobytes() == sum_rows(rows).tobytes()
 
 
 def test_post_clip_norm_bounded_every_round(monkeypatch):

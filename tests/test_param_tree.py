@@ -45,7 +45,6 @@ def test_global_norm_matches_flat_oracle():
         assert global_norm(t) == pytest.approx(flat_norm_oracle(t), rel=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e200])
 def test_norms_survive_underflow_and_overflow_of_squares(scale):
     # The squares of these entries under- or overflow float64.
@@ -99,9 +98,9 @@ def test_norm_rows_of_a_stack_are_those_of_each_row(data, sizes, kinds):
          for _ in range(layout.total)]
         for kind in kinds
     ])
+    layer_norms, row_norms = norm_rows(rows, layout)
+    one_rows = [norm_rows(rows[i:i + 1], layout) for i in range(len(rows))]
     with np.errstate(over="ignore"):  # huge rows overflow their squares
-        layer_norms, row_norms = norm_rows(rows, layout)
-        one_rows = [norm_rows(rows[i:i + 1], layout) for i in range(len(rows))]
         layer_sqs = np.add.reduceat(rows * rows, layout.starts, axis=1).tolist()
     assert layer_norms.shape == (len(kinds), len(sizes))
     assert row_norms.shape == (len(kinds),)
