@@ -7,15 +7,16 @@ bound:
 
 * uniform:   C_i = bound / sqrt(K)
 * dim:       C_i = bound * sqrt(D_i / sum_j D_j), D_i = layer size
-* weighted:  C_i = bound * sqrt(a_i D_i / sum_j a_j D_j), a_i > 0
+* weighted:  C_i = bound * sqrt(a_i D_i / sum_j a_j D_j), 0 < a_i < inf
 
 A zero-norm vector is already within any bound and is returned unchanged
 (the scaling formula would divide by zero). Layers already within their
-bound are passed through bitwise unchanged.
+bound (every layer, under an infinite bound) pass through bitwise.
 
 One implementation, ``clip_rows``, clips an (L, P) stack of flat vectors
 row by row: a cohort's client deltas, or the minibatch gradients of local
-SGD. A single vector is clipped as a one-row stack.
+SGD. A single vector is clipped as a one-row stack. It also returns the
+norms it clipped by, so a caller never squares the rows twice.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ class ClipSpec:
         if self.variant == ClipVariant.PER_LAYER_WEIGHTED:
             if not self.weights:
                 raise ConfigError("weighted clipping requires per-layer weights")
-            if any(not w > 0 for w in self.weights.values()):
-                raise ConfigError("clip weights must be positive")
+            if any(not 0 < w < math.inf for w in self.weights.values()):
+                raise ConfigError("clip weights must be finite and positive")
         elif self.weights is not None:
             raise ConfigError(
                 f"weights only apply to the weighted variant, not {self.variant.value}"
@@ -85,6 +86,8 @@ def bound_vector(spec: ClipSpec, layout: Layout) -> list[float]:
         raise ConfigError(f"clip weights name unknown layers {unknown}")
     pairs = list(zip(layout.names, layout.sizes))
     total = sum(spec.weights[n] * size for n, size in pairs)
+    if not math.isfinite(total):  # it would make the C_i NaN, or all zero
+        raise ConfigError("clip weights times layer sizes overflow")
     return [spec.bound * math.sqrt(spec.weights[n] * size / total)
             for n, size in pairs]
 
@@ -105,25 +108,21 @@ def _factors(norms: np.ndarray, bounds) -> np.ndarray:
 
 def clip_rows(
     rows: np.ndarray, layout: Layout, spec: ClipSpec, out=None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Clip every row of an (L, P) stack with the configured variant.
 
-    Returns the clipped stack and the (L, K) scale factor of every (row,
-    layer); a factor of exactly 1.0 marks a unit passed through bitwise.
-    When no unit is scaled the input stack itself is returned; otherwise
-    the clipped stack is written to `out` when given, which may be `rows`.
+    Returns the clipped stack and the rows' (L, K) per-layer and (L,)
+    whole-row norms, ``norm_rows(rows, layout)``. When no unit is scaled
+    the input stack itself is returned; otherwise the clipped stack is
+    written to `out` when given, which may be `rows`.
     """
-    num_layers = len(layout.names)
+    layer_norms, row_norms = norm_rows(rows, layout)
     if spec.variant == ClipVariant.GLOBAL:
-        if math.isinf(spec.bound):
-            return rows, np.ones((rows.shape[0], num_layers))
-        per_row = _factors(norm_rows(rows, layout)[1], spec.bound)
-        factors = np.repeat(per_row[:, None], num_layers, axis=1)
-        scale = per_row[:, None]
+        factors = _factors(row_norms, spec.bound)
+        scale = factors[:, None]
     else:
-        factors = _factors(norm_rows(rows, layout)[0], bound_vector(spec, layout))
+        factors = _factors(layer_norms, bound_vector(spec, layout))
         scale = np.repeat(factors, layout.sizes, axis=1)
     if np.all(factors == 1.0):
-        return rows, factors
-    return np.multiply(rows, scale, out=out), factors
-
+        return rows, layer_norms, row_norms
+    return np.multiply(rows, scale, out=out), layer_norms, row_norms

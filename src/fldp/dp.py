@@ -193,15 +193,13 @@ def add_noise(
 ) -> np.ndarray:
     """`vector` plus N(0, sigma^2) noise on the layers `mask` includes.
 
-    The draws come from `rng` in layer order: one draw of P values under
-    the full mask, one draw per included layer otherwise. Excluded layers
+    The draws come from `rng`, one per included layer in layer order; under
+    the full mask they are bit for bit one draw of P values. Excluded layers
     pass through unchanged. Sigma 0 returns `vector` itself; otherwise the
     result is a new vector.
     """
     if sigma == 0.0:
         return vector
-    if mask.included is None:
-        return vector + rng.normal(0.0, sigma, size=layout.total)
     out = np.array(vector, dtype=np.float64, copy=True)
     for name, span in zip(layout.names, layout.slices):
         if mask.applies_to(name):

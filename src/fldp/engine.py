@@ -16,15 +16,16 @@ array operations (``streams.choice_rows``), bit for bit
 
 A round works on the whole cohort at once. Local training turns the
 round-start parameters into an (L, P) delta matrix, one row per client in
-ascending id order, and clipping and the per-layer norm statistics are
-row-wise array operations on it. The sum is one ``np.add.reduce`` over the
-rows, which adds them one at a time in ascending client-id order (P >= 2
-for every model), so it does not depend on how the rows were computed.
-The noise on the sum is sigma_sum and the denominator is qN whatever the
-realized cohort size, so the released update is the mechanism the privacy
-report accounts. The model crosses rounds as its flat parameter vector,
-which the central optimizer takes and returns; a run builds a
-``ParamTree`` only for its final parameters.
+ascending id order, and clipping is a row-wise array operation on it that
+also returns the norms the per-layer statistics report. The sum is one
+``np.add.reduce`` over the rows, which adds them one at a time in ascending
+client-id order (P >= 2 for every model), so it does not depend on how the
+rows were computed. The noise on the sum is sigma_sum and the denominator
+is qN whatever the realized cohort size, so the released update is the
+mechanism the privacy report accounts; an empty cohort's (0, P) deltas
+sum to zero, and its round releases the noise alone. The model crosses
+rounds as its flat parameter vector, which the central optimizer takes and
+returns; a run builds a ``ParamTree`` only for its final parameters.
 
 Local training runs either a fixed number of steps (independently sampled
 minibatches) or a fixed number of epochs (shuffled passes whose last
@@ -201,11 +202,14 @@ def train_cohort(
 ) -> np.ndarray:
     """(L, P) deltas of local SGD on L clients from the same start vector.
 
-    Rows follow `client_ids`, each a client of `population` with at least
-    one example. The start vector and the partition must already be
-    validated against the model. The clients' parameters, minibatches and
-    step intermediates live in the workspace; the deltas are a new array.
+    Rows follow `client_ids` (none: a (0, P) stack), each a client of
+    `population` with at least one example. The start vector and the
+    partition must already be validated against the model. The clients'
+    parameters, minibatches and step intermediates live in the workspace;
+    the deltas are a new array.
     """
+    if not client_ids:
+        return np.empty((0, start.size))
     sizes = population.sizes[client_ids]
     keys = streams.cohort_keys(seed, _STREAM_LOCAL, round_index, client_ids)
     order, index = _draw_minibatches(sizes, local, keys)
@@ -302,11 +306,8 @@ def _build_privacy_report(privacy: PrivacyParams, mask: NoiseMask,
         report["notes"].append(
             "accounting assumes Poisson sampling at q = L/N even when the "
             "simulator fixes the cohort size")
-    if privacy.num_steps == 0:
-        report.update({"noise_multiplier": 0.0, "epsilon": 0.0, "best_order": None})
-        return report
-    if privacy.clip_bound == 0.0:
-        # Every delta is zeroed before release, noised or not; nothing is revealed.
+    if privacy.num_steps == 0 or privacy.clip_bound == 0.0:
+        # No round, or every delta zeroed before release: nothing is revealed.
         report.update({"noise_multiplier": 0.0, "epsilon": 0.0, "best_order": None})
         return report
     if privacy.sigma == 0.0 or not math.isfinite(privacy.clip_bound):
@@ -403,30 +404,28 @@ def run_simulation(
             logger.warning("round %d: dropping empty client %d", t, cid)
         cohort = np.compress(nonempty, sampled).tolist()
         lr = lr_at(cfg.central.schedule, t)
-        if cohort:
-            deltas = train_cohort(params, population, model_spec, cfg.local,
-                                  cfg.fedprox_mu, t, cohort, cfg.seed, workspace)
-            _require_finite(deltas, t, cohort)
-            clipped, _ = clip_rows(deltas, layout, cfg.clip)
-            total = np.add.reduce(clipped, axis=0)
-            noised = add_noise(total, layout, sigma_sum, cfg.noise_mask,
-                               streams.generator(cfg.seed, _STREAM_NOISE, t))
-            pseudo_grad = noised / expected
-            prenoise_norm, postnoise_norm = norm_rows(
-                np.stack([total / expected, pseudo_grad]), layout)[1].tolist()
+        deltas = train_cohort(params, population, model_spec, cfg.local,
+                              cfg.fedprox_mu, t, cohort, cfg.seed, workspace)
+        _require_finite(deltas, t, cohort)
+        clipped, layer_norms, row_norms = clip_rows(deltas, layout, cfg.clip)
+        total = np.add.reduce(clipped, axis=0)
+        noised = add_noise(total, layout, sigma_sum, cfg.noise_mask,
+                           streams.generator(cfg.seed, _STREAM_NOISE, t))
+        pseudo_grad = noised / expected
+        prenoise_norm, postnoise_norm = norm_rows(
+            np.stack([total / expected, pseudo_grad]), layout)[1].tolist()
 
-            # The optimizer descends, so it receives the negated mean delta.
-            params, opt_state = opt_apply(opt_state, params, -pseudo_grad, lr)
-            layer_norms, row_norms = norm_rows(deltas, layout)
-            preclip_mean = float(np.mean(row_norms))
-            per_layer = {
-                name: LayerStats(mean=float(col.mean()), std=float(col.std()))
-                for name, col in zip(layout.names, layer_norms.T)
-            }
-        else:
-            logger.warning("round %d: empty cohort, skipping update", t)
-            preclip_mean = prenoise_norm = postnoise_norm = 0.0
-            per_layer = {name: LayerStats(mean=0.0, std=0.0) for name in layout.names}
+        # The optimizer descends, so it receives the negated mean delta.
+        params, opt_state = opt_apply(opt_state, params, -pseudo_grad, lr)
+        if not cohort:
+            # numpy's mean of nothing warns; one zero row gives statistics 0.0.
+            logger.warning("round %d: empty cohort, releasing noise only", t)
+            layer_norms, row_norms = np.zeros((1, len(layout.names))), np.zeros(1)
+        preclip_mean = float(np.mean(row_norms))
+        per_layer = {
+            name: LayerStats(mean=float(col.mean()), std=float(col.std()))
+            for name, col in zip(layout.names, layer_norms.T)
+        }
 
         probe_loss, probe_accuracy = models.evaluate(
             model_spec, params, population.probe, workspace

@@ -135,10 +135,10 @@ def record_rounds(monkeypatch):
         return deltas
 
     def recording_clip_rows(rows, *args, **kwargs):
-        clipped, factors = clip_rows(rows, *args, **kwargs)
+        clipped_and_norms = clip_rows(rows, *args, **kwargs)
         if rounds and rows is rounds[-1].deltas:
-            rounds[-1].clipped = clipped
-        return clipped, factors
+            rounds[-1].clipped = clipped_and_norms[0]
+        return clipped_and_norms
 
     monkeypatch.setattr(engine, "train_cohort", recording_train_cohort)
     monkeypatch.setattr(engine, "clip_rows", recording_clip_rows)

@@ -14,7 +14,7 @@ from fldp.clipping import (
     clip_rows,
 )
 from fldp.errors import ConfigError
-from fldp.param_tree import Layout, ParamTree
+from fldp.param_tree import Layout, ParamTree, norm_rows
 
 
 def random_tree(rng, num_layers=None, scale=1.0):
@@ -179,11 +179,14 @@ def stack_and_spec(draw, variant):
 @given(data=st.data())
 def test_clip_rows_clips_each_row_like_clip_tree(variant, data):
     # One clipping implementation: every row of a stack, underflowing rows
-    # included, clips bit for bit like clip_tree on that row alone.
+    # included, clips bit for bit like clip_tree on that row alone. The
+    # norms it returns are the stack's own, bit for bit.
     rows, layout, spec = data.draw(stack_and_spec(variant))
-    clipped, factors = clip_rows(rows, layout, spec)
+    clipped, by_layer, by_row = clip_rows(rows, layout, spec)
     assert clipped.shape == rows.shape
-    assert factors.shape == (rows.shape[0], len(layout.names))
+    want_layer, want_row = norm_rows(rows, layout)
+    assert by_layer.tobytes() == want_layer.tobytes()
+    assert by_row.tobytes() == want_row.tobytes()
     for row, got in zip(rows, clipped):
         want = clip_tree(ParamTree(row, layout), spec)
         assert got.tobytes() == want.flat.tobytes()
@@ -226,6 +229,21 @@ def test_clipspec_validation():
         bound_vector(ClipSpec(1.0, ClipVariant.GLOBAL), Layout.of(("a",), (1,)))
 
 
+def test_weights_without_finite_bounds_are_rejected():
+    # An infinite weight, or weights whose products with their layer sizes
+    # overflow, made NaN bounds (all-zero ones for two weights of 1e308).
+    with pytest.raises(ConfigError, match="clip weights must be finite and positive"):
+        ClipSpec(1.0, ClipVariant.PER_LAYER_WEIGHTED, {"a": math.inf, "b": 1.0})
+    for sizes, weights in [((8, 1), {"a": 1e308, "b": 1.0}),
+                           ((1, 1), {"a": 1e308, "b": 1e308})]:
+        spec = ClipSpec(1.0, ClipVariant.PER_LAYER_WEIGHTED, weights)
+        with pytest.raises(ConfigError, match="layer sizes overflow"):
+            bound_vector(spec, Layout.of(("a", "b"), sizes))
+    # An infinite clip bound still splits into infinite per-layer bounds.
+    unclipped = ClipSpec(math.inf, ClipVariant.PER_LAYER_WEIGHTED, {"a": 2.0, "b": 1.0})
+    assert bound_vector(unclipped, Layout.of(("a", "b"), (8, 1))) == [math.inf] * 2
+
+
 @pytest.mark.parametrize("variant", list(ClipVariant))
 def test_row_whose_squares_overflow_clips_without_a_warning(variant):
     # 1e200 squared overflows float64; the norm is rescued, not warned about
@@ -233,13 +251,14 @@ def test_row_whose_squares_overflow_clips_without_a_warning(variant):
     layout = Layout.of(("a", "b"), (2, 1))
     rows = np.array([[1e200, -3e199, 0.5]])
     spec = per_layer_spec(variant, 0.1, ParamTree(rows[0], layout))
-    clipped, factors = clip_rows(rows, layout, spec)
-    assert np.all(factors < 1.0)
+    clipped, by_layer, by_row = clip_rows(rows, layout, spec)
+    assert by_row[0] == pytest.approx(math.hypot(*rows[0]), rel=1e-12)
+    for k, span in enumerate(layout.slices):
+        assert by_layer[0, k] == pytest.approx(math.hypot(*rows[0, span]), rel=1e-12)
+    # Every unit is over its bound, so it is scaled down onto it.
+    out = ParamTree(clipped[0], layout)
     if variant == ClipVariant.GLOBAL:
-        assert global_norm(ParamTree(clipped[0], layout)) == pytest.approx(0.1, rel=1e-12)
-        assert factors[0, 0] == pytest.approx(0.1 / math.hypot(*rows[0]), rel=1e-12)
+        assert global_norm(out) == pytest.approx(0.1, rel=1e-12)
     else:
-        bounds = bound_vector(spec, layout)
-        for k, span in enumerate(layout.slices):
-            assert factors[0, k] == pytest.approx(
-                bounds[k] / math.hypot(*rows[0, span]), rel=1e-12)
+        for bound, norm in zip(bound_vector(spec, layout), layer_norms(out).values()):
+            assert norm == pytest.approx(bound, rel=1e-12)

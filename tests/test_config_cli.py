@@ -570,15 +570,19 @@ DEMO_LAYERS = {"w1": 1, "b1": 1, "ln": 1, "w2": 1, "b2": 1}
     ({**DEMO_LAYERS, "typo": 7}, "clip weights name unknown layers ['typo']"),
     ({k: v for k, v in DEMO_LAYERS.items() if k != "ln"},
      "weighted clipping is missing weights for ['ln']"),
-], ids=["unknown", "missing"])
+    # Either weight on the 8-entry b1 made its bound NaN: round 1 trained
+    # and the run exited 3 on a non-finite probe loss.
+    ({**DEMO_LAYERS, "b1": math.inf}, "clip weights must be finite and positive"),
+    ({**DEMO_LAYERS, "b1": 1e308}, "clip weights times layer sizes overflow"),
+], ids=["unknown", "missing", "inf", "overflowing"])
 def test_clip_weights_checked_against_layout_before_round_one(
         weights, message, tmp_path, capsys, monkeypatch):
     cfg = demo_config()
     cfg["federation"]["clip"] = {"variant": "weighted", "bound": 0.01,
                                  "weights": weights}
     rounds = record_rounds(monkeypatch)
-    rc = parse_config_mapping(cfg)
     with pytest.raises(ConfigError, match=re.escape(message)):
+        rc = parse_config_mapping(cfg)
         run_simulation(rc.federation, generate_population(rc.population), rc.model)
     out_dir = tmp_path / "run"
     code = main(["simulate", "--config", str(write_config(tmp_path, cfg)),

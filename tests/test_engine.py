@@ -22,7 +22,7 @@ from reference import (
 )
 from simtools import INF, linear_model, make_config, record_rounds, small_population
 
-from fldp import accountant, engine, models
+from fldp import accountant, clipping, engine, models
 from fldp.clipping import ClipSpec, ClipVariant
 from fldp.data import (
     Batch,
@@ -44,6 +44,7 @@ from fldp.errors import ConfigError, NumericsError
 from fldp.optimizers import OptimizerKind
 from fldp.param_tree import ParamTree
 from fldp.streams import generator
+from fldp.telemetry import LayerStats
 
 
 # -- cohort sampling -----------------------------------------------------------
@@ -318,13 +319,15 @@ def with_empty_clients(population):
     return partition_from_batches(batches, population.probe, population.num_classes)
 
 
-@pytest.mark.parametrize("cohort", [dict(cohort_rate=0.5), dict(cohort_size=6)],
-                         ids=["bernoulli", "fixed-drops-empty"])
+@pytest.mark.parametrize(
+    "cohort", [dict(cohort_rate=0.5), dict(cohort_size=6), dict(cohort_rate=0.1)],
+    ids=["bernoulli", "fixed-drops-empty", "bernoulli-empty-rounds"])
 def test_pseudo_gradient_is_the_noised_sum_over_the_expected_cohort(cohort, monkeypatch):
     # (sum of the clipped rows in ascending id order + one N(0, sigma_sum^2)
     # draw from the round's stream) / qN, bit for bit, in every round, also
     # when the realized cohort is not qN. The noise on the sum is then
     # sigma_sum = z * C whatever the cohort, so the report's z is the run's.
+    # A round whose cohort is empty releases the draw alone over qN.
     _, population = small_population(num_clients=12)
     population = with_empty_clients(population)
     cfg = make_config(population, num_rounds=5, sigma_client=1e-3, clip_bound=0.05,
@@ -342,14 +345,21 @@ def test_pseudo_gradient_is_the_noised_sum_over_the_expected_cohort(cohort, monk
 
     sigma_sum, expected = cfg.privacy.sigma_sum, cfg.privacy.cohort_size
     assert len(grads) == len(rounds) == cfg.num_rounds
-    for grad, recorded in zip(grads, rounds):
-        want = sum_rows(recorded.clipped)
-        want += generator(cfg.seed, 3, recorded.round_index).normal(
-            0.0, sigma_sum, want.size)
+    for grad, recorded, m in zip(grads, rounds, result.metrics):
+        noise = generator(cfg.seed, 3, recorded.round_index).normal(
+            0.0, sigma_sum, grad.size)
+        want = sum_rows(recorded.clipped) + noise if recorded.cohort_ids else noise
         want /= expected
         assert (-grad).tobytes() == want.tobytes()
-    # Some round's realized cohort is not qN.
+        if not recorded.cohort_ids:
+            assert m.cohort_size == 0
+            assert m.delta_norm_preclip_mean == m.pseudograd_norm_prenoise == 0.0
+            assert m.pseudograd_norm_postnoise > 0.0
+            assert all(s == LayerStats(mean=0.0, std=0.0) for s in m.per_layer.values())
+    # Some round's realized cohort is not qN; at rate 0.1 rounds 1-3 are empty.
     assert any(len(r.cohort_ids) != expected for r in rounds)
+    if cohort.get("cohort_rate") == 0.1:
+        assert [m.t for m in result.metrics if m.cohort_size == 0] == [1, 2, 3]
     z = result.privacy_report["noise_multiplier"]
     assert sigma_sum / cfg.clip.bound == pytest.approx(z, rel=1e-12)
 
@@ -379,6 +389,26 @@ def test_post_clip_norm_bounded_every_round(monkeypatch):
         for row in recorded.clipped:
             clipped = ParamTree(row, layout)
             assert global_norm(clipped) <= bound * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("variant", [ClipVariant.GLOBAL, ClipVariant.PER_LAYER_UNIFORM],
+                         ids=lambda v: v.value)
+def test_a_round_squares_its_deltas_once(variant, monkeypatch):
+    # Clipping hands back the delta norms it computed and the per-layer
+    # statistics read them: one norm_rows over the delta stack per round.
+    _, population = small_population()
+    cfg = make_config(population, num_rounds=4, clip_bound=0.05, clip_variant=variant)
+    rounds = record_rounds(monkeypatch)
+    calls = []
+    for module in (clipping, engine):
+        def counting_norm_rows(rows, layout, norm_rows=module.norm_rows):
+            if rounds and rows is rounds[-1].deltas:
+                calls.append(rounds[-1].round_index)
+            return norm_rows(rows, layout)
+
+        monkeypatch.setattr(module, "norm_rows", counting_norm_rows)
+    run_simulation(cfg, population, linear_model())
+    assert calls == [1, 2, 3, 4]
 
 
 def test_zero_noise_pre_and_post_norms_equal():
@@ -540,7 +570,8 @@ def test_one_probe_forward_pass_per_round(monkeypatch):
 
 def test_empty_round_with_non_finite_probe_loss_names_the_probe_stage():
     # Round 1 samples no client at this seed and rate, so the seed model
-    # goes straight to the probe, whose logits overflow.
+    # takes the released noise alone (none, at sigma 0) and goes to the
+    # probe, whose logits overflow.
     _, population = small_population()
     model = linear_model()
     params = models.init_params(model, 0)
