@@ -54,8 +54,8 @@ def _cmd_simulate(args) -> int:
         dump_json(build_manifest(rc)) + "\n"
     )
     print(f"wrote {out_dir}/metrics.jsonl ({len(result.metrics)} rounds)")
-    eps = result.privacy_report["epsilon"]
-    print(f"privacy: epsilon={eps} at delta={rc.federation.privacy.delta}")
+    report = result.privacy_report
+    print(f"privacy: epsilon={report['epsilon']} at delta={report['delta']}")
     return EXIT_OK
 
 

@@ -212,11 +212,8 @@ def _reader(kind):
 
     def scalar(section, key, default):
         required = default is MISSING
-        value = section.value(key, None if required else default,
-                              required=required, kind=kind)
-        if key == "seed" and value < 0:  # stream entropy, so non-negative
-            raise ConfigError(f"{section.path}.seed: must be >= 0, got {value}")
-        return value
+        return section.value(key, None if required else default,
+                             required=required, kind=kind)
     return scalar
 
 
@@ -272,8 +269,10 @@ def _plain(obj):
     """A resolved value as a config states it.
 
     A dataclass becomes the mapping of its keys: the fields ``_OWNED``
-    lists left out, and those ``_KEYS`` renames last, under their keys. A
-    noise mask becomes its sorted layers, an Enum its value, a tuple a list.
+    lists and the fields whose value is None (an omitted key) left out,
+    and those ``_KEYS`` renames last, under their keys. A noise mask
+    becomes its sorted layers (None for the full mask), an Enum its value,
+    a tuple a list.
     """
     if isinstance(obj, NoiseMask):
         return None if obj.included is None else sorted(obj.included)
@@ -281,7 +280,8 @@ def _plain(obj):
         owned = _OWNED.get(type(obj), ())
         names = sorted((f.name for f in fields(obj) if f.name not in owned),
                        key=_KEYS.__contains__)
-        return {_KEYS.get(name, name): _plain(getattr(obj, name)) for name in names}
+        return {_KEYS.get(name, name): value for name in names
+                if (value := _plain(getattr(obj, name))) is not None}
     if isinstance(obj, Enum):
         return obj.value
     if isinstance(obj, tuple):
@@ -295,42 +295,24 @@ def resolved_dict(rc: ResolvedConfig) -> dict:
     """Fully expanded config; re-parsing it resolves identically."""
     out = {name: _plain(getattr(rc, name))
            for name in ("model", "population", "federation")}
-    out["federation"]["seed_model_path"] = rc.seed_model_path
-    _drop_nones(out)
+    if rc.seed_model_path is not None:
+        out["federation"]["seed_model_path"] = rc.seed_model_path
     return out
 
 
-def _drop_nones(obj: dict) -> None:
-    for key in list(obj):
-        if obj[key] is None:
-            del obj[key]
-        elif isinstance(obj[key], dict):
-            _drop_nones(obj[key])
-
-
 def build_manifest(rc: ResolvedConfig, workers: int = 1) -> dict:
-    """Everything needed to reproduce a run bit for bit."""
-    fed = rc.federation
-    dp_valid = fed.noise_mask.covers(rc.model.layout().names)
-    manifest = {
+    """What reproduces a run bit for bit: versions, RNG, workers, resolved config.
+
+    The privacy point and its epsilon are the run's privacy report, and the
+    seeds are in the config, so the manifest does not restate them.
+    """
+    return {
         "engine_version": __version__,
         "numpy_version": np.__version__,
         "rng": {"bit_generator": "Philox", "gaussian": "ziggurat"},
         "workers": workers,
-        "seed": fed.seed,
-        "dp_valid": dp_valid,
-        "privacy": {
-            "sigma_avg": fed.privacy.sigma_avg,
-            "sigma_client": fed.privacy.sigma_client,
-            "sigma_sum": fed.privacy.sigma_sum,
-            "sampling_rate": fed.privacy.sampling_rate,
-            "cohort_size": fed.privacy.cohort_size,
-            "num_steps": fed.privacy.num_steps,
-            "delta": fed.privacy.delta,
-        },
         "config": resolved_dict(rc),
     }
-    return manifest
 
 
 def dump_json(obj: Mapping) -> str:

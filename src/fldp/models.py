@@ -356,8 +356,6 @@ def _tanh_backward(t, dt):
 
 def _apply(a: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
     """a (C, ..., n) times the per-client matrices w (C, n, m), into out (C, ..., m)."""
-    if a.ndim == 3:
-        return np.matmul(a, w, out=out)
     c = a.shape[0]  # one product per client over the stacked middle axes
     np.matmul(a.reshape(c, -1, a.shape[-1]), w, out=out.reshape(c, -1, w.shape[-1]))
     return out

@@ -9,11 +9,14 @@ one replaced. Single-client forms of the model calls, each the engine's
 own kernel entry on a cohort of one, and the central-difference gradient
 oracle. Plain-numpy forms of the model kernels' softmax, cross-entropy
 gradient and LayerNorm backward pass, each reduction one numpy call.
+A clipping oracle that calls none of ``fldp.clipping``'s functions.
 """
+
+import math
 
 import numpy as np
 
-from fldp.clipping import clip_rows
+from fldp.clipping import ClipVariant, clip_rows
 from fldp.data import (
     _STREAM_COUNTS,
     _STREAM_INPUTS,
@@ -85,6 +88,36 @@ def tree_mean(trees):
 def clip_tree(tree, spec):
     clipped = clip_rows(tree.flat[None, :], tree.layout, spec)[0]
     return ParamTree(clipped[0], tree.layout)
+
+
+def clip_oracle(row, layout, spec):
+    """One flat row clipped by hand; (clipped, layer norms, row norm).
+
+    Norms are ``math.hypot`` over the entries. A unit (the row under global
+    clipping, else each layer) is scaled by min(1, bound / norm), or kept
+    when its norm is 0, with the per-layer bounds of the ``clipping``
+    docstring: C_i = bound / sqrt(K), bound * sqrt(D_i / sum_j D_j) or
+    bound * sqrt(a_i D_i / sum_j a_j D_j).
+    """
+    parts = [[float(v) for v in row[span]] for span in layout.slices]
+    norms = [math.hypot(*part) for part in parts]
+    norm = math.hypot(*(v for part in parts for v in part))
+    k = len(parts)
+    if spec.variant == ClipVariant.GLOBAL:
+        bounds, units = [spec.bound] * k, [norm] * k
+    else:
+        if spec.variant == ClipVariant.PER_LAYER_UNIFORM:
+            mass = [1.0] * k
+        elif spec.variant == ClipVariant.PER_LAYER_DIM:
+            mass = [float(size) for size in layout.sizes]
+        else:
+            mass = [spec.weights[name] * size
+                    for name, size in zip(layout.names, layout.sizes)]
+        bounds = [spec.bound * math.sqrt(m / sum(mass)) for m in mass]
+        units = norms
+    factors = [1.0 if u == 0.0 else min(1.0, b / u) for b, u in zip(bounds, units)]
+    clipped = [v * f for part, f in zip(parts, factors) for v in part]
+    return np.array(clipped), np.array(norms), norm
 
 
 def add_noise(delta, sigma, mask=FULL_MASK, seed=0):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import clip_tree, global_norm, layer_norms
+from reference import clip_oracle, clip_tree, global_norm, layer_norms
 
 from fldp.clipping import (
     ClipSpec,
@@ -191,6 +191,35 @@ def test_clip_rows_clips_each_row_like_clip_tree(variant, data):
         want = clip_tree(ParamTree(row, layout), spec)
         assert got.tobytes() == want.flat.tobytes()
         assert global_norm(want) <= spec.bound * _SLACK
+
+
+@pytest.mark.parametrize("variant", list(ClipVariant), ids=lambda v: v.value)
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_clip_rows_matches_an_independent_oracle(variant, data):
+    # The oracle computes norms with math.hypot and bounds from the formulas
+    # of the clipping docstring; rows span 1e-150 to 1e150 and some of their
+    # layers are all zero.
+    sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    layout = Layout.of(tuple(f"l{i}" for i in range(len(sizes))), tuple(sizes))
+    scale = 10.0 ** data.draw(st.integers(-150, 150))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = scale * rng.normal(size=(data.draw(st.integers(1, 6)), layout.total))
+    zero = rng.random((len(rows), len(sizes))) < 0.25
+    for i, k in zip(*np.nonzero(zero)):
+        rows[i, layout.slices[k]] = 0.0
+    bound = scale * data.draw(st.one_of(st.just(0.0), st.floats(1e-3, 10.0),
+                                        st.just(math.inf)))
+    weights = None
+    if variant == ClipVariant.PER_LAYER_WEIGHTED:
+        weights = {name: data.draw(st.floats(0.1, 10.0)) for name in layout.names}
+    spec = ClipSpec(bound, variant, weights)
+    clipped, by_layer, by_row = clip_rows(rows, layout, spec)
+    for i, row in enumerate(rows):
+        want, want_layer, want_row = clip_oracle(row, layout, spec)
+        np.testing.assert_allclose(clipped[i], want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(by_layer[i], want_layer, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(by_row[i], want_row, rtol=1e-12, atol=0)
 
 
 def test_per_layer_never_increases_any_layer_norm():

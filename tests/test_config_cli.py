@@ -279,13 +279,12 @@ def test_seed_model_loaded_from_path(tmp_path):
 def test_manifest_contents():
     rc = parse_config_mapping(minimal_config())
     manifest = build_manifest(rc, workers=3)
+    # The privacy point and the seeds are the report's and the config's.
+    assert list(manifest) == ["engine_version", "numpy_version", "rng", "workers",
+                              "config"]
     assert manifest["rng"] == {"bit_generator": "Philox", "gaussian": "ziggurat"}
     assert manifest["workers"] == 3
-    assert manifest["dp_valid"] is True
-    sigma_client = manifest["privacy"]["sigma_client"]
-    assert manifest["privacy"]["sigma_avg"] == pytest.approx(
-        sigma_client / math.sqrt(4), rel=1e-15
-    )
+    assert manifest["config"] == resolved_dict(rc)
     assert manifest["config"]["federation"]["rounds"] == 3
 
 
@@ -682,7 +681,7 @@ def test_cli_negative_seed_is_config_error(section, tmp_path, capsys):
     code = main(["simulate", "--config", str(write_config(tmp_path, cfg)),
                  "--out", str(tmp_path / "run")])
     assert code == 2
-    assert f"config.{section}.seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert f"{section} seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_negative_seed_rejected_by_library_configs():
@@ -1123,9 +1122,21 @@ def test_cli_summarize_inconsistent_records_is_config_error(
     # The summary weights a round by cohort_size; the writer writes len(cohort_ids).
     (None, "cohort_size", 3, "cohort_size 3 is not the number of cohort_ids (4)"),
     (None, "cohort_size", 5, "cohort_size 5 is not the number of cohort_ids (4)"),
+    # Client ids are integers >= 0; the round-3 cohort has 4 of them.
+    (None, "cohort_ids", [0, "x", 2, 3],
+     "'cohort_ids' entries must be integers >= 0, got 'x'"),
+    (None, "cohort_ids", [0, 1, True, 3],
+     "'cohort_ids' entries must be integers >= 0, got True"),
+    (None, "cohort_ids", [0, 1.0, 2, 3],
+     "'cohort_ids' entries must be integers >= 0, got 1.0"),
+    (None, "cohort_ids", [0, 1, 2, None],
+     "'cohort_ids' entries must be integers >= 0, got None"),
+    (None, "cohort_ids", [0, -1, 2, 3],
+     "'cohort_ids' entries must be integers >= 0, got -1"),
 ], ids=["per_layer", "std", "cohort_size", "loss", "accuracy", "negative-cohort_size",
         "negative-std", "nan-loss", "inf-lr", "negative-inf-mean",
-        "cohort_size-below-ids", "cohort_size-above-ids"])
+        "cohort_size-below-ids", "cohort_size-above-ids", "string-client-id",
+        "bool-client-id", "float-client-id", "null-client-id", "negative-client-id"])
 def test_cli_summarize_wrong_value_type_is_config_error(
         layer, key, value, message, tmp_path, capsys):
     result, _ = run_small(num_rounds=3)

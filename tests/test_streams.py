@@ -1,14 +1,49 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from simtools import linear_model, make_config, small_population
 
+from fldp import data, engine, models
 from fldp.engine import run_simulation
 from fldp.streams import choice_rows, choice_words, cohort_keys, generator, keyed, rekey
 
 
 def numpy_key(*entropy):
     return np.random.SeedSequence(entropy).generate_state(2, np.uint64)
+
+
+def philox_key(*entropy):
+    """The key of the generator that ``generator(*entropy)`` builds."""
+    return tuple(generator(*entropy).bit_generator.state["state"]["key"].tolist())
+
+
+def stream_tags():
+    """Every stream tag of the engine, the data generator and init_params."""
+    tags = [value for module in (engine, data)
+            for name, value in vars(module).items() if name.startswith("_STREAM_")]
+    with mock.patch.object(models, "generator", wraps=generator) as init:
+        models.init_params(linear_model(), 0)
+    return tags + [call.args[1] for call in init.call_args_list]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    round_index=st.integers(1, 2**32 - 1),
+    cohort=st.sets(st.integers(0, 2**32 - 1), max_size=8).map(sorted),
+)
+def test_streams_are_separate(seed, round_index, cohort):
+    # SeedSequence zero-pads its entropy, so a client stream on the noise tag
+    # would give client 0 the round's noise: the tags must differ.
+    keys = [philox_key(seed, engine._STREAM_COHORT, round_index),
+            philox_key(seed, engine._STREAM_NOISE, round_index),
+            *map(tuple, cohort_keys(seed, engine._STREAM_LOCAL, round_index,
+                                    cohort).tolist())]
+    assert len(set(keys)) == len(keys)
+    tags = stream_tags()
+    assert len(set(tags)) == len(tags)
 
 
 @pytest.mark.parametrize("prefix", [
