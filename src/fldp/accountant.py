@@ -230,7 +230,7 @@ def _check_noise_multiplier(z: float, alphas: np.ndarray, steps: int) -> None:
 def _rdp(z: float, q: float, alphas: np.ndarray) -> np.ndarray:
     """Per-step RDP at each order of a checked grid."""
     if q == 1.0:
-        return alphas / (2.0 * z**2)
+        return alphas / (2.0 * z * z)
     log_a = np.empty(alphas.size)
     whole = alphas == np.floor(alphas)
     if whole.any():

@@ -37,7 +37,7 @@ import yaml
 
 from . import __version__
 from .data import PopulationSpec
-from .dp import NoiseMask, PrivacyParams
+from .dp import PrivacyParams
 from .engine import FederationConfig
 from .errors import ConfigError
 from .models import ModelKind, ModelSpec
@@ -200,8 +200,6 @@ def _reader(kind):
         return lambda section, key, default: section.sequence(key, item)
     if typing.get_origin(kind) is abc.Mapping:
         return lambda section, key, default: section.number_map(key)
-    if kind is NoiseMask:
-        return lambda section, key, default: NoiseMask(section.sequence(key, str))
     if is_dataclass(kind):
         def child(section, key, default):
             stated = section.child(key, required=default is MISSING)
@@ -270,12 +268,9 @@ def _plain(obj):
 
     A dataclass becomes the mapping of its keys: the fields ``_OWNED``
     lists and the fields whose value is None (an omitted key) left out,
-    and those ``_KEYS`` renames last, under their keys. A noise mask
-    becomes its sorted layers (None for the full mask), an Enum its value,
-    a tuple a list.
+    and those ``_KEYS`` renames last, under their keys. An Enum becomes its
+    value, a tuple (a noise mask's layers, in the order given) a list.
     """
-    if isinstance(obj, NoiseMask):
-        return None if obj.included is None else sorted(obj.included)
     if is_dataclass(obj):
         owned = _OWNED.get(type(obj), ())
         names = sorted((f.name for f in fields(obj) if f.name not in owned),

@@ -14,9 +14,10 @@ sum is sigma_sum whatever the realized cohort size, and the accountant's
 noise multiplier z = sigma_avg / S with sensitivity S = C / (qN) is
 z = sigma_sum / C.
 
-A NoiseMask restricts noise to a subset of layers for ablation runs; any
-partial mask invalidates the DP guarantee and must be surfaced as
-dp_valid = False in reports.
+A noise mask, the tuple of layer names ``add_noise`` noises (None for
+every layer), restricts noise to a subset of layers for ablation runs; any
+partial mask invalidates the DP guarantee and the privacy report states
+dp_valid = False.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, StructureError
+from .errors import ConfigError
 from .param_tree import Layout
 
 
@@ -52,17 +53,8 @@ def convert_noise(
         raise ConfigError(f"cohort size must be finite and >= 1, got {cohort_size}")
     to_kind = SigmaKind(to_kind)
     diff = _SQRT_L_EXPONENT[to_kind] - _SQRT_L_EXPONENT[SigmaKind(from_kind)]
-    root = math.sqrt(cohort_size)
-    if diff == 0:
-        converted = sigma
-    elif diff == 1:
-        converted = sigma * root
-    elif diff == -1:
-        converted = sigma / root
-    elif diff == 2:
-        converted = sigma * cohort_size
-    else:
-        converted = sigma / cohort_size
+    factor = (1.0, math.sqrt(cohort_size), cohort_size)[abs(diff)]
+    converted = sigma * factor if diff >= 0 else sigma / factor
     if not math.isfinite(converted):
         raise ConfigError(f"sigma {sigma} as {to_kind.value} noise for cohort size "
                           f"{cohort_size} is not finite")
@@ -157,51 +149,24 @@ def noise_multiplier(params: PrivacyParams) -> float:
     return params.sigma_avg / params.sensitivity
 
 
-@dataclass(frozen=True)
-class NoiseMask:
-    """Layers that receive noise; None means all layers (valid DP)."""
-
-    included: Optional[frozenset[str]] = None
-
-    def __post_init__(self):
-        if self.included is not None:
-            object.__setattr__(self, "included", frozenset(self.included))
-
-    def covers(self, layer_names) -> bool:
-        return self.included is None or set(layer_names) <= self.included
-
-    def applies_to(self, name: str) -> bool:
-        return self.included is None or name in self.included
-
-    def validate_against(self, layer_names) -> None:
-        if self.included is None:
-            return
-        unknown = self.included - set(layer_names)
-        if unknown:
-            raise StructureError(f"noise mask names unknown layers {sorted(unknown)}")
-
-
-FULL_MASK = NoiseMask()
-
-
 def add_noise(
     vector: np.ndarray,
     layout: Layout,
     sigma: float,
-    mask: NoiseMask,
+    noised: Optional[tuple[str, ...]],
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """`vector` plus N(0, sigma^2) noise on the layers `mask` includes.
+    """`vector` plus N(0, sigma^2) noise on the layers named in `noised`.
 
-    The draws come from `rng`, one per included layer in layer order; under
-    the full mask they are bit for bit one draw of P values. Excluded layers
-    pass through unchanged. Sigma 0 returns `vector` itself; otherwise the
-    result is a new vector.
+    None names every layer. The draws come from `rng`, one per noised layer
+    in layer order; with every layer noised they are bit for bit one draw of
+    P values. Other layers pass through unchanged. Sigma 0 returns `vector`
+    itself; otherwise the result is a new vector.
     """
     if sigma == 0.0:
         return vector
     out = np.array(vector, dtype=np.float64, copy=True)
     for name, span in zip(layout.names, layout.slices):
-        if mask.applies_to(name):
+        if noised is None or name in noised:
             out[span] += rng.normal(0.0, sigma, size=span.stop - span.start)
     return out

@@ -60,8 +60,8 @@ import numpy as np
 from . import accountant, models, streams
 from .clipping import PER_LAYER_VARIANTS, ClipSpec, bound_vector, clip_rows
 from .data import ClientPartition
-from .dp import FULL_MASK, NoiseMask, PrivacyParams, add_noise, noise_multiplier
-from .errors import ConfigError, NumericsError
+from .dp import PrivacyParams, add_noise, noise_multiplier
+from .errors import ConfigError, NumericsError, StructureError
 from .models import ModelSpec
 from .optimizers import (
     OptimizerHyper,
@@ -152,7 +152,7 @@ class FederationConfig:
     privacy: PrivacyParams
     central: CentralConfig
     fedprox_mu: float = 0.0
-    noise_mask: NoiseMask = FULL_MASK
+    noise_mask: Optional[tuple[str, ...]] = None  # noised layers; None: all
     seed: int = 0
     seed_model: Optional[ParamTree] = None
 
@@ -277,7 +277,7 @@ def _draw_minibatches(sizes, local: LocalConfig, keys: np.ndarray):
     return order, np.ascontiguousarray(index)
 
 
-def _build_privacy_report(privacy: PrivacyParams, mask: NoiseMask,
+def _build_privacy_report(privacy: PrivacyParams, noised: Optional[tuple[str, ...]],
                           layer_names, sampling: CohortMode) -> dict:
     """What the run released and its guarantee.
 
@@ -285,7 +285,7 @@ def _build_privacy_report(privacy: PrivacyParams, mask: NoiseMask,
     treats it as Poisson sampling at ``sampling_rate`` under add/remove
     adjacency.
     """
-    dp_valid = mask.covers(layer_names)
+    dp_valid = noised is None or set(layer_names) <= set(noised)
     report = {
         "clip_bound": privacy.clip_bound,
         "sigma_avg": privacy.sigma_avg,
@@ -356,7 +356,9 @@ def _validate(cfg: FederationConfig, population: ClientPartition,
         raise ConfigError("population and model disagree on num_classes")
     models.check_inputs(model_spec, population.probe.inputs)
     layout = model_spec.layout()
-    cfg.noise_mask.validate_against(layout.names)
+    unknown = set(cfg.noise_mask or ()) - set(layout.names)
+    if unknown:
+        raise StructureError(f"noise mask names unknown layers {sorted(unknown)}")
     if cfg.clip.variant in PER_LAYER_VARIANTS:
         bound_vector(cfg.clip, layout)  # raises on weights that miss the layout
     if cfg.seed_model is not None:

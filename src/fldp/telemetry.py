@@ -32,7 +32,7 @@ _NONNEGATIVE = ">= 0"
 class LayerStats(TypedDict):
     """Mean and std of one layer's pre-clip delta norms over a cohort."""
 
-    mean: float
+    mean: Annotated[float, _NONNEGATIVE]
     std: Annotated[float, _NONNEGATIVE]
 
 
@@ -40,15 +40,15 @@ class LayerStats(TypedDict):
 class RoundMetrics:
     """One round of a run, and one line of metrics.jsonl."""
 
-    t: int
-    loss: float
+    t: Annotated[int, _NONNEGATIVE]
+    loss: Annotated[float, _NONNEGATIVE]
     accuracy: float
-    lr: float
+    lr: Annotated[float, _NONNEGATIVE]
     cohort_size: Annotated[int, _NONNEGATIVE]
     cohort_ids: list[int]
-    delta_norm_preclip_mean: float
-    pseudograd_norm_prenoise: float
-    pseudograd_norm_postnoise: float
+    delta_norm_preclip_mean: Annotated[float, _NONNEGATIVE]
+    pseudograd_norm_prenoise: Annotated[float, _NONNEGATIVE]
+    pseudograd_norm_postnoise: Annotated[float, _NONNEGATIVE]
     per_layer: dict[str, LayerStats]  # layer name -> pre-clip norm stats
 
 

@@ -27,7 +27,6 @@ from fldp.data import (
     ClientPartition,
 )
 from fldp import dp
-from fldp.dp import FULL_MASK
 from fldp.models import _FORWARD, Workspace, cohort_grad, evaluate
 from fldp.param_tree import ParamTree, norm_rows
 from fldp.streams import generator
@@ -120,13 +119,12 @@ def clip_oracle(row, layout, spec):
     return np.array(clipped), np.array(norms), norm
 
 
-def add_noise(delta, sigma, mask=FULL_MASK, seed=0):
+def add_noise(delta, sigma, noised=None, seed=0):
     """Noise drawn from ``Generator(Philox(seed))``."""
-    mask.validate_against(delta.names)
     if sigma == 0.0:
         return delta
     rng = np.random.Generator(np.random.Philox(seed))
-    return ParamTree(dp.add_noise(delta.flat, delta.layout, sigma, mask, rng),
+    return ParamTree(dp.add_noise(delta.flat, delta.layout, sigma, noised, rng),
                      delta.layout)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 from fldp import engine
 from fldp.clipping import ClipSpec, ClipVariant
 from fldp.data import CountSpec, PopulationSpec, generate_population
-from fldp.dp import FULL_MASK, PrivacyParams, SigmaKind
+from fldp.dp import PrivacyParams, SigmaKind
 from fldp.engine import (
     CentralConfig,
     CohortConfig,
@@ -61,7 +61,7 @@ def make_config(
     central_lr=0.5,
     schedule=None,
     hyper=None,
-    noise_mask=FULL_MASK,
+    noise_mask=None,
     seed=11,
     seed_model=None,
     delta=1e-6,

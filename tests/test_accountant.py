@@ -69,6 +69,14 @@ def test_full_sampling_is_pure_gaussian():
     assert rdp_single_step(2.0, 1.0, 8.0) == 1.0
 
 
+def test_full_sampling_at_a_huge_noise_multiplier_is_finite():
+    # z = 1e200 passes the noise-multiplier check (z * z is inf, 1/z^2 is
+    # 0), but z**2 raised OverflowError in the q = 1 branch.
+    eps, order = epsilon_for(1e200, 1.0, 10, 1e-9)
+    assert math.isfinite(eps) and eps > 0
+    assert order == max(DEFAULT_ORDERS)
+
+
 def test_rdp_vanishes_as_sampling_rate_shrinks():
     values = [rdp_single_step(1.0, q, 4.0) for q in (0.5, 0.1, 0.01, 0.001, 1e-5)]
     assert all(a > b for a, b in zip(values, values[1:]))

@@ -29,7 +29,6 @@ from simtools import make_config, record_rounds
 from fldp import engine
 from fldp.clipping import ClipSpec, ClipVariant
 from fldp.data import CountSpec, PopulationSpec, generate_population
-from fldp.dp import FULL_MASK, NoiseMask
 from fldp.engine import LocalMode, run_simulation
 from fldp.models import ModelKind, ModelSpec
 from fldp.optimizers import OptimizerKind
@@ -87,7 +86,7 @@ MODELS = {
 # (model, clip variant, noised layers, Bernoulli rate or None, mode, mu)
 CASES = {
     "linear-global": ("linear", ClipVariant.GLOBAL, None, None, LocalMode.STEPS, 0.0),
-    "mlp-uniform-mask-prox": ("mlp", ClipVariant.PER_LAYER_UNIFORM, {"w1", "b2"},
+    "mlp-uniform-mask-prox": ("mlp", ClipVariant.PER_LAYER_UNIFORM, ("w1", "b2"),
                               None, LocalMode.STEPS, 0.5),
     "attention-dim-bernoulli": ("attention", ClipVariant.PER_LAYER_DIM, None, 0.5,
                                 LocalMode.STEPS, 0.0),
@@ -95,7 +94,7 @@ CASES = {
                                     0.5, LocalMode.STEPS, 0.2),
     "attention-uniform-epochs-prox": ("attention", ClipVariant.PER_LAYER_UNIFORM,
                                       None, None, LocalMode.EPOCHS, 0.1),
-    "linear-dim-mask-epochs": ("linear", ClipVariant.PER_LAYER_DIM, {"b"}, None,
+    "linear-dim-mask-epochs": ("linear", ClipVariant.PER_LAYER_DIM, ("b",), None,
                                LocalMode.EPOCHS, 0.0),
 }
 
@@ -127,13 +126,12 @@ def test_batched_round_matches_per_client_reference(case, monkeypatch):
     weights = None
     if variant == ClipVariant.PER_LAYER_WEIGHTED:
         weights = {name: 1.0 + i for i, name in enumerate(model.layout().names)}
-    mask = FULL_MASK if noised_layers is None else NoiseMask(frozenset(noised_layers))
     cfg = make_config(
         population, num_rounds=3, cohort_size=6, cohort_rate=rate,
         local_mode=mode, local_count=3, batch_size=5, local_lr=0.3,
         local_clip=0.8, clip_bound=0.05, clip_variant=variant,
         clip_weights=weights, sigma_client=1e-2, fedprox_mu=mu,
-        optimizer=OptimizerKind.ADAM, central_lr=0.05, noise_mask=mask,
+        optimizer=OptimizerKind.ADAM, central_lr=0.05, noise_mask=noised_layers,
     )
 
     # The optimizer sees each round's start parameters and negated mean.
@@ -167,7 +165,7 @@ def test_batched_round_matches_per_client_reference(case, monkeypatch):
             any_clipped |= clipped != delta
             want_clipped_rows.append(want_clipped)
         noised = add_noise(tree_sum(want_clipped_rows), cfg.privacy.sigma_sum,
-                           mask, np.random.SeedSequence((cfg.seed, 3, t)))
+                           noised_layers, np.random.SeedSequence((cfg.seed, 3, t)))
         assert_close(neg_mean, scale(-1.0 / cfg.privacy.cohort_size, noised))
     # Both full minibatches and clients short of batch_size were trained,
     # and clipping scaled some deltas.

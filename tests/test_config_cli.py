@@ -592,6 +592,45 @@ def test_clip_weights_checked_against_layout_before_round_one(
     assert not (out_dir / "metrics.jsonl").exists()
 
 
+def test_unknown_noise_mask_layer_is_config_error_before_round_one(
+        tmp_path, capsys, monkeypatch):
+    cfg = demo_config()
+    cfg["federation"]["noise_mask"] = ["w1", "typo"]
+    rounds = record_rounds(monkeypatch)
+    out_dir = tmp_path / "run"
+    code = main(["simulate", "--config", str(write_config(tmp_path, cfg)),
+                 "--out", str(out_dir)])
+    assert code == 2
+    assert "noise mask names unknown layers ['typo']" in capsys.readouterr().err
+    assert rounds == []
+    assert not (out_dir / "metrics.jsonl").exists()
+
+
+def test_unknown_noise_mask_layer_raises_before_any_training(monkeypatch):
+    cfg = demo_config()
+    cfg["federation"]["noise_mask"] = ["w1", "typo"]
+    rc = parse_config_mapping(cfg)
+    population = generate_population(rc.population)
+
+    def train_cohort(*args):
+        raise AssertionError("a round was trained")
+
+    monkeypatch.setattr(engine, "train_cohort", train_cohort)
+    with pytest.raises(StructureError, match=re.escape("unknown layers ['typo']")):
+        run_simulation(rc.federation, population, rc.model)
+
+
+def test_noise_mask_round_trips_in_the_order_given():
+    cfg = minimal_config(noise_mask=["w2", "b1"])
+    cfg["model"] = {"kind": "mlp_layernorm", "input_dim": 4, "num_classes": 3,
+                    "hidden_dim": 5}
+    rc = parse_config_mapping(cfg)
+    assert rc.federation.noise_mask == ("w2", "b1")
+    resolved = resolved_dict(rc)
+    assert resolved["federation"]["noise_mask"] == ["w2", "b1"]
+    assert parse_config_mapping(resolved).federation == rc.federation
+
+
 @pytest.mark.parametrize("key, value", [
     ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", 1.5),
     ("epsilon", -1.0), ("epsilon", math.inf), ("momentum", -0.5),
@@ -1026,6 +1065,14 @@ def test_cli_accountant_noise_multiplier_below_the_series_floor_is_config_error(
     assert "config error: noise multiplier must be finite and at least" in captured.err
 
 
+def test_cli_accountant_huge_noise_multiplier_at_full_sampling(capsys):
+    # Exited 3 with "numerical error: (34, 'Numerical result out of range')".
+    assert main(["accountant", "-z", "1e200", "-q", "1", "-T", "10"]) == 0
+    output = json.loads(capsys.readouterr().out)
+    assert (output["epsilon"], output["best_order"]) == accountant.epsilon_for(
+        1e200, 1.0, 10, 1e-9)
+
+
 def test_cli_accountant_curve_block_is_the_rdp_array(capsys):
     assert main(["accountant", "-z", "1", "-q", "0.1", "-T", "10"]) == 0
     curve = json.loads(capsys.readouterr().out)["curve"]
@@ -1133,10 +1180,23 @@ def test_cli_summarize_inconsistent_records_is_config_error(
      "'cohort_ids' entries must be integers >= 0, got None"),
     (None, "cohort_ids", [0, -1, 2, 3],
      "'cohort_ids' entries must be integers >= 0, got -1"),
+    # A round index, a loss, a learning rate and a norm are never negative.
+    (None, "t", -1, "'t' must be >= 0, got -1"),
+    (None, "loss", -1.0, "'loss' must be >= 0, got -1.0"),
+    (None, "lr", -0.5, "'lr' must be >= 0, got -0.5"),
+    (None, "delta_norm_preclip_mean", -1.0,
+     "'delta_norm_preclip_mean' must be >= 0, got -1.0"),
+    (None, "pseudograd_norm_prenoise", -1.0,
+     "'pseudograd_norm_prenoise' must be >= 0, got -1.0"),
+    (None, "pseudograd_norm_postnoise", -1.0,
+     "'pseudograd_norm_postnoise' must be >= 0, got -1.0"),
+    ("w", "mean", -2.0, "layer 'w' 'mean' must be >= 0, got -2.0"),
 ], ids=["per_layer", "std", "cohort_size", "loss", "accuracy", "negative-cohort_size",
         "negative-std", "nan-loss", "inf-lr", "negative-inf-mean",
         "cohort_size-below-ids", "cohort_size-above-ids", "string-client-id",
-        "bool-client-id", "float-client-id", "null-client-id", "negative-client-id"])
+        "bool-client-id", "float-client-id", "null-client-id", "negative-client-id",
+        "negative-t", "negative-loss", "negative-lr", "negative-preclip-mean",
+        "negative-prenoise-norm", "negative-postnoise-norm", "negative-mean"])
 def test_cli_summarize_wrong_value_type_is_config_error(
         layer, key, value, message, tmp_path, capsys):
     result, _ = run_small(num_rounds=3)

@@ -30,7 +30,6 @@ from fldp.data import (
     PopulationSpec,
     generate_population,
 )
-from fldp.dp import NoiseMask
 from fldp.engine import (
     CohortConfig,
     CohortMode,
@@ -494,7 +493,7 @@ def test_partial_noise_mask_flags_report_invalid():
     model = linear_model()
     cfg = make_config(
         population, num_rounds=2, sigma_client=0.05,
-        noise_mask=NoiseMask(frozenset({"w"})),
+        noise_mask=("w",),
     )
     result = run_simulation(cfg, population, model)
     assert result.privacy_report["dp_valid"] is False
