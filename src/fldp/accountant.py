@@ -29,7 +29,7 @@ Gaussian and eps(alpha) = alpha / (2 z^2).
   tail weights, and its terms alternate in sign once the index passes
   alpha. The terms form one (orders, terms) block whose width starts small
   and doubles for the orders that have not yet stopped. An order stops at
-  the first index whose terms on both sides are smaller than the ones
+  the first index whose terms on both sides are no larger than the ones
   before them and below e^-30, and takes a signed log-sum-exp over exactly
   the terms up to that index. A series still running after
   _MAX_SERIES_TERMS terms raises ArithmeticError.
@@ -160,11 +160,13 @@ def _log_a_frac_orders(q: float, z: float, alphas: np.ndarray) -> np.ndarray:
         log_s0 = np.concatenate((log_s0, new0), axis=1)
         log_s1 = np.concatenate((log_s1, new1), axis=1)
         width = grown
-        # Column k + 1 stops the series when both sides fell below column k
-        # and under the cutoff; terms 0..k+1 are summed.
+        # Column k + 1 stops the series when neither side rose above column
+        # k and both are under the cutoff; terms 0..k+1 are summed. At a
+        # huge z one side's terms are equal floats, which a test for
+        # strictly falling terms would wait on forever.
         falls = (
-            (log_s0[:, 1:] < log_s0[:, :-1])
-            & (log_s1[:, 1:] < log_s1[:, :-1])
+            (log_s0[:, 1:] <= log_s0[:, :-1])
+            & (log_s1[:, 1:] <= log_s1[:, :-1])
             & (np.maximum(log_s0[:, 1:], log_s1[:, 1:]) < _SERIES_LOG_CUTOFF)
         )
         done = falls.any(axis=1)

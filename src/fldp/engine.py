@@ -32,10 +32,11 @@ minibatches) or a fixed number of epochs (shuffled passes whose last
 minibatch is short). Each client draws all its minibatch indices up front
 from its own stream; only this draw depends on the mode. Shifted by the
 client's first row in the partition's flat example arrays, the indices
-gather each step's minibatches straight from them. Sorted by
-descending step count, the clients still training at any step are a prefix
-of the rows, and that prefix takes the SGD step together in one batched
-forward/backward pass, short minibatches padded by zero-weight rows. Every
+gather each step's minibatches straight from them, batch-major (B, L, ...)
+as the model kernels take them. Sorted by descending step count, the
+clients still training at any step are a prefix of the rows, and that
+prefix takes the SGD step together in one batched forward/backward pass,
+short minibatches padded by zero-weight rows. Every
 minibatch gradient is globally clipped to the local bound before the SGD
 step; with a FedProx weight mu > 0 the gradient first gains the proximal
 pull mu * (theta - theta_round_start).
@@ -214,24 +215,26 @@ def train_cohort(
     keys = streams.cohort_keys(seed, _STREAM_LOCAL, round_index, client_ids)
     order, index = _draw_minibatches(sizes, local, keys)
     valid = index >= 0
-    counts = valid.sum(axis=2)
+    counts = valid.sum(axis=1)
     active = np.count_nonzero(counts, axis=1).tolist()
     # Padding rows repeat the client's first example with zero weight.
     np.maximum(index, 0, out=index)
-    index += population.offsets[client_ids][order, None]
+    index += population.offsets[client_ids][order]
     clip, layout = ClipSpec(local.clip_bound), model_spec.layout()
     rows = ws.take("rows", (len(client_ids), start.size))
     rows[...] = start
     example = population.inputs.shape[1:]
     for s, k in enumerate(active):
         # Clients past the prefix have finished; their rows stay as they are.
-        head, idx = rows[:k], index[s, :k]
+        # The step's minibatches are batch-major, (B, k, ...), as the
+        # kernels take them.
+        head, idx = rows[:k], index[s, :, :k]
         # The indices are in range; numpy's default mode would gather into a
         # temporary before copying to `out`.
         inputs = np.take(population.inputs, idx, axis=0, mode="clip",
                          out=ws.take("inputs", (*idx.shape, *example)))
         g = models.cohort_grad(model_spec, head, inputs, population.labels[idx],
-                               counts[s, :k, None, None], valid[s, :k], ws)
+                               counts[s, :k, None], valid[s, :, :k], ws)
         if fedprox_mu > 0.0:
             prox = np.subtract(head, start, out=ws.take("prox", head.shape))
             prox *= fedprox_mu
@@ -246,12 +249,12 @@ def _draw_minibatches(sizes, local: LocalConfig, keys: np.ndarray):
     """Every client's minibatch index sets, drawn up front from its own stream.
 
     Row i of `keys` is the Philox key of client i's stream. Returns the
-    clients sorted by descending step count (stable) and their
-    (S, L, B) index sets in that order, -1 marking padding. Each of the
-    `count` passes is one draw: a minibatch in steps mode, a shuffled epoch
-    cut into minibatches (the last one short) in epochs mode. Steps mode
-    draws the whole cohort from raw stream words at once
-    (`streams.choice_rows`, equal to `count` calls of
+    clients sorted by descending step count (stable) and their index sets
+    in that order, step-major and batch-major, (S, B, L), -1 marking
+    padding. Each of the `count` passes is one draw: a minibatch in steps
+    mode, a shuffled epoch cut into minibatches (the last one short) in
+    epochs mode. Steps mode draws the whole cohort from raw stream words at
+    once (`streams.choice_rows`, equal to `count` calls of
     `rng.choice(n, m, replace=False)` per client); epochs mode calls
     `rng.permutation`, whose masked rejection reads a variable number of
     words.
@@ -272,8 +275,8 @@ def _draw_minibatches(sizes, local: LocalConfig, keys: np.ndarray):
     else:  # every pass is one minibatch of `batch` slots
         picked = streams.choice_rows(keys[order], sizes[order], drawn[order], local.count)
         index.reshape(sizes.size, local.count, batch)[:, :, : picked.shape[2]] = picked
-    # Step-major, so each step's minibatches are contiguous.
-    index = index.reshape(sizes.size, -1, batch).swapaxes(0, 1)
+    # Step-major, so each step's minibatches are one block.
+    index = index.reshape(sizes.size, -1, batch).transpose(1, 2, 0)
     return order, np.ascontiguousarray(index)
 
 

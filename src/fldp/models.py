@@ -10,15 +10,15 @@ Three model kinds, all trained with mean cross-entropy over a batch:
   projections, so per-layer telemetry buckets match the usual transformer
   group names.
 
-Each kind has one forward/backward kernel over a leading cohort axis: it
-takes the (C, P) parameter rows of C clients and their inputs, (C, B, F) or
-(C, B, S, F), and returns (C, B, K) logits plus a closure mapping
-dL/dlogits to the (C, P) gradient rows. Two calls run the kernels:
-``cohort_grad`` for training and ``evaluate`` for the probe (a cohort of
-one), which drops the closure. Neither checks its arguments: once per
-run, the caller validates the inputs' shape with ``check_inputs``, the
-labels' range through the data's own class count, and the parameters'
-layout against ``ModelSpec.layout()``.
+Each kind has one forward/backward kernel over a cohort axis: it takes the
+(C, P) parameter rows of C clients and their minibatches batch-major,
+(B, C, F) or (B, C, S, F), and returns (B, C, K) logits plus a closure
+mapping dL/dlogits to the (C, P) gradient rows. Two calls run the kernels:
+``cohort_grad`` for training and ``evaluate`` for the probe, a cohort of
+one, (B, 1, ...), whose closure it drops. Neither checks its arguments:
+once per run, the caller validates the inputs' shape with
+``check_inputs``, the labels' range through the data's own class count,
+and the parameters' layout against ``ModelSpec.layout()``.
 
 The kernels allocate none of their full-width intermediates, only small
 per-row reductions: they write activations, LayerNorm caches, matmul
@@ -35,18 +35,31 @@ floats. A held array keeps whatever its last user wrote, so every kernel
 writes an array before it reads it; writing into a held array and writing
 into a new one give the same bits.
 
-Reductions over the kernels' short axes (a row's 4 to 16 classes,
-features or scores, and each client's batch positions) go through
-``_sum_last``, ``_max_last`` and ``_sum_batch``, and each gives the bits of
-the numpy reduction it stands for: ``_sum_last`` adds column slices in
-numpy's own pairwise order, ``_max_last`` chains ``np.maximum`` over the
-columns, and ``_sum_batch`` sums a contiguous copy with the batch positions
-first, in numpy's sequential order. On a paper-sized cohort that is a few
-long ufunc loops where numpy runs one short inner loop per row. On a small
-stack the one numpy call is faster, so each helper picks its form by the
-number of rows; both forms give the same bits, so the choice moves only time.
-(A NaN result is NaN in both forms, but its sign may differ; numpy does
-not fix a NaN's sign either.)
+The activations are batch-major: (B, C, n) for ``linear_softmax`` and
+``mlp_layernorm``, (B, S, C, n) for ``tiny_attention``, the client axis
+second to last. Three things follow, each giving the bits of a
+client-first (C, B, n) stack:
+
+* A client's rows are one strided matrix, so its products stay one BLAS
+  gemm each, with the M, N and K of a client-first stack.
+* The per-client vectors (biases, LayerNorm gains and biases) are copied
+  into contiguous (C, n) arrays, which broadcast over the leading axes in
+  contiguous runs of C·n, not in one short loop per row.
+* Each client's batch sum is one ``np.add.reduce`` over the leading axis,
+  which adds the rows in sequence as numpy does over a client-first
+  stack's middle axes, but needs no rows-first copy of the activations.
+  It goes into a contiguous (C, n) array, then into the gradient columns.
+
+Reductions over a row's short last axis (its 4 to 16 classes, features or
+scores) go through ``_sum_last`` and ``_max_last``, and each gives the bits
+of the numpy reduction it stands for: ``_sum_last`` adds column slices in
+numpy's own pairwise order, and ``_max_last`` chains ``np.maximum`` over
+the columns. On a paper-sized cohort that is a few long ufunc loops where
+numpy runs one short inner loop per row. On a small stack the one numpy
+call is faster, so each helper picks its form by the number of rows; both
+forms give the same bits, so the choice moves only time. (A NaN result is
+NaN in both forms, but its sign may differ; numpy does not fix a NaN's
+sign either.)
 
 Gradients are hand-derived closed forms, checked in the tests against a
 central-difference oracle.
@@ -185,16 +198,14 @@ def check_inputs(spec: ModelSpec, inputs: np.ndarray) -> None:
 
 
 # Each helper's own form costs a few ufunc calls of about 1 us each (one
-# or two per column in the column forms), where numpy's reduction pays about
-# 25 ns per row. Below these sizes the one numpy call wins, so the helpers
-# hand it small stacks; both forms give the same bits, so the choice moves
-# only time. Crossovers timed with timeit on a 2-vCPU x86-64 host, numpy
-# 2.4: _sum_last near 400, 900 and 2000 rows at 4, 8 and 16 columns;
-# _max_last near 64 and 150 rows at 4 and 8 columns; _sum_batch near 128
-# rows (clients times batch positions) at 4 to 16 columns.
+# or two per column), where numpy's reduction pays about 25 ns per row.
+# Below these sizes the one numpy call wins, so the helpers hand it small
+# stacks; both forms give the same bits, so the choice moves only time.
+# Crossovers timed with timeit on a 2-vCPU x86-64 host, numpy 2.4:
+# _sum_last near 400, 900 and 2000 rows at 4, 8 and 16 columns; _max_last
+# near 64 and 150 rows at 4 and 8 columns.
 _SUM_ROWS_PER_COLUMN = 128
 _MAX_ROWS_PER_COLUMN = 16
-_BATCH_ROWS = 128
 
 
 class Workspace:
@@ -206,7 +217,7 @@ class Workspace:
     than the held array replaces it, so each array grows to the largest
     request it sees and serves every smaller one after that: the shrinking
     prefixes of an epochs cohort, cohorts of varying size and the probe's
-    (1, probe_size, ...) stack alike. A name holds one intermediate at a
+    (probe_size, 1, ...) stack alike. A name holds one intermediate at a
     time; a kernel gives each of its live intermediates its own name.
     """
 
@@ -272,21 +283,35 @@ def _max_last(z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _sum_batch(z: np.ndarray, out, ws: Workspace) -> np.ndarray:
-    """(C, ..., n) summed over the middle axes per client: (C, n), bit for bit.
+def _sum_axis(z: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """np.add.reduce(z, axis, out=out) over an axis before z's last two.
 
-    For n >= 2 numpy adds the middle rows in sequence; so does one reduction
-    over a contiguous copy with those rows first, in n·C-long steps. The
-    copy goes to the workspace's "batch" array. A one-wide stack numpy sums
-    pairwise, so it is left to numpy.
+    For a C-order z the bits are those of the same sum over the
+    client-first stack, the client axis moved to the front. For n >= 2
+    numpy keeps the last axis innermost either way, and adds the summed
+    rows in sequence. A one-wide client-first stack numpy sums along its
+    contiguous run, pairwise, so for n == 1 that run is copied to the end
+    and summed there.
     """
-    c, n = z.shape[0], z.shape[-1]
-    if n < 2 or _rows(z) < _BATCH_ROWS or not z.flags.c_contiguous:
-        return z.sum(axis=tuple(range(1, z.ndim - 1)), out=out)
-    rows_first = z.reshape(c, -1, n).swapaxes(0, 1)
-    copy = ws.take("batch", rows_first.shape)
-    np.copyto(copy, rows_first)
-    return np.add.reduce(copy, axis=0, out=out)
+    if z.shape[-1] > 1:
+        return np.add.reduce(z, axis=axis, out=out)
+    run = np.ascontiguousarray(np.moveaxis(z[..., 0], axis, -1))
+    np.add.reduce(run, axis=-1, out=out[..., 0])
+    return out
+
+
+def _sum_leading(z: np.ndarray, out: np.ndarray, ws: Workspace) -> np.ndarray:
+    """Each client's sum over the leading axes of (..., C, n), into out (C, n).
+
+    The sum goes to the workspace's contiguous "sum" array and is then
+    copied to `out`, which may be a strided view such as a layer's columns
+    of the gradient rows: numpy reduces into a strided (C, n) view several
+    times slower than into a contiguous one.
+    """
+    c, n = z.shape[-2:]
+    lead = z.reshape(-1, c, n)
+    np.copyto(out, _sum_axis(lead, 0, ws.take("sum", (c, n))))
+    return out
 
 
 def _softmax(z: np.ndarray, out) -> np.ndarray:
@@ -298,9 +323,16 @@ def _softmax(z: np.ndarray, out) -> np.ndarray:
     return e
 
 
-def _per_client(v: np.ndarray, ndim: int) -> np.ndarray:
-    """(C, n) per-client vectors shaped to broadcast over (C, ..., n)."""
-    return v.reshape(v.shape[0], *([1] * (ndim - 2)), v.shape[-1])
+def _client_vectors(v: np.ndarray, ws: Workspace, name: str) -> np.ndarray:
+    """The (C, n) per-client vectors v, a view of the parameter rows, as a
+    C-contiguous array that broadcasts over the activations' leading axes
+    in runs of C·n: v itself if it is one (a single client's), else its
+    copy in the workspace array `name`."""
+    if v.flags.c_contiguous:
+        return v
+    out = ws.take(name, v.shape)
+    np.copyto(out, v)
+    return out
 
 
 def _layernorm_forward(z, gain, bias, eps, ws, name):
@@ -326,15 +358,15 @@ def _layernorm_forward(z, gain, bias, eps, ws, name):
 def _layernorm_backward(dy, gain, cache, out, t, ws):
     """dL/dz, written over dy; the gain and bias gradients go to `out`.
 
-    The gain and bias gradients, summed per client, are the two halves of
-    `out`, (C, 2n): a LayerNorm layer's gradient row, gains then biases.
-    `t` is a dy-shaped scratch array.
+    The gain and bias gradients, summed per client over the leading axes,
+    are the two halves of `out`, (C, 2n): a LayerNorm layer's gradient row,
+    gains then biases. `t` is a dy-shaped scratch array.
     """
     xhat, inv = cache
     n = dy.shape[-1]
     t = np.multiply(dy, xhat, out=t)
-    _sum_batch(t, out[:, :n], ws)
-    _sum_batch(dy, out[:, n:], ws)
+    _sum_leading(t, out[:, :n], ws)
+    _sum_leading(dy, out[:, n:], ws)
     # dz = inv * (gdy - mean(gdy) - xhat * mean(gdy * xhat)), in place.
     dz = np.multiply(gain, dy, out=dy)
     np.multiply(dz, xhat, out=t)
@@ -354,22 +386,37 @@ def _tanh_backward(t, dt):
     return t
 
 
+def _client_rows(z: np.ndarray, copy: bool = False) -> np.ndarray:
+    """A C-order (..., C, n) stack as (C, rows, n): each client's rows.
+
+    A strided view, whose matrices BLAS takes as they are; with `copy`, a
+    contiguous copy, laid out as a client-first stack.
+    """
+    c, n = z.shape[-2:]
+    rows = z.reshape(-1, c, n).swapaxes(0, 1)
+    return np.ascontiguousarray(rows) if copy else rows
+
+
 def _apply(a: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """a (C, ..., n) times the per-client matrices w (C, n, m), into out (C, ..., m)."""
-    c = a.shape[0]  # one product per client over the stacked middle axes
-    np.matmul(a.reshape(c, -1, a.shape[-1]), w, out=out.reshape(c, -1, w.shape[-1]))
+    """a (..., C, n) times the per-client matrices w (C, n, m), into out (..., C, m)."""
+    # One product per client over the stacked leading axes.
+    np.matmul(_client_rows(a), w, out=_client_rows(out))
     return out
 
 
 def _outer(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Per-client sum over the middle axes of a[..., i] * b[..., j], into out (C, i, j).
+    """Per-client sum over the leading axes of a[..., i] * b[..., j], into out (C, i, j).
 
     out may be a view with any strides, such as a layer's columns of the
-    gradient rows.
+    gradient rows. With a one-wide a or b (an input or hidden width of 1)
+    BLAS takes the product as a matrix-vector one, whose sums change with
+    the transposed matrix's leading dimension; so both then go through
+    contiguous client-first copies, and keep the bits of a client-first
+    stack whatever C is.
     """
-    c = a.shape[0]
-    return np.matmul(a.reshape(c, -1, a.shape[-1]).transpose(0, 2, 1),
-                     b.reshape(c, -1, b.shape[-1]), out=out)
+    copy = a.shape[-1] == 1 or b.shape[-1] == 1
+    return np.matmul(_client_rows(a, copy).swapaxes(1, 2), _client_rows(b, copy),
+                     out=out)
 
 
 def _cross_entropy(logits, labels) -> float:
@@ -383,9 +430,9 @@ def _cross_entropy(logits, labels) -> float:
 def _cross_entropy_grad(logits, labels, count, valid, out):
     """Gradient of each client's mean cross-entropy w.r.t. its logits.
 
-    logits are (C, B, K) and labels (C, B); `count` is the number of real
-    examples per client, a scalar or (C, 1, 1). Padding examples, where
-    `valid` (C, B) is False, get a zero gradient. out is C order; it may be
+    logits are (B, C, K) and labels (B, C); `count` is the number of real
+    examples per client, a scalar or (C, 1). Padding examples, where
+    `valid` (B, C) is False, get a zero gradient. out is C order; it may be
     logits itself.
     """
     p = _softmax(logits, out=out)
@@ -398,12 +445,13 @@ def _cross_entropy_grad(logits, labels, count, valid, out):
 
 # -- per-kind forward/backward over a cohort ----------------------------------
 #
-# Each kernel writes its forward intermediates into workspace arrays and
-# returns the logits and a closure. The closure writes the gradient rows
-# into the workspace's "grad" array, each layer's gradient straight into its
-# columns, and its own intermediates over forward arrays that are dead by
-# then, or into arrays of its own. It runs at most once: it writes over the
-# forward values it is done with.
+# Each kernel writes its batch-major forward intermediates into workspace
+# arrays and returns the logits and a closure. The closure writes the
+# gradient rows into the workspace's "grad" array: each weight matrix's
+# gradient straight into its columns, one gemm per client, and each vector's
+# through the leading-axis sum of ``_sum_leading``. Its own intermediates go
+# over forward arrays that are dead by then, or into arrays of its own. It
+# runs at most once: it writes over the forward values it is done with.
 
 
 def _linear_softmax(spec, rows, x, ws):
@@ -412,13 +460,13 @@ def _linear_softmax(spec, rows, x, ws):
     w, b = (rows[:, span] for span in spans)
     w = w.reshape(-1, k, f)
     logits = _apply(x, w.transpose(0, 2, 1), ws.take("logits", (*x.shape[:-1], k)))
-    logits += b[:, None, :]
+    logits += _client_vectors(b, ws, "b")
 
     def backward(dlogits):
         grad = ws.take("grad", rows.shape)
         gw, gb = (grad[:, span] for span in spans)
         _outer(dlogits, x, gw.reshape(-1, k, f))
-        _sum_batch(dlogits, gb, ws)
+        _sum_leading(dlogits, gb, ws)
         return grad
 
     return logits, backward
@@ -430,26 +478,27 @@ def _mlp_layernorm(spec, rows, x, ws):
     spans = spec.layout().slices
     w1, b1, ln, w2, b2 = (rows[:, span] for span in spans)
     w1 = w1.reshape(-1, d, f)
-    gain, bias = _per_client(ln[:, :d], x.ndim), _per_client(ln[:, d:], x.ndim)
+    gain = _client_vectors(ln[:, :d], ws, "ln.gain")
+    bias = _client_vectors(ln[:, d:], ws, "ln.bias")
     w2 = w2.reshape(-1, k, d)
 
     z1 = _apply(x, w1.transpose(0, 2, 1), ws.take("z1", (*x.shape[:-1], d)))
-    z1 += b1[:, None, :]
+    z1 += _client_vectors(b1, ws, "b1")
     h, ln_cache = _layernorm_forward(z1, gain, bias, eps, ws, "ln")
     a = np.tanh(h, out=h)
     logits = _apply(a, w2.transpose(0, 2, 1), ws.take("logits", (*x.shape[:-1], k)))
-    logits += b2[:, None, :]
+    logits += _client_vectors(b2, ws, "b2")
 
     def backward(dlogits):
         grad = ws.take("grad", rows.shape)
         gw1, gb1, gln, gw2, gb2 = (grad[:, span] for span in spans)
         _outer(dlogits, a, gw2.reshape(-1, k, d))
-        _sum_batch(dlogits, gb2, ws)
+        _sum_leading(dlogits, gb2, ws)
         da = _apply(dlogits, w2, z1)  # z1 is dead after the LayerNorm
         dh = _tanh_backward(a, da)
         dz1 = _layernorm_backward(dh, gain, ln_cache, gln, da, ws)  # da: scratch
         _outer(dz1, x, gw1.reshape(-1, d, f))
-        _sum_batch(dz1, gb1, ws)
+        _sum_leading(dz1, gb1, ws)
         return grad
 
     return logits, backward
@@ -462,26 +511,34 @@ def _tiny_attention(spec, rows, x, ws):
     spans = spec.layout().slices
     win, ln1, wqkv, wf, ln2, w1, w2, wout, bout = (rows[:, span] for span in spans)
     win = win.reshape(-1, d, f)
-    g1, be1 = _per_client(ln1[:, :d], x.ndim), _per_client(ln1[:, d:], x.ndim)
+    g1 = _client_vectors(ln1[:, :d], ws, "ln1.gain")
+    be1 = _client_vectors(ln1[:, d:], ws, "ln1.bias")
     wqkv = wqkv.reshape(-1, d, 3 * d)
     wf = wf.reshape(-1, d, d)
-    g2, be2 = _per_client(ln2[:, :d], x.ndim), _per_client(ln2[:, d:], x.ndim)
+    g2 = _client_vectors(ln2[:, :d], ws, "ln2.gain")
+    be2 = _client_vectors(ln2[:, d:], ws, "ln2.bias")
     w1 = w1.reshape(-1, d, d)
     w2 = w2.reshape(-1, d, d)
     wout = wout.reshape(-1, k, d)
 
-    # x is (C, B, S, F); h is the residual stream h0, h1, h2, (C, B, S, d)
-    cbs = x.shape[:-1]
-    h = _apply(x, win.transpose(0, 2, 1), ws.take("h", (*cbs, d)))
+    # x is (B, C, S, F); the stream is (B, S, C, .), so that a client's
+    # rows over batch and sequence are one strided matrix. h is the
+    # residual stream h0, h1, h2.
+    bsc = (x.shape[0], s, x.shape[1])
+    xs = ws.take("x", (*bsc, f))
+    np.copyto(xs, x.swapaxes(1, 2))
+    h = _apply(xs, win.transpose(0, 2, 1), ws.take("h", (*bsc, d)))
 
-    # pre-LN attention sub-block
+    # pre-LN attention sub-block; the scores are per (example, client), on
+    # (B, C, S, .) views of the stream.
     u, ln1_cache = _layernorm_forward(h, g1, be1, eps, ws, "ln1")
-    qkv = _apply(u, wqkv, ws.take("qkv", (*cbs, 3 * d)))
-    q, kk, v = qkv[..., :d], qkv[..., d : 2 * d], qkv[..., 2 * d :]
-    att = np.matmul(q, kk.swapaxes(-1, -2), out=ws.take("att", (*cbs, s)))
-    att /= np.sqrt(d)  # the scores (C, B, S, S), then their softmax
+    qkv = _apply(u, wqkv, ws.take("qkv", (*bsc, 3 * d)))
+    q, kk, v = (qkv[..., i * d : (i + 1) * d].swapaxes(1, 2) for i in range(3))
+    att = np.matmul(q, kk.swapaxes(-1, -2), out=ws.take("att", (*q.shape[:-1], s)))
+    att /= np.sqrt(d)  # the scores (B, C, S, S), then their softmax
     _softmax(att, out=att)
-    ao = np.matmul(att, v, out=ws.take("ao", h.shape))  # (C, B, S, d)
+    ao = ws.take("ao", h.shape)
+    np.matmul(att, v, out=ao.swapaxes(1, 2))
     proj = _apply(ao, wf.transpose(0, 2, 1), ws.take("proj", h.shape))
     h += proj
 
@@ -491,19 +548,21 @@ def _tiny_attention(spec, rows, x, ws):
     np.tanh(t, out=t)
     h += _apply(t, w2.transpose(0, 2, 1), proj)
 
-    pool = np.mean(h, axis=2, out=ws.take("pool", (*cbs[:2], d)))  # (C, B, d)
-    logits = _apply(pool, wout.transpose(0, 2, 1), ws.take("logits", (*cbs[:2], k)))
-    logits += bout[:, None, :]
+    pool = _sum_axis(h, 1, ws.take("pool", (bsc[0], bsc[2], d)))  # (B, C, d)
+    pool /= s  # the mean over positions
+    logits = _apply(pool, wout.transpose(0, 2, 1),
+                    ws.take("logits", (*pool.shape[:-1], k)))
+    logits += _client_vectors(bout, ws, "bout")
 
     def backward(dlogits):
         grad = ws.take("grad", rows.shape)
         gwin, gln1, gwqkv, gwf, gln2, gw1, gw2, gwout, gbout = (
             grad[:, span] for span in spans)
         _outer(dlogits, pool, gwout.reshape(-1, k, d))
-        _sum_batch(dlogits, gbout, ws)
+        _sum_leading(dlogits, gbout, ws)
         dpool = _apply(dlogits, wout, ws.take("dpool", pool.shape))
         # h and proj are dead after the pool.
-        dh2 = np.divide(dpool[:, :, None, :], s, out=h)
+        dh2 = np.divide(dpool[:, None], s, out=h)
 
         # MLP sub-block backward
         dt = _apply(dh2, w2, proj)
@@ -517,20 +576,21 @@ def _tiny_attention(spec, rows, x, ws):
         # attention sub-block backward
         dao = _apply(dh1, wf, dh2)  # over dh2, dead after the residual add
         _outer(dh1, ao, gwf.reshape(-1, d, d))
-        datt = np.matmul(dao, v.swapaxes(-1, -2), out=ws.take("datt", att.shape))
-        dqkv = ws.take("dqkv", qkv.shape)  # (C, B, S, 3d): dq, dk, dv
-        np.matmul(att.swapaxes(-1, -2), dao, out=dqkv[..., 2 * d :])
+        dao_v = dao.swapaxes(1, 2)
+        datt = np.matmul(dao_v, v.swapaxes(-1, -2), out=ws.take("datt", att.shape))
+        dqkv = ws.take("dqkv", qkv.shape)  # (B, S, C, 3d): dq, dk, dv
+        dq, dk, dv = (dqkv[..., i * d : (i + 1) * d].swapaxes(1, 2) for i in range(3))
+        np.matmul(att.swapaxes(-1, -2), dao_v, out=dv)
         datt -= _sum_last(np.multiply(datt, att, out=ws.take("datt.att", att.shape)))
         dscores = np.multiply(att, datt, out=datt)
-        dq = np.matmul(dscores, kk, out=dqkv[..., :d])
-        dq /= np.sqrt(d)
-        dk = np.matmul(dscores.swapaxes(-1, -2), q, out=dqkv[..., d : 2 * d])
-        dk /= np.sqrt(d)
+        np.matmul(dscores, kk, out=dq)
+        np.matmul(dscores.swapaxes(-1, -2), q, out=dk)
+        dqkv[..., : 2 * d] /= np.sqrt(d)  # dq and dk, side by side
         _outer(u, dqkv, gwqkv.reshape(-1, d, 3 * d))
         du = _apply(dqkv, wqkv.transpose(0, 2, 1), dao)  # over dao
         dh0 = _layernorm_backward(du, g1, ln1_cache, gln1, da1, ws)
         dh0 += dh1  # residual
-        _outer(dh0, x, gwin.reshape(-1, d, f))
+        _outer(dh0, xs, gwin.reshape(-1, d, f))
         return grad
 
     return logits, backward
@@ -548,9 +608,9 @@ def cohort_grad(spec: ModelSpec, rows: np.ndarray, inputs: np.ndarray,
                 ws: Workspace) -> np.ndarray:
     """(C, P) gradients of C clients' mean cross-entropy, unchecked.
 
-    rows are the clients' parameters, inputs (C, B, ...) and labels (C, B)
-    their minibatches; `count` and `valid` are as in the cross-entropy
-    gradient. The caller has validated the data against the model. The
+    rows are the clients' parameters, inputs (B, C, ...) and labels (B, C)
+    their minibatches, batch-major; `count` and `valid` are as in the
+    cross-entropy gradient. The caller has validated the data against the model. The
     result is the workspace's "grad" array: the next call into the same
     workspace overwrites it.
     """
@@ -565,6 +625,7 @@ def evaluate(spec: ModelSpec, params: np.ndarray, batch: Batch,
     The caller has validated the batch and the flat parameter vector
     against the model. The forward pass writes into the workspace.
     """
-    out, _ = _FORWARD[spec.kind](spec, params[None, :], batch.inputs[None], ws)
-    pred = np.argmax(out[0], axis=1)
-    return _cross_entropy(out[0], batch.labels), float(np.mean(pred == batch.labels))
+    out, _ = _FORWARD[spec.kind](spec, params[None, :], batch.inputs[:, None], ws)
+    logits = out[:, 0]
+    pred = np.argmax(logits, axis=1)
+    return _cross_entropy(logits, batch.labels), float(np.mean(pred == batch.labels))

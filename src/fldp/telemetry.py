@@ -25,8 +25,9 @@ from typing import Annotated, Iterable, Sequence, TextIO, TypedDict
 
 from .errors import ConfigError
 
-# Marks a numeric type whose values must be >= 0.
+# Marks a numeric type whose values must be >= 0, or in [0, 1].
 _NONNEGATIVE = ">= 0"
+_FRACTION = "in [0, 1]"
 
 
 class LayerStats(TypedDict):
@@ -42,7 +43,7 @@ class RoundMetrics:
 
     t: Annotated[int, _NONNEGATIVE]
     loss: Annotated[float, _NONNEGATIVE]
-    accuracy: float
+    accuracy: Annotated[float, _FRACTION]
     lr: Annotated[float, _NONNEGATIVE]
     cohort_size: Annotated[int, _NONNEGATIVE]
     cohort_ids: list[int]
@@ -81,9 +82,10 @@ def _require(value, tp, where: str, label: str) -> None:
     """Raise ConfigError naming `where: label` unless value is JSON of type tp.
 
     A float may be an int, not a bool, and must be finite; a type annotated
-    `_NONNEGATIVE` must be >= 0. A mapping's entries (one per layer) and a
-    TypedDict's keys are checked against their own types, and a list's
-    entries (client ids) as integers >= 0.
+    `_NONNEGATIVE` must be >= 0, and one annotated `_FRACTION` in [0, 1].
+    A mapping's entries (one per layer) and a TypedDict's keys are checked
+    against their own types, and a list's entries (client ids) as integers
+    >= 0.
     """
     what = f"{where}: {label}"
     marks = ()
@@ -97,6 +99,8 @@ def _require(value, tp, where: str, label: str) -> None:
         raise ConfigError(f"{what} must be finite, got {value!r}")
     if _NONNEGATIVE in marks and value < 0:
         raise ConfigError(f"{what} must be >= 0, got {value!r}")
+    if _FRACTION in marks and not 0 <= value <= 1:
+        raise ConfigError(f"{what} must be in [0, 1], got {value!r}")
     if typing.is_typeddict(tp):
         missing = [k for k in _HINTS[tp] if k not in value]
         if missing:

@@ -210,7 +210,8 @@ def per_client_population(spec):
 
 def logits(spec, params, inputs):
     """One client's (B, K) logits: the kernel's first output."""
-    return _FORWARD[spec.kind](spec, params.flat[None, :], inputs[None], Workspace())[0][0]
+    return _FORWARD[spec.kind](spec, params.flat[None, :], inputs[:, None],
+                               Workspace())[0][:, 0]
 
 
 def loss(spec, params, batch):
@@ -220,9 +221,9 @@ def loss(spec, params, batch):
 
 def grad(spec, params, batch):
     """Gradient of `loss`: ``cohort_grad`` on a one-row cohort."""
-    rows = cohort_grad(spec, params.flat[None, :], batch.inputs[None],
-                       batch.labels[None], batch.labels.size,
-                       np.ones((1, batch.labels.size), dtype=bool), Workspace())
+    rows = cohort_grad(spec, params.flat[None, :], batch.inputs[:, None],
+                       batch.labels[:, None], batch.labels.size,
+                       np.ones((batch.labels.size, 1), dtype=bool), Workspace())
     return ParamTree(rows[0], params.layout)
 
 
@@ -254,9 +255,9 @@ def softmax(z):
 
 
 def cross_entropy_grad(logits, labels, count, valid):
-    c, b = labels.shape
+    b, c = labels.shape
     p = softmax(logits)
-    p[np.arange(c)[:, None], np.arange(b), labels] -= 1.0
+    p[np.arange(b)[:, None], np.arange(c), labels] -= 1.0
     p /= count
     p *= valid[..., None]
     return p
@@ -264,7 +265,7 @@ def cross_entropy_grad(logits, labels, count, valid):
 
 def layernorm_backward(dy, gain, cache):
     xhat, inv = cache
-    batch_axes = tuple(range(1, dy.ndim - 1))
+    batch_axes = tuple(range(dy.ndim - 2))  # the leading axes
     dgain = (dy * xhat).sum(axis=batch_axes)
     dbias = dy.sum(axis=batch_axes)
     gdy = gain * dy

@@ -77,6 +77,17 @@ def test_full_sampling_at_a_huge_noise_multiplier_is_finite():
     assert order == max(DEFAULT_ORDERS)
 
 
+@pytest.mark.parametrize("z,q", [(3e10, 0.0295), (3.2e10, 0.25), (1e11, 0.25)])
+def test_series_stops_at_a_huge_noise_multiplier(z, q):
+    # At such z one side's log terms are equal floats, and a stopping rule
+    # that waited for them to fall strictly raised ArithmeticError.
+    want = epsilon_for(1e9, q, 10, 1e-9)
+    assert want[1] == 256.0 and round(want[0], 4) == 0.0556
+    eps, order = epsilon_for(z, q, 10, 1e-9)
+    assert order == want[1]
+    assert eps == pytest.approx(want[0], rel=1e-12)
+
+
 def test_rdp_vanishes_as_sampling_rate_shrinks():
     values = [rdp_single_step(1.0, q, 4.0) for q in (0.5, 0.1, 0.01, 0.001, 1e-5)]
     assert all(a > b for a, b in zip(values, values[1:]))

@@ -1073,6 +1073,15 @@ def test_cli_accountant_huge_noise_multiplier_at_full_sampling(capsys):
         1e200, 1.0, 10, 1e-9)
 
 
+def test_cli_accountant_huge_noise_multiplier_at_partial_sampling(capsys):
+    # Exited 3: "subsampled-Gaussian series did not converge".
+    assert main(["accountant", "-z", "3e10", "-q", "0.0295", "-T", "10"]) == 0
+    output = json.loads(capsys.readouterr().out)
+    assert (output["epsilon"], output["best_order"]) == accountant.epsilon_for(
+        3e10, 0.0295, 10, 1e-9)
+    assert output["best_order"] == 256.0
+
+
 def test_cli_accountant_curve_block_is_the_rdp_array(capsys):
     assert main(["accountant", "-z", "1", "-q", "0.1", "-T", "10"]) == 0
     curve = json.loads(capsys.readouterr().out)["curve"]
@@ -1191,12 +1200,17 @@ def test_cli_summarize_inconsistent_records_is_config_error(
     (None, "pseudograd_norm_postnoise", -1.0,
      "'pseudograd_norm_postnoise' must be >= 0, got -1.0"),
     ("w", "mean", -2.0, "layer 'w' 'mean' must be >= 0, got -2.0"),
+    # The probe accuracy is a fraction of the probe examples.
+    (None, "accuracy", -0.5, "'accuracy' must be in [0, 1], got -0.5"),
+    (None, "accuracy", 1.5, "'accuracy' must be in [0, 1], got 1.5"),
+    (None, "accuracy", 2, "'accuracy' must be in [0, 1], got 2"),
 ], ids=["per_layer", "std", "cohort_size", "loss", "accuracy", "negative-cohort_size",
         "negative-std", "nan-loss", "inf-lr", "negative-inf-mean",
         "cohort_size-below-ids", "cohort_size-above-ids", "string-client-id",
         "bool-client-id", "float-client-id", "null-client-id", "negative-client-id",
         "negative-t", "negative-loss", "negative-lr", "negative-preclip-mean",
-        "negative-prenoise-norm", "negative-postnoise-norm", "negative-mean"])
+        "negative-prenoise-norm", "negative-postnoise-norm", "negative-mean",
+        "negative-accuracy", "accuracy-above-one", "integer-accuracy-above-one"])
 def test_cli_summarize_wrong_value_type_is_config_error(
         layer, key, value, message, tmp_path, capsys):
     result, _ = run_small(num_rounds=3)

@@ -31,8 +31,8 @@ from fldp.models import (
     _layernorm_forward,
     _max_last,
     _softmax,
-    _sum_batch,
     _sum_last,
+    _sum_leading,
     check_inputs,
     evaluate,
     init_params,
@@ -280,9 +280,9 @@ def test_logits_and_accuracy_agree_with_loss_path():
 
 @st.composite
 def layernorm_stacks(draw):
-    """(C, B, n) or (C, B, S, n) pre-activations, some rows constant or offset."""
+    """(B, C, n) or (B, S, C, n) pre-activations, some rows constant or offset."""
     seq = draw(st.one_of(st.just(()), st.tuples(st.integers(1, 3))))
-    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 4)), *seq,
+    shape = (draw(st.integers(1, 4)), *seq, draw(st.integers(1, 3)),
              draw(st.integers(1, 9)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     z = rng.normal(scale=draw(st.sampled_from([1e-3, 1.0, 50.0])), size=shape)
@@ -291,7 +291,7 @@ def layernorm_stacks(draw):
         rows[i] = rows[i, 0]  # a constant row: zero variance
     for i in draw(st.lists(st.integers(0, rows.shape[0] - 1), max_size=3)):
         rows[i] += draw(st.sampled_from([1e4, -3e6, 1e9]))
-    gain = rng.normal(size=(shape[0],) + (1,) * (len(shape) - 2) + shape[-1:])
+    gain = rng.normal(size=shape[-2:])  # per client, as the kernels copy them
     bias = rng.normal(size=gain.shape)
     return z, gain, bias, draw(st.sampled_from([1e-5, 1e-12, 0.5]))
 
@@ -317,7 +317,7 @@ def forms(column):
     """Force the helpers' column forms on (cut-offs 0) or off (past any stack)."""
     cut = 0 if column else 10**12
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_SUM_ROWS_PER_COLUMN", "_MAX_ROWS_PER_COLUMN", "_BATCH_ROWS"):
+        for name in ("_SUM_ROWS_PER_COLUMN", "_MAX_ROWS_PER_COLUMN"):
             mp.setattr(models, name, cut)
         yield
 
@@ -407,27 +407,54 @@ def test_max_last_gives_numpy_sign_of_a_zero_maximum():
 
 @st.composite
 def batch_stacks(draw):
-    """(C, B, n) and (C, B, S, n) stacks of the values of short_axis_stacks."""
+    """Batch-major (B, C, n) and (B, S, C, n) stacks of the values of
+    short_axis_stacks."""
     z = draw(short_axis_stacks(max_n=9))
-    middle = draw(st.sampled_from([(1,), (4,), (13,), (3, 5), (8, 2)]))
+    lead = draw(st.sampled_from([(1,), (4,), (13,), (5, 3), (2, 8)]))
     c = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    rows = rng.choice(z.reshape(-1, z.shape[-1]), size=c * math.prod(middle))
-    return rows.reshape(c, *middle, z.shape[-1])
+    rows = rng.choice(z.reshape(-1, z.shape[-1]), size=c * math.prod(lead))
+    return rows.reshape(*lead, c, z.shape[-1])
 
 
-def sum_batch(z):
-    """_sum_batch into a new array, so it compares with z.sum bit for bit."""
-    return _sum_batch(z, None, Workspace())
+def client_first_sum(z):
+    """Each client's sum as numpy sums a client-first stack, over its middle axes."""
+    first = np.ascontiguousarray(np.moveaxis(z, -2, 0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return first.sum(axis=tuple(range(1, first.ndim - 1)))
+
+
+def sum_leading(z):
+    """_sum_leading into the columns of a wider array, as into gradient rows."""
+    c, n = z.shape[-2:]
+    grad = np.full((c, n + 3), np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _sum_leading(z, grad[:, 1 : n + 1], Workspace())
+    assert np.shares_memory(got, grad)
+    assert np.isnan(grad[:, 0]).all() and np.isnan(grad[:, n + 1 :]).all()
+    return got
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(z=batch_stacks())
-def test_sum_batch_is_middle_axes_sum_bitwise(z):
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = z.sum(axis=tuple(range(1, z.ndim - 1)))
-    for got in both_forms(sum_batch, z):
-        assert_same_bits(got, want)
+def test_sum_leading_is_the_client_first_sum_bitwise(z):
+    # Sequential over a client's rows for n >= 2, pairwise along its
+    # contiguous run for n == 1, as numpy sums the client-first stack.
+    assert_same_bits(sum_leading(z), client_first_sum(z))
+
+
+@pytest.mark.parametrize("lead", [(12,), (8, 8), (512,)])
+@pytest.mark.parametrize("c", [1, 2, 32])
+def test_sum_leading_of_a_one_wide_stack_is_pairwise_per_client(lead, c):
+    # numpy's reduction of a (..., C, 1) stack over its leading axes adds
+    # the rows in sequence when C > 1 and pairwise when C == 1; the helper
+    # gives every client the pairwise sum of its client-first run.
+    z = np.random.default_rng(c).normal(size=(*lead, c, 1))
+    want = client_first_sum(z)
+    got = sum_leading(z)
+    assert got.tobytes() == want.tobytes()
+    for j in range(c):
+        assert got[j].tobytes() == sum_leading(z[..., j : j + 1, :])[0].tobytes()
 
 
 def non_contiguous(z):
@@ -435,7 +462,7 @@ def non_contiguous(z):
     return np.asfortranarray(z), np.stack([z, z], axis=-1)[..., 0]
 
 
-@pytest.mark.parametrize("shape", [(5, 12, 8), (3, 8, 2, 16)])
+@pytest.mark.parametrize("shape", [(12, 5, 8), (8, 2, 3, 16)])
 def test_helpers_on_non_contiguous_stacks(shape):
     z = np.random.default_rng(3).normal(size=shape)
     for view in non_contiguous(z):
@@ -445,8 +472,10 @@ def test_helpers_on_non_contiguous_stacks(shape):
                 view, axis=-1, keepdims=True).tobytes()
             assert _max_last(view[..., :4]).tobytes() == view[..., :4].max(
                 axis=-1, keepdims=True).tobytes()
-            assert sum_batch(view).tobytes() == view.sum(
-                axis=tuple(range(1, view.ndim - 1))).tobytes()
+        # Off C order the rows need not be summed in sequence; the helper
+        # is then numpy's reduction over the leading axis.
+        want = np.add.reduce(view.reshape(-1, *view.shape[-2:]), axis=0)
+        assert sum_leading(view).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
@@ -455,25 +484,22 @@ def test_helpers_either_side_of_their_cut_offs(n):
     cuts = {
         _sum_last: models._SUM_ROWS_PER_COLUMN * n,
         _max_last: models._MAX_ROWS_PER_COLUMN * n,
-        sum_batch: models._BATCH_ROWS,
     }
     for helper, cut in cuts.items():
         for rows in (cut - 1, cut):
             z = rng.normal(size=(rows, 1, n))
             if helper is _sum_last:
                 want = np.add.reduce(z, axis=-1, keepdims=True)
-            elif helper is _max_last:
-                want = z.max(axis=-1, keepdims=True)
             else:
-                want = z.sum(axis=1)
+                want = z.max(axis=-1, keepdims=True)
             assert helper(z).tobytes() == want.tobytes()
 
 
-# Kernel stacks of the paper's shape (clients, batch 12, width 8 or 4
-# classes) and of the attention shape (clients, batch 8, sequence 8, width
-# 16 or 8 scores), from one client to a paper cohort.
-KERNEL_SHAPES = [(1025, 12, 8), (1025, 12, 4), (16, 12, 8), (1, 12, 4),
-                 (32, 8, 8, 16), (32, 8, 8, 8), (4, 8, 8, 16), (1, 8, 8, 8)]
+# Batch-major kernel stacks of the paper's shape (batch 12, clients, width 8
+# or 4 classes) and of the attention shape (batch 8, sequence 8, clients,
+# width 16 or 8 scores), from one client to a paper cohort.
+KERNEL_SHAPES = [(12, 1025, 8), (12, 1025, 4), (12, 16, 8), (12, 1, 4),
+                 (8, 8, 32, 16), (8, 8, 32, 8), (8, 8, 4, 16), (8, 8, 1, 8)]
 
 
 @st.composite
@@ -500,13 +526,13 @@ def test_softmax_equals_reference_bitwise(case):
 def test_cross_entropy_grad_equals_reference_bitwise(case, padded):
     z, rng = case
     logits = z.reshape(-1, z.shape[-2], z.shape[-1])
-    c, b, k = logits.shape
-    labels = rng.integers(0, k, size=(c, b))
+    b, c, k = logits.shape
+    labels = rng.integers(0, k, size=(b, c))
     if padded:
-        valid = rng.random((c, b)) < 0.7
-        count = np.maximum(valid.sum(axis=1), 1)[:, None, None]
+        valid = rng.random((b, c)) < 0.7
+        count = np.maximum(valid.sum(axis=0), 1)[:, None]
     else:
-        valid, count = np.ones((c, b), dtype=bool), b
+        valid, count = np.ones((b, c), dtype=bool), b
     got = logits.copy()  # in place, as cohort_grad calls it
     _cross_entropy_grad(got, labels, count, valid, out=got)
     want = reference.cross_entropy_grad(logits, labels, count, valid)
@@ -517,11 +543,11 @@ def test_cross_entropy_grad_equals_reference_bitwise(case, padded):
 @given(case=kernel_stacks())
 def test_layernorm_backward_equals_reference_bitwise(case):
     z, rng = case
-    gain = rng.normal(size=(z.shape[0],) + (1,) * (z.ndim - 2) + z.shape[-1:])
+    gain = rng.normal(size=z.shape[-2:])
     ws, n = Workspace(), z.shape[-1]
     _, cache = _layernorm_forward(z, gain, rng.normal(size=gain.shape), 1e-5, ws, "ln")
     dy = rng.normal(size=z.shape)
-    out, t = np.empty((z.shape[0], 2 * n)), np.empty_like(dy)
+    out, t = np.empty((z.shape[-2], 2 * n)), np.empty_like(dy)
     dz = _layernorm_backward(dy.copy(), gain, cache, out, t, ws)  # written over dy
     want = reference.layernorm_backward(dy, gain, cache)
     for g, w in zip((dz, out[:, :n], out[:, n:]), want):

@@ -4,10 +4,12 @@ A ``Workspace`` hands its arrays back with whatever the last user left in
 them, so every kernel must write each array before it reads it. The oracle
 is a fresh workspace per call: results from a reused workspace, and from
 one whose every array was filled with NaN between calls, must have its
-bytes. The pins check the numpy forms the kernels moved to (matmul into an
-``out=`` view, residual adds in place) against the fresh-array forms, and a
-run in a process that already ran another model must write the bytes of
-the same run made alone.
+bytes. The pins check the numpy forms the kernels moved to (per-client
+matmuls on the strided views of batch-major stacks, into an ``out=`` view,
+residual adds in place) against the fresh-array forms on contiguous
+client-first stacks, and each row of a cohort's gradient against the
+client's gradient alone. A run in a process that already ran another
+model must write the bytes of the same run made alone.
 """
 
 import os
@@ -53,17 +55,25 @@ def example_shape(spec):
     return (spec.input_dim,)
 
 
-def cohort(spec, clients, seed):
-    """Parameter rows, minibatches and a padding mask of `clients` clients."""
+def cohort(spec, clients, seed, batch=BATCH):
+    """Parameter rows, batch-major minibatches and a padding mask of
+    `clients` clients."""
     rng = np.random.default_rng(seed)
     start = init_params(spec, seed).flat
     rows = start + 0.3 * rng.normal(size=(clients, start.size))
-    inputs = rng.normal(size=(clients, BATCH, *example_shape(spec)))
-    labels = rng.integers(0, spec.num_classes, size=(clients, BATCH))
-    valid = rng.random((clients, BATCH)) < 0.8
-    valid[:, 0] = True
-    count = valid.sum(axis=1)[:, None, None]
+    inputs = rng.normal(size=(batch, clients, *example_shape(spec)))
+    labels = rng.integers(0, spec.num_classes, size=(batch, clients))
+    valid = rng.random((batch, clients)) < 0.8
+    valid[0] = True
+    count = valid.sum(axis=0)[:, None]
     return rows, inputs, labels, count, valid
+
+
+def clients_of(args, lo, hi):
+    """Clients lo to hi of a cohort's arguments."""
+    rows, inputs, labels, count, valid = args
+    return (rows[lo:hi], inputs[:, lo:hi], labels[:, lo:hi], count[lo:hi],
+            valid[:, lo:hi])
 
 
 def probe(spec, seed):
@@ -80,9 +90,8 @@ def calls(spec):
     The prefixes are an epochs cohort's steps; the larger cohort grows every
     array after the smaller ones.
     """
-    rows, inputs, labels, count, valid = cohort(spec, 6, 1)
-    out = [("grad", (rows[:k], inputs[:k], labels[:k], count[:k], valid[:k]))
-           for k in (6, 4, 4, 1)]
+    args = cohort(spec, 6, 1)
+    out = [("grad", clients_of(args, 0, k)) for k in (6, 4, 4, 1)]
     out.append(("grad", cohort(spec, 9, 2)))
     out += [("probe", probe(spec, 3)), ("grad", cohort(spec, 3, 4)),
             ("probe", probe(spec, 5))]
@@ -106,7 +115,7 @@ def poison(workspace):
 def reductions(request, monkeypatch):
     """Force the short-axis helpers' column forms on (cut-offs 0) or off."""
     cut = 0 if request.param == "column" else 10**12
-    for name in ("_SUM_ROWS_PER_COLUMN", "_MAX_ROWS_PER_COLUMN", "_BATCH_ROWS"):
+    for name in ("_SUM_ROWS_PER_COLUMN", "_MAX_ROWS_PER_COLUMN"):
         monkeypatch.setattr(models, name, cut)
 
 
@@ -126,14 +135,14 @@ def test_reused_and_poisoned_workspaces_give_the_bytes_of_a_fresh_one(
 @pytest.mark.parametrize("kind", list(ModelKind))
 def test_calls_at_the_same_or_a_smaller_shape_allocate_no_array(kind):
     spec = SPECS[kind]
-    rows, inputs, labels, count, valid = cohort(spec, 6, 1)
+    args = cohort(spec, 6, 1)
     params, batch = probe(spec, 3)
     ws = Workspace()
-    cohort_grad(spec, rows, inputs, labels, count, valid, ws)
+    cohort_grad(spec, *args, ws)
     evaluate(spec, params, batch, ws)
     held = dict(ws.held)
     for k in (6, 5, 2):
-        cohort_grad(spec, rows[:k], inputs[:k], labels[:k], count[:k], valid[:k], ws)
+        cohort_grad(spec, *clients_of(args, 0, k), ws)
         evaluate(spec, params, batch, ws)
     assert ws.held.keys() == held.keys()
     assert all(ws.held[name] is array for name, array in held.items())
@@ -151,7 +160,8 @@ def test_take_hands_out_a_prefix_of_the_held_array():
 
 # -- pins: the out= forms are the fresh-array forms, bit for bit ----------------
 
-# The paper's mlp stack, an attention training stack and the attention probe.
+# The paper's mlp stack, an attention training stack and the attention
+# probe, client-first: (C, B, n) and (C, B, S, n).
 STACKS = [(1025, 12, 8), (32, 8, 8, 16), (1, 512, 8, 16)]
 
 
@@ -171,15 +181,23 @@ def poisoned_like(shape):
     return np.full(shape, np.nan)
 
 
+def batch_major(a):
+    """A client-first (C, ..., n) stack as the kernels hold it, (..., C, n)."""
+    return np.ascontiguousarray(np.moveaxis(a, 0, -2))
+
+
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
 @given(case=stacks(), width=st.sampled_from([4, 16, 48]), transposed=st.booleans())
-def test_apply_into_a_view_is_the_fresh_matmul_bitwise(case, width, transposed):
+def test_apply_into_a_view_is_the_fresh_matmul_bitwise(
+        case, width, transposed):
+    # A client's rows of a batch-major stack are a strided matrix; their
+    # product must be the product of the client's contiguous rows.
     a, rng = case
     c, n = a.shape[0], a.shape[-1]
     w = rng.normal(size=(c, width, n) if transposed else (c, n, width))
     w = w.transpose(0, 2, 1) if transposed else w  # the kernels' w^T views
-    want = (a.reshape(c, -1, n) @ w).reshape(*a.shape[:-1], width)
-    got = _apply(a, w, poisoned_like(want.shape))
+    want = batch_major((a.reshape(c, -1, n) @ w).reshape(*a.shape[:-1], width))
+    got = _apply(batch_major(a), w, poisoned_like(want.shape))
     assert got.tobytes() == want.tobytes()
 
 
@@ -195,7 +213,7 @@ def test_outer_into_gradient_columns_is_the_fresh_matmul_bitwise(case, width):
     grad = poisoned_like((c, 3 + n * width + 5))
     view = grad[:, 3 : 3 + n * width].reshape(c, n, width)
     assert np.shares_memory(view, grad)
-    _outer(a, b, view)
+    _outer(batch_major(a), batch_major(b), view)
     assert view.tobytes() == want.tobytes()
     assert np.isnan(grad[:, :3]).all() and np.isnan(grad[:, 3 + n * width :]).all()
 
@@ -203,26 +221,56 @@ def test_outer_into_gradient_columns_is_the_fresh_matmul_bitwise(case, width):
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
 @given(case=stacks())
 def test_attention_matmuls_into_column_blocks_are_the_fresh_matmul_bitwise(case):
-    # (C, B, S, S) @ (C, B, S, d) into one third of a (C, B, S, 3d) array, as
-    # the attention backward writes dq, dk and dv; the operands are column
-    # blocks of such an array too, as q, k and v are.
+    # The scores and their products run per (example, client) on
+    # (B, C, S, d) views of the (B, S, C, 3d) stream, and dq, dk and dv go
+    # into such views; each must be the product of contiguous matrices.
     a, rng = case
     if a.ndim != 4:
         a = a.reshape(a.shape[0], -1, 4, a.shape[-1])
     d, s = a.shape[-1], a.shape[-2]
     qkv = np.concatenate([a, rng.normal(size=a.shape), rng.normal(size=a.shape)],
-                         axis=-1)
-    q, k, v = qkv[..., :d], qkv[..., d : 2 * d], qkv[..., 2 * d :]
-    want_scores = q @ k.swapaxes(-1, -2)
+                         axis=-1)  # client-first, (C, B, S, 3d)
+    stream = np.ascontiguousarray(qkv.transpose(1, 2, 0, 3))  # (B, S, C, 3d)
+    views = [stream[..., i * d : (i + 1) * d].swapaxes(1, 2) for i in range(3)]
+    q, k, v = views
+    dense = [np.ascontiguousarray(x) for x in views]
+    want_scores = dense[0] @ dense[1].swapaxes(-1, -2)
     scores = np.matmul(q, k.swapaxes(-1, -2), out=poisoned_like(want_scores.shape))
     assert scores.tobytes() == want_scores.tobytes()
-    att = rng.random(size=(*a.shape[:-1], s))
-    out = poisoned_like(qkv.shape)
-    for j, operand in enumerate((v, q, k)):
-        want = att.swapaxes(-1, -2) @ operand
-        got = np.matmul(att.swapaxes(-1, -2), operand, out=out[..., j * d : (j + 1) * d])
+    att = rng.random(size=(*q.shape[:-1], s))
+    out = poisoned_like(stream.shape)
+    for j, i in enumerate((2, 0, 1)):  # dv, dq, dk
+        want = att.swapaxes(-1, -2) @ dense[i]
+        got = np.matmul(att.swapaxes(-1, -2), views[i],
+                        out=out[..., j * d : (j + 1) * d].swapaxes(1, 2))
         assert got.tobytes() == want.tobytes()
     assert not np.isnan(out).any()
+
+
+# The paper's mlp cohort, 1025 clients with minibatches of 12, and the
+# attention_epochs cohort, 32 clients with minibatches of 8; then one-wide
+# inputs and hidden layers, whose products BLAS runs as matrix-vector ones.
+ROW_CASES = {
+    "mlp": (ModelSpec(ModelKind.MLP_LAYERNORM, input_dim=8, num_classes=4,
+                      hidden_dim=8), 1025, 12),
+    "attention": (ModelSpec(ModelKind.TINY_ATTENTION, input_dim=8, num_classes=4,
+                            hidden_dim=16, seq_len=8), 32, 8),
+    "mlp-one-wide": (ModelSpec(ModelKind.MLP_LAYERNORM, input_dim=1, num_classes=3,
+                               hidden_dim=1), 40, 12),
+    "attention-one-wide": (ModelSpec(ModelKind.TINY_ATTENTION, input_dim=1,
+                                     num_classes=3, hidden_dim=1, seq_len=8), 16, 8),
+}
+
+
+@pytest.mark.parametrize("case", list(ROW_CASES))
+def test_each_row_of_a_cohort_gradient_is_the_client_alone_bitwise(case):
+    spec, clients, batch = ROW_CASES[case]
+    args = cohort(spec, clients, 6, batch=batch)
+    rows = cohort_grad(spec, *args, Workspace())
+    alone = Workspace()
+    for c in range(clients):
+        one = cohort_grad(spec, *clients_of(args, c, c + 1), alone)
+        assert one[0].tobytes() == rows[c].tobytes(), c
 
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
