@@ -4,19 +4,20 @@ Configs are YAML (JSON also parses) with three sections: ``model``,
 ``population`` and ``federation``. A section's keys, their kinds and their
 defaults are the fields of its dataclass (``ModelSpec``, ``PopulationSpec``,
 ``FederationConfig`` and the dataclasses of their fields): ``_build`` reads
-each field's key as the field's type, an omitted key takes the field's
-default, and a field without one is a required key. Unknown keys are
-rejected with their dotted path. Every value has one owning key: the
-population takes its shape (classes, input dimension, sequence length)
+each field's key with ``_read``, which checks a value as the field's type
+and builds a nested dataclass with ``_build``. A key omitted or null takes
+the field's default, and a field without one is a required key. Unknown
+keys are rejected with their dotted path. Every value has one owning key:
+the population takes its shape (classes, input dimension, sequence length)
 from ``model``, and the privacy point takes its clip bound, step count,
 population size and cohort size or rate from ``federation.clip``,
 ``federation.rounds``, ``population.num_clients`` and
 ``federation.cohort``, so ``federation.privacy`` holds only the noise and
-delta. The table ``_OWNED`` names the fields that other sections own, and
-``_KEYS`` the field stated under another key (``rounds``); parsing and
-``resolved_dict`` both read them. ``resolved_dict`` emits the fully
-expanded configuration, which re-parses to an identical resolution
-(round-trip stable).
+delta. The table ``_OWNED`` names the fields that a section does not
+state, and ``_KEYS`` the fields stated under another key (``rounds``,
+``seed_model_path``); parsing and ``resolved_dict`` both read them.
+``resolved_dict`` emits the fully expanded configuration, which re-parses
+to an identical resolution (round-trip stable).
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ import json
 import math
 import types
 import typing
-from collections import abc
+from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields, is_dataclass
-from enum import Enum
+from enum import Enum, EnumMeta
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 import yaml
@@ -44,90 +45,6 @@ from .models import ModelKind, ModelSpec
 from .param_tree import ParamTree
 
 
-class _Section:
-    """One mapping level: typed getters, unknown-key rejection."""
-
-    def __init__(self, mapping: Mapping, path: str):
-        if not isinstance(mapping, Mapping):
-            raise ConfigError(f"{path}: expected a mapping")
-        self.mapping = mapping
-        self.path = path
-        self.seen: set[str] = set()
-
-    def _get(self, key, default):
-        self.seen.add(key)
-        return self.mapping.get(key, default)
-
-    def child(self, key: str, required=False) -> Optional["_Section"]:
-        raw = self._get(key, None)
-        if raw is None:
-            if required:
-                raise ConfigError(f"{self.path}.{key}: section is required")
-            return None
-        return _Section(raw, f"{self.path}.{key}")
-
-    def value(self, key, default=None, required=False, kind=None):
-        raw = self._get(key, default)
-        if raw is None:
-            if required:
-                raise ConfigError(f"{self.path}.{key}: value is required")
-            return None
-        if kind is float:
-            if isinstance(raw, str) and raw in ("inf", ".inf"):
-                return float("inf")
-            if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-                raise ConfigError(f"{self.path}.{key}: expected a number, got {raw!r}")
-            try:
-                number = float(raw)
-            except OverflowError:
-                raise ConfigError(
-                    f"{self.path}.{key}: integer beyond the float range"
-                ) from None
-            if math.isnan(number):
-                raise ConfigError(f"{self.path}.{key}: expected a number, got nan")
-            return number
-        if kind is int:
-            if isinstance(raw, bool) or not isinstance(raw, int):
-                raise ConfigError(f"{self.path}.{key}: expected an integer")
-            return int(raw)
-        if kind is str and not isinstance(raw, str):
-            raise ConfigError(f"{self.path}.{key}: expected a string")
-        return raw
-
-    def sequence(self, key, kind) -> Optional[tuple]:
-        """A list of values, each checked as ``value(kind=kind)`` checks one."""
-        raw = self._get(key, None)
-        if raw is None:
-            return None
-        if not isinstance(raw, (list, tuple)):
-            raise ConfigError(f"{self.path}.{key}: expected a list, got {raw!r}")
-        items = _Section(dict(enumerate(raw)), f"{self.path}.{key}")
-        return tuple(items.value(i, required=True, kind=kind) for i in range(len(raw)))
-
-    def number_map(self, key) -> Optional[dict]:
-        """A mapping of names to numbers, each checked as ``value`` checks one."""
-        items = self.child(key)
-        if items is None:
-            return None
-        return {k: items.value(k, required=True, kind=float) for k in items.mapping}
-
-    def enum(self, key, enum_cls, default):
-        raw = self._get(key, default)
-        try:
-            return enum_cls(raw)
-        except ValueError:
-            choices = ", ".join(e.value for e in enum_cls)
-            raise ConfigError(
-                f"{self.path}.{key}: {raw!r} is not one of: {choices}"
-            ) from None
-
-    def finish(self):
-        unknown = set(self.mapping) - self.seen
-        if unknown:
-            paths = ", ".join(sorted(f"{self.path}.{key}" for key in unknown))
-            raise ConfigError(f"unknown keys: {paths}")
-
-
 @dataclass(frozen=True)
 class ResolvedConfig:
     model: ModelSpec
@@ -136,8 +53,8 @@ class ResolvedConfig:
     seed_model_path: Optional[str] = None
 
 
-# Fields that a section does not state: other sections own their values
-# (``seed_model`` is the tree at ``seed_model_path``). ``_build`` takes them
+# Fields whose values a section does not state: other sections own them,
+# or (``seed_model``) a key names the file to load. ``_build`` takes them
 # as ``owned``; ``resolved_dict`` leaves them out.
 _OWNED = {
     PopulationSpec: ("num_classes", "input_dim", "seq_len"),
@@ -146,79 +63,118 @@ _OWNED = {
     FederationConfig: ("seed_model",),
 }
 # Fields stated under another key; ``resolved_dict`` writes them last.
-_KEYS = {"num_rounds": "rounds"}
+_KEYS = {"num_rounds": "rounds", "seed_model": "seed_model_path"}
 
 
-def _build(section: _Section, cls, **owned):
-    """An instance of the dataclass cls read from its config section.
+def _build(raw, path: str, cls, **owned):
+    """An instance of the dataclass cls read from the mapping raw at path.
 
     Each field is the key of its name (or the one ``_KEYS`` gives), read as
-    the field's type; an omitted key takes the field's default, and a field
-    without one is a required key. The fields in ``owned`` are not read: a
-    value there is the field's, and a function there is called with the
-    fields read before it.
+    the field's type; a key omitted or null takes the field's default, and
+    a field without one is a required key. The fields in ``owned`` are not
+    read: a value there is the field's, and a function there is called with
+    the fields read before it and the value stated under the field's key.
     """
+    if not isinstance(raw, Mapping):
+        raise ConfigError(f"{path}: expected a mapping")
+    spec, keys = _fields(cls)
     values = {}
-    for name, key, read, default in _fields(cls):
+    for name, key, kind, default in spec:
+        stated = raw.get(key)
         if name in owned:
             value = owned[name]
-            values[name] = value(values) if callable(value) else value
+            values[name] = value(values, stated) if callable(value) else value
+        elif stated is not None:
+            values[name] = _read(kind, stated, f"{path}.{key}")
+        elif default is MISSING:
+            what = "section" if is_dataclass(kind) else "value"
+            raise ConfigError(f"{path}.{key}: {what} is required")
         else:
-            values[name] = read(section, key, default)
-    section.finish()
+            values[name] = default
+    _reject_unknown(raw, path, keys)
     return cls(**values)
 
 
 @functools.cache
 def _fields(cls) -> tuple:
-    """(name, key, reader, default) of each field of cls.
+    """(name, key, type, default) of each field of cls, and the keys stated.
 
-    Cached, because resolving the field types costs more than a parse.
+    A field that ``_OWNED`` lists has no key, unless ``_KEYS`` gives it
+    one. Cached, because resolving the field types costs more than a parse.
     """
     hints = typing.get_type_hints(cls)
-    return tuple((f.name, _KEYS.get(f.name, f.name), _reader(hints[f.name]), f.default)
+    spec = tuple((f.name, _KEYS.get(f.name, f.name), hints[f.name], f.default)
                  for f in fields(cls))
+    owned = _OWNED.get(cls, ())
+    return spec, frozenset(key for name, key, _, _ in spec
+                           if name not in owned or name in _KEYS)
 
 
-def _reader(kind):
-    """A function (section, key, default) that reads the key as a kind.
-
-    A default of MISSING makes the key required.
-    """
-    if typing.get_origin(kind) in (typing.Union, types.UnionType):
-        arms = [_reader(arm) for arm in typing.get_args(kind) if arm is not type(None)]
-        if len(arms) == 1:
-            return arms[0]
-        number, numbers = arms  # noise_level: a number or a list of numbers
-
-        def either(section, key, default):
-            listed = isinstance(section.mapping.get(key), (list, tuple))
-            return (numbers if listed else number)(section, key, default)
-        return either
-    if typing.get_origin(kind) is tuple:
-        item = typing.get_args(kind)[0]
-        return lambda section, key, default: section.sequence(key, item)
-    if typing.get_origin(kind) is abc.Mapping:
-        return lambda section, key, default: section.number_map(key)
+def _read(kind, raw, path: str):
+    """The non-null value raw, checked as a value of the type kind."""
+    if kind is float:
+        if isinstance(raw, str) and raw in ("inf", ".inf"):
+            return math.inf
+        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+            raise ConfigError(f"{path}: expected a number, got {raw!r}")
+        try:
+            number = float(raw)
+        except OverflowError:
+            raise ConfigError(f"{path}: integer beyond the float range") from None
+        if math.isnan(number):
+            raise ConfigError(f"{path}: expected a number, got nan")
+        return number
+    if kind is int:
+        if isinstance(raw, bool) or not isinstance(raw, int):
+            raise ConfigError(f"{path}: expected an integer")
+        return int(raw)
+    if kind is str:
+        if not isinstance(raw, str):
+            raise ConfigError(f"{path}: expected a string")
+        return raw
+    if isinstance(kind, EnumMeta):
+        try:
+            return kind(raw)
+        except ValueError:
+            choices = ", ".join(e.value for e in kind)
+            raise ConfigError(f"{path}: {raw!r} is not one of: {choices}") from None
     if is_dataclass(kind):
-        def child(section, key, default):
-            stated = section.child(key, required=default is MISSING)
-            return default if stated is None else _build(stated, kind)
-        return child
-    if issubclass(kind, Enum):
-        return lambda section, key, default: section.enum(key, kind, default)
+        return _build(raw, path, kind)
+    origin = typing.get_origin(kind)
+    if origin in (typing.Union, types.UnionType):
+        # Optional[X] reads as X; noise_level, a number or a list of numbers.
+        arms = [arm for arm in typing.get_args(kind) if arm is not type(None)]
+        listed = isinstance(raw, (list, tuple))
+        return _read(arms[-1] if listed else arms[0], raw, path)
+    if origin is tuple:
+        if not isinstance(raw, (list, tuple)):
+            raise ConfigError(f"{path}: expected a list, got {raw!r}")
+        item = typing.get_args(kind)[0]
+        return tuple(_read(item, v, f"{path}.{i}") for i, v in enumerate(raw))
+    # A mapping of names to values (clip weights).
+    if not isinstance(raw, Mapping):
+        raise ConfigError(f"{path}: expected a mapping")
+    item = typing.get_args(kind)[1]
+    return {key: _read(item, v, f"{path}.{key}") for key, v in raw.items()}
 
-    def scalar(section, key, default):
-        required = default is MISSING
-        return section.value(key, None if required else default,
-                             required=required, kind=kind)
-    return scalar
+
+def _reject_unknown(raw: Mapping, path: str, keys: frozenset):
+    if not keys.issuperset(raw):
+        paths = sorted(f"{path}.{key}" for key in raw if key not in keys)
+        raise ConfigError(f"unknown keys: {', '.join(paths)}")
 
 
-def _load_seed_model(path_text: Optional[str], root_dir: Optional[Path]):
+def _section(raw: Mapping, key: str):
+    """The value of the top-level section key, which is required."""
+    if raw.get(key) is None:
+        raise ConfigError(f"config.{key}: section is required")
+    return raw[key]
+
+
+def _load_seed_model(path_text, root_dir: Optional[Path]):
     if path_text is None:
         return None
-    path = Path(path_text)
+    path = Path(_read(str, path_text, "config.federation.seed_model_path"))
     if root_dir is not None and not path.is_absolute():
         path = root_dir / path
     try:
@@ -230,26 +186,27 @@ def _load_seed_model(path_text: Optional[str], root_dir: Optional[Path]):
 def parse_config_mapping(
     raw: Mapping, root_dir: Optional[Path] = None
 ) -> ResolvedConfig:
-    root = _Section(raw, "config")
-    model = _build(root.child("model", required=True), ModelSpec)
+    if not isinstance(raw, Mapping):
+        raise ConfigError("config: expected a mapping")
+    model = _build(_section(raw, "model"), "config.model", ModelSpec)
     population = _build(
-        root.child("population", required=True), PopulationSpec,
+        _section(raw, "population"), "config.population", PopulationSpec,
         num_classes=model.num_classes, input_dim=model.input_dim,
         seq_len=model.seq_len if model.kind == ModelKind.TINY_ATTENTION else None,
     )
-    section = root.child("federation", required=True)
-    seed_model_path = section.value("seed_model_path", kind=str)
 
-    def privacy(fed: dict) -> PrivacyParams:
-        stated = section.child("privacy") or _Section({}, f"{section.path}.privacy")
-        return _build(stated, PrivacyParams, clip_bound=fed["clip"].bound,
+    def privacy(fed: dict, stated) -> PrivacyParams:
+        return _build({} if stated is None else stated, "config.federation.privacy",
+                      PrivacyParams, clip_bound=fed["clip"].bound,
                       population=population.num_clients,
                       num_steps=fed["num_rounds"], **fed["cohort"].privacy_args())
 
-    federation = _build(section, FederationConfig, privacy=privacy,
-                        seed_model=_load_seed_model(seed_model_path, root_dir))
-    root.finish()
-    return ResolvedConfig(model, population, federation, seed_model_path)
+    section = _section(raw, "federation")
+    federation = _build(
+        section, "config.federation", FederationConfig, privacy=privacy,
+        seed_model=lambda fed, stated: _load_seed_model(stated, root_dir))
+    _reject_unknown(raw, "config", frozenset(("model", "population", "federation")))
+    return ResolvedConfig(model, population, federation, section.get("seed_model_path"))
 
 
 def parse_config(path: str | Path) -> ResolvedConfig:

@@ -99,6 +99,9 @@ class ModelSpec:
             raise StructureError("need input_dim >= 1 and num_classes >= 2")
         if self.kind != ModelKind.LINEAR_SOFTMAX and self.hidden_dim < 1:
             raise StructureError(f"{self.kind.value} requires hidden_dim >= 1")
+        if self.kind == ModelKind.LINEAR_SOFTMAX and self.hidden_dim != 0:
+            raise StructureError(
+                f"hidden_dim is not for linear_softmax, got {self.hidden_dim}")
         if self.kind == ModelKind.TINY_ATTENTION and self.seq_len < 1:
             raise StructureError("tiny_attention requires seq_len >= 1")
         if self.kind != ModelKind.TINY_ATTENTION and self.seq_len != 1:

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -503,8 +505,8 @@ def demo_config():
     return yaml.safe_load(demo.read_text())
 
 
-# Each value trained and then failed with exit 3 (seq_len ran to exit 0);
-# each is rejected when the config is parsed.
+# Each value trained and then failed with exit 3 (seq_len, and hidden_dim on
+# linear_softmax, ran to exit 0); each is rejected when the config is parsed.
 UNTRAINABLE_VALUES = {
     "layernorm-epsilon-negative": (
         ("model", "layernorm_epsilon"), -1,
@@ -518,6 +520,10 @@ UNTRAINABLE_VALUES = {
     "seq-len-without-attention": (
         ("model", "seq_len"), 5,
         "seq_len is for tiny_attention only, got 5"),
+    "hidden-dim-on-linear-softmax": (
+        ("model",), {"kind": "linear_softmax", "input_dim": 8, "num_classes": 4,
+                     "hidden_dim": -4},
+        "hidden_dim is not for linear_softmax, got -4"),
 }
 
 
@@ -712,6 +718,101 @@ def test_readme_documents_every_resolved_key(make):
     assert emitted - config_format_keys() == set()
 
 
+# -- null keys --------------------------------------------------------------------
+
+OMIT = object()  # edited(): delete the key instead of setting it
+
+
+def key_paths(mapping, prefix=()):
+    """The path of each key of a nested mapping, a section before its keys."""
+    for key, value in mapping.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+def edited(cfg, paths, value):
+    """A copy of cfg with each key path set to value (deleted if OMIT).
+
+    A path inside a section already edited is left as it is.
+    """
+    out = copy.deepcopy(cfg)
+    for path in sorted(paths, key=len):
+        node = out
+        for key in path[:-1]:
+            node = node.get(key)
+            if not isinstance(node, dict):
+                break
+        else:
+            if value is OMIT:
+                del node[path[-1]]
+            else:
+                node[path[-1]] = value
+    return out
+
+
+def parse_outcome(cfg):
+    """The resolved dict of cfg, or the message of its config error."""
+    try:
+        return resolved_dict(parse_config_mapping(cfg))
+    except (ConfigError, StructureError) as exc:
+        return str(exc)
+
+
+@functools.cache
+def null_test_keys(make):
+    """The fully resolved config of make(), its optional and required keys.
+
+    A key is required if omitting it alone is a "... is required" error.
+    """
+    resolved = resolved_dict(parse_config_mapping(make()))
+    optional, required = [], []
+    for path in key_paths(resolved):
+        outcome = parse_outcome(edited(resolved, [path], OMIT))
+        is_required = isinstance(outcome, str) and outcome.endswith(" is required")
+        (required if is_required else optional).append(path)
+    return resolved, optional, required
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_null_key_reads_as_omitted(data):
+    make = data.draw(st.sampled_from([demo_config, variant_config]), label="config")
+    resolved, optional, required = null_test_keys(make)
+    paths = data.draw(st.lists(st.sampled_from(optional), unique=True, max_size=8),
+                      label="null keys")
+    assert parse_outcome(edited(resolved, paths, None)) == parse_outcome(
+        edited(resolved, paths, OMIT))
+    path = data.draw(st.sampled_from(required), label="null required key")
+    what = "section" if isinstance(functools.reduce(dict.get, path, resolved),
+                                   dict) else "value"
+    assert parse_outcome(edited(resolved, [path], None)) == (
+        f"config.{'.'.join(path)}: {what} is required")
+
+
+def test_cli_null_batch_size_takes_its_default(tmp_path):
+    # A null batch size reached the engine as None: exit 1, a TypeError.
+    cfg = demo_config()
+    cfg["federation"]["rounds"] = 2
+    cfg["federation"]["local"]["batch_size"] = None
+    assert simulate_code(tmp_path, cfg) == 0
+    manifest = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
+    assert manifest["config"]["federation"]["local"]["batch_size"] == 8
+
+
+def test_sections_are_read_before_unknown_top_level_keys():
+    cfg = minimal_config()
+    cfg["extra_section"] = {}
+    cfg["model"]["input_dim"] = "four"
+    with pytest.raises(ConfigError) as info:
+        parse_config_mapping(cfg)
+    assert str(info.value) == "config.model.input_dim: expected an integer"
+    cfg["model"]["input_dim"] = 4
+    with pytest.raises(ConfigError) as info:
+        parse_config_mapping(cfg)
+    assert str(info.value) == "unknown keys: config.extra_section"
+
+
 @pytest.mark.parametrize("section", ["federation", "population"])
 def test_cli_negative_seed_is_config_error(section, tmp_path, capsys):
     # A seed is stream entropy; numpy's SeedSequence rejects negative ones.
@@ -872,6 +973,25 @@ WRONG_TYPES = {
     "noise-mask-entry-number": (
         ("federation", "noise_mask"), ["w", 5],
         "config.federation.noise_mask.1: expected a string"),
+    # Only a key reads as omitted when null; an entry is a value.
+    "noise-level-entry-null": (
+        ("population", "noise_level"), [0.5, None],
+        "config.population.noise_level.1: expected a number, got None"),
+    "clip-weight-null": (
+        ("federation", "clip"),
+        {"variant": "weighted", "bound": 0.01, "weights": {"w": 1.0, "b": None}},
+        "config.federation.clip.weights.b: expected a number, got None"),
+    "noise-mask-entry-null": (
+        ("federation", "noise_mask"), ["w", None],
+        "config.federation.noise_mask.1: expected a string"),
+    "privacy-empty-list": (("federation", "privacy"), [],
+                           "config.federation.privacy: expected a mapping"),
+    "privacy-zero": (("federation", "privacy"), 0,
+                     "config.federation.privacy: expected a mapping"),
+    "privacy-empty-string": (("federation", "privacy"), "",
+                             "config.federation.privacy: expected a mapping"),
+    "privacy-false": (("federation", "privacy"), False,
+                      "config.federation.privacy: expected a mapping"),
 }
 
 
