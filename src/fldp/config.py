@@ -261,7 +261,8 @@ def build_manifest(rc: ResolvedConfig, workers: int = 1) -> dict:
     return {
         "engine_version": __version__,
         "numpy_version": np.__version__,
-        "rng": {"bit_generator": "Philox", "gaussian": "ziggurat"},
+        "rng": {"bit_generator": "Philox", "gaussian": "ziggurat",
+                "local": "splitmix64"},
         "workers": workers,
         "config": resolved_dict(rc),
     }

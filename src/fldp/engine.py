@@ -5,14 +5,13 @@ round-start parameters, clip each client's delta (global or per-layer),
 sum the clipped deltas in ascending client-id order, add one Gaussian draw
 of std sigma_sum to the sum, divide it by the expected cohort size qN, and
 hand the negated result to the central optimizer as its gradient estimate.
-All randomness is drawn from per-purpose Philox streams seeded by (run
-seed, stream tag, round[, client]), so a run is bitwise reproducible from
-its seed. A round derives the Philox keys of its whole cohort at once
-(``streams.cohort_keys``) for the minibatch draws and re-keys one
-generator to each client's stream instead of building one per client. A
-steps-mode cohort's minibatch indices come from its streams' raw words as
-array operations (``streams.choice_rows``), bit for bit
-``Generator.choice``. The noise comes from the round's own stream.
+All randomness is drawn from per-purpose streams seeded by (run seed,
+stream tag, round[, client]), so a run is bitwise reproducible from its
+seed. The cohort and the noise come from the round's Philox streams. The
+minibatch indices of the whole cohort come from counter-hash streams, one
+uint64 key per client (``streams.client_keys``), as array operations:
+Floyd's sampling in steps mode (``streams.minibatches``) and a sort of
+hashed words in epochs mode (``streams.permutations``).
 
 A round works on the whole cohort at once. Local training turns the
 round-start parameters into an (L, P) delta matrix, one row per client in
@@ -212,7 +211,7 @@ def train_cohort(
     if not client_ids:
         return np.empty((0, start.size))
     sizes = population.sizes[client_ids]
-    keys = streams.cohort_keys(seed, _STREAM_LOCAL, round_index, client_ids)
+    keys = streams.client_keys(seed, _STREAM_LOCAL, round_index, client_ids)
     order, index = _draw_minibatches(sizes, local, keys)
     valid = index >= 0
     counts = valid.sum(axis=1)
@@ -248,33 +247,27 @@ def train_cohort(
 def _draw_minibatches(sizes, local: LocalConfig, keys: np.ndarray):
     """Every client's minibatch index sets, drawn up front from its own stream.
 
-    Row i of `keys` is the Philox key of client i's stream. Returns the
-    clients sorted by descending step count (stable) and their index sets
-    in that order, step-major and batch-major, (S, B, L), -1 marking
-    padding. Each of the `count` passes is one draw: a minibatch in steps
-    mode, a shuffled epoch cut into minibatches (the last one short) in
-    epochs mode. Steps mode draws the whole cohort from raw stream words at
-    once (`streams.choice_rows`, equal to `count` calls of
-    `rng.choice(n, m, replace=False)` per client); epochs mode calls
-    `rng.permutation`, whose masked rejection reads a variable number of
-    words.
+    Row i of `keys` is client i's local stream key. Returns the clients
+    sorted by descending step count (stable) and their index sets in that
+    order, step-major and batch-major, (S, B, L), -1 marking padding. Each
+    of the `count` passes is one draw: a minibatch of min(n, B) distinct
+    examples in steps mode (`streams.minibatches`), a shuffled epoch cut
+    into minibatches, the last one short, in epochs mode
+    (`streams.permutations`).
     """
-    batch = local.batch_size
-    epochs = local.mode == LocalMode.EPOCHS
-    drawn = sizes if epochs else np.minimum(sizes, batch)
-    width = -(-drawn // batch) * batch  # index slots of one pass
+    batch, count = local.batch_size, local.count
+    if local.mode == LocalMode.STEPS:  # every client takes `count` steps
+        return np.arange(sizes.size), streams.minibatches(keys, sizes, batch, count)
+    width = -(-sizes // batch) * batch  # index slots of one pass
     order = np.argsort(-width, kind="stable")
+    n, width = sizes[order], width[order]
+    perm = streams.permutations(keys[order], n, count)
     # A client's row holds its passes end to end.
-    index = np.full((sizes.size, local.count * width.max()), -1, dtype=np.intp)
-    if epochs:
-        clients = zip(streams.keyed(keys[order]), sizes[order].tolist(),
-                      width[order].tolist())
-        for slot, (rng, n, w) in enumerate(clients):
-            for p in range(local.count):
-                index[slot, p * w : p * w + n] = rng.permutation(n)
-    else:  # every pass is one minibatch of `batch` slots
-        picked = streams.choice_rows(keys[order], sizes[order], drawn[order], local.count)
-        index.reshape(sizes.size, local.count, batch)[:, :, : picked.shape[2]] = picked
+    index = np.full((sizes.size, count * width.max()), -1, dtype=np.intp)
+    slot = np.arange(perm.shape[2])
+    at = width[:, None, None] * np.arange(count)[:, None] + slot
+    keep = np.broadcast_to(slot < n[:, None, None], perm.shape)
+    index[np.nonzero(keep)[0], at[keep]] = perm[keep]
     # Step-major, so each step's minibatches are one block.
     index = index.reshape(sizes.size, -1, batch).transpose(1, 2, 0)
     return order, np.ascontiguousarray(index)

@@ -9,7 +9,10 @@ one replaced. Single-client forms of the model calls, each the engine's
 own kernel entry on a cohort of one, and the central-difference gradient
 oracle. Plain-numpy forms of the model kernels' softmax, cross-entropy
 gradient and LayerNorm backward pass, each reduction one numpy call.
-A clipping oracle that calls none of ``fldp.clipping``'s functions.
+A clipping oracle that calls none of ``fldp.clipping``'s functions. A
+scalar form of the local minibatch draw: the counter-hash key and word
+formulas of ``fldp.streams`` written out again on Python ints, a
+per-client Floyd loop and a per-client sort of hashed words.
 """
 
 import math
@@ -27,11 +30,15 @@ from fldp.data import (
     ClientPartition,
 )
 from fldp import dp
+from fldp.engine import LocalMode
 from fldp.models import _FORWARD, Workspace, cohort_grad, evaluate
 from fldp.param_tree import ParamTree, norm_rows
 from fldp.streams import generator
 
 _STREAM_SHUFFLE = 16  # iid_shuffle's stream tag, apart from every fldp tag
+_STREAM_LOCAL = 2  # the engine's local minibatch stream
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 def global_norm(tree):
@@ -126,6 +133,53 @@ def add_noise(delta, sigma, noised=None, seed=0):
     rng = np.random.Generator(np.random.Philox(seed))
     return ParamTree(dp.add_noise(delta.flat, delta.layout, sigma, noised, rng),
                      delta.layout)
+
+
+def splitmix(z):
+    """The SplitMix64 finalizer of a 64-bit int."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+    return z ^ z >> 31
+
+
+def local_key(seed, round_index, client_id):
+    """Chain key = splitmix(key + w + gamma) over the 64-bit words of the tuple."""
+    key = 0
+    for value in (seed, _STREAM_LOCAL, round_index, client_id):
+        while True:
+            key = splitmix((key + (value & _MASK64) + _GAMMA) & _MASK64)
+            value >>= 64
+            if not value:
+                break
+    return key
+
+
+def local_word(key, counter):
+    return splitmix((key + (counter + 1) * _GAMMA) & _MASK64)
+
+
+def local_batches(seed, round_index, client_id, n, local):
+    """One client's minibatch indices, step by step, drawn one at a time.
+
+    Steps mode: pass p is Floyd's sampling of min(n, B) items, slot t
+    drawing from word p * B + t. Epochs mode: pass p orders the items by
+    word p * n + i, ties by item, and is cut into minibatches of B.
+    """
+    key, batch = local_key(seed, round_index, client_id), local.batch_size
+    steps = []
+    for p in range(local.count):
+        if local.mode == LocalMode.EPOCHS:
+            drawn = [local_word(key, p * n + i) for i in range(n)]
+            order = sorted(range(n), key=drawn.__getitem__)
+            steps += [order[lo:lo + batch] for lo in range(0, n, batch)]
+            continue
+        m, chosen = min(n, batch), []
+        for t in range(m):
+            j = n - m + t
+            v = (local_word(key, p * batch + t) >> 32) * (j + 1) >> 32
+            chosen.append(j if v in chosen else v)
+        steps.append(chosen)
+    return [np.array(idx, dtype=np.intp) for idx in steps]
 
 
 def take(batch, idx):

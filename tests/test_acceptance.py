@@ -24,6 +24,7 @@ from reference import (
     grad,
     iid_shuffle,
     layer_norms,
+    local_batches,
     mean_rows,
     sub,
     take,
@@ -403,17 +404,11 @@ def test_criterion_10_fedprox_shrinks_deltas():
         baseline = ParamTree(train_cohort(
             params.flat, population, model, local, 0.0, round_index, [2], seed,
             models.Workspace())[0], params.layout)
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence((seed, 2, round_index, 2)))
-        )
         theta = params
-        for _ in range(local.count):
-            order = rng.permutation(client.labels.size)
-            for lo in range(0, client.labels.size, local.batch_size):
-                batch = take(client, order[lo: lo + local.batch_size])
-                g = clip_tree(grad(model, theta, batch),
-                              ClipSpec(local.clip_bound))
-                theta = axpy(-local.lr, g, theta)
+        for idx in local_batches(seed, round_index, 2, client.labels.size, local):
+            g = clip_tree(grad(model, theta, take(client, idx)),
+                          ClipSpec(local.clip_bound))
+            theta = axpy(-local.lr, g, theta)
         assert baseline == sub(theta, params)
 
 

@@ -2,7 +2,8 @@
 
 The reference runs a round one client at a time through the single-client
 model forms and the per-tree helpers of ``reference``: local SGD one minibatch
-gradient at a time, then ``clip_tree`` per client, ``tree_sum`` over the
+gradient at a time on the scalar reference draw's minibatches
+(``local_batches``), then ``clip_tree`` per client, ``tree_sum`` over the
 cohort, ``add_noise`` of std sigma_sum from the round's stream and the
 division by the expected cohort size. Every round of a simulation is
 recomputed from the engine's own round-start parameters and compared with
@@ -22,6 +23,7 @@ from reference import (
     clip_tree,
     grad,
     layer_norms,
+    local_batches,
     partition_from_batches,
     scale,
     sub,
@@ -45,30 +47,14 @@ RTOL = 1e-12
 def reference_local_train(global_params, client_data, model_spec, local,
                           fedprox_mu, round_index, client_id, seed):
     """Local SGD on one client, one minibatch gradient at a time."""
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence((seed, 2, round_index, client_id)))
-    )
-    n = client_data.labels.size
     params = global_params
-
-    def one_step(batch, params):
-        g = grad(model_spec, params, batch)
+    for idx in local_batches(seed, round_index, client_id,
+                             client_data.labels.size, local):
+        g = grad(model_spec, params, take(client_data, idx))
         if fedprox_mu > 0.0:
             g = axpy(fedprox_mu, sub(params, global_params), g)
         g = clip_tree(g, ClipSpec(local.clip_bound))
-        return axpy(-local.lr, g, params)
-
-    if local.mode == LocalMode.EPOCHS:
-        for _ in range(local.count):
-            order = rng.permutation(n)
-            for start in range(0, n, local.batch_size):
-                idx = order[start : start + local.batch_size]
-                params = one_step(take(client_data, idx), params)
-    else:
-        drawn = min(local.batch_size, n)
-        for _ in range(local.count):
-            idx = rng.choice(n, size=drawn, replace=False)
-            params = one_step(take(client_data, idx), params)
+        params = axpy(-local.lr, g, params)
     return sub(params, global_params)
 
 

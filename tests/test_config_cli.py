@@ -284,7 +284,8 @@ def test_manifest_contents():
     # The privacy point and the seeds are the report's and the config's.
     assert list(manifest) == ["engine_version", "numpy_version", "rng", "workers",
                               "config"]
-    assert manifest["rng"] == {"bit_generator": "Philox", "gaussian": "ziggurat"}
+    assert manifest["rng"] == {"bit_generator": "Philox", "gaussian": "ziggurat",
+                               "local": "splitmix64"}
     assert manifest["workers"] == 3
     assert manifest["config"] == resolved_dict(rc)
     assert manifest["config"]["federation"]["rounds"] == 3

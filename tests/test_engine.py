@@ -12,6 +12,7 @@ from reference import (
     clip_tree,
     global_norm,
     grad,
+    local_batches,
     partition_from_batches,
     scale,
     sub,
@@ -126,16 +127,10 @@ def test_local_train_matches_plain_sgd_oracle():
         train_cohort(params.flat, population, model, local, 0.0, 7, [1], 13,
                      models.Workspace())[0], params.layout)
 
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence((13, 2, 7, 1)))
-    )
     theta = params
-    for _ in range(2):
-        order = rng.permutation(client.labels.size)
-        for start in range(0, client.labels.size, 4):
-            batch = take(client, order[start : start + 4])
-            g = clip_tree(grad(model, theta, batch), ClipSpec(0.5))
-            theta = axpy(-0.05, g, theta)
+    for idx in local_batches(13, 7, 1, client.labels.size, local):
+        g = clip_tree(grad(model, theta, take(client, idx)), ClipSpec(0.5))
+        theta = axpy(-0.05, g, theta)
     assert delta == sub(theta, params)
 
 
