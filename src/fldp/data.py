@@ -13,16 +13,13 @@ array; client i owns rows ``offsets[i]:offsets[i+1]``, so an empty client
 is a zero-length span. All clients' inputs come from one draw of the
 inputs stream, which equals drawing them client by client.
 
-Labels come from the one shared label stream, client by client: the
-client's class distribution, then one uniform per example. The class
-distribution is the row ``Generator.dirichlet`` would return: gamma draws
-normalised after the loop exactly as numpy normalises them, or, when
-every concentration is below 0.1, a ``dirichlet`` call (numpy's beta
-branch). After the loop an inverse CDF over the whole population turns
-each uniform into the number of its client's cumulative class
-probabilities at or below it. That is what ``Generator.choice(K, n,
-p=dist)`` computes from the same uniforms, so the labels are bit for bit
-the per-client ``choice`` draws.
+Labels come from the one shared label stream in three blocks: an (N, K)
+gamma block and an (N, K) uniform block give every client's Dirichlet
+class distribution at once, in log space, and one uniform per example
+follows. An inverse CDF over the whole population turns each example's
+uniform into the number of its client's cumulative class probabilities
+at or below it, which is ``searchsorted(cdf, u, side='right')`` client by
+client.
 """
 
 from __future__ import annotations
@@ -239,59 +236,31 @@ def _inverse_cdf(cdf: np.ndarray, counts: np.ndarray, u: np.ndarray) -> np.ndarr
     return out
 
 
-def _equal_runs(concentration) -> list[tuple[int, int, float]]:
-    """(start, stop, value) of each run of equal entries, left to right."""
-    edges = np.flatnonzero(concentration[1:] != concentration[:-1]) + 1
-    bounds = [0, *edges.tolist(), concentration.size]
-    return [(a, b, float(concentration[a])) for a, b in zip(bounds[:-1], bounds[1:])]
-
-
-def _normalise_rows(dist) -> None:
-    """Scale each gamma row to sum to 1 in place, as ``Generator.dirichlet``.
-
-    numpy sums a row left to right and multiplies it by the reciprocal of
-    the sum; doing the same column by column gives the same bits. An
-    all-zero or NaN row becomes NaN, which the caller reports.
-    """
-    acc = dist[:, 0].copy()
-    for column in dist.T[1:]:
-        acc += column
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(1.0, acc, out=acc)
-        dist *= acc[:, None]
-
-
 def _draw_labels(rng, concentration, offsets) -> np.ndarray:
     """Every client's labels: a Dirichlet row, then one uniform per example.
 
-    A row is what ``rng.dirichlet(concentration)`` returns. When every
-    concentration is below 0.1 that is a ``dirichlet`` call per client
-    (numpy breaks a stick with beta draws); otherwise the client draws its
-    gammas with one ``standard_gamma`` call per run of equal concentrations,
-    and all rows are normalised after the loop as numpy normalises one.
-    Every client shares the concentrations, so the branch is chosen once.
-    The uniforms are those ``rng.choice(K, n, p=row)`` would read, in the
-    same order, so the labels are bit for bit the per-client draws.
+    Gamma(c) is G U^(1/c) for G ~ Gamma(c + 1) and U uniform (Marsaglia and
+    Tsang's boost), so a client's class weights are drawn in log space from
+    one (N, K) gamma block and one (N, K) uniform block, and scaled to a
+    row maximum of 1: a tiny concentration cannot underflow a row to all
+    zeros. A row every class of which overflows to -inf (concentrations
+    below about 2e-307) is NaN and reported. One uniform block, read by
+    ``_inverse_cdf``, then gives each example its class.
     """
-    dist = np.empty((offsets.size - 1, concentration.size))
-    u = np.empty(offsets[-1])
-    runs = None if concentration.max() < 0.1 else _equal_runs(concentration)
-    for row, lo, hi in zip(dist, offsets[:-1].tolist(), offsets[1:].tolist()):
-        if runs is None:
-            row[:] = rng.dirichlet(concentration)
-        else:
-            for a, b, c in runs:
-                rng.standard_gamma(c, out=row[a:b])
-        rng.random(out=u[lo:hi])
-    if runs is not None:
-        _normalise_rows(dist)
+    shape = (offsets.size - 1, concentration.size)
+    log_weights = np.log(rng.standard_gamma(concentration + 1, size=shape))
+    with np.errstate(over="ignore"):  # -inf: the weight underflows
+        log_weights += np.log1p(-rng.random(shape)) / concentration
+    with np.errstate(invalid="ignore"):  # an all -inf row becomes NaN
+        log_weights -= log_weights.max(axis=1, keepdims=True)
+    dist = np.exp(log_weights, out=log_weights)
     cdf = _cdf(dist)
     bad = np.flatnonzero(~np.isfinite(cdf).all(axis=1))
     if bad.size:
         raise NumericsError(
             f"client {bad[0]}: Dirichlet class distribution {dist[bad[0]].tolist()} "
             "is not a finite probability vector")
-    return _inverse_cdf(cdf, np.diff(offsets), u)
+    return _inverse_cdf(cdf, np.diff(offsets), rng.random(offsets[-1]))
 
 
 def generate_population(spec: PopulationSpec) -> ClientPartition:

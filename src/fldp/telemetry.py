@@ -7,10 +7,14 @@ the fields in order; `read_metrics` checks each value against its type.
 
 The summary pools per-layer delta-norm statistics across all clients and
 rounds. Per-round metrics carry (mean, std, count), which is enough to
-recover the pooled mean and population std exactly:
+recover the pooled mean and population std:
 
     pooled_mean = sum(n_t m_t) / sum(n_t)
-    pooled_var  = sum(n_t (s_t^2 + m_t^2)) / sum(n_t) - pooled_mean^2
+    pooled_var  = sum(n_t (s_t^2 + (m_t - pooled_mean)^2)) / sum(n_t)
+
+The rounds are merged one at a time by Chan, Golub and LeVeque's pairwise
+update, on values divided by the layer's largest mean or std: no square
+overflows, and a spread far below the mean is not lost to cancellation.
 """
 
 from __future__ import annotations
@@ -167,28 +171,30 @@ class Summary:
         return buf.getvalue()
 
 
+def _pool(groups: list[tuple[int, float, float]]) -> LayerStats:
+    """Pooled mean and population std of (count, mean, std) groups."""
+    scale = max((max(mean, std) for _, mean, std in groups), default=0.0)
+    if scale == 0.0:
+        return LayerStats(mean=0.0, std=0.0)
+    n, mean, m2 = 0, 0.0, 0.0  # m2: sum of squared deviations from mean
+    for count, group_mean, group_std in groups:
+        delta = group_mean / scale - mean
+        total = n + count
+        mean += delta * (count / total)
+        m2 += count * (group_std / scale) ** 2 + delta * delta * (n * count / total)
+        n = total
+    return LayerStats(mean=mean * scale, std=math.sqrt(m2 / n) * scale)
+
+
 def summarize_records(records: Sequence[RoundMetrics]) -> Summary:
     if not records:
         raise ConfigError("no metric records to summarize")
-    layer_names = list(records[0].per_layer)
-    totals = {name: [0.0, 0.0, 0.0] for name in layer_names}  # n, sum, sumsq
-    for rec in records:
-        n = rec.cohort_size
-        if n == 0:
-            continue
-        for name in layer_names:
-            stats = rec.per_layer[name]
-            totals[name][0] += n
-            totals[name][1] += n * stats["mean"]
-            totals[name][2] += n * (stats["std"] ** 2 + stats["mean"] ** 2)
-    per_layer = {}
-    for name, (n, total, total_sq) in totals.items():
-        if n == 0:
-            per_layer[name] = LayerStats(mean=0.0, std=0.0)
-        else:
-            mean = total / n
-            var = max(0.0, total_sq / n - mean * mean)
-            per_layer[name] = LayerStats(mean=mean, std=math.sqrt(var))
+    per_layer = {
+        name: _pool([(rec.cohort_size, rec.per_layer[name]["mean"],
+                      rec.per_layer[name]["std"])
+                     for rec in records if rec.cohort_size])
+        for name in records[0].per_layer
+    }
     losses = [rec.loss for rec in records]
     accuracies = [rec.accuracy for rec in records]
     return Summary(

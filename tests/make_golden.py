@@ -7,9 +7,9 @@ The runs are the benchmark's three simulation workloads (``demo``,
 workload seeds 0 and 7, each built by ``bench/workloads.sim_mapping`` and
 run through ``fldp simulate``. The file holds the sha256 of each run's
 ``metrics.jsonl``, ``final_params.json`` and ``privacy_report.json``, and
-the provenance key the bits hold for: the numpy version and the BLAS
-library's name and version. Bits differ across BLAS builds, so a digest
-is only comparable under the same key. Rerun this only for a change that
+the provenance key the bits hold for: the numpy version, the BLAS
+library's name and version, and the scipy version. Bits differ across
+BLAS builds, so a digest is only comparable under the same key. Rerun this only for a change that
 moves bits on purpose, and list each digest that moved and why.
 """
 
@@ -23,6 +23,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import scipy
 import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,9 +34,14 @@ ARTIFACTS = ("metrics.jsonl", "final_params.json", "privacy_report.json")
 
 
 def provenance() -> str:
-    """numpy's version and the BLAS it was built against: what the bits hold for."""
+    """numpy's version, the BLAS it was built against and scipy's version.
+
+    The bits hold for these; the privacy report's digests depend on scipy's
+    ``gammaln`` and ``log_ndtr``.
+    """
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return f"numpy {np.__version__}; {blas['name']} {blas['version']}"
+    return (f"numpy {np.__version__}; {blas['name']} {blas['version']}; "
+            f"scipy {scipy.__version__}")
 
 
 def _bench_workloads():

@@ -4,11 +4,12 @@ Per-tree forms of the row code: norms and clipping act on a one-row stack,
 noise on the flat vector, the algebra on the flat vectors, and the sum and
 mean add the rows one at a time in sequence order. Per-client forms of the flat
 partition: a client's examples as a ``Batch`` view, a partition built from
-per-client batches, and the per-client population generator that the flat
-one replaced. Single-client forms of the model calls, each the engine's
-own kernel entry on a cohort of one, and the central-difference gradient
-oracle. Plain-numpy forms of the model kernels' softmax, cross-entropy
-gradient and LayerNorm backward pass, each reduction one numpy call.
+per-client batches, and a per-client population generator that reads the
+label stream one scalar at a time. Single-client forms of the model calls,
+each the engine's own kernel entry on a cohort of one, and the
+central-difference gradient oracle. Plain-numpy forms of the model
+kernels' softmax, cross-entropy gradient and LayerNorm backward pass, each
+reduction one numpy call.
 A clipping oracle that calls none of ``fldp.clipping``'s functions. A
 scalar form of the local minibatch draw: the counter-hash key and word
 formulas of ``fldp.streams`` written out again on Python ints, a
@@ -229,7 +230,15 @@ def _draw_inputs(rng, means, labels, spec):
 
 
 def per_client_population(spec):
-    """The per-client generator: one ``normal`` draw and one Batch per client."""
+    """The per-client generator: scalar label draws, one Batch per client.
+
+    The label stream is read one value at a time in the flat draw's order:
+    a ``standard_gamma(c_k + 1)`` per (client, class), a ``random()`` per
+    (client, class), then a ``random()`` per example. A client's class
+    weights are log G + log1p(-U) / c shifted to a row maximum of 0, and
+    its labels are ``searchsorted`` of its uniforms in its cumulative sums
+    divided by their total.
+    """
     means = (
         generator(spec.seed, _STREAM_MEANS).normal(
             size=(spec.num_classes, spec.input_dim)
@@ -247,11 +256,18 @@ def per_client_population(spec):
     label_rng = generator(spec.seed, _STREAM_LABELS)
     input_rng = generator(spec.seed, _STREAM_INPUTS)
 
-    clients = []
     concentration = spec.label_skew_alpha * spec.num_classes * priors
+    rows = range(spec.num_clients)
+    gammas = np.array([[label_rng.standard_gamma(c + 1) for c in concentration]
+                       for _ in rows])
+    boosts = np.array([[label_rng.random() for _ in concentration] for _ in rows])
+    clients = []
     for cid in range(spec.num_clients):
-        class_dist = label_rng.dirichlet(concentration)
-        labels = label_rng.choice(spec.num_classes, size=counts[cid], p=class_dist)
+        log_weights = np.log(gammas[cid]) + np.log1p(-boosts[cid]) / concentration
+        cdf = np.cumsum(np.exp(log_weights - log_weights.max()))
+        cdf /= cdf[-1]
+        u = np.array([label_rng.random() for _ in range(counts[cid])])
+        labels = np.searchsorted(cdf, u, side="right").astype(np.int64)
         inputs = _draw_inputs(input_rng, means, labels, spec)
         clients.append(Batch(inputs, labels))
 

@@ -7,12 +7,13 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference import layer_norms
 from simtools import linear_model, make_config, record_rounds, small_population
@@ -34,6 +35,7 @@ from fldp.optimizers import Schedule
 from fldp.param_tree import ParamTree
 from fldp.telemetry import (
     SCHEMA_KEYS,
+    LayerStats,
     RoundMetrics,
     read_metrics,
     round_to_json_obj,
@@ -387,6 +389,75 @@ def test_summary_matches_scalar_recomputation_from_archives(monkeypatch):
         assert summary.per_layer[name]["std"] == pytest.approx(
             float(np.std(values)), rel=1e-9, abs=1e-12
         )
+
+
+def _exact_stats(values):
+    """Mean and population variance of floats, as exact Fractions."""
+    xs = [Fraction(v) for v in values]
+    mean = sum(xs) / len(xs)
+    return mean, sum((x - mean) ** 2 for x in xs) / len(xs)
+
+
+def _sqrt(var):
+    """The square root of a Fraction >= 0 as a float, at any exponent."""
+    if var == 0:
+        return 0.0
+    half = (var.numerator.bit_length() - var.denominator.bit_length()) // 2
+    return math.sqrt(float(var / Fraction(4) ** half)) * 2.0 ** half
+
+
+def _records_of(groups):
+    """One record per group of raw layer-'w' norms; stats rounded from exact."""
+    base = run_small(num_rounds=1)[0].metrics[0]
+    records = []
+    for values in groups:
+        mean, var = _exact_stats(values) if values else (0, 0)
+        records.append(dataclasses.replace(
+            base, cohort_size=len(values), cohort_ids=list(range(len(values))),
+            per_layer={"w": LayerStats(mean=float(mean), std=_sqrt(var))}))
+    return records
+
+
+@st.composite
+def norm_groups(draw):
+    """Rounds of raw norms near one magnitude, with a spread relative to it."""
+    size = draw(st.sampled_from([1e-200, 1e-3, 1.0, 1e3, 1e200]))
+    spread = draw(st.sampled_from([0.0, 1e-9, 1e-6, 1e-3, 1.0]))
+    unit = st.floats(0.0, 1.0)
+    groups = draw(st.lists(st.lists(unit, max_size=8), min_size=1, max_size=6))
+    return [[size * (1.0 + spread * u) for u in group] for group in groups]
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(groups=norm_groups())
+@example(groups=[[1000.0 - 1e-3, 1000.0 + 1e-3], [1000.0 - 1e-3, 1000.0 + 1e-3]])
+@example(groups=[[1e200, 3e200], [2e200]])
+def test_summary_matches_an_exact_oracle_on_the_raw_norms(groups):
+    # The pooled stats of every round's raw norms, in exact arithmetic. The
+    # rounds' means are known only to an ulp, which bounds the std's error
+    # by a few ulps of the mean.
+    summary = summarize_records(_records_of(groups)).per_layer["w"]
+    values = [v for group in groups for v in group]
+    if not values:
+        assert summary == LayerStats(mean=0.0, std=0.0)
+        return
+    mean, var = _exact_stats(values)
+    eps = np.finfo(float).eps
+    assert summary["mean"] == pytest.approx(float(mean), rel=4 * eps, abs=0.0)
+    assert summary["std"] == pytest.approx(_sqrt(var), rel=1e-12,
+                                           abs=16 * eps * float(mean))
+
+
+def test_cli_summarize_huge_norms(tmp_path, capsys):
+    # Squaring a std or mean of 1e200 overflowed: exit 3, "Numerical result
+    # out of range".
+    records = [round_to_json_obj(r) for r in _records_of([[1e200, 3e200], [2e200]])]
+    path = tmp_path / "metrics.jsonl"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    assert main(["summarize", str(path)]) == 0
+    stats = json.loads(capsys.readouterr().out)["per_layer"]["w"]
+    assert stats["mean"] == pytest.approx(2e200, rel=1e-15)
+    assert stats["std"] == pytest.approx(math.sqrt(2 / 3) * 1e200, rel=1e-15)
 
 
 # -- CLI -------------------------------------------------------------------------

@@ -1,9 +1,8 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import client_batches, iid_shuffle, per_client_population
 
@@ -337,24 +336,6 @@ def test_flat_population_equals_per_client_reference(spec):
     assert flat.probe.inputs.tobytes() == want.probe.inputs.tobytes()
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(spec=population_specs(), scale=st.floats(0.01, 0.99))
-def test_flat_population_equals_reference_on_the_beta_branch(spec, scale):
-    # With every concentration below 0.1, numpy's Dirichlet breaks a stick
-    # with beta draws instead of normalising gammas, and reads its stream
-    # differently; its rows often put all but zero mass on a few classes.
-    priors = np.asarray(spec.class_priors or [1.0 / spec.num_classes] * spec.num_classes)
-    spec = dataclasses.replace(
-        spec, label_skew_alpha=0.1 * scale / (spec.num_classes * priors.max()))
-    assert (spec.label_skew_alpha * spec.num_classes * priors).max() < 0.1
-    flat = generate_population(spec)
-    want = per_client_population(spec)
-    assert flat.offsets.tobytes() == want.offsets.tobytes()
-    assert flat.labels.tobytes() == want.labels.tobytes()
-    assert flat.inputs.tobytes() == want.inputs.tobytes()
-    assert flat.probe.labels.tobytes() == want.probe.labels.tobytes()
-
-
 @st.composite
 def cdf_rows(draw):
     """(cdf, counts, u): rows with zero-probability classes, u on cdf entries."""
@@ -398,107 +379,100 @@ def test_population_makes_no_choice_call(monkeypatch):
 
 
 def test_population_makes_no_dirichlet_call(monkeypatch):
+    # The label stream is three blocks: gammas, their boosts and one uniform
+    # per example; no per-client call.
     calls = []
 
     class CountingGenerator(np.random.Generator):
         def dirichlet(self, *args, **kwargs):
-            calls.append(args)
+            calls.append("dirichlet")
             return super().dirichlet(*args, **kwargs)
 
-    monkeypatch.setattr(np.random, "Generator", CountingGenerator)
+        def standard_gamma(self, *args, **kwargs):
+            calls.append("standard_gamma")
+            return super().standard_gamma(*args, **kwargs)
+
+        def random(self, *args, **kwargs):
+            calls.append("random")
+            return super().random(*args, **kwargs)
+
+    def counting(*entropy):
+        rng = CountingGenerator(np.random.Philox(np.random.SeedSequence(entropy)))
+        return rng if entropy[1:] == (_STREAM_LABELS,) else generator(*entropy)
+
+    monkeypatch.setattr(data, "generator", counting)
     part = generate_population(base_spec(class_priors=(0.4, 0.3, 0.2, 0.1)))
     assert part.num_clients == 20
-    assert calls == []
+    assert calls == ["standard_gamma", "random", "random"]
 
 
-def _class_rows(spec):
-    """generate_population(spec) and the (N, K) class distributions it drew."""
-    rows = []
+def _class_cdfs(spec):
+    """generate_population(spec) and the (N, K) class CDFs it drew."""
+    cdfs = []
 
     def recording_cdf(dist):
-        rows.append(dist.copy())
-        return _cdf(dist)
+        cdfs.append(_cdf(dist))
+        return cdfs[-1]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(data, "_cdf", recording_cdf)
         part = generate_population(spec)
-    return part, rows[0]  # the clients' rows come before the probe's prior
+    return part, cdfs[0]  # the clients' rows come before the probe's prior
 
 
 @st.composite
-def repeated_concentration_specs(draw):
-    """Specs with runs of equal concentrations whose largest is ``top``.
-
-    A top in [0.1, 0.4) puts the smaller concentrations below numpy's 0.1
-    beta-branch threshold while the largest is at or above it.
-    """
-    spec = draw(population_specs())
-    raw = tuple(draw(st.lists(st.sampled_from([0.25, 0.5, 1.0]),
-                              min_size=spec.num_classes, max_size=spec.num_classes)))
-    top = draw(st.sampled_from([0.1, 0.15, 0.3, 1.0, 2.5]))
-    k = spec.num_classes
-    largest = max(dataclasses.replace(spec, class_priors=raw).class_priors)
-    alpha = top / (k * largest)
-    for _ in range(8):  # step alpha an ulp at a time towards top
-        if alpha * k * largest == top:
-            break
-        alpha = math.nextafter(alpha, -math.inf if alpha * k * largest > top else math.inf)
-    return dataclasses.replace(spec, class_priors=raw, label_skew_alpha=alpha), top
+def dirichlet_cases(draw):
+    """(alpha, K, priors or None) for the law oracle."""
+    k = draw(st.sampled_from([2, 4, 10]))
+    priors = draw(st.one_of(st.none(), st.tuples(*[st.floats(0.5, 1.0)] * k)))
+    return draw(st.floats(1e-3, 3.0)), k, priors
 
 
-@settings(derandomize=True, database=None, max_examples=120, deadline=None)
-@given(case=repeated_concentration_specs())
-def test_gamma_rows_equal_dirichlet_rows(case):
-    spec, top = case
-    concentration = spec.label_skew_alpha * spec.num_classes * np.asarray(spec.class_priors)
-    # Stepping alpha reaches 0.1 exactly for every prior set drawn here; a
-    # larger top may land an ulp off it, which still straddles 0.1.
-    assert concentration.max() == top if top == 0.1 else concentration.max() > 0.1
-    part, rows = _class_rows(spec)
-    rng = generator(spec.seed, _STREAM_LABELS)
-    want_rows = []
-    for n in part.sizes.tolist():
-        want_rows.append(rng.dirichlet(concentration))
-        rng.random(n)  # the uniforms `choice(p=row)` reads
-    assert rows.tobytes() == np.array(want_rows).tobytes()
-    want = per_client_population(spec)
-    assert part.labels.tobytes() == want.labels.tobytes()
-    assert part.inputs.tobytes() == want.inputs.tobytes()
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(case=dirichlet_cases())
+@example(case=(1e-3, 2, None))
+@example(case=(1e-3, 10, tuple(np.linspace(1.0, 0.5, 10))))
+@example(case=(3.0, 4, (1.0, 0.5, 0.5, 0.5)))
+def test_class_distributions_follow_the_dirichlet_law(case):
+    # Dirichlet(c_1..c_K), c_k = alpha K p_k: E[x_k] = p_k and
+    # Var[x_k] = p_k (1 - p_k) / (alpha K + 1).
+    alpha, k, priors = case
+    n = 50_000
+    spec = base_spec(num_clients=n, num_classes=k, input_dim=1, probe_size=1,
+                     label_skew_alpha=alpha, class_priors=priors,
+                     examples_per_client=CountSpec(count=1))
+    _, cdfs = _class_cdfs(spec)
+    assert np.isfinite(cdfs).all()
+    assert (cdfs[:, -1] == 1.0).all()  # every row sums to 1
+    rows = np.diff(cdfs, axis=1, prepend=0.0)
+    assert (rows >= 0).all()
+    p = np.asarray(spec.class_priors or [1.0 / k] * k)
+    var = p * (1 - p) / (alpha * k + 1)
+    assert np.all(np.abs(rows.mean(axis=0) - p) <= 5 * np.sqrt(var / n))
+    assert np.all(np.abs(rows.var(axis=0) / var - 1) <= 0.1)
 
 
-@pytest.mark.parametrize("row", [[np.nan, 0.5, 0.25, 0.25], [0.0, 0.0, 0.0, 0.0]],
-                         ids=["nan", "all-zero"])
-def test_non_finite_class_distribution_is_numerics_error(row, monkeypatch):
-    # Gammas that normalise to no probability vector must not become labels.
-    calls = []
+@pytest.mark.parametrize("block, row, alpha", [
+    ("standard_gamma", [np.nan, 1.5, 1.25, 1.25], 0.3),
+    # The largest uniform below 1 at a concentration of 1e-307: every
+    # class's log weight overflows to -inf, so every weight is zero.
+    ("random", [1 - 2**-53] * 4, 1e-307),
+], ids=["nan", "all-zero"])
+def test_non_finite_class_distribution_is_numerics_error(block, row, alpha,
+                                                         monkeypatch):
+    # A row that gives no probability vector must not become labels.
+    draw = getattr(np.random.Generator, block)
 
-    class BrokenGamma(np.random.Generator):
-        def standard_gamma(self, shape, size=None, dtype=np.float64, out=None):
-            calls.append(None)
-            out = super().standard_gamma(shape, size, dtype, out)
-            if len(calls) == 3:  # client 2's one call: its priors are symmetric
-                out[...] = row
-            return out
+    def broken(self, *args, **kwargs):
+        out = draw(self, *args, **kwargs)
+        if out.ndim == 2:  # a (N, K) block of the label stream
+            out[2] = row
+        return out
 
-    monkeypatch.setattr(np.random, "Generator", BrokenGamma)
+    BrokenBlock = type("BrokenBlock", (np.random.Generator,), {block: broken})
+    monkeypatch.setattr(np.random, "Generator", BrokenBlock)
     with pytest.raises(NumericsError, match=r"^client 2: Dirichlet class distribution"):
-        generate_population(base_spec())
-
-
-@pytest.mark.parametrize("row", [[np.nan, 0.5, 0.25, 0.25], [0.0, 0.0, 0.0, 0.0]],
-                         ids=["nan", "all-zero"])
-def test_non_finite_beta_branch_row_is_numerics_error(row, monkeypatch):
-    # With every concentration below 0.1 each row is a `dirichlet` call.
-    rows = []
-
-    class BrokenDirichlet(np.random.Generator):
-        def dirichlet(self, alpha, size=None):
-            rows.append(None)
-            return np.array(row) if len(rows) == 3 else super().dirichlet(alpha, size)
-
-    monkeypatch.setattr(np.random, "Generator", BrokenDirichlet)
-    with pytest.raises(NumericsError, match=r"^client 2: Dirichlet class distribution"):
-        generate_population(base_spec(label_skew_alpha=0.02))
+        generate_population(base_spec(label_skew_alpha=alpha))
 
 
 def test_flat_population_spans_several_mean_chunks():

@@ -579,19 +579,24 @@ def test_empty_round_with_non_finite_probe_loss_names_the_probe_stage():
 
 
 def test_diverging_local_training_names_round_client_and_stage():
-    # A huge local lr with no minibatch clip overflows every client's delta.
+    # A huge local lr with no minibatch clip overflows deltas. The error names
+    # the first client of the round-1 cohort whose train_cohort row is not
+    # finite.
     _, population = small_population()
     model = linear_model()
     cfg = make_config(population, num_rounds=2, local_count=4, local_lr=1e308,
                       local_clip=INF)
-    first = sample_cohort(population.num_clients, cfg.cohort, 1, cfg.seed)[0]
+    cohort = sample_cohort(population.num_clients, cfg.cohort, 1, cfg.seed)
+    start = models.init_params(model, cfg.seed).flat
     with np.errstate(all="ignore"):
+        deltas = train_cohort(start, population, model, cfg.local, cfg.fedprox_mu,
+                              1, cohort, cfg.seed, models.Workspace())
         with pytest.raises(NumericsError) as err:
             run_simulation(cfg, population, model)
-    message = str(err.value)
-    assert message.startswith("round 1: ")
-    assert f"client {first} " in message
-    assert "local_train" in message
+    diverged = [cid for cid, row in zip(cohort, deltas) if not np.isfinite(row).all()]
+    assert diverged
+    assert str(err.value) == (f"round 1: client {diverged[0]} produced a "
+                              "non-finite delta (stage local_train)")
 
 
 def test_diverging_central_step_names_the_probe_stage():
