@@ -10,6 +10,11 @@ Three model kinds, all trained with mean cross-entropy over a batch:
   projections, so per-layer telemetry buckets match the usual transformer
   group names.
 
+``_layers`` is the one statement of each kind's parameters: every layer's
+name, per-client shape and fan-in, in layout order. ``ModelSpec.layout``,
+``init_params`` and the kernels' (C, *shape) views of the parameter and
+gradient rows (``_views``) all read it.
+
 Each kind has one forward/backward kernel over a cohort axis: it takes the
 (C, P) parameter rows of C clients and their minibatches batch-major,
 (B, C, F) or (B, C, S, F), and returns (B, C, K) logits plus a closure
@@ -70,6 +75,7 @@ from __future__ import annotations
 import math
 from dataclasses import KW_ONLY, dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,37 +113,50 @@ class ModelSpec:
         if self.kind != ModelKind.TINY_ATTENTION and self.seq_len != 1:
             raise StructureError(
                 f"seq_len is for tiny_attention only, got {self.seq_len}")
+        if (self.kind == ModelKind.LINEAR_SOFTMAX
+                and self.layernorm_epsilon != ModelSpec.layernorm_epsilon):
+            raise StructureError("layernorm_epsilon is not for linear_softmax, got "
+                                 f"{self.layernorm_epsilon}")
         if not 0.0 < self.layernorm_epsilon < math.inf:
             raise StructureError("layernorm_epsilon must be finite and > 0, got "
                                  f"{self.layernorm_epsilon}")
 
     def layout(self) -> Layout:
         """The shared flat-vector layout: layer names and sizes, in tree order."""
-        f, k, d = self.input_dim, self.num_classes, self.hidden_dim
-        if self.kind == ModelKind.LINEAR_SOFTMAX:
-            pairs = (("w", k * f), ("b", k))
-        elif self.kind == ModelKind.MLP_LAYERNORM:
-            pairs = (
-                ("w1", d * f),
-                ("b1", d),
-                ("ln", 2 * d),
-                ("w2", k * d),
-                ("b2", k),
-            )
-        else:  # tiny_attention; LayerNorm layers pack gains then biases.
-            pairs = (
-                ("win", d * f),
-                ("ln1", 2 * d),
-                ("wqkv", 3 * d * d),
-                ("wf", d * d),
-                ("ln2", 2 * d),
-                ("w1", d * d),
-                ("w2", d * d),
-                ("wout", k * d),
-                ("bout", k),
-            )
-        names, sizes = zip(*pairs)
-        return Layout.of(names, sizes)
+        names, shapes, _ = zip(*_layers(self))
+        return Layout.of(names, tuple(math.prod(shape) for shape in shapes))
+
+
+def _layers(spec: ModelSpec) -> tuple[tuple[str, tuple[int, ...], int], ...]:
+    """Each layer's name, per-client shape and fan-in, in layout order.
+
+    A weight is (out, in), except ``wqkv``, which is (in, out); a LayerNorm
+    layer is (2, n), its gains then its biases; a bias is (n,). The flat
+    vector holds each layer row-major. Only weights have a fan-in; the
+    others' 0 tells a two-row weight from a LayerNorm layer.
+    """
+    f, k, d = spec.input_dim, spec.num_classes, spec.hidden_dim
+    if spec.kind == ModelKind.LINEAR_SOFTMAX:
+        return (("w", (k, f), f), ("b", (k,), 0))
+    if spec.kind == ModelKind.MLP_LAYERNORM:
+        return (("w1", (d, f), f), ("b1", (d,), 0), ("ln", (2, d), 0),
+                ("w2", (k, d), d), ("b2", (k,), 0))
+    return (("win", (d, f), f), ("ln1", (2, d), 0), ("wqkv", (d, 3 * d), d),
+            ("wf", (d, d), d), ("ln2", (2, d), 0), ("w1", (d, d), d),
+            ("w2", (d, d), d), ("wout", (k, d), d), ("bout", (k,), 0))
+
+
+@lru_cache(maxsize=64)
+def _view_shapes(spec: ModelSpec) -> tuple[tuple[slice, tuple[int, ...]], ...]:
+    """Each layer's columns of the rows and its view's shape, (-1, *shape); cached,
+    since rebuilding them twice a kernel call cost 4% of the demo workload."""
+    return tuple((span, (-1, *shape))
+                 for span, (_, shape, _) in zip(spec.layout().slices, _layers(spec)))
+
+
+def _views(spec: ModelSpec, rows: np.ndarray) -> list[np.ndarray]:
+    """Each layer's (C, *shape) view of the (C, P) rows, in layout order."""
+    return [rows[:, span].reshape(shape) for span, shape in _view_shapes(spec)]
 
 
 @dataclass(frozen=True)
@@ -164,23 +183,17 @@ class Batch:
 
 
 def init_params(spec: ModelSpec, seed: int) -> ParamTree:
-    """Deterministic init: weights ~ N(0, 1/fan_in), LN gains 1, biases 0."""
+    """Deterministic init in layout order: weights ~ N(0, 1/fan_in), drawn
+    in turn from one stream; LayerNorm gains 1 and biases 0; biases 0."""
     rng = generator(seed, 0xA11D)
-    f, k, d = spec.input_dim, spec.num_classes, spec.hidden_dim
-    fan_in = {
-        "w": f, "w1": d if spec.kind == ModelKind.TINY_ATTENTION else f,
-        "w2": d, "win": f, "wqkv": d, "wf": d, "wout": d,
-    }
     layers = []
-    layout = spec.layout()
-    for name, size in zip(layout.names, layout.sizes):
-        if name in ("b", "b1", "b2", "bout"):
-            values = np.zeros(size)
-        elif name in ("ln", "ln1", "ln2"):
-            half = size // 2
-            values = np.concatenate([np.ones(half), np.zeros(half)])
-        else:
-            values = rng.normal(size=size) / np.sqrt(fan_in[name])
+    for name, shape, fan_in in _layers(spec):
+        if fan_in:
+            values = rng.normal(size=shape) / np.sqrt(fan_in)
+        else:  # a bias, or a LayerNorm layer's gains and biases
+            values = np.zeros(shape)
+            if len(shape) == 2:
+                values[0] = 1.0
         layers.append((name, values))
     return ParamTree(layers)
 
@@ -362,14 +375,14 @@ def _layernorm_backward(dy, gain, cache, out, t, ws):
     """dL/dz, written over dy; the gain and bias gradients go to `out`.
 
     The gain and bias gradients, summed per client over the leading axes,
-    are the two halves of `out`, (C, 2n): a LayerNorm layer's gradient row,
-    gains then biases. `t` is a dy-shaped scratch array.
+    go to out[:, 0] and out[:, 1] of `out`, the (C, 2, n) view of a
+    LayerNorm layer's gradient rows. `t` is a dy-shaped scratch array.
     """
     xhat, inv = cache
     n = dy.shape[-1]
     t = np.multiply(dy, xhat, out=t)
-    _sum_leading(t, out[:, :n], ws)
-    _sum_leading(dy, out[:, n:], ws)
+    _sum_leading(t, out[:, 0], ws)
+    _sum_leading(dy, out[:, 1], ws)
     # dz = inv * (gdy - mean(gdy) - xhat * mean(gdy * xhat)), in place.
     dz = np.multiply(gain, dy, out=dy)
     np.multiply(dz, xhat, out=t)
@@ -458,17 +471,15 @@ def _cross_entropy_grad(logits, labels, count, valid, out):
 
 
 def _linear_softmax(spec, rows, x, ws):
-    f, k = spec.input_dim, spec.num_classes
-    spans = spec.layout().slices
-    w, b = (rows[:, span] for span in spans)
-    w = w.reshape(-1, k, f)
+    k = spec.num_classes
+    w, b = _views(spec, rows)
     logits = _apply(x, w.transpose(0, 2, 1), ws.take("logits", (*x.shape[:-1], k)))
     logits += _client_vectors(b, ws, "b")
 
     def backward(dlogits):
         grad = ws.take("grad", rows.shape)
-        gw, gb = (grad[:, span] for span in spans)
-        _outer(dlogits, x, gw.reshape(-1, k, f))
+        gw, gb = _views(spec, grad)
+        _outer(dlogits, x, gw)
         _sum_leading(dlogits, gb, ws)
         return grad
 
@@ -476,14 +487,11 @@ def _linear_softmax(spec, rows, x, ws):
 
 
 def _mlp_layernorm(spec, rows, x, ws):
-    f, k, d = spec.input_dim, spec.num_classes, spec.hidden_dim
+    k, d = spec.num_classes, spec.hidden_dim
     eps = spec.layernorm_epsilon
-    spans = spec.layout().slices
-    w1, b1, ln, w2, b2 = (rows[:, span] for span in spans)
-    w1 = w1.reshape(-1, d, f)
-    gain = _client_vectors(ln[:, :d], ws, "ln.gain")
-    bias = _client_vectors(ln[:, d:], ws, "ln.bias")
-    w2 = w2.reshape(-1, k, d)
+    w1, b1, ln, w2, b2 = _views(spec, rows)
+    gain = _client_vectors(ln[:, 0], ws, "ln.gain")
+    bias = _client_vectors(ln[:, 1], ws, "ln.bias")
 
     z1 = _apply(x, w1.transpose(0, 2, 1), ws.take("z1", (*x.shape[:-1], d)))
     z1 += _client_vectors(b1, ws, "b1")
@@ -494,13 +502,13 @@ def _mlp_layernorm(spec, rows, x, ws):
 
     def backward(dlogits):
         grad = ws.take("grad", rows.shape)
-        gw1, gb1, gln, gw2, gb2 = (grad[:, span] for span in spans)
-        _outer(dlogits, a, gw2.reshape(-1, k, d))
+        gw1, gb1, gln, gw2, gb2 = _views(spec, grad)
+        _outer(dlogits, a, gw2)
         _sum_leading(dlogits, gb2, ws)
         da = _apply(dlogits, w2, z1)  # z1 is dead after the LayerNorm
         dh = _tanh_backward(a, da)
         dz1 = _layernorm_backward(dh, gain, ln_cache, gln, da, ws)  # da: scratch
-        _outer(dz1, x, gw1.reshape(-1, d, f))
+        _outer(dz1, x, gw1)
         _sum_leading(dz1, gb1, ws)
         return grad
 
@@ -508,21 +516,13 @@ def _mlp_layernorm(spec, rows, x, ws):
 
 
 def _tiny_attention(spec, rows, x, ws):
-    f, k, d = spec.input_dim, spec.num_classes, spec.hidden_dim
-    s = spec.seq_len
+    f, k, d, s = spec.input_dim, spec.num_classes, spec.hidden_dim, spec.seq_len
     eps = spec.layernorm_epsilon
-    spans = spec.layout().slices
-    win, ln1, wqkv, wf, ln2, w1, w2, wout, bout = (rows[:, span] for span in spans)
-    win = win.reshape(-1, d, f)
-    g1 = _client_vectors(ln1[:, :d], ws, "ln1.gain")
-    be1 = _client_vectors(ln1[:, d:], ws, "ln1.bias")
-    wqkv = wqkv.reshape(-1, d, 3 * d)
-    wf = wf.reshape(-1, d, d)
-    g2 = _client_vectors(ln2[:, :d], ws, "ln2.gain")
-    be2 = _client_vectors(ln2[:, d:], ws, "ln2.bias")
-    w1 = w1.reshape(-1, d, d)
-    w2 = w2.reshape(-1, d, d)
-    wout = wout.reshape(-1, k, d)
+    win, ln1, wqkv, wf, ln2, w1, w2, wout, bout = _views(spec, rows)
+    g1 = _client_vectors(ln1[:, 0], ws, "ln1.gain")
+    be1 = _client_vectors(ln1[:, 1], ws, "ln1.bias")
+    g2 = _client_vectors(ln2[:, 0], ws, "ln2.gain")
+    be2 = _client_vectors(ln2[:, 1], ws, "ln2.bias")
 
     # x is (B, C, S, F); the stream is (B, S, C, .), so that a client's
     # rows over batch and sequence are one strided matrix. h is the
@@ -559,9 +559,8 @@ def _tiny_attention(spec, rows, x, ws):
 
     def backward(dlogits):
         grad = ws.take("grad", rows.shape)
-        gwin, gln1, gwqkv, gwf, gln2, gw1, gw2, gwout, gbout = (
-            grad[:, span] for span in spans)
-        _outer(dlogits, pool, gwout.reshape(-1, k, d))
+        gwin, gln1, gwqkv, gwf, gln2, gw1, gw2, gwout, gbout = _views(spec, grad)
+        _outer(dlogits, pool, gwout)
         _sum_leading(dlogits, gbout, ws)
         dpool = _apply(dlogits, wout, ws.take("dpool", pool.shape))
         # h and proj are dead after the pool.
@@ -569,16 +568,16 @@ def _tiny_attention(spec, rows, x, ws):
 
         # MLP sub-block backward
         dt = _apply(dh2, w2, proj)
-        _outer(dh2, t, gw2.reshape(-1, d, d))
+        _outer(dh2, t, gw2)
         da1 = _tanh_backward(t, dt)
-        _outer(da1, m, gw1.reshape(-1, d, d))
+        _outer(da1, m, gw1)
         dm = _apply(da1, w1, dt)  # over dt, then da1 is the scratch
         dh1 = _layernorm_backward(dm, g2, ln2_cache, gln2, da1, ws)
         dh1 += dh2  # residual
 
         # attention sub-block backward
         dao = _apply(dh1, wf, dh2)  # over dh2, dead after the residual add
-        _outer(dh1, ao, gwf.reshape(-1, d, d))
+        _outer(dh1, ao, gwf)
         dao_v = dao.swapaxes(1, 2)
         datt = np.matmul(dao_v, v.swapaxes(-1, -2), out=ws.take("datt", att.shape))
         dqkv = ws.take("dqkv", qkv.shape)  # (B, S, C, 3d): dq, dk, dv
@@ -589,11 +588,11 @@ def _tiny_attention(spec, rows, x, ws):
         np.matmul(dscores, kk, out=dq)
         np.matmul(dscores.swapaxes(-1, -2), q, out=dk)
         dqkv[..., : 2 * d] /= np.sqrt(d)  # dq and dk, side by side
-        _outer(u, dqkv, gwqkv.reshape(-1, d, 3 * d))
+        _outer(u, dqkv, gwqkv)
         du = _apply(dqkv, wqkv.transpose(0, 2, 1), dao)  # over dao
         dh0 = _layernorm_backward(du, g1, ln1_cache, gln1, da1, ws)
         dh0 += dh1  # residual
-        _outer(dh0, xs, gwin.reshape(-1, d, f))
+        _outer(dh0, xs, gwin)
         return grad
 
     return logits, backward

@@ -8,9 +8,12 @@ workload seeds 0 and 7, each built by ``bench/workloads.sim_mapping`` and
 run through ``fldp simulate``. The file holds the sha256 of each run's
 ``metrics.jsonl``, ``final_params.json`` and ``privacy_report.json``, and
 the provenance key the bits hold for: the numpy version, the BLAS
-library's name and version, and the scipy version. Bits differ across
-BLAS builds, so a digest is only comparable under the same key. Rerun this only for a change that
-moves bits on purpose, and list each digest that moved and why.
+library's name and version, the scipy version and the CPU features numpy
+dispatches to. Bits differ across BLAS builds and across numpy's dispatch
+(its float64 ``exp`` and ``log`` round differently without AVX-512), so a
+digest is only comparable under the same key. Rerun this only for a
+change that moves bits on purpose, and list each digest that moved and
+why.
 """
 
 from __future__ import annotations
@@ -34,14 +37,19 @@ ARTIFACTS = ("metrics.jsonl", "final_params.json", "privacy_report.json")
 
 
 def provenance() -> str:
-    """numpy's version, the BLAS it was built against and scipy's version.
+    """numpy's version, the BLAS it was built against, scipy's version and
+    the CPU features numpy found and dispatches to.
 
     The bits hold for these; the privacy report's digests depend on scipy's
-    ``gammaln`` and ``log_ndtr``.
+    ``gammaln`` and ``log_ndtr``. ``NPY_DISABLE_CPU_FEATURES`` removes
+    features from the list, so a run with AVX-512 switched off names
+    another key.
     """
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    simd = " ".join(config["SIMD Extensions"]["found"])
     return (f"numpy {np.__version__}; {blas['name']} {blas['version']}; "
-            f"scipy {scipy.__version__}")
+            f"scipy {scipy.__version__}; cpu {simd}")
 
 
 def _bench_workloads():

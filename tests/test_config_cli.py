@@ -596,6 +596,10 @@ UNTRAINABLE_VALUES = {
         ("model",), {"kind": "linear_softmax", "input_dim": 8, "num_classes": 4,
                      "hidden_dim": -4},
         "hidden_dim is not for linear_softmax, got -4"),
+    "layernorm-epsilon-on-linear-softmax": (
+        ("model",), {"kind": "linear_softmax", "input_dim": 8, "num_classes": 4,
+                     "layernorm_epsilon": 0.5},
+        "layernorm_epsilon is not for linear_softmax, got 0.5"),
 }
 
 

@@ -3,9 +3,9 @@
 Every refactor of the round is meant to keep a run bit for bit. These six
 runs (three workloads at their ``--minimal`` sizes, workload seeds 0 and 7)
 must give the recorded sha256 of their metrics, final parameters and
-privacy report. The digests hold for one numpy, BLAS and scipy build;
-under another the test fails and names both builds, since it cannot tell a
-changed bit from a different library. ``tests/make_golden.py`` rewrites the
+privacy report. The digests hold for one numpy, BLAS and scipy build and
+one set of CPU features numpy dispatches to; under another the test fails
+and names both, since it cannot tell a changed bit from a different library. ``tests/make_golden.py`` rewrites the
 file for a change that moves bits on purpose.
 """
 

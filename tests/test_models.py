@@ -29,15 +29,18 @@ from fldp.models import (
     _cross_entropy_grad,
     _layernorm_backward,
     _layernorm_forward,
+    _layers,
     _max_last,
     _softmax,
     _sum_last,
     _sum_leading,
+    _views,
     check_inputs,
     evaluate,
     init_params,
 )
 from fldp.param_tree import ParamTree
+from fldp.streams import generator
 
 LINEAR = ModelSpec(ModelKind.LINEAR_SOFTMAX, input_dim=5, num_classes=4)
 MLP = ModelSpec(ModelKind.MLP_LAYERNORM, input_dim=5, num_classes=3, hidden_dim=6)
@@ -93,6 +96,86 @@ def test_init_differs_across_seeds():
         assert any(
             not np.array_equal(x, y) for (_, x), (_, y) in zip(a.items(), b.items())
         )
+
+
+def init_by_hand(spec, seed):
+    """The documented init, from a layer list written out here: (name,
+    size, fan-in) for a weight, "ln" or "bias" in place of the fan-in for
+    the others. Weights draw in layout order from the init stream."""
+    f, k, d = spec.input_dim, spec.num_classes, spec.hidden_dim
+    table = {
+        ModelKind.LINEAR_SOFTMAX: [("w", k * f, f), ("b", k, "bias")],
+        ModelKind.MLP_LAYERNORM: [
+            ("w1", d * f, f), ("b1", d, "bias"), ("ln", 2 * d, "ln"),
+            ("w2", k * d, d), ("b2", k, "bias")],
+        ModelKind.TINY_ATTENTION: [
+            ("win", d * f, f), ("ln1", 2 * d, "ln"), ("wqkv", 3 * d * d, d),
+            ("wf", d * d, d), ("ln2", 2 * d, "ln"), ("w1", d * d, d),
+            ("w2", d * d, d), ("wout", k * d, d), ("bout", k, "bias")],
+    }[spec.kind]
+    rng = generator(seed, 0xA11D)
+    layers = []
+    for name, size, rule in table:
+        if rule == "bias":
+            values = np.zeros(size)
+        elif rule == "ln":
+            values = np.array([1.0] * (size // 2) + [0.0] * (size // 2))
+        else:
+            values = rng.normal(size=size) / math.sqrt(rule)
+        layers.append((name, values))
+    return layers
+
+
+INIT_SPECS = [
+    ModelSpec(ModelKind.LINEAR_SOFTMAX, input_dim=1, num_classes=2),
+    ModelSpec(ModelKind.MLP_LAYERNORM, input_dim=1, num_classes=2, hidden_dim=1),
+    ModelSpec(ModelKind.MLP_LAYERNORM, input_dim=3, num_classes=2, hidden_dim=2),
+    ModelSpec(ModelKind.TINY_ATTENTION, input_dim=1, num_classes=2, hidden_dim=1),
+    ModelSpec(ModelKind.TINY_ATTENTION, input_dim=1, num_classes=2, hidden_dim=2,
+              seq_len=3),
+    *ALL_SPECS,
+]
+
+
+@pytest.mark.parametrize("spec", INIT_SPECS, ids=lambda s: (
+    f"{s.kind.value}-f{s.input_dim}-k{s.num_classes}-d{s.hidden_dim}-s{s.seq_len}"))
+@pytest.mark.parametrize("seed", [0, 12345])
+def test_init_equals_the_documented_construction_bitwise(spec, seed):
+    got = init_params(spec, seed)
+    want = init_by_hand(spec, seed)
+    assert got.names == tuple(name for name, _ in want)
+    assert got.layout.sizes == tuple(values.size for _, values in want)
+    assert got.flat.tobytes() == np.concatenate([v for _, v in want]).tobytes()
+
+
+@st.composite
+def model_specs(draw):
+    kind = draw(st.sampled_from(list(ModelKind)))
+    width = st.integers(1, 16)
+    return ModelSpec(
+        kind, input_dim=draw(width), num_classes=draw(st.integers(2, 16)),
+        hidden_dim=0 if kind == ModelKind.LINEAR_SOFTMAX else draw(width),
+        seq_len=draw(width) if kind == ModelKind.TINY_ATTENTION else 1)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(spec=model_specs(), c=st.integers(1, 5))
+def test_views_are_the_rows_layer_slices(spec, c):
+    layout = spec.layout()
+    rows = np.arange(c * layout.total, dtype=np.float64).reshape(c, -1)
+    views = _views(spec, rows)
+    assert len(views) == len(layout.names)
+    for view, (_, shape, _), size in zip(views, _layers(spec), layout.sizes):
+        assert view.shape == (c, *shape) and math.prod(shape) == size
+        assert np.shares_memory(view, rows)
+    flat = np.concatenate([view.reshape(c, -1) for view in views], axis=1)
+    assert flat.tobytes() == rows.tobytes()
+    # The kernels write each layer's gradient through its view.
+    grad = Workspace().take("grad", rows.shape)
+    for i, view in enumerate(_views(spec, grad)):
+        view[...] = i
+    for i, span in enumerate(layout.slices):
+        assert np.all(grad[:, span] == i)
 
 
 def test_tiny_attention_exposes_figure_group_names():
@@ -547,9 +630,9 @@ def test_layernorm_backward_equals_reference_bitwise(case):
     ws, n = Workspace(), z.shape[-1]
     _, cache = _layernorm_forward(z, gain, rng.normal(size=gain.shape), 1e-5, ws, "ln")
     dy = rng.normal(size=z.shape)
-    out, t = np.empty((z.shape[-2], 2 * n)), np.empty_like(dy)
+    out, t = np.empty((z.shape[-2], 2, n)), np.empty_like(dy)
     dz = _layernorm_backward(dy.copy(), gain, cache, out, t, ws)  # written over dy
     want = reference.layernorm_backward(dy, gain, cache)
-    for g, w in zip((dz, out[:, :n], out[:, n:]), want):
+    for g, w in zip((dz, out[:, 0], out[:, 1]), want):
         assert g.tobytes() == w.tobytes()
 
