@@ -102,8 +102,7 @@ def _factors(norms: np.ndarray, bounds) -> np.ndarray:
     """bound/norm where a norm exceeds its bound, else exactly 1.0."""
     bounds = np.asarray(bounds, dtype=np.float64)
     scaled = ~((norms <= bounds * (1.0 + _NORM_SLACK)) | (norms == 0.0))
-    safe = np.where(scaled, norms, 1.0)
-    return np.where(scaled, bounds / safe, 1.0)
+    return np.divide(bounds, norms, out=np.ones(scaled.shape), where=scaled)
 
 
 def clip_rows(

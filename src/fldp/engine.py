@@ -16,7 +16,9 @@ hashed words in epochs mode (``streams.permutations``).
 A round works on the whole cohort at once. Local training turns the
 round-start parameters into an (L, P) delta matrix, one row per client in
 ascending id order, and clipping is a row-wise array operation on it that
-also returns the norms the per-layer statistics report. The sum is one
+also returns the norms the per-layer statistics report; the statistics are
+one vectorized pass over those norms, every layer's mean and std at once,
+with no second pass over the deltas. The sum is one
 ``np.add.reduce`` over the rows, which adds them one at a time in ascending
 client-id order (P >= 2 for every model), so it does not depend on how the
 rows were computed. The noise on the sum is sigma_sum and the denominator
@@ -186,7 +188,7 @@ def sample_cohort(
         ids = rng.choice(population_size, size=cohort.size, replace=False)
     else:
         ids = np.nonzero(rng.random(population_size) < cohort.rate)[0]
-    return sorted(int(i) for i in ids)
+    return np.sort(ids).tolist()
 
 
 def train_cohort(
@@ -216,6 +218,9 @@ def train_cohort(
     valid = index >= 0
     counts = valid.sum(axis=1)
     active = np.count_nonzero(counts, axis=1).tolist()
+    # The kernel divides by the counts and weights by the mask: as float64
+    # they cost it no buffered casts.
+    counts, valid = counts.astype(np.float64), valid.astype(np.float64)
     # Padding rows repeat the client's first example with zero weight.
     np.maximum(index, 0, out=index)
     index += population.offsets[client_ids][order]
@@ -241,7 +246,9 @@ def train_cohort(
         # The gradient rows are dead once clipped: the step goes over them.
         step = clip_rows(g, layout, clip, out=g)[0]
         head += np.multiply(-local.lr, step, out=step)
-    return (rows - start)[np.argsort(order)]
+    deltas = rows - start
+    # Only epochs mode reorders the clients.
+    return deltas if local.mode == LocalMode.STEPS else deltas[np.argsort(order)]
 
 
 def _draw_minibatches(sizes, local: LocalConfig, keys: np.ndarray):
@@ -372,6 +379,18 @@ def _require_finite(deltas: np.ndarray, t: int, cohort: list[int]) -> None:
     )
 
 
+def _layer_stats(names, layer_norms: np.ndarray) -> dict[str, LayerStats]:
+    """Each layer's mean and std of an (L, K) stack of norms, in one pass.
+
+    The columns are copied into contiguous (K, L) rows, so each layer's
+    reduction is the pairwise sum numpy makes over the column alone: the
+    statistics are ``float(col.mean())`` and ``float(col.std())`` bit for bit.
+    """
+    cols = np.ascontiguousarray(layer_norms.T)
+    return {name: LayerStats(mean=mean, std=std) for name, mean, std
+            in zip(names, cols.mean(axis=1).tolist(), cols.std(axis=1).tolist())}
+
+
 def run_simulation(
     cfg: FederationConfig,
     population: ClientPartition,
@@ -420,10 +439,7 @@ def run_simulation(
             logger.warning("round %d: empty cohort, releasing noise only", t)
             layer_norms, row_norms = np.zeros((1, len(layout.names))), np.zeros(1)
         preclip_mean = float(np.mean(row_norms))
-        per_layer = {
-            name: LayerStats(mean=float(col.mean()), std=float(col.std()))
-            for name, col in zip(layout.names, layer_norms.T)
-        }
+        per_layer = _layer_stats(layout.names, layer_norms)
 
         probe_loss, probe_accuracy = models.evaluate(
             model_spec, params, population.probe, workspace

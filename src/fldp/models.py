@@ -447,9 +447,11 @@ def _cross_entropy_grad(logits, labels, count, valid, out):
     """Gradient of each client's mean cross-entropy w.r.t. its logits.
 
     logits are (B, C, K) and labels (B, C); `count` is the number of real
-    examples per client, a scalar or (C, 1). Padding examples, where
-    `valid` (B, C) is False, get a zero gradient. out is C order; it may be
-    logits itself.
+    examples per client, a scalar or (C, 1) float64. `valid` (B, C) is each
+    example's float64 weight, 1.0 for a real example and 0.0 for padding,
+    which gets a zero gradient. Bool and integer masks give the same bits
+    but pay numpy's buffered casts in the division and the product. out is
+    C order; it may be logits itself.
     """
     p = _softmax(logits, out=out)
     k = p.shape[-1]
@@ -611,8 +613,10 @@ def cohort_grad(spec: ModelSpec, rows: np.ndarray, inputs: np.ndarray,
     """(C, P) gradients of C clients' mean cross-entropy, unchecked.
 
     rows are the clients' parameters, inputs (B, C, ...) and labels (B, C)
-    their minibatches, batch-major; `count` and `valid` are as in the
-    cross-entropy gradient. The caller has validated the data against the model. The
+    their minibatches, batch-major; `count` (C, 1) and `valid` (B, C) are
+    the float64 per-client example counts and 0/1 example weights of the
+    cross-entropy gradient (bool and integer masks give the same bits, but
+    slower). The caller has validated the data against the model. The
     result is the workspace's "grad" array: the next call into the same
     workspace overwrites it.
     """

@@ -211,6 +211,11 @@ def norm_rows(rows: np.ndarray, layout: Layout) -> tuple[np.ndarray, np.ndarray]
         for k in range(1, layer_sq.shape[1]):
             row_sq += layer_sq[:, k]
     layer_norms, row_norms = np.sqrt(layer_sq), np.sqrt(row_sq)
+    # Every layer sum in range bounds each row sum below, so one min and one
+    # max clear the whole stack; a NaN fails both and is rescued below.
+    if (layer_sq.min(initial=math.inf) >= _SUM_SQ_MIN
+            and row_sq.max(initial=0.0) < math.inf):
+        return layer_norms, row_norms
     for i, k in zip(*np.nonzero(_needs_rescue(layer_sq))):
         layer_norms[i, k] = _rescaled_norm(rows[i, layout.slices[k]], layer_sq[i, k])
     for i in np.nonzero(_needs_rescue(row_sq))[0]:

@@ -15,8 +15,9 @@ Lea and Flood, "Fast Splittable Pseudorandom Number Generators", OOPSLA
 words w of (seed, tag, round, client id), starting from 0, and its c-th
 word is ``mix(key + (c + 1) * GAMMA)``, all modulo 2**64. Each step is a
 bijection of the key for a fixed word, so tuples of the same word count
-have distinct keys. A whole cohort's keys and words are uint64 array
-operations, and no generator is built per client.
+have distinct keys. The words a cohort shares, (seed, tag, round), are
+chained once on Python ints; the clients' last step and their words are
+uint64 array operations, and no generator is built per client.
 
 ``minibatches`` draws steps-mode index sets by Floyd's sampling (Bentley &
 Floyd, "A Sample of Brilliance", CACM 1987), and ``permutations`` draws
@@ -33,8 +34,9 @@ import operator
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's increment, 2**64 / phi
-_M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_GAMMA_INT = 0x9E3779B97F4A7C15  # SplitMix64's increment, 2**64 / phi
+_M1_INT, _M2_INT = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_GAMMA, _M1, _M2 = np.uint64(_GAMMA_INT), np.uint64(_M1_INT), np.uint64(_M2_INT)
 _PAD = np.uint64(_MASK64)  # sorts after every other word
 
 
@@ -56,6 +58,13 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _mix_int(z: int) -> int:
+    """The SplitMix64 finalizer of one 64-bit word, on Python ints."""
+    z = (z ^ z >> 30) * _M1_INT & _MASK64
+    z = (z ^ z >> 27) * _M2_INT & _MASK64
+    return z ^ z >> 31
+
+
 def _words64(value: int) -> list[int]:
     """Little-endian 64-bit words of a non-negative integer; 0 is one word."""
     value = operator.index(value)
@@ -72,11 +81,13 @@ def client_keys(seed: int, stream: int, round_index: int, client_ids) -> np.ndar
     ids = np.asarray(client_ids, dtype=np.int64)
     if ids.size and ids.min() < 0:
         raise ValueError("client ids must be non-negative")
-    key = np.zeros(1, dtype=np.uint64)  # the words every client shares
+    key = 0  # chained over the words every client shares, as a scalar
     for value in (seed, stream, round_index):
         for word in _words64(value):
-            key = _mix(key + np.uint64(word) + _GAMMA)
-    return _mix(key + ids.astype(np.uint64) + _GAMMA)
+            key = _mix_int((key + word + _GAMMA_INT) & _MASK64)
+    keys = ids.astype(np.uint64)
+    keys += np.uint64((key + _GAMMA_INT) & _MASK64)
+    return _mix(keys)
 
 
 def words(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:

@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -81,6 +83,20 @@ def test_bernoulli_mean_cohort_matches_expectation():
 def test_cohort_larger_than_population_rejected():
     with pytest.raises(ConfigError):
         sample_cohort(4, CohortConfig(CohortMode.FIXED_SIZE, size=8), 0, 0)
+
+
+@pytest.mark.parametrize("cohort", [CohortConfig(CohortMode.FIXED_SIZE, size=40),
+                                    CohortConfig(CohortMode.BERNOULLI, rate=0.3)],
+                         ids=["fixed_size", "bernoulli"])
+def test_cohort_is_an_ascending_list_of_python_ints(cohort):
+    # cohort_ids is written to metrics.jsonl as JSON, which no numpy
+    # integer serializes to.
+    for rnd in range(1, 6):
+        ids = sample_cohort(300, cohort, rnd, 11)
+        assert type(ids) is list and ids
+        assert all(type(i) is int for i in ids)
+        assert all(a < b for a, b in zip(ids, ids[1:]))
+        assert json.loads(json.dumps(ids)) == ids
 
 
 # -- local training -------------------------------------------------------------
@@ -193,7 +209,61 @@ def test_epochs_round_makes_one_gradient_call_per_step_index(monkeypatch):
     assert calls == sum(max(s) for s in steps)
 
 
+@pytest.mark.parametrize("mode", [LocalMode.STEPS, LocalMode.EPOCHS])
+def test_the_kernel_gets_float64_counts_and_weights(mode, monkeypatch):
+    # Integer counts and a bool mask give the same bits, but the kernel's
+    # division and product would cast them in a buffer at every step.
+    population = generate_population(PopulationSpec(
+        num_clients=12, num_classes=3, input_dim=4,
+        examples_per_client=CountSpec(kind="lognormal", log_mean=1.5,
+                                      log_sigma=0.8),
+        probe_size=30, seed=7,
+    ))
+    cohort_grad, seen = models.cohort_grad, []
+
+    def spy(spec, rows, inputs, labels, count, valid, ws):
+        seen.append((count, valid))
+        return cohort_grad(spec, rows, inputs, labels, count, valid, ws)
+
+    monkeypatch.setattr(models, "cohort_grad", spy)
+    cfg = make_config(population, num_rounds=2, cohort_size=6, local_mode=mode,
+                      local_count=2, batch_size=4)
+    run_simulation(cfg, population, linear_model())
+    assert seen
+    for count, valid in seen:
+        assert count.dtype == valid.dtype == np.float64
+        assert count.shape == (valid.shape[1], 1)
+        assert set(np.unique(valid).tolist()) <= {0.0, 1.0}
+        assert count[:, 0].tolist() == valid.sum(axis=0).tolist()
+    assert any((valid == 0.0).any() for _, valid in seen)  # padding was drawn
+
+
 # -- run_simulation ---------------------------------------------------------------
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(clients=st.integers(1, 70), layers=st.integers(1, 9),
+       scale=st.sampled_from([1e-200, 1e-3, 1.0, 1e200]),
+       zero_rows=st.lists(st.integers(0, 69), max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_layer_stats_are_each_columns_numpy_mean_and_std_bitwise(
+        clients, layers, scale, zero_rows, seed):
+    # Cohorts of 1 to 70 cross the 8-wide blocks of numpy's pairwise sum;
+    # near 1e200 the squared deviations overflow, near 1e-200 they underflow.
+    norms = np.random.default_rng(seed).lognormal(sigma=2.0, size=(clients, layers))
+    norms *= scale
+    norms[[r for r in zero_rows if r < clients]] = 0.0
+    names = tuple(f"l{k}" for k in range(layers))
+    with np.errstate(over="ignore"):
+        got = engine._layer_stats(names, norms)
+        want = [(float(col.mean()), float(col.std())) for col in norms.T]
+    assert list(got) == list(names)
+    for name, (mean, std) in zip(names, want):
+        assert type(got[name]["mean"]) is type(got[name]["std"]) is float
+        assert (struct.pack("<2d", got[name]["mean"], got[name]["std"])
+                == struct.pack("<2d", mean, std))
+
+
 
 
 def test_zero_rounds_returns_initial_state():

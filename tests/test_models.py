@@ -624,6 +624,25 @@ def test_cross_entropy_grad_equals_reference_bitwise(case, padded):
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(case=kernel_stacks())
+def test_cross_entropy_grad_float_masks_equal_bool_and_int_masks_bitwise(case):
+    # The engine hands the kernel float64 counts and 0/1 weights; they must
+    # give the bits of the integer counts and the bool mask they stand for.
+    z, rng = case
+    logits = z.reshape(-1, z.shape[-2], z.shape[-1])
+    b, c, k = logits.shape
+    labels = rng.integers(0, k, size=(b, c))
+    valid = rng.random((b, c)) < 0.7
+    count = np.maximum(valid.sum(axis=0), 1)[:, None]
+    assert count.dtype == np.int64
+    got, want = logits.copy(), logits.copy()
+    _cross_entropy_grad(got, labels, count.astype(np.float64),
+                        valid.astype(np.float64), out=got)
+    _cross_entropy_grad(want, labels, count, valid, out=want)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(case=kernel_stacks())
 def test_layernorm_backward_equals_reference_bitwise(case):
     z, rng = case
     gain = rng.normal(size=z.shape[-2:])

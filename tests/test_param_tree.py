@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from reference import axpy, global_norm, layer_norms, scale, sub, tree_mean, zeros_like
 
+from fldp import param_tree
 from fldp.errors import StructureError
 from fldp.param_tree import Layout, ParamTree, norm_rows
 
@@ -121,6 +122,63 @@ def test_norm_rows_of_a_stack_are_those_of_each_row(data, sizes, kinds):
         if 1e-290 <= row_sq < math.inf:
             assert row_norms[i] == math.sqrt(row_sq)
         assert row_norms[i] == pytest.approx(math.hypot(*row), rel=1e-12)
+
+
+def _no_rescue(*args):
+    raise AssertionError("an in-range stack took the rescue path")
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(sizes=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+       num_rows=st.integers(0, 9), exponent=st.integers(-100, 100),
+       seed=st.integers(0, 2**32 - 1))
+def test_norm_rows_of_an_in_range_stack_never_rescue(sizes, num_rows, exponent, seed):
+    layout = Layout.of(tuple(f"l{i}" for i in range(len(sizes))), tuple(sizes))
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(0.5, 2.0, (num_rows, layout.total)) * 10.0 ** exponent
+    rows *= rng.choice([-1.0, 1.0], rows.shape)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(param_tree, "_rescaled_norm", _no_rescue)
+        mp.setattr(param_tree, "_needs_rescue", _no_rescue)  # not even scanned
+        layer_norms, row_norms = norm_rows(rows, layout)
+    layer_sq = np.add.reduceat(rows * rows, layout.starts, axis=1)
+    row_sq = np.zeros(num_rows)
+    for k in range(len(sizes)):  # a row's sum adds its layer sums in order
+        row_sq += layer_sq[:, k]
+    assert layer_norms.tobytes() == np.sqrt(layer_sq).tobytes()
+    assert row_norms.tobytes() == np.sqrt(row_sq).tobytes()
+
+
+# Stacks whose sums of squares leave [1e-290, inf), with the norms the
+# rescue gives them; the scales are powers of two, so the norms are exact.
+RESCUED = {
+    # layer a's sum 25 * 2**-1400 underflows to zero
+    "underflowing-layer": ((2, 2), [[3 * 2.0**-700, 4 * 2.0**-700, 1.0, 0.0]],
+                           [[5 * 2.0**-700, 1.0]], [1.0], 1),
+    # each layer's sum is 2.25 * 2**1022, the row's overflows
+    "overflowing-row": ((1, 1), [[1.5 * 2.0**511, -1.5 * 2.0**511], [3.0, 4.0]],
+                        [[1.5 * 2.0**511, 1.5 * 2.0**511], [3.0, 4.0]],
+                        [1.5 * 2.0**511 * math.sqrt(2.0), 5.0], 1),
+    "nan-entry": ((2, 1), [[math.nan, 1.0, 2.0]], [[math.nan, 2.0]], [math.nan], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESCUED))
+def test_norm_rows_rescues_sums_out_of_range(case, monkeypatch):
+    sizes, rows, want_layer, want_row, rescues = RESCUED[case]
+    layout = Layout.of(tuple(f"l{i}" for i in range(len(sizes))), sizes)
+    rescued, calls = param_tree._rescaled_norm, []
+
+    def spy(values, sum_sq):
+        calls.append(sum_sq)
+        return rescued(values, sum_sq)
+
+    monkeypatch.setattr(param_tree, "_rescaled_norm", spy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        layer_norms, row_norms = norm_rows(np.array(rows), layout)
+    assert len(calls) == rescues
+    np.testing.assert_array_equal(layer_norms, want_layer, strict=True)
+    np.testing.assert_array_equal(row_norms, want_row, strict=True)
 
 
 def test_axpy_alpha_zero_copies_y():
