@@ -38,6 +38,17 @@ Each order's value depends only on its own terms, summed in the same order
 whatever else is on the grid, so an order's eps is bit for bit the same
 on a one-order grid as on any grid.
 
+The parts of the terms that depend only on the order and the term index
+are computed once and held for the life of the process: for each
+fractional order and each block of the doubling schedule, the row of log
+binomial coefficients; for each grid of integer orders, the flat segment
+starts, the indices i, alpha - i and i^2 - i and the log binomial column.
+Each query adds only what depends on z and q, in the same order as when
+every part was computed afresh, so an order's value has the same bits
+whatever the grid and whatever the process asked before. The tables are
+read-only and hold at most _TABLE_BYTES (8 MiB) of array data; past that
+the oldest are dropped. Nothing is held per z, q, T or delta.
+
 The RDP -> DP conversion uses the tighter minimization
     eps = rdp(alpha) + log1p(-1/alpha) - log(delta * alpha) / (alpha - 1),
 the same bound the reference accountant implementations ship; the classic
@@ -49,6 +60,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 
 import numpy as np
 import numpy.typing as npt
@@ -71,6 +83,8 @@ _SERIES_LOG_CUTOFF = -30.0
 _FIRST_SERIES_WIDTH = 16
 # The smallest z whose 1/z^2, which the series divides by, is finite.
 _MIN_NOISE_MULTIPLIER = 1.0 / math.sqrt(sys.float_info.max)
+# Bytes of order-only series tables held at most; see _Tables.
+_TABLE_BYTES = 8 << 20
 
 
 def _log_sum_segments(log_terms, signs, starts) -> np.ndarray:
@@ -99,6 +113,62 @@ def _log_sum_segments(log_terms, signs, starts) -> np.ndarray:
     return peak[starts] + np.log1p(excess)
 
 
+class _Tables:
+    """Read-only arrays that depend only on the order grid, held by key.
+
+    Past `limit` bytes the oldest entries are dropped; an entry larger than
+    the limit is returned to its caller and not held. Callers build a
+    missing entry outside the lock, so concurrent callers at worst build
+    one twice.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.nbytes = 0
+        self._held: dict = {}
+        self._lock = threading.Lock()
+
+    def get(self, key) -> tuple[np.ndarray, ...] | None:
+        return self._held.get(key)
+
+    def put(self, items) -> None:
+        """Hold each (key, arrays) pair, the arrays made read-only."""
+        with self._lock:
+            for key, arrays in items:
+                for array in arrays:
+                    array.flags.writeable = False
+                size = sum(array.nbytes for array in arrays)
+                if key in self._held or size > self.limit:
+                    continue
+                while self.nbytes + size > self.limit:
+                    dropped = self._held.pop(next(iter(self._held)))
+                    self.nbytes -= sum(array.nbytes for array in dropped)
+                self._held[key] = arrays
+                self.nbytes += size
+
+    def clear(self) -> None:
+        with self._lock:
+            self._held.clear()
+            self.nbytes = 0
+
+
+_tables = _Tables(_TABLE_BYTES)
+
+
+def _int_table(n: tuple[int, ...]):
+    """Flat terms of integer orders n: segment starts, index i, order - i,
+    i^2 - i and the log binomial coefficient, the indices as exact floats."""
+    n = np.array(n, dtype=np.int64)
+    lengths = n + 1
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    order_n = np.repeat(n, lengths)
+    i = np.arange(lengths.sum()) - np.repeat(starts, lengths)
+    log_fact = special.gammaln(np.arange(n.max() + 1) + 1.0)
+    log_binom = log_fact[order_n] - log_fact[i] - log_fact[order_n - i]
+    return (starts, i.astype(float), (order_n - i).astype(float),
+            (i * i - i).astype(float), log_binom)
+
+
 def _log_a_int_orders(q: float, z: float, alphas: np.ndarray) -> np.ndarray:
     """log A_alpha at integer orders: one flat array of every order's terms."""
     if alphas.max() >= _MAX_SERIES_TERMS:
@@ -106,32 +176,46 @@ def _log_a_int_orders(q: float, z: float, alphas: np.ndarray) -> np.ndarray:
             f"integer order {alphas.max()} needs more than "
             f"{_MAX_SERIES_TERMS} series terms"
         )
-    n = alphas.astype(np.int64)
-    lengths = n + 1
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    order_n = np.repeat(n, lengths)
-    i = np.arange(lengths.sum()) - np.repeat(starts, lengths)
-    log_fact = special.gammaln(np.arange(n.max() + 1) + 1.0)
+    key = ("int", tuple(alphas.astype(np.int64).tolist()))
+    table = _tables.get(key)
+    if table is None:
+        table = _int_table(key[1])
+        _tables.put([(key, table)])
+    starts, i, rest, i_sq, log_binom = table
     terms = (
-        (log_fact[order_n] - log_fact[i] - log_fact[order_n - i])
+        log_binom
         + i * math.log(q)
-        + (order_n - i) * math.log1p(-q)
-        + (i * i - i) / (2.0 * z * z)
+        + rest * math.log1p(-q)
+        + i_sq / (2.0 * z * z)
     )
     return _log_sum_segments(terms, None, starts)
 
 
-def _frac_terms(q: float, z: float, alphas: np.ndarray, i: np.ndarray):
-    """Log terms of both sides of the fractional series, (orders, len(i))."""
-    alpha = alphas[:, None]
-    j = alpha - i
+def _frac_coef(alphas: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """log |binomial(alpha, i)| for i in [lo, hi), (orders, hi - lo)."""
+    alpha, i = alphas[:, None], np.arange(lo, hi)
+    return ((special.gammaln(alpha + 1.0) - special.gammaln(i + 1.0))
+            - special.gammaln((alpha - i) + 1.0))
+
+
+def _frac_terms(q: float, z: float, alphas: np.ndarray, lo: int, hi: int):
+    """Log terms of both sides of the fractional series at indices [lo, hi),
+    (orders, hi - lo)."""
+    keys = [("frac", alpha, lo) for alpha in alphas.tolist()]
+    rows = [_tables.get(key) for key in keys]
+    missing = [k for k, row in enumerate(rows) if row is None]
+    if missing:
+        log_coef = _frac_coef(alphas[missing], lo, hi)
+        # Each order's row gets a buffer of its own, freed when it is dropped.
+        for k, row in zip(missing, log_coef):
+            rows[k] = (row.copy(),)
+        _tables.put([(keys[k], rows[k]) for k in missing])
+    if len(missing) < len(rows):
+        log_coef = np.stack([row[0] for row in rows])
+    i = np.arange(lo, hi)
+    j = alphas[:, None] - i
     z0 = z * z * math.log(1.0 / q - 1.0) + 0.5
     log_q, log1mq = math.log(q), math.log1p(-q)
-    log_coef = (
-        special.gammaln(alpha + 1.0)
-        - special.gammaln(i + 1.0)
-        - special.gammaln(j + 1.0)
-    )
     log_s0 = (
         log_coef + i * log_q + j * log1mq + (i * i - i) / (2.0 * z * z)
         + special.log_ndtr((z0 - i) / z)
@@ -156,30 +240,37 @@ def _log_a_frac_orders(q: float, z: float, alphas: np.ndarray) -> np.ndarray:
                 f"(q={q}, z={z}, alpha={alphas[pending[0]]})"
             )
         grown = min(max(2 * width, _FIRST_SERIES_WIDTH), _MAX_SERIES_TERMS)
-        new0, new1 = _frac_terms(q, z, alphas[pending], np.arange(width, grown))
+        new0, new1 = _frac_terms(q, z, alphas[pending], width, grown)
         log_s0 = np.concatenate((log_s0, new0), axis=1)
         log_s1 = np.concatenate((log_s1, new1), axis=1)
-        width = grown
         # Column k + 1 stops the series when neither side rose above column
-        # k and both are under the cutoff; terms 0..k+1 are summed. At a
-        # huge z one side's terms are equal floats, which a test for
-        # strictly falling terms would wait on forever.
+        # k and both are under the cutoff; terms 0..k+1 are summed. Only the
+        # columns of the new block are tested: the pending series passed the
+        # ones before. At a huge z one side's terms are equal floats, which a
+        # test for strictly falling terms would wait on forever.
+        first = max(width, 1)
+        width = grown
+        s0, s1 = log_s0[:, first:], log_s1[:, first:]
         falls = (
-            (log_s0[:, 1:] <= log_s0[:, :-1])
-            & (log_s1[:, 1:] <= log_s1[:, :-1])
-            & (np.maximum(log_s0[:, 1:], log_s1[:, 1:]) < _SERIES_LOG_CUTOFF)
+            (s0 <= log_s0[:, first - 1:-1])
+            & (s1 <= log_s1[:, first - 1:-1])
+            & (np.maximum(s0, s1) < _SERIES_LOG_CUTOFF)
         )
         done = falls.any(axis=1)
         if done.any():
-            count = falls[done].argmax(axis=1) + 2
-            keep = np.arange(width) < count[:, None]
+            count = falls[done].argmax(axis=1) + first + 1
+            offsets = np.concatenate(([0], np.cumsum(count)[:-1]))
+            row = np.repeat(np.flatnonzero(done), count)
+            k = np.arange(offsets[-1] + count[-1]) - np.repeat(offsets, count)
             # Interleave the two sides: an order's segment is s0_0, s1_0, s0_1, ...
-            log_terms = np.stack((log_s0[done], log_s1[done]), axis=2)[keep].ravel()
-            alpha = alphas[pending[done], None]
-            negatives = np.maximum(0, np.arange(width) - 1 - np.floor(alpha))
-            signs = np.where(negatives % 2 == 1, -1.0, 1.0)[keep].repeat(2)
-            starts = 2 * np.concatenate(([0], np.cumsum(count)[:-1]))
-            log_a[pending[done]] = _log_sum_segments(log_terms, signs, starts)
+            log_terms = np.empty(2 * k.size)
+            log_terms[0::2] = log_s0[row, k]
+            log_terms[1::2] = log_s1[row, k]
+            # binomial(alpha, k) has max(0, k - 1 - floor(alpha)) negative factors.
+            floor_alpha = np.floor(alphas[pending[row]]).astype(np.int64)
+            odd = np.maximum(0, k - 1 - floor_alpha) & 1
+            signs = (1.0 - 2.0 * odd).repeat(2)
+            log_a[pending[done]] = _log_sum_segments(log_terms, signs, 2 * offsets)
             pending = pending[~done]
             log_s0, log_s1 = log_s0[~done], log_s1[~done]
     return log_a

@@ -216,8 +216,10 @@ def norm_rows(rows: np.ndarray, layout: Layout) -> tuple[np.ndarray, np.ndarray]
     if (layer_sq.min(initial=math.inf) >= _SUM_SQ_MIN
             and row_sq.max(initial=0.0) < math.inf):
         return layer_norms, row_norms
-    for i, k in zip(*np.nonzero(_needs_rescue(layer_sq))):
+    # A layer of exact zeros has the norm +0.0 it already holds.
+    nonzero = np.logical_or.reduceat(rows != 0.0, layout.starts, axis=1)
+    for i, k in zip(*np.nonzero(_needs_rescue(layer_sq) & nonzero)):
         layer_norms[i, k] = _rescaled_norm(rows[i, layout.slices[k]], layer_sq[i, k])
-    for i in np.nonzero(_needs_rescue(row_sq))[0]:
+    for i in np.nonzero(_needs_rescue(row_sq) & nonzero.any(axis=1))[0]:
         row_norms[i] = _rescaled_norm(rows[i], row_sq[i])
     return layer_norms, row_norms

@@ -6,14 +6,15 @@ The runs are the benchmark's three simulation workloads (``demo``,
 ``paper_round``, ``attention_epochs``) at their ``--minimal`` sizes and
 workload seeds 0 and 7, each built by ``bench/workloads.sim_mapping`` and
 run through ``fldp simulate``. The file holds the sha256 of each run's
-``metrics.jsonl``, ``final_params.json`` and ``privacy_report.json``, and
-the provenance key the bits hold for: the numpy version, the BLAS
-library's name and version, the scipy version and the CPU features numpy
-dispatches to. Bits differ across BLAS builds and across numpy's dispatch
-(its float64 ``exp`` and ``log`` round differently without AVX-512), so a
-digest is only comparable under the same key. Rerun this only for a
-change that moves bits on purpose, and list each digest that moved and
-why.
+``metrics.jsonl``, ``final_params.json`` and ``privacy_report.json``; the
+accountant's ``rdp_sampled_gaussian`` arrays over a fixed set of (z, q)
+points and order grids, with their sha256; and the provenance key the bits
+hold for: the numpy version, the BLAS library's name and version, the
+scipy version and the CPU features numpy dispatches to. Bits differ across
+BLAS builds and across numpy's dispatch (its float64 ``exp`` and ``log``
+round differently without AVX-512), so a digest is only comparable under
+the same key. Rerun this only for a change that moves bits on purpose, and
+list each digest that moved and why.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -34,6 +36,12 @@ GOLDEN = Path(__file__).resolve().parent / "golden.json"
 WORKLOADS = ("demo", "paper_round", "attention_epochs")
 SEEDS = (0, 7)
 ARTIFACTS = ("metrics.jsonl", "final_params.json", "privacy_report.json")
+# Order grids of the accountant entry: the default grid, a reordered one
+# that holds 3.25 (an order off every other grid), and a one-order grid.
+ACCOUNTANT_GRIDS = ("default", "mixed", "single")
+# Seeded (z, q) points spread log-uniformly over z in [0.2, 300] and
+# q in [1e-6, 1), besides the criterion-1 and workload points.
+SPREAD_POINTS, SPREAD_SEED = 24, 2023
 
 
 def provenance() -> str:
@@ -82,9 +90,65 @@ def run_digests(workdir: Path) -> dict[str, dict[str, str]]:
     return digests
 
 
+def order_grid(name: str) -> tuple[float, ...]:
+    from fldp.accountant import DEFAULT_ORDERS
+
+    return {"default": DEFAULT_ORDERS, "mixed": DEFAULT_ORDERS[::-3] + (3.25,),
+            "single": (1.5,)}[name]
+
+
+def accountant_points() -> list[tuple[float, float, str]]:
+    """(z, q, grid name) of the accountant entry.
+
+    The six criterion-1 points and the demo and attention_epochs workloads'
+    points on every grid, then the seeded spread on the default grid.
+    """
+    from fldp.config import parse_config_mapping
+    from fldp.dp import noise_multiplier
+
+    workloads = _bench_workloads()
+    pairs = [(z, q) for z, q, *_ in workloads.CRITERION_1]
+    for name in ("demo", "attention_epochs"):
+        raw = workloads.sim_mapping(name, ROOT, 0, minimal=False)
+        privacy = parse_config_mapping(raw, ROOT / "configs").federation.privacy
+        pairs.append((noise_multiplier(privacy), privacy.sampling_rate))
+    points = [(z, q, grid) for grid in ACCOUNTANT_GRIDS for z, q in pairs]
+    rng = np.random.default_rng(SPREAD_SEED)
+    log_z = rng.uniform(math.log(0.2), math.log(300.0), SPREAD_POINTS)
+    log_q = rng.uniform(math.log(1e-6), 0.0, SPREAD_POINTS)
+    points += [(z, q, "default") for z, q in zip(np.exp(log_z).tolist(),
+                                                 np.exp(log_q).tolist())]
+    return points
+
+
+def accountant_arrays(points) -> list[np.ndarray]:
+    """rdp_sampled_gaussian at each (z, q, grid name) point, in order."""
+    from fldp.accountant import rdp_sampled_gaussian
+
+    return [rdp_sampled_gaussian(z, q, order_grid(grid)) for z, q, grid in points]
+
+
+def accountant_digest(arrays: list[np.ndarray]) -> str:
+    digest = hashlib.sha256()
+    for rdp in arrays:
+        digest.update(rdp.tobytes())
+    return digest.hexdigest()
+
+
+def accountant_entry() -> dict:
+    """The sha256 of the accountant's arrays, and each array's bytes in hex
+    beside its point, so a mismatch can name the (z, q, order) that moved."""
+    points = accountant_points()
+    arrays = accountant_arrays(points)
+    return {"sha256": accountant_digest(arrays),
+            "points": [[z, q, grid, rdp.tobytes().hex()]
+                       for (z, q, grid), rdp in zip(points, arrays)]}
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as workdir:
-        golden = {"provenance": provenance(), "runs": run_digests(Path(workdir))}
+        golden = {"provenance": provenance(), "runs": run_digests(Path(workdir)),
+                  "accountant": accountant_entry()}
     GOLDEN.write_text(json.dumps(golden, indent=2) + "\n")
     print(f"wrote {GOLDEN}", file=sys.stderr)
 

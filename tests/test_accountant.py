@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -144,6 +145,94 @@ def test_grid_entries_equal_single_orders_bitwise(z, q):
     assert other_grid[:-1].tolist() == [
         singles[DEFAULT_ORDERS.index(a)] for a in shuffled[:-1]
     ]
+
+
+def held_arrays():
+    return [array for arrays in fldp.accountant._tables._held.values()
+            for array in arrays]
+
+
+# Orders that several grids share, so a query reads what earlier ones held,
+# and fresh ones, whose tables it builds.
+_ORDER = (st.sampled_from((1.1, 1.2, 1.25, 1.5, 2.0, 3.0, 3.25, 7.5, 16.0, 128.0))
+          | st.floats(1.01, 40.0))
+_QUERY = st.tuples(st.floats(0.5, 8.0),
+                   st.floats(-4.0, math.log10(0.5)).map(lambda e: 10.0**e),
+                   st.lists(_ORDER, min_size=1, max_size=6))
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(queries=st.lists(_QUERY, min_size=1, max_size=4))
+def test_held_tables_never_change_an_answer(queries):
+    for z, q, orders in queries:
+        first = rdp_sampled_gaussian(z, q, orders)
+    warm = rdp_sampled_gaussian(z, q, orders)
+    fldp.accountant._tables.clear()
+    cold = rdp_sampled_gaussian(z, q, orders)
+    assert first.tobytes() == warm.tobytes() == cold.tobytes()
+
+
+def test_held_tables_are_read_only():
+    fldp.accountant._tables.clear()
+    rdp_sampled_gaussian(2.048, 0.0295, (1.5, 2.0, 3.0))
+    held = held_arrays()
+    assert len(held) == 6  # one fractional row, five integer-grid arrays
+    for array in held:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_held_tables_stay_under_their_bound():
+    tables, bound = fldp.accountant._tables, fldp.accountant._TABLE_BYTES
+    assert bound == 8 << 20 and tables.limit == bound
+    tables.clear()
+    # An integer grid 2..top holds 32 bytes a term, about 16 top^2 bytes;
+    # together these grids hold over twice the bound.
+    for top in (300, 400, 500, 600, 700):
+        rdp_sampled_gaussian(50.0, 0.01, np.arange(2.0, top))
+        assert 0 < tables.nbytes <= bound
+    assert ("int", tuple(range(2, 300))) not in tables._held
+    # A grid over the bound on its own is built for its query, not held.
+    held, big = tables.nbytes, np.arange(2.0, 800.0)
+    assert 32 * (big + 1).sum() > bound
+    rdp_sampled_gaussian(50.0, 0.01, big)
+    assert tables.nbytes == held
+    rdp_sampled_gaussian(50.0, 0.01, big + 0.5)  # 798 fractional orders
+    assert 0 < tables.nbytes <= bound
+    # The count is the memory held: every array owns its buffer.
+    held = held_arrays()
+    assert all(array.base is None for array in held)
+    assert tables.nbytes == sum(array.nbytes for array in held)
+
+
+def test_held_tables_under_concurrent_queries():
+    # Threads that miss on the same tables at once build them twice at most:
+    # every answer keeps its bits and the byte count matches what is held.
+    grids = [(1.5, 2.0), (1.25, 3.0, 7.5), (1.1, 2.5, 16.0), (3.25, 4.0)]
+    want = [rdp_sampled_gaussian(0.7, 0.1, grid).tobytes() for grid in grids]
+    tables, start, same = fldp.accountant._tables, threading.Barrier(6), []
+
+    def work(k):
+        start.wait(timeout=60)
+        grid = k % len(grids)
+        same.append(rdp_sampled_gaussian(0.7, 0.1, grids[grid]).tobytes()
+                    == want[grid])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            tables.clear()
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert tables.nbytes == sum(array.nbytes for array in held_arrays())
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(same) == 60 and all(same)
 
 
 def test_rdp_monotonicity_grid():

@@ -181,6 +181,37 @@ def test_norm_rows_rescues_sums_out_of_range(case, monkeypatch):
     np.testing.assert_array_equal(row_norms, want_row, strict=True)
 
 
+def test_norm_rows_of_exact_zeros_never_rescue(monkeypatch):
+    # A zero sum of squares is below the rescue floor, but a layer or row of
+    # exact zeros (of either sign) has the norm +0.0 without one.
+    layout = Layout.of(("a", "b", "c"), (5, 1, 7))
+    rows = np.zeros((40, layout.total))
+    rows[::3] = -0.0
+    monkeypatch.setattr(param_tree, "_rescaled_norm", _no_rescue)
+    layer_norms, row_norms = norm_rows(rows, layout)
+    assert layer_norms.tobytes() == np.zeros((40, 3)).tobytes()
+    assert row_norms.tobytes() == np.zeros(40).tobytes()
+
+
+def test_norm_rows_rescues_only_the_underflowing_layer_beside_zeros(monkeypatch):
+    layout = Layout.of(("a", "b", "c"), (2, 2, 1))
+    tiny = [3 * 2.0**-700, 4 * 2.0**-700]
+    rows = np.array([[0.0, 0.0, *tiny, 1.0], [0.0, -0.0, 0.0, 0.0, 0.0]])
+    rescued, calls = param_tree._rescaled_norm, []
+
+    def spy(values, sum_sq):
+        calls.append(values.tolist())
+        return rescued(values, sum_sq)
+
+    monkeypatch.setattr(param_tree, "_rescaled_norm", spy)
+    layer_norms, row_norms = norm_rows(rows, layout)
+    assert calls == [tiny]
+    np.testing.assert_array_equal(layer_norms, [[0.0, 5 * 2.0**-700, 1.0],
+                                                [0.0, 0.0, 0.0]], strict=True)
+    np.testing.assert_array_equal(row_norms, [1.0, 0.0], strict=True)
+    assert not np.signbit(layer_norms).any() and not np.signbit(row_norms).any()
+
+
 def test_axpy_alpha_zero_copies_y():
     rng = np.random.default_rng(0)
     x, y = random_tree(rng), None
